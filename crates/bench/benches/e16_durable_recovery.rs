@@ -16,11 +16,19 @@
 //! * **measured wall-clock** — resume versus naive re-run on this
 //!   host, included for honesty; warm service caches shrink both.
 //!
+//! The table comes from one-worker runs: with a single worker, records
+//! land in the journal in dispatch order, so journal bytes and the
+//! replay split repeat exactly from run to run. With several workers
+//! they land in whichever order the workers acknowledge, so each crash
+//! point is also crashed and resumed on a 4-worker pool, where only the
+//! invariants are asserted.
+//!
 //! `FAEHIM_E16_SMOKE=1` checks only the mid-run crash point for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::banner;
 use dm_workflow::durable::DurableConfig;
+use dm_workflow::engine::ExecutionReport;
 use dm_workflow::graph::{TaskGraph, TaskId, Token, Tool};
 use dm_workflow::journal::RunJournal;
 use faehim::casestudy::build_case_study;
@@ -31,6 +39,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const INLINE_LIMIT: usize = 1024;
+/// Pool width of the runs the table reports.
+const TABLE_WORKERS: usize = 1;
+/// Pool width of the extra crash-and-resume check at each crash point.
 const WORKERS: usize = 4;
 
 fn smoke() -> bool {
@@ -83,6 +94,67 @@ struct WorkloadReport {
     crash_points: Vec<CrashPointReport>,
 }
 
+/// Kill a `workers`-wide durable run after `kill_after` appends, then
+/// resume it from the surviving journal bytes. Returns the resumed
+/// report and the resume's wall-clock time.
+fn crash_and_resume(
+    toolkit: &Toolkit,
+    graph: &TaskGraph,
+    bindings: &Bindings,
+    kill_after: u64,
+    workers: usize,
+) -> (ExecutionReport, Duration) {
+    let store = toolkit.network().client_store().expect("data plane store");
+    let doomed = Arc::new(RunJournal::with_store(Arc::clone(&store), INLINE_LIMIT));
+    let config = DurableConfig::new(Arc::clone(&doomed))
+        .with_workers(workers)
+        .with_kill_after_appends(kill_after);
+    toolkit
+        .resilient_executor(None)
+        .run_durable(graph, bindings, &config)
+        .expect_err("scripted crash");
+
+    // Process boundary: only the bytes and the store survive.
+    let survived = Arc::new(
+        RunJournal::from_bytes(&doomed.bytes()).attach_store(Arc::clone(&store), INLINE_LIMIT),
+    );
+    let start = Instant::now();
+    let resumed = toolkit
+        .resilient_executor(None)
+        .run_durable(
+            graph,
+            bindings,
+            &DurableConfig::new(Arc::clone(&survived)).with_workers(workers),
+        )
+        .expect("resume");
+    (resumed, start.elapsed())
+}
+
+/// Assert the recovery invariants of one resumed run; returns its
+/// replayed / re-executed split.
+fn check_resume(
+    name: &str,
+    graph: &TaskGraph,
+    resumed: &ExecutionReport,
+    expected: &[u8],
+    kill_after: u64,
+    workers: usize,
+) -> (usize, usize) {
+    assert_eq!(
+        resumed.canonical_bytes(),
+        expected,
+        "{name}: resumed report differs at kill point {kill_after} ({workers} workers)"
+    );
+    let replayed = resumed.replay_hits();
+    let re_executed = resumed.runs.iter().filter(|r| !r.replayed).count();
+    assert_eq!(
+        replayed + re_executed,
+        graph.num_tasks(),
+        "{name}: replay/re-execution split does not cover the graph ({workers} workers)"
+    );
+    (replayed, re_executed)
+}
+
 fn run_workload(
     name: &'static str,
     toolkit: &Toolkit,
@@ -94,7 +166,11 @@ fn run_workload(
     let start = Instant::now();
     let baseline = toolkit
         .resilient_executor(None)
-        .run_durable(graph, bindings, &DurableConfig::new(Arc::clone(&journal)))
+        .run_durable(
+            graph,
+            bindings,
+            &DurableConfig::new(Arc::clone(&journal)).with_workers(TABLE_WORKERS),
+        )
         .expect("baseline durable run");
     let naive_wall = start.elapsed();
     let expected = baseline.canonical_bytes();
@@ -109,42 +185,12 @@ fn run_workload(
 
     let mut crash_points = Vec::new();
     for kill_after in kill_points {
-        let doomed = Arc::new(RunJournal::with_store(Arc::clone(&store), INLINE_LIMIT));
-        let config = DurableConfig::new(Arc::clone(&doomed))
-            .with_workers(WORKERS)
-            .with_kill_after_appends(kill_after);
-        toolkit
-            .resilient_executor(None)
-            .run_durable(graph, bindings, &config)
-            .expect_err("scripted crash");
-
-        // Process boundary: only the bytes and the store survive.
-        let survived = Arc::new(
-            RunJournal::from_bytes(&doomed.bytes()).attach_store(Arc::clone(&store), INLINE_LIMIT),
-        );
-        let start = Instant::now();
-        let resumed = toolkit
-            .resilient_executor(None)
-            .run_durable(
-                graph,
-                bindings,
-                &DurableConfig::new(Arc::clone(&survived)).with_workers(WORKERS),
-            )
-            .expect("resume");
-        let resume_wall = start.elapsed();
-
-        assert_eq!(
-            resumed.canonical_bytes(),
-            expected,
-            "{name}: resumed report differs at kill point {kill_after}"
-        );
-        let replayed = resumed.replay_hits();
-        let re_executed = resumed.runs.iter().filter(|r| !r.replayed).count();
-        assert_eq!(
-            replayed + re_executed,
-            graph.num_tasks(),
-            "{name}: replay/re-execution split does not cover the graph"
-        );
+        let (resumed, resume_wall) =
+            crash_and_resume(toolkit, graph, bindings, kill_after, TABLE_WORKERS);
+        let (replayed, re_executed) =
+            check_resume(name, graph, &resumed, &expected, kill_after, TABLE_WORKERS);
+        let (pooled, _) = crash_and_resume(toolkit, graph, bindings, kill_after, WORKERS);
+        check_resume(name, graph, &pooled, &expected, kill_after, WORKERS);
         let virtual_restored = resumed
             .runs
             .iter()

@@ -1,23 +1,39 @@
-//! Durable enactment: an orchestrator / worker-pool split over the
-//! run journal, with crash injection and resume-from-log recovery.
+//! The executor's one scheduler: a frontier loop feeding a worker
+//! pool, with the run journal as an optional sink.
 //!
-//! The engine's in-memory modes ([`Executor::run`]) lose the whole run
-//! when the enacting process dies — unacceptable for the paper's
-//! long-running distributed mining jobs. Durable mode splits the
-//! engine in two:
+//! Every enactment, [`Executor::run`] in either
+//! [`ExecutionMode`](crate::engine::ExecutionMode) and
+//! [`Executor::run_durable`] alike, goes through the same loop:
 //!
-//! * the **orchestrator** (the calling thread) owns the graph logic:
-//!   it replays the [`RunJournal`] to reconstruct the remaining-work
-//!   frontier (completed tasks are restored, **not** re-executed;
-//!   failed tasks block only their downstream cone, independent
-//!   branches continue), dispatches ready tasks to the worker pool
-//!   with claim/ack job-queue semantics, and is the only writer of the
-//!   journal;
+//! * the **orchestrator** (the calling thread) owns the graph logic: it
+//!   tracks the remaining-work frontier, hands each task whose inputs
+//!   have all been produced to the pool under a numbered claim, and
+//!   records each acknowledged outcome. A completed task leaves the
+//!   frontier and releases its successors. The orchestrator is the only
+//!   job sender, so dropping its sender stops the pool;
 //! * the **workers** (scoped threads) execute tools via the engine's
-//!   retry machinery and report each claim's outcome. A worker that
-//!   dies mid-claim never acks, and the orchestrator redelivers the
-//!   task under a fresh claim — at-least-once execution, exactly-once
-//!   recording.
+//!   retry machinery and acknowledge each claim with its outcome.
+//!
+//! What differs between the entry points follows from which one was
+//! called:
+//!
+//! * `run` has no journal. It stops at the first task failure: no
+//!   successor is dispatched and claims not yet started are dropped
+//!   unrun. Events are delivered live by the worker running the task,
+//!   unless [`Executor::with_deterministic_events`] asks for buffering.
+//! * `run_durable` journals every state transition to a [`RunJournal`]
+//!   before it takes effect, and the orchestrator is the journal's only
+//!   writer. It first replays the journal to rebuild the frontier:
+//!   completed tasks are restored, **not** re-executed, and a failed
+//!   task blocks only its downstream cone while independent branches
+//!   continue. A worker that dies mid-claim never acks, and the
+//!   orchestrator redelivers the task under a fresh claim —
+//!   at-least-once execution, exactly-once recording. Events are always
+//!   buffered.
+//!
+//! Buffered events are delivered when the loop stops, task by task in
+//! (virtual completion tick, task id) order, so the sequence does not
+//! depend on how the OS scheduled the workers.
 //!
 //! Crash injection wires into the fault engine
 //! ([`dm_wsrf::resilience::CrashScript`]): scripted orchestrator
@@ -34,15 +50,14 @@ use crate::engine::{ExecutionReport, Executor, ProgressEvent, TaskRun};
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
 use crate::journal::{RunEvent, RunJournal};
+use crossbeam::channel::Sender;
 use dm_wsrf::resilience::CrashScript;
 use dm_wsrf::trace::SpanKind;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Sentinel task id telling a worker to exit.
-const POISON: TaskId = usize::MAX;
 
 /// Configuration for one durable enactment: the journal to append to
 /// (and resume from), the worker-pool width, and optional scripted
@@ -132,11 +147,13 @@ impl DurableConfig {
     }
 }
 
-/// A dispatched claim: the job queue carries `(claim, task)` and the
-/// orchestrator only trusts outcomes whose claim is still current.
+/// A dispatched claim: the job queue carries `(claim, task, inputs)`
+/// and the orchestrator only trusts outcomes whose claim is still
+/// current.
 struct Job {
     claim: u64,
     task: TaskId,
+    inputs: Vec<Token>,
 }
 
 /// What a worker did with a claim.
@@ -167,17 +184,32 @@ enum Status {
     Blocked,
 }
 
-/// The orchestrator's journal writer: counts this-process appends and
-/// enforces the append-count kill point.
-struct Appender<'a> {
-    journal: &'a RunJournal,
+/// A task's run record, its buffered events, and its completion tick.
+type Entry = (TaskId, TaskRun, Vec<ProgressEvent>, Duration);
+
+/// The orchestrator's state: produced tokens, current claims, and the
+/// journal writer, which counts this-process appends and enforces the
+/// append-count kill point.
+struct Orchestrator<'a> {
+    graph: &'a TaskGraph,
+    bindings: &'a HashMap<(TaskId, usize), Token>,
+    journal: Option<&'a RunJournal>,
     appended: u64,
     kill_after: Option<u64>,
+    produced: HashMap<(TaskId, usize), Token>,
+    claims: HashMap<TaskId, u64>,
+    next_claim: u64,
+    jobs: Sender<Job>,
 }
 
-impl Appender<'_> {
-    fn append(&mut self, event: &RunEvent) -> Result<()> {
-        self.journal.append(event);
+impl Orchestrator<'_> {
+    /// Journal the event `event` builds. Without a journal nothing is
+    /// built, so plain runs never copy outputs for it.
+    fn append(&mut self, event: impl FnOnce() -> RunEvent) -> Result<()> {
+        let Some(journal) = self.journal else {
+            return Ok(());
+        };
+        journal.append(&event());
         self.appended += 1;
         if self.kill_after == Some(self.appended) {
             return Err(WorkflowError::Crashed {
@@ -186,31 +218,28 @@ impl Appender<'_> {
         }
         Ok(())
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    appender: &mut Appender<'_>,
-    claims: &mut HashMap<TaskId, u64>,
-    next_claim: &mut u64,
-    job_tx: &crossbeam::channel::Sender<Job>,
-    in_flight: &mut usize,
-    graph: &TaskGraph,
-    task: TaskId,
-) -> Result<()> {
-    // Journal the dispatch first: a crash between this append and the
-    // task's completion record is the mid-task kill point — on resume
-    // the started-but-never-completed task is simply re-executed.
-    appender.append(&RunEvent::TaskStarted {
-        task,
-        name: graph.task(task)?.name.clone(),
-    })?;
-    let claim = *next_claim;
-    *next_claim += 1;
-    claims.insert(task, claim);
-    let _ = job_tx.send(Job { claim, task });
-    *in_flight += 1;
-    Ok(())
+    /// Hand `task` and its inputs to the pool under a fresh claim.
+    fn dispatch(&mut self, task: TaskId) -> Result<()> {
+        // Journal the dispatch first: a crash between this append and the
+        // task's completion record is the mid-task kill point — on resume
+        // the started-but-never-completed task is simply re-executed.
+        let graph = self.graph;
+        let name = &graph.task(task)?.name;
+        self.append(|| RunEvent::TaskStarted {
+            task,
+            name: name.clone(),
+        })?;
+        let inputs = Executor::gather_inputs(graph, task, self.bindings, &self.produced);
+        self.claims.insert(task, self.next_claim);
+        let _ = self.jobs.send(Job {
+            claim: self.next_claim,
+            task,
+            inputs,
+        });
+        self.next_claim += 1;
+        Ok(())
+    }
 }
 
 /// Mark every not-yet-resolved descendant of `task` blocked: a failed
@@ -253,7 +282,20 @@ impl Executor {
         bindings: &HashMap<(TaskId, usize), Token>,
         config: &DurableConfig,
     ) -> Result<ExecutionReport> {
-        // Validate that every input is fed, exactly as `run` does.
+        self.enact(graph, bindings, Some(config), config.workers)
+    }
+
+    /// The frontier loop behind [`Executor::run`] (no `durable` config)
+    /// and [`Executor::run_durable`], on a pool of `workers` threads (at
+    /// most one per task).
+    pub(crate) fn enact(
+        &self,
+        graph: &TaskGraph,
+        bindings: &HashMap<(TaskId, usize), Token>,
+        durable: Option<&DurableConfig>,
+        workers: usize,
+    ) -> Result<ExecutionReport> {
+        // Validate that every input is fed.
         for t in 0..graph.num_tasks() {
             for (port, spec) in graph.unconnected_inputs(t)? {
                 if !bindings.contains_key(&(t, port)) {
@@ -266,12 +308,14 @@ impl Executor {
         }
         let order = graph.topological_order()?;
         let n = graph.num_tasks();
-        let fingerprint = graph.structure_fingerprint();
-        let journal = config.journal.as_ref();
+        let journal = durable.map(|c| c.journal.as_ref());
+        let fail_fast = journal.is_none();
+        let buffered = journal.is_some() || self.deterministic_events;
 
         // Replay: reconstruct the frontier from the journal.
-        let replay = journal.replay();
+        let replay = journal.map(RunJournal::replay).unwrap_or_default();
         if let Some((_, journal_fp)) = replay.started {
+            let fingerprint = graph.structure_fingerprint();
             if journal_fp != fingerprint {
                 return Err(WorkflowError::JournalMismatch {
                     journal: journal_fp,
@@ -279,40 +323,33 @@ impl Executor {
                 });
             }
         }
-        journal.note_replay_hits(replay.completed.len() as u64);
+        if let Some(journal) = journal {
+            journal.note_replay_hits(replay.completed.len() as u64);
+        }
 
         let start = Instant::now();
         let vstart = self.virtual_now();
         self.emit(ProgressEvent::RunStarted { tasks: n });
         let mut root_span = self.tracer.as_ref().map(|t| {
-            let mut span = t.start_span("durable-workflow", SpanKind::Workflow, None);
+            let name = if fail_fast {
+                "workflow"
+            } else {
+                "durable-workflow"
+            };
+            let mut span = t.start_span(name, SpanKind::Workflow, None);
             span.set_attr("tasks", n.to_string());
-            span.set_attr("replayed", replay.completed.len().to_string());
+            if !fail_fast {
+                span.set_attr("replayed", replay.completed.len().to_string());
+            }
             span
         });
         let root = root_span.as_ref().map(|s| s.ctx());
 
-        let mut appender = Appender {
-            journal,
-            appended: 0,
-            kill_after: config.kill_after_appends,
-        };
-        let crash_check = |appender: &Appender<'_>| -> Result<()> {
-            if let Some(script) = &config.orchestrator_crash {
-                if script.poll_kill(self.virtual_now()) {
-                    return Err(WorkflowError::Crashed {
-                        appended: appender.appended,
-                    });
-                }
-            }
-            Ok(())
-        };
-
         // Restore produced tokens from replayed completions.
-        let mut produced_map: HashMap<(TaskId, usize), Token> = HashMap::new();
+        let mut produced: HashMap<(TaskId, usize), Token> = HashMap::new();
         for (&task, replayed) in &replay.completed {
             for (port, token) in replayed.outputs.iter().enumerate() {
-                produced_map.insert((task, port), token.clone());
+                produced.insert((task, port), token.clone());
             }
         }
         // Repopulate the memo cache from replayed pure tasks, in
@@ -329,7 +366,7 @@ impl Executor {
                     .filter(|c| c.to_task == task)
                     .all(|c| replay.completed.contains_key(&c.from_task));
                 if inputs_ready {
-                    let inputs = Self::gather_inputs(graph, task, bindings, &produced_map);
+                    let inputs = Self::gather_inputs(graph, task, bindings, &produced);
                     memo.populate(
                         graph.task(task)?.tool.as_ref(),
                         &inputs,
@@ -358,50 +395,45 @@ impl Executor {
             }
         }
 
-        if replay.started.is_none() {
-            appender.append(&RunEvent::RunStarted {
-                tasks: n,
-                fingerprint,
-            })?;
-        }
-
-        let produced = Mutex::new(produced_map);
         let budget = Mutex::new(self.policy.retry_budget);
-        let workers = config.workers.max(1).min(n.max(1));
+        let workers = workers.max(1).min(n.max(1));
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<Done>();
-
-        type Fresh = (TaskId, TaskRun, Vec<ProgressEvent>, Duration);
-        let outcome: Result<Vec<Fresh>> = crossbeam::scope(|scope| {
+        // Raised when the loop stops, and in a fail-fast run by the
+        // worker whose task failed: workers then start no further claim.
+        let stop = AtomicBool::new(false);
+        let mut entries: Vec<Entry> = Vec::new();
+        let (outcome, produced) = crossbeam::scope(|scope| {
             for _ in 0..workers {
                 let job_rx = job_rx.clone();
                 let done_tx = done_tx.clone();
-                let produced = &produced;
-                let budget = &budget;
+                let (budget, stop) = (&budget, &stop);
                 scope.spawn(move |_| {
                     while let Ok(job) = job_rx.recv() {
-                        if job.task == POISON {
+                        if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let inputs = {
-                            let produced = produced.lock();
-                            Self::gather_inputs(graph, job.task, bindings, &produced)
-                        };
                         let events = Mutex::new(Vec::new());
                         let (result, run) =
-                            self.execute_task(graph, job.task, &inputs, budget, root, &|e| {
-                                events.lock().push(e)
+                            self.execute_task(graph, job.task, &job.inputs, budget, root, &|e| {
+                                if buffered {
+                                    events.lock().push(e);
+                                } else {
+                                    self.emit(e);
+                                }
                             });
+                        if fail_fast && result.is_err() {
+                            stop.store(true, Ordering::SeqCst);
+                        }
                         let tick = self.virtual_now();
                         // Scripted worker death: the finished claim is
                         // discarded without an ack, so the orchestrator
                         // must redeliver. The thread itself keeps
                         // serving — it models a restarted worker.
-                        let died = config
-                            .worker_crash
-                            .as_ref()
-                            .is_some_and(|s| s.poll_kill(tick))
-                            || config.kill_worker_on_claim == Some(job.claim);
+                        let died = durable.is_some_and(|c| {
+                            c.worker_crash.as_ref().is_some_and(|s| s.poll_kill(tick))
+                                || c.kill_worker_on_claim == Some(job.claim)
+                        });
                         let outcome = if died {
                             Outcome::Died
                         } else {
@@ -423,152 +455,132 @@ impl Executor {
             drop(done_tx);
 
             // ---- orchestrator ----------------------------------------
-            let mut run_loop = || -> Result<Vec<Fresh>> {
-                let mut fresh: Vec<Fresh> = Vec::new();
-                let mut claims: HashMap<TaskId, u64> = HashMap::new();
-                let mut next_claim = 1u64;
-                let mut in_flight = 0usize;
+            let mut orch = Orchestrator {
+                graph,
+                bindings,
+                journal,
+                appended: 0,
+                kill_after: durable.and_then(|c| c.kill_after_appends),
+                produced,
+                claims: HashMap::new(),
+                next_claim: 1,
+                jobs: job_tx,
+            };
+            let mut run_loop = || -> Result<()> {
+                if replay.started.is_none() {
+                    orch.append(|| RunEvent::RunStarted {
+                        tasks: n,
+                        fingerprint: graph.structure_fingerprint(),
+                    })?;
+                }
                 for task in 0..n {
                     if status[task] == Status::Runnable && indegree[task] == 0 {
-                        dispatch(
-                            &mut appender,
-                            &mut claims,
-                            &mut next_claim,
-                            &job_tx,
-                            &mut in_flight,
-                            graph,
-                            task,
-                        )?;
+                        orch.dispatch(task)?;
                     }
                 }
-                while in_flight > 0 {
+                while !orch.claims.is_empty() {
                     let done = done_rx.recv().expect("workers hold the sender");
-                    if claims.get(&done.task) != Some(&done.claim) {
+                    if orch.claims.get(&done.task) != Some(&done.claim) {
                         continue; // stale claim: already redelivered
                     }
-                    match done.outcome {
-                        Outcome::Died => {
-                            // No ack: redeliver under a fresh claim.
+                    let Outcome::Finished {
+                        result,
+                        run,
+                        events,
+                        tick,
+                    } = done.outcome
+                    else {
+                        // No ack: redeliver under a fresh claim.
+                        if let Some(journal) = journal {
                             journal.note_redelivery();
-                            in_flight -= 1;
-                            dispatch(
-                                &mut appender,
-                                &mut claims,
-                                &mut next_claim,
-                                &job_tx,
-                                &mut in_flight,
-                                graph,
-                                done.task,
-                            )?;
                         }
-                        Outcome::Finished {
-                            result,
-                            run,
-                            events,
-                            tick,
-                        } => {
-                            crash_check(&appender)?;
-                            claims.remove(&done.task);
-                            in_flight -= 1;
-                            let task = done.task;
-                            let name = graph.task(task)?.name.clone();
-                            match result {
-                                Ok(outputs) => {
-                                    if run.sheds > 0 {
-                                        appender.append(&RunEvent::TaskShed {
-                                            task,
-                                            name: name.clone(),
-                                            sheds: run.sheds,
-                                        })?;
+                        orch.dispatch(done.task)?;
+                        continue;
+                    };
+                    if let Some(script) = durable.and_then(|c| c.orchestrator_crash.as_ref()) {
+                        if script.poll_kill(self.virtual_now()) {
+                            return Err(WorkflowError::Crashed {
+                                appended: orch.appended,
+                            });
+                        }
+                    }
+                    let task = done.task;
+                    orch.claims.remove(&task);
+                    match result {
+                        Ok(outputs) => {
+                            if run.sheds > 0 {
+                                orch.append(|| RunEvent::TaskShed {
+                                    task,
+                                    name: run.task.clone(),
+                                    sheds: run.sheds,
+                                })?;
+                            }
+                            orch.append(|| RunEvent::TaskCompleted {
+                                task,
+                                name: run.task.clone(),
+                                attempts: run.attempts,
+                                virtual_nanos: run.virtual_duration.as_nanos() as u64,
+                                cached: run.cached,
+                                sheds: run.sheds,
+                                outputs: outputs.clone(),
+                            })?;
+                            for (port, token) in outputs.into_iter().enumerate() {
+                                orch.produced.insert((task, port), token);
+                            }
+                            status[task] = Status::Completed;
+                            entries.push((task, run, events, tick));
+                            for c in graph.cables() {
+                                if c.from_task == task && status[c.to_task] == Status::Runnable {
+                                    indegree[c.to_task] -= 1;
+                                    if indegree[c.to_task] == 0 {
+                                        orch.dispatch(c.to_task)?;
                                     }
-                                    appender.append(&RunEvent::TaskCompleted {
-                                        task,
-                                        name,
-                                        attempts: run.attempts,
-                                        virtual_nanos: run.virtual_duration.as_nanos() as u64,
-                                        cached: run.cached,
-                                        sheds: run.sheds,
-                                        outputs: outputs.clone(),
-                                    })?;
-                                    {
-                                        let mut produced = produced.lock();
-                                        for (port, token) in outputs.into_iter().enumerate() {
-                                            produced.insert((task, port), token);
-                                        }
-                                    }
-                                    status[task] = Status::Completed;
-                                    fresh.push((task, run, events, tick));
-                                    for c in graph.cables() {
-                                        if c.from_task == task
-                                            && status[c.to_task] == Status::Runnable
-                                        {
-                                            indegree[c.to_task] -= 1;
-                                            if indegree[c.to_task] == 0 {
-                                                dispatch(
-                                                    &mut appender,
-                                                    &mut claims,
-                                                    &mut next_claim,
-                                                    &job_tx,
-                                                    &mut in_flight,
-                                                    graph,
-                                                    c.to_task,
-                                                )?;
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(message) => {
-                                    appender.append(&RunEvent::TaskFailed {
-                                        task,
-                                        name,
-                                        message,
-                                    })?;
-                                    status[task] = Status::Failed;
-                                    fresh.push((task, run, events, tick));
-                                    block_cone(graph, &mut status, task);
                                 }
                             }
+                        }
+                        Err(message) => {
+                            orch.append(|| RunEvent::TaskFailed {
+                                task,
+                                name: run.task.clone(),
+                                message: message.clone(),
+                            })?;
+                            let name = run.task.clone();
+                            entries.push((task, run, events, tick));
+                            if fail_fast {
+                                return Err(WorkflowError::TaskFailed {
+                                    task: name,
+                                    message,
+                                });
+                            }
+                            status[task] = Status::Failed;
+                            block_cone(graph, &mut status, task);
                         }
                     }
                 }
                 if !replay.finished {
-                    let recorded = status
-                        .iter()
-                        .filter(|s| matches!(s, Status::Completed | Status::Failed))
-                        .count();
-                    appender.append(&RunEvent::RunFinished {
-                        tasks: recorded,
+                    orch.append(|| RunEvent::RunFinished {
+                        tasks: status
+                            .iter()
+                            .filter(|s| matches!(s, Status::Completed | Status::Failed))
+                            .count(),
                         virtual_nanos: self.virtual_now().saturating_sub(vstart).as_nanos() as u64,
                     })?;
                 }
-                Ok(fresh)
+                Ok(())
             };
             let outcome = run_loop();
-            // Terminate the pool on every exit path, crash included.
-            for _ in 0..workers {
-                let _ = job_tx.send(Job {
-                    claim: 0,
-                    task: POISON,
-                });
-            }
-            drop(job_tx);
-            outcome
+            // Stop the pool on every exit path, crash and fail-fast
+            // included: queued claims are dropped unrun, and without the
+            // orchestrator's sender the workers' queue ends.
+            stop.store(true, Ordering::SeqCst);
+            let Orchestrator { produced, jobs, .. } = orch;
+            drop(jobs);
+            (outcome, produced)
         })
-        .expect("durable worker panicked");
+        .expect("workflow worker panicked");
 
-        let fresh = match outcome {
-            Ok(fresh) => fresh,
-            Err(e) => {
-                if let Some(span) = root_span.as_mut() {
-                    span.set_error(e.to_string());
-                }
-                return Err(e);
-            }
-        };
-
-        // Build the report: replayed runs (restored, zero re-execution)
-        // plus fresh runs, in the deterministic (tick, task id) order.
-        let mut entries: Vec<Fresh> = Vec::new();
+        // Replayed runs (restored, zero re-execution) join the fresh
+        // ones; buffered runs and their events follow (tick, task id).
         for (&task, replayed) in &replay.completed {
             entries.push((
                 task,
@@ -605,19 +617,27 @@ impl Executor {
                 Duration::ZERO,
             ));
         }
-        entries.extend(fresh);
-        entries.sort_by_key(|e| (e.3, e.0));
-        for (_, _, events, _) in &entries {
-            for event in events {
-                self.emit(event.clone());
+        if buffered {
+            entries.sort_by_key(|e| (e.3, e.0));
+        }
+        let runs = entries
+            .into_iter()
+            .map(|(_, run, events, _)| {
+                events.into_iter().for_each(|e| self.emit(e));
+                run
+            })
+            .collect();
+        if let Err(e) = outcome {
+            if let Some(span) = root_span.as_mut() {
+                span.set_error(e.to_string());
             }
+            return Err(e);
         }
 
         let mut report = ExecutionReport {
-            runs: entries.into_iter().map(|(_, run, _, _)| run).collect(),
+            runs,
             ..ExecutionReport::default()
         };
-        let produced = produced.into_inner();
         self.collect_outputs(graph, &produced, &mut report)?;
         report.elapsed = start.elapsed();
         report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
@@ -839,5 +859,224 @@ mod tests {
             .unwrap();
         let plain = Executor::parallel().run(&g, &HashMap::new()).unwrap();
         assert_eq!(resumed.canonical_bytes(), plain.canonical_bytes());
+    }
+
+    /// The next draw of a counter-based splitmix64 stream.
+    fn next(rng: &mut u64) -> u64 {
+        *rng = rng.wrapping_add(1);
+        dm_wsrf::fleet::splitmix64(*rng)
+    }
+
+    /// Hashes its inputs with its name and counts its executions; with
+    /// `fails` set it fails every time.
+    struct Counting {
+        name: String,
+        inputs: usize,
+        fails: bool,
+        runs: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl crate::graph::Tool for Counting {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn input_ports(&self) -> Vec<crate::graph::PortSpec> {
+            (0..self.inputs)
+                .map(|i| crate::graph::PortSpec::new(format!("in{i}"), "long"))
+                .collect()
+        }
+
+        fn output_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("out", "long")]
+        }
+
+        fn execute(&self, inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            if self.fails {
+                return Err(format!("{} always fails", self.name));
+            }
+            let mut hash = self.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            for input in inputs {
+                let Token::Int(v) = input else {
+                    return Err("expected long".into());
+                };
+                hash = (hash.rotate_left(5) ^ *v as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(vec![Token::Int(hash as i64)])
+        }
+    }
+
+    /// A DAG of 1–16 counting tasks drawn from `seed`: task `i` takes up
+    /// to three inputs from tasks before it. Same seed, same graph.
+    struct Generated {
+        graph: TaskGraph,
+        runs: Vec<Arc<std::sync::atomic::AtomicUsize>>,
+    }
+
+    impl Generated {
+        fn new(seed: u64, failing: Option<TaskId>) -> Generated {
+            let mut rng = seed;
+            let n = 1 + (next(&mut rng) % 16) as usize;
+            let mut graph = TaskGraph::new();
+            let mut runs = Vec::new();
+            for i in 0..n {
+                let parents: Vec<TaskId> = (0..next(&mut rng) % 4)
+                    .filter(|_| i > 0)
+                    .map(|_| (next(&mut rng) % i as u64) as TaskId)
+                    .collect();
+                let counter = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+                let tool = Counting {
+                    name: format!("t{i}"),
+                    inputs: parents.len(),
+                    fails: failing == Some(i),
+                    runs: Arc::clone(&counter),
+                };
+                let id = graph.add_named_task(format!("t{i}"), Arc::new(tool));
+                for (port, &parent) in parents.iter().enumerate() {
+                    graph.connect(parent, 0, id, port).unwrap();
+                }
+                runs.push(counter);
+            }
+            Generated { graph, runs }
+        }
+
+        fn counts(&self) -> Vec<usize> {
+            self.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect()
+        }
+
+        /// `task` and every task downstream of it.
+        fn cone(&self, task: TaskId) -> Vec<bool> {
+            let mut cone: Vec<bool> = (0..self.graph.num_tasks()).map(|t| t == task).collect();
+            // Cables were added in order of their target, each from an
+            // earlier task, so one pass in that order closes the cone.
+            for c in self.graph.cables() {
+                cone[c.to_task] |= cone[c.from_task];
+            }
+            cone
+        }
+    }
+
+    /// Checks one generated graph.
+    fn check_generated(seed: u64) {
+        let bindings = HashMap::new();
+        let n = Generated::new(seed, None).graph.num_tasks();
+        let mut rng = seed ^ 0xD1B5_4A32_D192_ED03;
+        let width = [1, 4][(next(&mut rng) % 2) as usize];
+        let durable = |g: &Generated, journal: &Arc<RunJournal>, workers: usize| {
+            Executor::parallel().run_durable(
+                &g.graph,
+                &bindings,
+                &DurableConfig::new(Arc::clone(journal)).with_workers(workers),
+            )
+        };
+
+        // Every entry point and width computes the same results, each
+        // task exactly once.
+        let g = Generated::new(seed, None);
+        let expected = Executor::serial()
+            .run(&g.graph, &bindings)
+            .unwrap()
+            .canonical_bytes();
+        assert_eq!(g.counts(), vec![1; n], "serial");
+        let g = Generated::new(seed, None);
+        let parallel = Executor::parallel().run(&g.graph, &bindings).unwrap();
+        assert_eq!(parallel.canonical_bytes(), expected, "parallel");
+        assert_eq!(g.counts(), vec![1; n], "parallel");
+        for workers in [1, 4] {
+            let g = Generated::new(seed, None);
+            let report = durable(&g, &Arc::new(RunJournal::new()), workers).unwrap();
+            assert_eq!(report.canonical_bytes(), expected, "{workers} workers");
+            assert_eq!(g.counts(), vec![1; n], "{workers} workers");
+        }
+
+        // One always-failing task: `run` stops before its cone, the
+        // durable loop completes everything outside it.
+        let failing = (next(&mut rng) % n as u64) as TaskId;
+        let cone = Generated::new(seed, Some(failing)).cone(failing);
+        for executor in [Executor::serial(), Executor::parallel()] {
+            let g = Generated::new(seed, Some(failing));
+            let err = executor.run(&g.graph, &bindings).unwrap_err();
+            assert!(
+                matches!(&err, WorkflowError::TaskFailed { task, .. } if *task == format!("t{failing}")),
+                "{err}"
+            );
+            for (t, runs) in g.counts().into_iter().enumerate() {
+                if cone[t] && t != failing {
+                    assert_eq!(runs, 0, "descendant t{t} of t{failing} ran");
+                }
+            }
+        }
+        let g = Generated::new(seed, Some(failing));
+        let report = durable(&g, &Arc::new(RunJournal::new()), width).unwrap();
+        for (t, runs) in g.counts().into_iter().enumerate() {
+            let recorded = report.runs.iter().find(|r| r.task == format!("t{t}"));
+            if t == failing {
+                assert!(recorded.is_some_and(|r| r.error.is_some()), "t{t} failed");
+            } else if cone[t] {
+                assert_eq!(runs, 0, "descendant t{t} of t{failing} ran");
+                assert!(recorded.is_none(), "descendant t{t} recorded");
+            } else {
+                assert_eq!(runs, 1, "t{t} outside the cone");
+                assert!(
+                    recorded.is_some_and(|r| r.error.is_none()),
+                    "t{t} completed"
+                );
+            }
+        }
+
+        // Killed after a seeded number of appends, then resumed from the
+        // surviving bytes: the same results, and no journaled
+        // completion re-runs.
+        let appends = 2 * n as u64 + 2;
+        let kill_at = 1 + next(&mut rng) % appends;
+        let journal = Arc::new(RunJournal::new());
+        let g = Generated::new(seed, None);
+        let err = Executor::parallel()
+            .run_durable(
+                &g.graph,
+                &bindings,
+                &DurableConfig::new(Arc::clone(&journal))
+                    .with_workers(width)
+                    .with_kill_after_appends(kill_at),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, WorkflowError::Crashed { appended } if appended == kill_at),
+            "kill at {kill_at}: {err}"
+        );
+        let survived = Arc::new(RunJournal::from_bytes(&journal.bytes()));
+        let completed = survived.replay().completed;
+        let g = Generated::new(seed, None);
+        let resumed = durable(&g, &survived, width).unwrap();
+        assert_eq!(resumed.canonical_bytes(), expected, "kill at {kill_at}");
+        for (t, runs) in g.counts().into_iter().enumerate() {
+            let want = usize::from(!completed.contains_key(&t));
+            assert_eq!(runs, want, "t{t} after a kill at {kill_at}");
+        }
+    }
+
+    /// Prints the seed when a check panics, so the failing graph can be
+    /// rebuilt on its own.
+    struct SeedOnPanic(u64);
+
+    impl Drop for SeedOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("generated graph failed: seed {:#x}", self.0);
+            }
+        }
+    }
+
+    #[test]
+    fn generated_graphs_agree_across_entry_points_failures_and_crashes() {
+        let mut stream = 0x5EED_FAE1_u64;
+        for _ in 0..256 {
+            let seed = next(&mut stream);
+            let _seed = SeedOnPanic(seed);
+            check_generated(seed);
+        }
     }
 }

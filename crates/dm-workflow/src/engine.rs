@@ -1,11 +1,19 @@
-//! Workflow enactment: serial and parallel executors with per-task
-//! retry (the fault-tolerance requirement: "the framework must …
-//! include the ability to complete the task if a fault occurs by moving
-//! the job to another resource", §3 — the moving itself is implemented
-//! by [`crate::wsimport::WsTool`] host failover; the engine contributes
-//! bounded retries and failure accounting).
+//! Workflow enactment: the [`Executor`] with per-task retry (the
+//! fault-tolerance requirement: "the framework must … include the
+//! ability to complete the task if a fault occurs by moving the job to
+//! another resource", §3 — the moving itself is implemented by
+//! [`crate::wsimport::WsTool`] host failover; the engine contributes
+//! bounded retries and failure accounting), its reports, and its live
+//! progress events.
+//!
+//! Every enactment runs on one scheduler, the frontier loop in
+//! [`crate::durable`]: an orchestrator hands ready tasks to a worker
+//! pool. [`Executor::run`] uses it with no journal, one worker in
+//! [`ExecutionMode::Serial`] and one per core in
+//! [`ExecutionMode::Parallel`]; [`Executor::run_durable`] adds the run
+//! journal.
 
-use crate::error::{Result, WorkflowError};
+use crate::error::Result;
 use crate::graph::{TaskGraph, TaskId, Token};
 use crate::memo::MemoCache;
 use dm_wsrf::resilience::{BackoffSchedule, ResiliencePolicy};
@@ -15,12 +23,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Serial or parallel enactment.
+/// The worker-pool width of [`Executor::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Topological order on the calling thread.
+    /// One worker: tasks run one at a time, in the order the frontier
+    /// loop dispatches them.
     Serial,
-    /// Ready tasks run concurrently on scoped threads.
+    /// One worker per available core (at most one per task): ready tasks
+    /// run concurrently.
     Parallel,
 }
 
@@ -101,7 +111,10 @@ pub struct TaskRun {
 pub struct ExecutionReport {
     /// Output tokens of unconnected output ports: `(task, port) → token`.
     pub outputs: HashMap<(TaskId, usize), Token>,
-    /// Per-task run records, in completion order.
+    /// Per-task run records, in the order the orchestrator acknowledged
+    /// them; ordered by (virtual completion tick, task id) when events
+    /// are buffered ([`Executor::with_deterministic_events`], durable
+    /// enactment).
     pub runs: Vec<TaskRun>,
     /// Total enactment wall-clock time.
     pub elapsed: Duration,
@@ -245,8 +258,8 @@ pub enum ProgressEvent {
     },
 }
 
-/// Listener callback for [`ProgressEvent`]s. Shared across worker
-/// threads in parallel mode.
+/// Listener callback for [`ProgressEvent`]s. Live events arrive on the
+/// worker thread running the task; buffered ones on the calling thread.
 pub type ProgressListener = std::sync::Arc<dyn Fn(ProgressEvent) + Send + Sync>;
 
 /// The workflow executor.
@@ -380,7 +393,7 @@ impl Executor {
 
     /// Builder: make the [`ProgressEvent`] sequence replay-deterministic
     /// under parallel enactment. Each task's event block is buffered
-    /// while workers race and flushed after quiescence, ordered by the
+    /// while workers race and flushed when the run stops, ordered by the
     /// task's completion instant on the simulated clock (ties broken by
     /// task id), with `RunStarted` first and `RunFinished` last;
     /// `ExecutionReport::runs` follows the same order. The default
@@ -401,49 +414,24 @@ impl Executor {
 
     /// Enact `graph`. `bindings` provides tokens for unconnected input
     /// ports (`(task, port) → token`).
+    ///
+    /// Runs on the same frontier loop as [`Executor::run_durable`], with
+    /// no journal and one worker ([`ExecutionMode::Serial`]) or one per
+    /// available core ([`ExecutionMode::Parallel`]). The first task
+    /// failure stops the run: no successor is dispatched, claims not yet
+    /// started are dropped, and the error is
+    /// [`TaskFailed`](crate::error::WorkflowError::TaskFailed) naming
+    /// that task; no [`ProgressEvent::RunFinished`] fires.
     pub fn run(
         &self,
         graph: &TaskGraph,
         bindings: &HashMap<(TaskId, usize), Token>,
     ) -> Result<ExecutionReport> {
-        // Validate that every input is fed.
-        for t in 0..graph.num_tasks() {
-            for (port, spec) in graph.unconnected_inputs(t)? {
-                if !bindings.contains_key(&(t, port)) {
-                    return Err(WorkflowError::UnboundInput {
-                        task: graph.task(t)?.name.clone(),
-                        port: spec.name,
-                    });
-                }
-            }
-        }
-        let order = graph.topological_order()?;
-        self.emit(ProgressEvent::RunStarted {
-            tasks: graph.num_tasks(),
-        });
-        let mut root_span = self.tracer.as_ref().map(|t| {
-            let mut span = t.start_span("workflow", SpanKind::Workflow, None);
-            span.set_attr("tasks", graph.num_tasks().to_string());
-            span
-        });
-        let root = root_span.as_ref().map(|s| s.ctx());
-        let result = match self.mode {
-            ExecutionMode::Serial => self.run_serial(graph, bindings, &order, root),
-            ExecutionMode::Parallel => self.run_parallel(graph, bindings, root),
+        let workers = match self.mode {
+            ExecutionMode::Serial => 1,
+            ExecutionMode::Parallel => std::thread::available_parallelism().map_or(4, |p| p.get()),
         };
-        match &result {
-            Ok(report) => self.emit(ProgressEvent::RunFinished {
-                tasks: report.runs.len(),
-                elapsed: report.elapsed,
-                virtual_elapsed: report.virtual_elapsed,
-            }),
-            Err(e) => {
-                if let Some(span) = root_span.as_mut() {
-                    span.set_error(e.to_string());
-                }
-            }
-        }
-        result
+        self.enact(graph, bindings, None, workers)
     }
 
     pub(crate) fn execute_task(
@@ -663,224 +651,6 @@ impl Executor {
             .collect()
     }
 
-    fn run_serial(
-        &self,
-        graph: &TaskGraph,
-        bindings: &HashMap<(TaskId, usize), Token>,
-        order: &[TaskId],
-        root: Option<SpanContext>,
-    ) -> Result<ExecutionReport> {
-        let start = Instant::now();
-        let vstart = self.virtual_now();
-        let budget = Mutex::new(self.policy.retry_budget);
-        let mut produced: HashMap<(TaskId, usize), Token> = HashMap::new();
-        let mut report = ExecutionReport::default();
-        for &task in order {
-            let inputs = Self::gather_inputs(graph, task, bindings, &produced);
-            let (result, run) =
-                self.execute_task(graph, task, &inputs, &budget, root, &|e| self.emit(e));
-            report.runs.push(run);
-            match result {
-                Ok(outputs) => {
-                    for (port, token) in outputs.into_iter().enumerate() {
-                        produced.insert((task, port), token);
-                    }
-                }
-                Err(message) => {
-                    report.elapsed = start.elapsed();
-                    return Err(WorkflowError::TaskFailed {
-                        task: graph.task(task)?.name.clone(),
-                        message,
-                    });
-                }
-            }
-        }
-        self.collect_outputs(graph, &produced, &mut report)?;
-        report.elapsed = start.elapsed();
-        report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
-        report.retry_budget_remaining = budget.into_inner();
-        Ok(report)
-    }
-
-    fn run_parallel(
-        &self,
-        graph: &TaskGraph,
-        bindings: &HashMap<(TaskId, usize), Token>,
-        root: Option<SpanContext>,
-    ) -> Result<ExecutionReport> {
-        let start = Instant::now();
-        let vstart = self.virtual_now();
-        let n = graph.num_tasks();
-        let mut indegree = vec![0usize; n];
-        for c in graph.cables() {
-            indegree[c.to_task] += 1;
-        }
-
-        let produced = Mutex::new(HashMap::<(TaskId, usize), Token>::new());
-        let budget = Mutex::new(self.policy.retry_budget);
-        let state = Mutex::new((indegree, Vec::<TaskRun>::new(), None::<(String, String)>));
-        // Deterministic-event mode: each task's event block is buffered
-        // with its completion instant and flushed in sorted order after
-        // the scope, so listeners see a schedule-independent sequence.
-        type Buffered = (Duration, TaskId, Vec<ProgressEvent>, TaskRun);
-        let buffered = Mutex::new(Vec::<Buffered>::new());
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<TaskId>();
-        let pending = std::sync::atomic::AtomicUsize::new(n);
-
-        // Seed the ready queue.
-        {
-            let state = state.lock();
-            for t in 0..n {
-                if state.0[t] == 0 {
-                    work_tx.send(t).expect("queue open");
-                }
-            }
-        }
-        if n == 0 {
-            return Ok(ExecutionReport {
-                elapsed: start.elapsed(),
-                ..Default::default()
-            });
-        }
-
-        // Poison pill: once the final task completes (or one fails), a
-        // worker broadcasts POISON; every receiver re-broadcasts and
-        // exits, so no thread blocks on a channel whose senders are all
-        // still alive inside blocked peers.
-        const POISON: TaskId = usize::MAX;
-        let workers = std::thread::available_parallelism()
-            .map_or(4, |p| p.get())
-            .min(n.max(1));
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let work_tx = work_tx.clone();
-                let produced = &produced;
-                let budget = &budget;
-                let state = &state;
-                let pending = &pending;
-                let buffered = &buffered;
-                scope.spawn(move |_| {
-                    while let Ok(task) = work_rx.recv() {
-                        if task == POISON {
-                            let _ = work_tx.send(POISON);
-                            break;
-                        }
-                        // Fail-fast cancellation. Tasks already sitting
-                        // in the queue when a sibling fails must not
-                        // execute: without this check they race the
-                        // POISON pill, and which of them win depends on
-                        // scheduling — the set of tasks that ran after
-                        // a failure was nondeterministic. The failing
-                        // worker has already broadcast POISON, so
-                        // skipping (not executing, not touching
-                        // `pending`) still terminates every worker.
-                        if state.lock().2.is_some() {
-                            continue;
-                        }
-                        let inputs = {
-                            let produced = produced.lock();
-                            Self::gather_inputs(graph, task, bindings, &produced)
-                        };
-                        let (result, run) = if self.deterministic_events {
-                            let local = Mutex::new(Vec::new());
-                            let (result, run) =
-                                self.execute_task(graph, task, &inputs, budget, root, &|e| {
-                                    local.lock().push(e)
-                                });
-                            buffered.lock().push((
-                                self.virtual_now(),
-                                task,
-                                local.into_inner(),
-                                run.clone(),
-                            ));
-                            (result, run)
-                        } else {
-                            self.execute_task(graph, task, &inputs, budget, root, &|e| self.emit(e))
-                        };
-                        let failed = result.is_err();
-                        match result {
-                            Ok(outputs) => {
-                                {
-                                    let mut produced = produced.lock();
-                                    for (port, token) in outputs.into_iter().enumerate() {
-                                        produced.insert((task, port), token);
-                                    }
-                                }
-                                let mut state = state.lock();
-                                state.1.push(run);
-                                // A sibling failed while this task was
-                                // in flight: record the completed run
-                                // but schedule no successors — the run
-                                // is over.
-                                if state.2.is_none() {
-                                    for c in graph.cables() {
-                                        if c.from_task == task {
-                                            state.0[c.to_task] -= 1;
-                                            if state.0[c.to_task] == 0 {
-                                                work_tx.send(c.to_task).expect("queue open");
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Err(message) => {
-                                let mut state = state.lock();
-                                state.1.push(run);
-                                if state.2.is_none() {
-                                    state.2 = Some((
-                                        graph.task(task).expect("validated").name.clone(),
-                                        message,
-                                    ));
-                                }
-                            }
-                        }
-                        let left = pending.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) - 1;
-                        if left == 0 || failed {
-                            let _ = work_tx.send(POISON);
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(work_tx);
-            drop(work_rx);
-        })
-        .expect("workflow worker panicked");
-
-        let (_, runs, failure) = state.into_inner();
-        let runs = if self.deterministic_events {
-            // Flush buffered event blocks (and order the run records)
-            // by (completion tick, task id): the same sequence every
-            // enactment of the same workflow, regardless of how the OS
-            // scheduled the workers.
-            let mut buffered = buffered.into_inner();
-            buffered.sort_by_key(|b| (b.0, b.1));
-            for (_, _, events, _) in &buffered {
-                for event in events {
-                    self.emit(event.clone());
-                }
-            }
-            buffered.into_iter().map(|(_, _, _, run)| run).collect()
-        } else {
-            runs
-        };
-        let mut report = ExecutionReport {
-            runs,
-            ..ExecutionReport::default()
-        };
-        if let Some((task, message)) = failure {
-            report.elapsed = start.elapsed();
-            return Err(WorkflowError::TaskFailed { task, message });
-        }
-        let produced = produced.into_inner();
-        self.collect_outputs(graph, &produced, &mut report)?;
-        report.elapsed = start.elapsed();
-        report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
-        report.retry_budget_remaining = budget.into_inner();
-        Ok(report)
-    }
-
     pub(crate) fn collect_outputs(
         &self,
         graph: &TaskGraph,
@@ -912,6 +682,7 @@ fn task_seed(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WorkflowError;
     use crate::graph::test_tools::*;
     use std::sync::Arc;
 

@@ -51,6 +51,11 @@ const MAGIC: &str = "FJ1";
 /// content-addressed references.
 pub const DEFAULT_INLINE_LIMIT: usize = 1024;
 
+/// Deepest list nesting the decoder accepts. A record nested deeper is
+/// rejected as malformed (and dropped like a torn tail) instead of
+/// recursing until the stack overflows.
+const MAX_TOKEN_DEPTH: usize = 64;
+
 /// One event in the enactment's history.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
@@ -587,9 +592,9 @@ impl RunJournal {
                 let sheds = cur.word()?.parse().map_err(|_| DecodeError::Malformed)?;
                 let name = cur.string()?;
                 let count: usize = cur.word()?.parse().map_err(|_| DecodeError::Malformed)?;
-                let mut outputs = Vec::with_capacity(count);
+                let mut outputs = Vec::with_capacity(count.min(cur.remaining()));
                 for _ in 0..count {
-                    outputs.push(self.decode_token(&mut cur)?);
+                    outputs.push(self.decode_token(&mut cur, 0)?);
                 }
                 RunEvent::TaskCompleted {
                     task,
@@ -620,7 +625,8 @@ impl RunJournal {
         Ok(event)
     }
 
-    fn decode_token(&self, cur: &mut Cursor<'_>) -> Result<Token, DecodeError> {
+    /// Decode one token nested `depth` lists deep.
+    fn decode_token(&self, cur: &mut Cursor<'_>, depth: usize) -> Result<Token, DecodeError> {
         let tag = cur.byte()?;
         Ok(match tag {
             b'n' => {
@@ -639,10 +645,13 @@ impl RunJournal {
             b't' => Token::Text(cur.string()?),
             b'y' => Token::Bytes(cur.raw()?),
             b'l' => {
+                if depth >= MAX_TOKEN_DEPTH {
+                    return Err(DecodeError::Malformed);
+                }
                 let count: usize = cur.word()?.parse().map_err(|_| DecodeError::Malformed)?;
-                let mut items = Vec::with_capacity(count);
+                let mut items = Vec::with_capacity(count.min(cur.remaining()));
                 for _ in 0..count {
-                    items.push(self.decode_token(cur)?);
+                    items.push(self.decode_token(cur, depth + 1)?);
                 }
                 Token::List(items)
             }
@@ -729,6 +738,13 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Cursor<'a> {
         Cursor { buf, pos: 0 }
+    }
+
+    /// Payload bytes not yet consumed: an upper bound on how many
+    /// tokens the rest of the record can hold, since each takes at least
+    /// one byte.
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
     }
 
     fn byte(&mut self) -> Result<u8, DecodeError> {
@@ -972,6 +988,69 @@ mod tests {
         // With the store re-attached it materialises again.
         let revived = RunJournal::from_bytes(&journal.bytes()).attach_store(store, 64);
         assert_eq!(revived.replay().completed.len(), 1);
+    }
+
+    /// Frame `payload` as one record with a valid envelope and checksum.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut record =
+            format!("{MAGIC} {} {:032x}\n", payload.len(), hash_bytes(payload)).into_bytes();
+        record.extend_from_slice(payload);
+        record.push(b'\n');
+        record
+    }
+
+    #[test]
+    fn oversized_counts_are_dropped_not_allocated() {
+        // Checksummed records whose output or list count claims 2^60 - 1
+        // tokens: a buffer sized by the claim would overflow capacity and
+        // panic, so the record must drop like a torn tail.
+        for payload in [
+            "task-completed 0 1 0 0 0 1:x 1152921504606846975",
+            "task-completed 0 1 0 0 0 1:x 1 l1152921504606846975",
+        ] {
+            let record = framed(payload.as_bytes());
+            let journal = RunJournal::from_bytes(&record);
+            assert!(journal.events().is_empty(), "{payload}");
+            assert_eq!(journal.stats().torn_bytes, record.len() as u64, "{payload}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_lists_are_dropped_not_recursed() {
+        // 200,000 nested one-item lists: unbounded recursion would
+        // overflow the stack and abort the process.
+        let mut payload = b"task-completed 0 1 0 0 0 1:x 1 ".to_vec();
+        for _ in 0..200_000 {
+            payload.extend_from_slice(b"l1 ");
+        }
+        payload.push(b'n');
+        let record = framed(&payload);
+        let journal = RunJournal::from_bytes(&record);
+        assert!(journal.events().is_empty());
+        assert_eq!(journal.stats().torn_bytes, record.len() as u64);
+    }
+
+    #[test]
+    fn lists_nested_to_the_depth_limit_still_decode() {
+        let mut token = Token::Null;
+        for _ in 0..MAX_TOKEN_DEPTH {
+            token = Token::List(vec![token]);
+        }
+        let event = RunEvent::TaskCompleted {
+            task: 0,
+            name: "deep".into(),
+            attempts: 1,
+            virtual_nanos: 0,
+            cached: false,
+            sheds: 0,
+            outputs: vec![token],
+        };
+        let journal = RunJournal::new();
+        journal.append(&event);
+        assert_eq!(
+            RunJournal::from_bytes(&journal.bytes()).events(),
+            vec![event]
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`graph`] — tasks, typed ports, cables, cycle/type validation;
 //! * [`toolbox`] — folders of [`graph::Tool`] definitions (Figure 1's
 //!   left-hand pane) plus the built-in Common tools;
-//! * [`engine`] — serial and parallel (crossbeam-scoped) enactment,
-//!   with per-task retry (exponential backoff, a shared per-workflow
-//!   retry budget) and host migration for fault tolerance;
+//! * [`engine`] — the executor: serial and parallel enactment with
+//!   per-task retry (exponential backoff, a shared per-workflow retry
+//!   budget) and host migration for fault tolerance;
 //! * [`memo`] — memoised enactment: pure tasks with unchanged input
 //!   fingerprints are served from an LRU result cache without
 //!   executing (the workflow half of the content-addressed data
@@ -23,10 +23,11 @@
 //! * [`journal`] — the append-only, checksummed run-event log
 //!   (version-enveloped records, torn-tail detection, large outputs
 //!   persisted as content-addressed store references);
-//! * [`durable`] — event-sourced durable enactment on top of the
-//!   journal: an orchestrator / worker-pool split with claim/ack
-//!   redelivery, scripted crash injection, and resume-from-log
-//!   recovery that re-executes zero completed tasks;
+//! * [`durable`] — the one scheduler behind every enactment: a frontier
+//!   loop (orchestrator) feeding a worker pool, with the journal as an
+//!   optional sink. With the journal it adds claim/ack redelivery,
+//!   scripted crash injection, and resume-from-log recovery that
+//!   re-executes zero completed tasks;
 //! * [`wsimport`] — WSDL import: one tool per operation, invoking the
 //!   service over the simulated network with health-aware replica
 //!   failover (circuit breakers, deadlines, failing-primary demotion);
