@@ -11,10 +11,21 @@
 //! * dense `@data` rows with `?` for missing values and single-quoted
 //!   tokens containing separators;
 //! * sparse rows `{index value, index value, ...}`.
+//!
+//! The data section is read in one pass. Each line's fields are split
+//! in place (a quoted field is unescaped into one reused buffer) and
+//! decoded through per-attribute decoders built once at `@data`: a
+//! hashed label→code index for nominal attributes, `parse_finite`
+//! for numeric ones, and a hashed interner for string values. Cells
+//! go straight into the [`Column`] buffers, so a cell costs no
+//! allocation.
 
 use crate::attribute::{Attribute, AttributeKind};
-use crate::dataset::{Dataset, Value};
+use crate::column::Column;
+use crate::dataset::{write_numeric, Dataset, Value};
 use crate::error::{DataError, Result};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Parse an ARFF document into a [`Dataset`].
 ///
@@ -27,37 +38,34 @@ use crate::error::{DataError, Result};
 pub fn parse_arff(text: &str) -> Result<Dataset> {
     let mut relation = String::from("unnamed");
     let mut attributes: Vec<Attribute> = Vec::new();
-    let mut dataset: Option<Dataset> = None;
+    let mut lines = text.lines().enumerate();
 
-    for (lineno, raw) in text.lines().enumerate() {
+    loop {
+        let Some((lineno, raw)) = lines.next() else {
+            return Err(DataError::Parse {
+                line: 0,
+                message: "no @data section".into(),
+            });
+        };
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        let lower = line.to_ascii_lowercase();
-        if let Some(ds) = dataset.as_mut() {
-            // Data section.
-            if line.starts_with('{') {
-                parse_sparse_row(ds, line, lineno + 1)?;
-            } else {
-                let fields = split_csv_line(line);
-                push_textual_row(ds, &fields, lineno + 1)?;
-            }
-        } else if lower.starts_with("@relation") {
-            relation = unquote(line["@relation".len()..].trim()).to_string();
-        } else if lower.starts_with("@attribute") {
+        if has_directive(line, "@relation") {
+            relation = unquote(line["@relation".len()..].trim()).into_owned();
+        } else if has_directive(line, "@attribute") {
             attributes.push(parse_attribute_decl(
                 line["@attribute".len()..].trim(),
                 lineno + 1,
             )?);
-        } else if lower.starts_with("@data") {
+        } else if has_directive(line, "@data") {
             if attributes.is_empty() {
                 return Err(DataError::Parse {
                     line: lineno + 1,
                     message: "@data before any @attribute declaration".into(),
                 });
             }
-            dataset = Some(Dataset::new(relation.clone(), attributes.clone()));
+            break;
         } else {
             return Err(DataError::Parse {
                 line: lineno + 1,
@@ -66,101 +74,290 @@ pub fn parse_arff(text: &str) -> Result<Dataset> {
         }
     }
 
-    dataset.ok_or(DataError::Parse {
-        line: 0,
-        message: "no @data section".into(),
-    })
-}
-
-fn push_textual_row(ds: &mut Dataset, fields: &[String], lineno: usize) -> Result<()> {
-    if fields.len() != ds.num_attributes() {
-        return Err(DataError::Parse {
-            line: lineno,
-            message: format!(
-                "row has {} values, header declares {} attributes",
-                fields.len(),
-                ds.num_attributes()
-            ),
-        });
-    }
-    // String attributes need interning, which push_labels does not do;
-    // encode manually.
-    let mut row = Vec::with_capacity(fields.len());
-    for (i, field) in fields.iter().enumerate() {
-        let attr = ds.attribute(i)?.clone();
-        let v = if field == "?" {
-            Value::MISSING
+    let mut reader = DataReader::new(&attributes);
+    for (lineno, raw) in lines {
+        let line = strip_comment(raw).trim();
+        if line.is_empty() {
+            continue;
+        }
+        if line.starts_with('{') {
+            reader.sparse_row(line, lineno + 1)?;
         } else {
-            match attr.kind() {
-                AttributeKind::Nominal(_) => {
-                    Value::from_index(attr.label_index(field).ok_or_else(|| DataError::Parse {
-                        line: lineno,
-                        message: format!(
-                            "label {field:?} not in domain of attribute {:?}",
-                            attr.name()
-                        ),
-                    })?)
-                }
-                AttributeKind::Numeric => parse_finite(field, lineno)?,
-                AttributeKind::Str => Value::from_index(ds.intern_string(field.clone())),
-            }
-        };
-        row.push(v);
-    }
-    ds.push_row(row)?;
-    Ok(())
-}
-
-fn parse_sparse_row(ds: &mut Dataset, line: &str, lineno: usize) -> Result<()> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| DataError::Parse {
-            line: lineno,
-            message: "unterminated sparse row".into(),
-        })?;
-    // Sparse rows default unlisted values to 0 (numeric) or first label.
-    let mut row = vec![0.0; ds.num_attributes()];
-    if !inner.trim().is_empty() {
-        for part in split_csv_line(inner) {
-            let mut it = part.splitn(2, char::is_whitespace);
-            let idx: usize =
-                it.next()
-                    .unwrap_or("")
-                    .trim()
-                    .parse()
-                    .map_err(|_| DataError::Parse {
-                        line: lineno,
-                        message: "bad sparse index".into(),
-                    })?;
-            let val = it.next().unwrap_or("").trim();
-            if idx >= ds.num_attributes() {
-                return Err(DataError::Parse {
-                    line: lineno,
-                    message: format!("sparse index {idx} out of range"),
-                });
-            }
-            let attr = ds.attribute(idx)?.clone();
-            row[idx] = if val == "?" {
-                Value::MISSING
-            } else {
-                match attr.kind() {
-                    AttributeKind::Nominal(_) => {
-                        Value::from_index(attr.label_index(&unquote(val)).ok_or_else(|| {
-                            DataError::Parse {
-                                line: lineno,
-                                message: format!("label {val:?} not in domain"),
-                            }
-                        })?)
-                    }
-                    AttributeKind::Numeric => parse_finite(val, lineno)?,
-                    AttributeKind::Str => Value::from_index(ds.intern_string(unquote(val))),
-                }
-            };
+            reader.dense_row(line, lineno + 1)?;
         }
     }
-    ds.push_row(row)?;
-    Ok(())
+    let DataReader {
+        columns,
+        rows,
+        strings,
+        ..
+    } = reader;
+    Ok(Dataset::from_columns(
+        relation,
+        attributes,
+        columns,
+        rows,
+        strings.table,
+    ))
+}
+
+/// `true` when `line` starts with `directive`, ignoring ASCII case.
+fn has_directive(line: &str, directive: &str) -> bool {
+    line.as_bytes()
+        .get(..directive.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(directive.as_bytes()))
+}
+
+/// The data-section state: one decoder and one column buffer per
+/// attribute, the string table, and the scratch buffers reused across
+/// rows.
+struct DataReader<'a> {
+    attributes: &'a [Attribute],
+    /// Label→code index per nominal attribute (`None` otherwise).
+    labels: Vec<Option<HashMap<&'a str, usize>>>,
+    columns: Vec<Column>,
+    rows: usize,
+    strings: Interner,
+    /// Unescaped text of the current quoted field.
+    scratch: String,
+    /// Encoded cells of the current sparse row.
+    sparse: Vec<f64>,
+}
+
+impl<'a> DataReader<'a> {
+    fn new(attributes: &'a [Attribute]) -> DataReader<'a> {
+        DataReader {
+            attributes,
+            labels: attributes
+                .iter()
+                .map(|a| a.is_nominal().then(|| label_index(a.labels())))
+                .collect(),
+            columns: attributes.iter().map(Column::for_attribute).collect(),
+            rows: 0,
+            strings: Interner::default(),
+            scratch: String::new(),
+            sparse: Vec::new(),
+        }
+    }
+
+    /// Decode a dense row straight into the columns. Splitting goes on
+    /// past a bad cell so a wrong-arity row reports its arity first,
+    /// as the header check of a row-at-a-time reader would.
+    fn dense_row(&mut self, line: &str, lineno: usize) -> Result<()> {
+        let n = self.attributes.len();
+        let mut fields = Fields::new(line);
+        let mut count = 0;
+        let mut failed = None;
+        while let Some(field) = fields.next(&mut self.scratch) {
+            if count < n && failed.is_none() {
+                let column = &mut self.columns[count];
+                if field == "?" {
+                    column.push_missing();
+                } else {
+                    let attr = &self.attributes[count];
+                    let decoded = match (&self.labels[count], attr.kind()) {
+                        (Some(index), _) => index
+                            .get(field)
+                            .map(|&code| column.push_index(code))
+                            .ok_or_else(|| DataError::Parse {
+                                line: lineno,
+                                message: format!(
+                                    "label {field:?} not in domain of attribute {:?}",
+                                    attr.name()
+                                ),
+                            }),
+                        (None, AttributeKind::Str) => {
+                            column.push_index(self.strings.intern(field));
+                            Ok(())
+                        }
+                        (None, _) => parse_finite(field, lineno).map(|v| column.push_number(v)),
+                    };
+                    failed = decoded.err();
+                }
+            }
+            count += 1;
+        }
+        if count != n {
+            return Err(DataError::Parse {
+                line: lineno,
+                message: format!("row has {count} values, header declares {n} attributes"),
+            });
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Decode a sparse row `{index value, ...}`. Unlisted cells default
+    /// to 0 (numeric), the first label (nominal) or string id 0, which
+    /// the insert-time range check rejects while the table is empty.
+    fn sparse_row(&mut self, line: &str, lineno: usize) -> Result<()> {
+        let inner = line
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| DataError::Parse {
+                line: lineno,
+                message: "unterminated sparse row".into(),
+            })?;
+        let n = self.attributes.len();
+        self.sparse.clear();
+        self.sparse.resize(n, 0.0);
+        if !inner.trim().is_empty() {
+            let mut parts = Fields::new(inner);
+            while let Some(part) = parts.next(&mut self.scratch) {
+                let mut it = part.splitn(2, char::is_whitespace);
+                let idx: usize =
+                    it.next()
+                        .unwrap_or("")
+                        .trim()
+                        .parse()
+                        .map_err(|_| DataError::Parse {
+                            line: lineno,
+                            message: "bad sparse index".into(),
+                        })?;
+                let val = it.next().unwrap_or("").trim();
+                if idx >= n {
+                    return Err(DataError::Parse {
+                        line: lineno,
+                        message: format!("sparse index {idx} out of range"),
+                    });
+                }
+                let attr = &self.attributes[idx];
+                self.sparse[idx] = if val == "?" {
+                    Value::MISSING
+                } else {
+                    match (&self.labels[idx], attr.kind()) {
+                        (Some(index), _) => {
+                            Value::from_index(*index.get(&*unquote(val)).ok_or_else(|| {
+                                DataError::Parse {
+                                    line: lineno,
+                                    message: format!("label {val:?} not in domain"),
+                                }
+                            })?)
+                        }
+                        (None, AttributeKind::Str) => {
+                            Value::from_index(self.strings.intern(&unquote(val)))
+                        }
+                        (None, _) => parse_finite(val, lineno)?,
+                    }
+                };
+            }
+        }
+        let num_strings = self.strings.table.len();
+        let cells = self.attributes.iter().zip(&self.sparse);
+        for ((attr, &v), column) in cells.clone().zip(&self.columns) {
+            column.validate_encoded(v, attr, num_strings)?;
+        }
+        for ((attr, &v), column) in cells.zip(&mut self.columns) {
+            column
+                .push_encoded(v, attr, num_strings)
+                .expect("validated above");
+        }
+        self.rows += 1;
+        Ok(())
+    }
+}
+
+/// The fields of one line, split in place at unquoted commas. Quotes
+/// are dropped and `\` escapes the next character inside quotes; each
+/// field is trimmed after unquoting. A field with no quote is a slice
+/// of the line; a quoted one is unescaped into the caller's scratch
+/// buffer.
+struct Fields<'l> {
+    line: &'l str,
+    pos: usize,
+    done: bool,
+}
+
+impl<'l> Fields<'l> {
+    fn new(line: &'l str) -> Fields<'l> {
+        Fields {
+            line,
+            pos: 0,
+            done: false,
+        }
+    }
+
+    fn next<'s>(&mut self, scratch: &'s mut String) -> Option<&'s str>
+    where
+        'l: 's,
+    {
+        if self.done {
+            return None;
+        }
+        let (line, bytes) = (self.line, self.line.as_bytes());
+        let start = self.pos;
+        let mut i = start;
+        while i < bytes.len() && bytes[i] != b',' && bytes[i] != b'\'' {
+            i += 1;
+        }
+        let field = if i == bytes.len() || bytes[i] == b',' {
+            &line[start..i]
+        } else {
+            // Quoted: copy the runs between quotes and escapes. Every
+            // delimiter is ASCII, so each run is on char boundaries.
+            scratch.clear();
+            let (mut run, mut in_quote, mut escaped) = (start, false, false);
+            while i < bytes.len() {
+                if escaped {
+                    escaped = false;
+                } else {
+                    match bytes[i] {
+                        b'\\' if in_quote => escaped = true,
+                        b'\'' => in_quote = !in_quote,
+                        b',' if !in_quote => break,
+                        _ => {
+                            i += 1;
+                            continue;
+                        }
+                    }
+                    scratch.push_str(&line[run..i]);
+                    run = i + 1;
+                }
+                i += 1;
+            }
+            scratch.push_str(&line[run..i]);
+            scratch.as_str()
+        };
+        if i == bytes.len() {
+            self.done = true;
+        } else {
+            self.pos = i + 1;
+        }
+        Some(field.trim())
+    }
+}
+
+/// Label→code index of a nominal domain; a repeated label resolves to
+/// its first code.
+fn label_index(labels: &[String]) -> HashMap<&str, usize> {
+    let mut index = HashMap::with_capacity(labels.len());
+    for (code, label) in labels.iter().enumerate() {
+        index.entry(label.as_str()).or_insert(code);
+    }
+    index
+}
+
+/// A string table with a hash index, so interning is O(1) per cell;
+/// ids are assigned in first-seen order.
+#[derive(Default)]
+struct Interner {
+    table: Vec<String>,
+    ids: HashMap<Box<str>, usize>,
+}
+
+impl Interner {
+    fn intern(&mut self, s: &str) -> usize {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = self.table.len();
+        self.table.push(s.to_owned());
+        self.ids.insert(s.into(), id);
+        id
+    }
 }
 
 /// Parse a numeric literal, rejecting non-finite values: `NaN` would
@@ -196,7 +393,11 @@ fn parse_attribute_decl(decl: &str, lineno: usize) -> Result<Attribute> {
                 line: lineno,
                 message: "unterminated nominal domain".into(),
             })?;
-        let labels: Vec<String> = split_csv_line(inner);
+        let mut labels = Vec::new();
+        let (mut fields, mut scratch) = (Fields::new(inner), String::new());
+        while let Some(label) = fields.next(&mut scratch) {
+            labels.push(label.to_string());
+        }
         Ok(Attribute::nominal(name, labels))
     } else {
         match rest.to_ascii_lowercase().as_str() {
@@ -214,30 +415,46 @@ fn parse_attribute_decl(decl: &str, lineno: usize) -> Result<Attribute> {
     }
 }
 
-/// Serialise a dataset to ARFF text.
+/// Serialise a dataset to ARFF text, into one buffer: nominal labels
+/// are quoted once per attribute, and no cell allocates.
 pub fn write_arff(ds: &Dataset) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("@relation {}\n\n", quote_if_needed(ds.relation())));
+    let mut out = String::with_capacity(64 + ds.num_instances() * ds.num_attributes() * 8);
+    out.push_str("@relation ");
+    push_quoted(&mut out, ds.relation());
+    out.push_str("\n\n");
     for attr in ds.attributes() {
-        out.push_str(&format!(
-            "@attribute {} {}\n",
-            quote_if_needed(attr.name()),
-            attr.arff_type()
-        ));
+        out.push_str("@attribute ");
+        push_quoted(&mut out, attr.name());
+        out.push(' ');
+        out.push_str(&attr.arff_type());
+        out.push('\n');
     }
     out.push_str("\n@data\n");
+    let labels: Vec<Vec<String>> = ds
+        .attributes()
+        .iter()
+        .map(|a| a.labels().iter().map(|l| quote_if_needed(l)).collect())
+        .collect();
     for row in 0..ds.num_instances() {
-        let mut first = true;
-        for attr in 0..ds.num_attributes() {
-            if !first {
+        for (a, attr) in ds.attributes().iter().enumerate() {
+            if a > 0 {
                 out.push(',');
             }
-            first = false;
-            let text = ds.format_value(row, attr);
-            if text == "?" {
+            let v = ds.value(row, a);
+            if Value::is_missing(v) {
                 out.push('?');
-            } else {
-                out.push_str(&quote_if_needed(&text));
+                continue;
+            }
+            match attr.kind() {
+                AttributeKind::Numeric => write_numeric(&mut out, v),
+                AttributeKind::Nominal(_) => match labels[a].get(Value::as_index(v)) {
+                    Some(label) => out.push_str(label),
+                    None => push_unknown_index(&mut out, v),
+                },
+                AttributeKind::Str => match ds.string_at(Value::as_index(v)) {
+                    Some(s) => push_quoted(&mut out, s),
+                    None => push_unknown_index(&mut out, v),
+                },
             }
         }
         out.push('\n');
@@ -245,53 +462,51 @@ pub fn write_arff(ds: &Dataset) -> String {
     out
 }
 
+/// The `#<index>` placeholder [`Dataset::format_value`] renders for an
+/// index with no label or string behind it.
+fn push_unknown_index(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "#{}", Value::as_index(v));
+}
+
 /// Quote a token with single quotes when it contains ARFF separators.
 pub fn quote_if_needed(token: &str) -> String {
+    let mut out = String::with_capacity(token.len());
+    push_quoted(&mut out, token);
+    out
+}
+
+/// Append `token` to `out`, single-quoted (with `'` escaped) when it is
+/// empty or contains an ARFF separator.
+fn push_quoted(out: &mut String, token: &str) {
     if token.is_empty() || token.contains([' ', ',', '{', '}', '%', '\'', '"']) {
-        format!("'{}'", token.replace('\'', "\\'"))
+        out.push('\'');
+        for (i, part) in token.split('\'').enumerate() {
+            if i > 0 {
+                out.push_str("\\'");
+            }
+            out.push_str(part);
+        }
+        out.push('\'');
     } else {
-        token.to_string()
+        out.push_str(token);
     }
 }
 
 /// Remove a trailing `%` comment, honouring quoting.
 fn strip_comment(line: &str) -> &str {
+    if !line.contains('%') {
+        return line;
+    }
     let mut in_quote = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\'' => in_quote = !in_quote,
-            '%' if !in_quote => return &line[..i],
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        match b {
+            b'\'' => in_quote = !in_quote,
+            b'%' if !in_quote => return &line[..i],
             _ => {}
         }
     }
     line
-}
-
-/// Split a comma-separated line, honouring single quotes, unquoting each
-/// field and trimming surrounding whitespace.
-pub(crate) fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut in_quote = false;
-    let mut escaped = false;
-    for c in line.chars() {
-        if escaped {
-            cur.push(c);
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '\'' => in_quote = !in_quote,
-            ',' if !in_quote => {
-                fields.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(c),
-        }
-    }
-    fields.push(cur.trim().to_string());
-    fields
 }
 
 /// Take the first (possibly quoted) whitespace-delimited token.
@@ -308,12 +523,12 @@ fn take_token(s: &str) -> (String, &str) {
     }
 }
 
-fn unquote(s: &str) -> String {
+fn unquote(s: &str) -> Cow<'_, str> {
     let s = s.trim();
     if s.len() >= 2 && s.starts_with('\'') && s.ends_with('\'') {
-        s[1..s.len() - 1].replace("\\'", "'")
+        Cow::Owned(s[1..s.len() - 1].replace("\\'", "'"))
     } else {
-        s.to_string()
+        Cow::Borrowed(s)
     }
 }
 
@@ -450,5 +665,32 @@ mod tests {
         assert!(text.contains("'big label'"));
         let ds2 = parse_arff(&text).unwrap();
         assert_eq!(ds2.instance(0).label(0), Some("big label"));
+    }
+
+    #[test]
+    fn wrong_arity_is_reported_before_a_bad_cell() {
+        let text = "@relation t\n@attribute a numeric\n@attribute b numeric\n@data\nx,1,2\n";
+        match parse_arff(text) {
+            Err(DataError::Parse { line: 5, message }) => {
+                assert!(message.contains("row has 3 values"), "{message}")
+            }
+            other => panic!("expected an arity error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn label_index_resolves_first_occurrence_and_interner_keeps_first_seen_order() {
+        let labels: Vec<String> = ["a", "b", "a", ""].iter().map(|s| s.to_string()).collect();
+        let index = label_index(&labels);
+        assert_eq!(index.get("a"), Some(&0));
+        assert_eq!(index.get(""), Some(&3));
+        assert_eq!(index.get("c"), None);
+        let mut strings = Interner::default();
+        for i in 0..1000 {
+            assert_eq!(strings.intern(&format!("s{i}")), i);
+        }
+        assert_eq!(strings.intern("s0"), 0);
+        assert_eq!(strings.intern("s999"), 999);
+        assert_eq!(strings.table.len(), 1000);
     }
 }

@@ -343,43 +343,66 @@ impl Column {
     /// `num_strings` (the interned-table length at insert time).
     pub fn push_encoded(&mut self, v: f64, attr: &Attribute, num_strings: usize) -> Result<()> {
         if v.is_nan() {
-            match self {
-                Column::Numeric { values, valid } => {
-                    values.push(0.0);
-                    valid.push(false);
-                }
-                Column::Nominal { codes, valid, .. } => {
-                    codes.push(0);
-                    valid.push(false);
-                }
-                Column::Str { ids, valid } => {
-                    ids.push(0);
-                    valid.push(false);
-                }
-            }
+            self.push_missing();
             return Ok(());
         }
+        match self {
+            Column::Numeric { .. } => self.push_number(v),
+            Column::Nominal { arity, .. } => {
+                let code = check_code(v, *arity, attr)?;
+                self.push_index(code);
+            }
+            Column::Str { .. } => self.push_index(check_code(v, num_strings, attr)?),
+        }
+        Ok(())
+    }
+
+    /// Append a missing cell (its backing slot holds the zero filler).
+    #[inline]
+    pub(crate) fn push_missing(&mut self) {
+        match self {
+            Column::Numeric { values, valid } => {
+                values.push(0.0);
+                valid.push(false);
+            }
+            Column::Nominal { codes, valid, .. } => {
+                codes.push(0);
+                valid.push(false);
+            }
+            Column::Str { ids, valid } => {
+                ids.push(0);
+                valid.push(false);
+            }
+        }
+    }
+
+    /// Append a present numeric cell (numeric columns only).
+    #[inline]
+    pub(crate) fn push_number(&mut self, v: f64) {
         match self {
             Column::Numeric { values, valid } => {
                 values.push(v);
                 valid.push(true);
             }
-            Column::Nominal {
-                codes,
-                arity,
-                valid,
-            } => {
-                let code = check_code(v, *arity, attr)?;
-                codes.push(code);
+            _ => unreachable!("push_number on a non-numeric column"),
+        }
+    }
+
+    /// Append a present nominal code or string-table id, already checked
+    /// against the domain by the caller (nominal and string columns only).
+    #[inline]
+    pub(crate) fn push_index(&mut self, index: usize) {
+        match self {
+            Column::Nominal { codes, valid, .. } => {
+                codes.push(index);
                 valid.push(true);
             }
             Column::Str { ids, valid } => {
-                let id = check_code(v, num_strings, attr)?;
-                ids.push(id as u32);
+                ids.push(index as u32);
                 valid.push(true);
             }
+            Column::Numeric { .. } => unreachable!("push_index on a numeric column"),
         }
-        Ok(())
     }
 
     /// Overwrite row `i` with an encoded value (`NaN` = missing).

@@ -165,6 +165,28 @@ impl Dataset {
         }
     }
 
+    /// Assemble a dataset from column buffers a reader filled directly:
+    /// every column holds `rows` cells, string cells index `strings`,
+    /// and every row weighs 1.0.
+    pub(crate) fn from_columns(
+        relation: String,
+        attributes: Vec<Attribute>,
+        columns: Vec<Column>,
+        rows: usize,
+        strings: Vec<String>,
+    ) -> Dataset {
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
+        Dataset {
+            relation,
+            attributes,
+            columns,
+            num_rows: rows,
+            weights: vec![1.0; rows],
+            class_index: None,
+            strings,
+        }
+    }
+
     /// The relation name (ARFF `@relation`).
     pub fn relation(&self) -> &str {
         &self.relation
@@ -608,11 +630,20 @@ impl<'a> BlockView<'a> {
 /// Format a numeric value the way ARFF writers conventionally do: no
 /// trailing `.0` for integral values.
 pub(crate) fn format_numeric(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+    let mut out = String::new();
+    write_numeric(&mut out, v);
+    out
+}
+
+/// Append [`format_numeric`]'s rendering of `v` to `out` without an
+/// intermediate `String`.
+pub(crate) fn write_numeric(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    let _ = if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
     } else {
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 #[cfg(test)]

@@ -40,6 +40,8 @@
 #![forbid(unsafe_code)]
 
 pub mod arff;
+#[cfg(test)]
+mod arff_reference;
 pub mod attribute;
 pub mod column;
 pub mod convert;

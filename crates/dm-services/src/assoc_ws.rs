@@ -2,7 +2,8 @@
 //! §1 ("1 classifiers, 2 clustering algorithms and 3 association
 //! rules").
 
-use crate::support::{algo_fault, data_fault, opt_text_arg, text_arg};
+use crate::dataset_cache::DatasetCache;
+use crate::support::{algo_fault, opt_text_arg, text_arg};
 use dm_algorithms::options::parse_options_string;
 use dm_algorithms::registry::{associator_names, make_associator};
 use dm_wsrf::container::{ServiceFault, WebService};
@@ -11,12 +12,19 @@ use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 
 /// The association-rules Web Service.
 #[derive(Debug, Default)]
-pub struct AssociationService;
+pub struct AssociationService {
+    datasets: DatasetCache,
+}
 
 impl AssociationService {
     /// Create the service.
     pub fn new() -> AssociationService {
-        AssociationService
+        AssociationService::default()
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> AssociationService {
+        AssociationService { datasets }
     }
 }
 
@@ -61,7 +69,7 @@ impl WebService for AssociationService {
                 let arff = text_arg(args, "dataset")?;
                 let name = text_arg(args, "associator")?;
                 let options = opt_text_arg(args, "options")?.unwrap_or("");
-                let ds = dm_data::arff::parse_arff(arff).map_err(data_fault)?;
+                let ds = self.datasets.decode(arff)?;
                 let mut miner = make_associator(name).map_err(algo_fault)?;
                 for (flag, value) in parse_options_string(options) {
                     miner.set_option(&flag, &value).map_err(algo_fault)?;

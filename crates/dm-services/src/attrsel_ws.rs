@@ -2,7 +2,8 @@
 //! service of §5.3: "The attribute selection process can also be
 //! automated through the use of a genetic search service."
 
-use crate::support::{algo_fault, dataset_with_class, text_arg};
+use crate::dataset_cache::DatasetCache;
+use crate::support::{algo_fault, text_arg};
 use dm_algorithms::attrsel::{approaches, run_approach};
 use dm_wsrf::container::{ServiceFault, WebService};
 use dm_wsrf::soap::SoapValue;
@@ -10,12 +11,19 @@ use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 
 /// The attribute-selection Web Service.
 #[derive(Debug, Default)]
-pub struct AttributeSelectionService;
+pub struct AttributeSelectionService {
+    datasets: DatasetCache,
+}
 
 impl AttributeSelectionService {
     /// Create the service.
     pub fn new() -> AttributeSelectionService {
-        AttributeSelectionService
+        AttributeSelectionService::default()
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> AttributeSelectionService {
+        AttributeSelectionService { datasets }
     }
 }
 
@@ -63,7 +71,7 @@ impl WebService for AttributeSelectionService {
         let select = |approach: &str| -> Result<SoapValue, ServiceFault> {
             let arff = text_arg(args, "dataset")?;
             let attribute = text_arg(args, "attribute")?;
-            let ds = dataset_with_class(arff, attribute)?;
+            let ds = self.datasets.decode_with_class(arff, attribute)?;
             let picked = run_approach(approach, &ds, 7).map_err(algo_fault)?;
             Ok(SoapValue::List(
                 picked

@@ -12,10 +12,9 @@
 //! SVG when the model is tree-shaped, and `crossValidate` covers the
 //! "testing the discovered knowledge" requirement.
 
+use crate::dataset_cache::{content_hash, with_class, DatasetCache};
 use crate::model_cache::{eval_key, model_key, ModelCache, SharedModel};
-use crate::support::{
-    algo_fault, dataset_with_class, int_arg, opt_text_arg, text_arg, traced_handler,
-};
+use crate::support::{algo_fault, int_arg, opt_text_arg, text_arg, traced_handler};
 use dm_algorithms::options::parse_options_string;
 use dm_algorithms::registry::{classifier_names, make_classifier};
 use dm_wsrf::container::{ServiceFault, WebService};
@@ -29,6 +28,7 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct ClassifierService {
     cache: ModelCache,
+    datasets: DatasetCache,
 }
 
 impl ClassifierService {
@@ -42,6 +42,15 @@ impl ClassifierService {
     pub fn with_cache(model_capacity: usize, eval_capacity: usize) -> ClassifierService {
         ClassifierService {
             cache: ModelCache::new(model_capacity, eval_capacity),
+            datasets: DatasetCache::default(),
+        }
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> ClassifierService {
+        ClassifierService {
+            cache: ModelCache::default(),
+            datasets,
         }
     }
 
@@ -57,11 +66,12 @@ impl ClassifierService {
         let name = text_arg(args, "classifier")?;
         let options = opt_text_arg(args, "options")?.unwrap_or("");
         let attribute = text_arg(args, "attribute")?;
-        let key = model_key(name, options, attribute, arff);
+        let hash = content_hash(arff);
+        let key = model_key(name, options, attribute, hash);
         if let Some(model) = self.cache.get_model(key) {
             return Ok(model);
         }
-        let ds = dataset_with_class(arff, attribute)?;
+        let ds = with_class(self.datasets.decode_hashed(arff, hash)?, attribute)?;
         let mut model = make_classifier(name).map_err(algo_fault)?;
         for (flag, value) in parse_options_string(options) {
             model.set_option(&flag, &value).map_err(algo_fault)?;
@@ -218,7 +228,7 @@ impl WebService for ClassifierService {
                 let model = self.trained_model(args)?;
                 let attribute = text_arg(args, "attribute")?;
                 let instances_arff = text_arg(args, "instances")?;
-                let batch = dataset_with_class(instances_arff, attribute)?;
+                let batch = self.datasets.decode_with_class(instances_arff, attribute)?;
                 let labels = batch
                     .class_attribute()
                     .map_err(crate::support::data_fault)?
@@ -242,12 +252,13 @@ impl WebService for ClassifierService {
                 let options = opt_text_arg(args, "options")?.unwrap_or("").to_string();
                 let attribute = text_arg(args, "attribute")?;
                 let folds_arg = int_arg(args, "folds")?;
-                let key = eval_key(name, &options, attribute, folds_arg, arff);
+                let hash = content_hash(arff);
+                let key = eval_key(name, &options, attribute, folds_arg, hash);
                 if let Some(summary) = self.cache.get_eval(key) {
                     return Ok(SoapValue::Text(summary.to_string()));
                 }
                 let folds = folds_arg.clamp(2, 100) as usize;
-                let ds = dataset_with_class(arff, attribute)?;
+                let ds = with_class(self.datasets.decode_hashed(arff, hash)?, attribute)?;
                 let name = name.to_string();
                 let eval = dm_algorithms::eval::cross_validate(
                     || {

@@ -3,23 +3,23 @@
 //! mirroring the general Classifier design (`getClusterers`,
 //! `getOptions`, `cluster`).
 
-use crate::support::{algo_fault, data_fault, opt_text_arg, text_arg, traced_handler, tree_to_svg};
+use crate::dataset_cache::DatasetCache;
+use crate::support::{algo_fault, opt_text_arg, text_arg, traced_handler, tree_to_svg};
 use dm_algorithms::options::parse_options_string;
 use dm_algorithms::registry::{clusterer_names, make_clusterer};
+use dm_data::Dataset;
 use dm_wsrf::container::{ServiceFault, WebService};
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
-
-fn parse_dataset(arff: &str) -> Result<dm_data::Dataset, ServiceFault> {
-    dm_data::arff::parse_arff(arff).map_err(data_fault)
-}
+use std::sync::Arc;
 
 fn run_clusterer(
+    datasets: &DatasetCache,
     name: &str,
     options: &str,
     arff: &str,
-) -> Result<(Box<dyn dm_algorithms::cluster::Clusterer>, dm_data::Dataset), ServiceFault> {
-    let ds = parse_dataset(arff)?;
+) -> Result<(Box<dyn dm_algorithms::cluster::Clusterer>, Arc<Dataset>), ServiceFault> {
+    let ds = datasets.decode(arff)?;
     let mut clusterer = make_clusterer(name).map_err(algo_fault)?;
     for (flag, value) in parse_options_string(options) {
         clusterer.set_option(&flag, &value).map_err(algo_fault)?;
@@ -56,12 +56,19 @@ fn cluster_report(
 
 /// The dedicated Cobweb Web Service.
 #[derive(Debug, Default)]
-pub struct CobwebService;
+pub struct CobwebService {
+    datasets: DatasetCache,
+}
 
 impl CobwebService {
     /// Create the service.
     pub fn new() -> CobwebService {
-        CobwebService
+        CobwebService::default()
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> CobwebService {
+        CobwebService { datasets }
     }
 }
 
@@ -106,12 +113,12 @@ impl WebService for CobwebService {
             match operation {
                 "cluster" => {
                     let arff = text_arg(args, "dataset")?;
-                    let (clusterer, ds) = run_clusterer("Cobweb", options, arff)?;
+                    let (clusterer, ds) = run_clusterer(&self.datasets, "Cobweb", options, arff)?;
                     Ok(SoapValue::Text(cluster_report(clusterer.as_ref(), &ds)?))
                 }
                 "getCobwebGraph" => {
                     let arff = text_arg(args, "dataset")?;
-                    let (clusterer, _) = run_clusterer("Cobweb", options, arff)?;
+                    let (clusterer, _) = run_clusterer(&self.datasets, "Cobweb", options, arff)?;
                     let tree = clusterer
                         .tree_model()
                         .ok_or_else(|| ServiceFault::server("Cobweb produced no hierarchy"))?;
@@ -125,12 +132,19 @@ impl WebService for CobwebService {
 
 /// The general Clusterer Web Service.
 #[derive(Debug, Default)]
-pub struct ClustererService;
+pub struct ClustererService {
+    datasets: DatasetCache,
+}
 
 impl ClustererService {
     /// Create the service.
     pub fn new() -> ClustererService {
-        ClustererService
+        ClustererService::default()
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> ClustererService {
+        ClustererService { datasets }
     }
 }
 
@@ -212,14 +226,14 @@ impl WebService for ClustererService {
                 let arff = text_arg(args, "dataset")?;
                 let name = text_arg(args, "clusterer")?;
                 let options = opt_text_arg(args, "options")?.unwrap_or("");
-                let (clusterer, ds) = run_clusterer(name, options, arff)?;
+                let (clusterer, ds) = run_clusterer(&self.datasets, name, options, arff)?;
                 Ok(SoapValue::Text(cluster_report(clusterer.as_ref(), &ds)?))
             }
             "assignments" => {
                 let arff = text_arg(args, "dataset")?;
                 let name = text_arg(args, "clusterer")?;
                 let options = opt_text_arg(args, "options")?.unwrap_or("");
-                let (clusterer, ds) = run_clusterer(name, options, arff)?;
+                let (clusterer, ds) = run_clusterer(&self.datasets, name, options, arff)?;
                 let mut out = Vec::with_capacity(ds.num_instances());
                 for r in 0..ds.num_instances() {
                     out.push(SoapValue::Int(

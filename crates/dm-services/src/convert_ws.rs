@@ -6,6 +6,7 @@
 //! registered URL→content map (the offline stand-in for the UCI
 //! repository; see DESIGN.md).
 
+use crate::dataset_cache::DatasetCache;
 use crate::support::{data_fault, text_arg};
 use dm_data::convert::{convert, DataFormat};
 use dm_data::summary::DatasetSummary;
@@ -17,12 +18,19 @@ use std::collections::HashMap;
 
 /// The data conversion / inspection Web Service.
 #[derive(Debug, Default)]
-pub struct DataConversionService;
+pub struct DataConversionService {
+    datasets: DatasetCache,
+}
 
 impl DataConversionService {
     /// Create the service.
     pub fn new() -> DataConversionService {
-        DataConversionService
+        DataConversionService::default()
+    }
+
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> DataConversionService {
+        DataConversionService { datasets }
     }
 }
 
@@ -80,19 +88,15 @@ impl WebService for DataConversionService {
             }
             "arffToCsv" => {
                 let arff = text_arg(args, "arff")?;
-                let csv = convert(arff, DataFormat::Arff, DataFormat::Csv).map_err(data_fault)?;
-                Ok(SoapValue::Text(csv))
+                let ds = self.datasets.decode(arff)?;
+                Ok(SoapValue::Text(dm_data::csv::write_csv(&ds)))
             }
             "summary" => {
-                let text = text_arg(args, "dataset")?;
-                let format = DataFormat::sniff(text);
-                let ds = dm_data::convert::parse(format, text).map_err(data_fault)?;
+                let ds = self.datasets.decode_sniffed(text_arg(args, "dataset")?)?;
                 Ok(SoapValue::Text(DatasetSummary::of(&ds).to_table_string()))
             }
             "attributes" => {
-                let text = text_arg(args, "dataset")?;
-                let format = DataFormat::sniff(text);
-                let ds = dm_data::convert::parse(format, text).map_err(data_fault)?;
+                let ds = self.datasets.decode_sniffed(text_arg(args, "dataset")?)?;
                 Ok(SoapValue::List(
                     ds.attributes()
                         .iter()
@@ -113,6 +117,7 @@ impl WebService for DataConversionService {
 #[derive(Debug, Default)]
 pub struct UrlReaderService {
     content: RwLock<HashMap<String, String>>,
+    datasets: DatasetCache,
 }
 
 impl UrlReaderService {
@@ -124,7 +129,16 @@ impl UrlReaderService {
     /// Create with the standard corpus URLs registered (the UCI
     /// breast-cancer dataset of the case study).
     pub fn with_standard_corpus() -> UrlReaderService {
-        let s = UrlReaderService::new();
+        UrlReaderService::standard_corpus_with_datasets(DatasetCache::default())
+    }
+
+    /// [`UrlReaderService::with_standard_corpus`], decoding datasets
+    /// through `datasets`.
+    pub(crate) fn standard_corpus_with_datasets(datasets: DatasetCache) -> UrlReaderService {
+        let s = UrlReaderService {
+            datasets,
+            ..UrlReaderService::default()
+        };
         s.register(
             "http://www.ics.uci.edu/mlearn/breast-cancer.arff",
             dm_data::corpus::breast_cancer_arff(),
@@ -178,9 +192,8 @@ impl WebService for UrlReaderService {
         match operation {
             "readUrl" => Ok(SoapValue::Text(content)),
             "readArff" => {
-                let format = DataFormat::sniff(&content);
-                let arff = convert(&content, format, DataFormat::Arff).map_err(data_fault)?;
-                Ok(SoapValue::Text(arff))
+                let ds = self.datasets.decode_sniffed(&content)?;
+                Ok(SoapValue::Text(dm_data::arff::write_arff(&ds)))
             }
             other => Err(ServiceFault::client(format!("no operation {other:?}"))),
         }

@@ -8,37 +8,50 @@ use crate::attrsel_ws::AttributeSelectionService;
 use crate::classifier_ws::ClassifierService;
 use crate::clusterer_ws::{ClustererService, CobwebService};
 use crate::convert_ws::{DataConversionService, UrlReaderService};
+use crate::dataset_cache::DatasetCache;
 use crate::j48_ws::J48Service;
 use crate::plot_ws::{MathService, PlotService};
+use crate::preprocess_ws::PreprocessService;
+use crate::stream_ws::DataStreamService;
 use dm_wsrf::container::ServiceContainer;
 use dm_wsrf::error::Result;
+use dm_wsrf::lifecycle::LifecyclePolicy;
 use dm_wsrf::registry::{ServiceEntry, UddiRegistry};
+use std::sync::Arc;
 
 /// Deploy every FAEHIM Web Service into `container`. Returns the list
-/// of deployed service names.
+/// of deployed service names. Every service that decodes a dataset
+/// argument shares one decoded-dataset cache, so the host decodes each
+/// distinct dataset once.
 pub fn deploy_faehim_suite(container: &ServiceContainer) -> Result<Vec<String>> {
-    container.deploy(std::sync::Arc::new(ClassifierService::new()));
-    container.deploy(std::sync::Arc::new(J48Service::new()?));
-    container.deploy(std::sync::Arc::new(CobwebService::new()));
-    container.deploy(std::sync::Arc::new(ClustererService::new()));
-    container.deploy(std::sync::Arc::new(AssociationService::new()));
-    container.deploy(std::sync::Arc::new(AttributeSelectionService::new()));
-    container.deploy(std::sync::Arc::new(DataConversionService::new()));
-    container.deploy(std::sync::Arc::new(UrlReaderService::with_standard_corpus()));
-    container.deploy(std::sync::Arc::new(PlotService::new()));
-    container.deploy(std::sync::Arc::new(MathService::new()));
-    container.deploy(std::sync::Arc::new(
+    let datasets = DatasetCache::default();
+    container.deploy(Arc::new(ClassifierService::with_datasets(datasets.clone())));
+    container.deploy(Arc::new(J48Service::with_datasets(
+        datasets.clone(),
+        LifecyclePolicy::SerializePerCall,
+    )?));
+    container.deploy(Arc::new(CobwebService::with_datasets(datasets.clone())));
+    container.deploy(Arc::new(ClustererService::with_datasets(datasets.clone())));
+    container.deploy(Arc::new(AssociationService::with_datasets(
+        datasets.clone(),
+    )));
+    container.deploy(Arc::new(AttributeSelectionService::with_datasets(
+        datasets.clone(),
+    )));
+    container.deploy(Arc::new(DataConversionService::with_datasets(
+        datasets.clone(),
+    )));
+    container.deploy(Arc::new(UrlReaderService::standard_corpus_with_datasets(
+        datasets.clone(),
+    )));
+    container.deploy(Arc::new(PlotService::new()));
+    container.deploy(Arc::new(MathService::new()));
+    container.deploy(Arc::new(
         crate::dataaccess_ws::DataAccessService::with_standard_resources(),
     ));
-    container.deploy(std::sync::Arc::new(
-        crate::session_ws::SessionService::default(),
-    ));
-    container.deploy(std::sync::Arc::new(
-        crate::preprocess_ws::PreprocessService::new(),
-    ));
-    container.deploy(std::sync::Arc::new(
-        crate::stream_ws::DataStreamService::new(),
-    ));
+    container.deploy(Arc::new(crate::session_ws::SessionService::default()));
+    container.deploy(Arc::new(PreprocessService::with_datasets(datasets.clone())));
+    container.deploy(Arc::new(DataStreamService::with_datasets(datasets)));
     Ok(container.deployed())
 }
 

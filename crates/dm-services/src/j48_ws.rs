@@ -13,7 +13,8 @@
 //! performance penalty" — while `InMemoryHarness` reproduces the
 //! paper's fix.
 
-use crate::support::{algo_fault, dataset_with_class, opt_text_arg, text_arg, tree_to_svg};
+use crate::dataset_cache::DatasetCache;
+use crate::support::{algo_fault, opt_text_arg, text_arg, tree_to_svg};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_algorithms::options::{parse_options_string, Configurable};
 use dm_algorithms::state::Stateful;
@@ -25,20 +26,28 @@ use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 /// The J48 Web Service.
 pub struct J48Service {
     lifecycle: LifecycleManager,
+    datasets: DatasetCache,
 }
 
 impl J48Service {
     /// Create with the default Axis-like `SerializePerCall` lifecycle.
     pub fn new() -> Result<J48Service, dm_wsrf::WsError> {
-        Ok(J48Service {
-            lifecycle: LifecycleManager::new(LifecyclePolicy::SerializePerCall)?,
-        })
+        J48Service::with_policy(LifecyclePolicy::SerializePerCall)
     }
 
     /// Create with an explicit lifecycle policy.
     pub fn with_policy(policy: LifecyclePolicy) -> Result<J48Service, dm_wsrf::WsError> {
+        J48Service::with_datasets(DatasetCache::default(), policy)
+    }
+
+    /// Create with `policy`, decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(
+        datasets: DatasetCache,
+        policy: LifecyclePolicy,
+    ) -> Result<J48Service, dm_wsrf::WsError> {
         Ok(J48Service {
             lifecycle: LifecycleManager::new(policy)?,
+            datasets,
         })
     }
 
@@ -71,12 +80,13 @@ impl J48Service {
     }
 
     fn train_args(
+        &self,
         args: &[(String, SoapValue)],
     ) -> Result<(dm_data::Dataset, Vec<(String, String)>), ServiceFault> {
         let arff = text_arg(args, "dataset")?;
         let attribute = text_arg(args, "attribute")?;
         let options = opt_text_arg(args, "options")?.unwrap_or("");
-        let ds = dataset_with_class(arff, attribute)?;
+        let ds = self.datasets.decode_with_class(arff, attribute)?;
         Ok((ds, parse_options_string(options)))
     }
 }
@@ -144,7 +154,7 @@ impl WebService for J48Service {
     ) -> Result<SoapValue, ServiceFault> {
         match operation {
             "classify" => {
-                let (ds, options) = Self::train_args(args)?;
+                let (ds, options) = self.train_args(args)?;
                 self.with_model(|model| {
                     for (flag, value) in &options {
                         model.set_option(flag, value).map_err(algo_fault)?;
@@ -154,7 +164,7 @@ impl WebService for J48Service {
                 })
             }
             "classifyGraph" => {
-                let (ds, options) = Self::train_args(args)?;
+                let (ds, options) = self.train_args(args)?;
                 self.with_model(|model| {
                     for (flag, value) in &options {
                         model.set_option(flag, value).map_err(algo_fault)?;
@@ -169,7 +179,7 @@ impl WebService for J48Service {
             "predict" => {
                 let arff = text_arg(args, "dataset")?;
                 let attribute = text_arg(args, "attribute")?;
-                let ds = dataset_with_class(arff, attribute)?;
+                let ds = self.datasets.decode_with_class(arff, attribute)?;
                 self.with_model(|model| {
                     let class_attr = ds.class_attribute().map_err(crate::support::data_fault)?;
                     let labels: Vec<String> = class_attr.labels().to_vec();

@@ -41,6 +41,7 @@ pub mod client;
 pub mod clusterer_ws;
 pub mod convert_ws;
 pub mod dataaccess_ws;
+pub mod dataset_cache;
 pub mod deploy;
 pub mod j48_ws;
 pub mod model_cache;

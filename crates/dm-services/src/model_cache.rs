@@ -33,14 +33,16 @@ fn write_field(h: &mut Hasher128, field: &str) {
 }
 
 /// Cache key for a trained model: algorithm, options, class attribute,
-/// and the dataset *content* (length-prefixed fields, so reshuffling
-/// bytes between fields cannot collide).
-pub fn model_key(classifier: &str, options: &str, attribute: &str, dataset: &str) -> u128 {
+/// and the dataset *content*, given as its
+/// [`content_hash`](crate::dataset_cache::content_hash) so that a call
+/// hashes its dataset text once for both caches (length-prefixed
+/// fields, so reshuffling bytes between fields cannot collide).
+pub fn model_key(classifier: &str, options: &str, attribute: &str, dataset: u128) -> u128 {
     let mut h = Hasher128::new();
     write_field(&mut h, classifier);
     write_field(&mut h, options);
     write_field(&mut h, attribute);
-    write_field(&mut h, dataset);
+    h.write(&dataset.to_le_bytes());
     h.finish()
 }
 
@@ -51,7 +53,7 @@ pub fn eval_key(
     options: &str,
     attribute: &str,
     folds: i64,
-    dataset: &str,
+    dataset: u128,
 ) -> u128 {
     let mut h = Hasher128::new();
     h.write(&model_key(classifier, options, attribute, dataset).to_le_bytes());
@@ -122,11 +124,14 @@ impl ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset_cache::{content_hash, DatasetCache};
     use dm_algorithms::registry::make_classifier;
     use dm_data::corpus::breast_cancer_arff;
 
     fn trained(name: &str) -> SharedModel {
-        let ds = crate::support::dataset_with_class(&breast_cancer_arff(), "Class").unwrap();
+        let ds = DatasetCache::default()
+            .decode_with_class(&breast_cancer_arff(), "Class")
+            .unwrap();
         let mut m = make_classifier(name).unwrap();
         m.train(&ds).unwrap();
         Arc::new(Mutex::new(m))
@@ -134,22 +139,37 @@ mod tests {
 
     #[test]
     fn keys_depend_on_every_field() {
-        let base = model_key("J48", "-M 2", "Class", "@relation x");
-        assert_ne!(base, model_key("ZeroR", "-M 2", "Class", "@relation x"));
-        assert_ne!(base, model_key("J48", "-M 3", "Class", "@relation x"));
-        assert_ne!(base, model_key("J48", "-M 2", "age", "@relation x"));
-        assert_ne!(base, model_key("J48", "-M 2", "Class", "@relation y"));
-        assert_eq!(base, model_key("J48", "-M 2", "Class", "@relation x"));
+        let base = model_key("J48", "-M 2", "Class", content_hash("@relation x"));
+        assert_ne!(
+            base,
+            model_key("ZeroR", "-M 2", "Class", content_hash("@relation x"))
+        );
+        assert_ne!(
+            base,
+            model_key("J48", "-M 3", "Class", content_hash("@relation x"))
+        );
+        assert_ne!(
+            base,
+            model_key("J48", "-M 2", "age", content_hash("@relation x"))
+        );
+        assert_ne!(
+            base,
+            model_key("J48", "-M 2", "Class", content_hash("@relation y"))
+        );
+        assert_eq!(
+            base,
+            model_key("J48", "-M 2", "Class", content_hash("@relation x"))
+        );
         // Field boundaries matter: shifting a byte between adjacent
         // fields must change the key.
         assert_ne!(
-            model_key("J48x", "", "Class", "d"),
-            model_key("J48", "x", "Class", "d")
+            model_key("J48x", "", "Class", content_hash("d")),
+            model_key("J48", "x", "Class", content_hash("d"))
         );
         // Eval keys fold in the fold count.
         assert_ne!(
-            eval_key("J48", "", "Class", 5, "d"),
-            eval_key("J48", "", "Class", 10, "d")
+            eval_key("J48", "", "Class", 5, content_hash("d")),
+            eval_key("J48", "", "Class", 10, content_hash("d"))
         );
     }
 
@@ -157,9 +177,9 @@ mod tests {
     fn model_cache_evicts_lru_and_retrains_transparently() {
         let cache = ModelCache::new(2, 2);
         let (a, b, c) = (
-            model_key("ZeroR", "", "Class", "a"),
-            model_key("ZeroR", "", "Class", "b"),
-            model_key("ZeroR", "", "Class", "c"),
+            model_key("ZeroR", "", "Class", content_hash("a")),
+            model_key("ZeroR", "", "Class", content_hash("b")),
+            model_key("ZeroR", "", "Class", content_hash("c")),
         );
         cache.insert_model(a, trained("ZeroR"));
         cache.insert_model(b, trained("ZeroR"));
@@ -182,7 +202,7 @@ mod tests {
     #[test]
     fn cached_model_is_usable_after_lookup() {
         let cache = ModelCache::default();
-        let key = model_key("ZeroR", "", "Class", "bc");
+        let key = model_key("ZeroR", "", "Class", content_hash("bc"));
         cache.insert_model(key, trained("ZeroR"));
         let model = cache.get_model(key).unwrap();
         let text = model.lock().describe();
@@ -192,8 +212,8 @@ mod tests {
     #[test]
     fn eval_cache_round_trips() {
         let cache = ModelCache::new(2, 1);
-        let k1 = eval_key("J48", "", "Class", 5, "d");
-        let k2 = eval_key("J48", "", "Class", 10, "d");
+        let k1 = eval_key("J48", "", "Class", 5, content_hash("d"));
+        let k2 = eval_key("J48", "", "Class", 10, content_hash("d"));
         cache.insert_eval(k1, Arc::from("summary-5"));
         assert_eq!(cache.get_eval(k1).as_deref(), Some("summary-5"));
         cache.insert_eval(k2, Arc::from("summary-10"));

@@ -4,6 +4,7 @@
 //! resampling, each taking and returning ARFF so it slots anywhere in a
 //! composed pipeline.
 
+use crate::dataset_cache::{with_class, DatasetCache};
 use crate::support::{data_fault, opt_text_arg, text_arg};
 use dm_data::filters::{
     Discretize, Filter, Normalize, ReplaceMissing, Standardize, SupervisedDiscretize,
@@ -12,30 +13,37 @@ use dm_data::Dataset;
 use dm_wsrf::container::{ServiceFault, WebService};
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
+use std::sync::Arc;
 
 /// The preprocessing Web Service.
 #[derive(Debug, Default)]
-pub struct PreprocessService;
+pub struct PreprocessService {
+    datasets: DatasetCache,
+}
 
 impl PreprocessService {
     /// Create the service.
     pub fn new() -> PreprocessService {
-        PreprocessService
+        PreprocessService::default()
     }
-}
 
-fn parse(arff: &str) -> Result<Dataset, ServiceFault> {
-    dm_data::arff::parse_arff(arff).map_err(data_fault)
-}
+    /// Create the service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> PreprocessService {
+        PreprocessService { datasets }
+    }
 
-fn parse_with_class(arff: &str, class: Option<&str>) -> Result<Dataset, ServiceFault> {
-    let mut ds = parse(arff)?;
-    if let Some(name) = class {
-        if !name.is_empty() {
-            ds.set_class_by_name(name).map_err(data_fault)?;
+    /// Decode `arff`, with its class set when `class` names one.
+    fn decode_with_class(
+        &self,
+        arff: &str,
+        class: Option<&str>,
+    ) -> Result<Arc<Dataset>, ServiceFault> {
+        let ds = self.datasets.decode(arff)?;
+        match class.filter(|name| !name.is_empty()) {
+            Some(name) => Ok(Arc::new(with_class(ds, name)?)),
+            None => Ok(ds),
         }
     }
-    Ok(ds)
 }
 
 fn emit(ds: &Dataset) -> SoapValue {
@@ -126,22 +134,22 @@ impl WebService for PreprocessService {
         let arff = text_arg(args, "dataset")?;
         match operation {
             "normalize" => {
-                let ds = parse(arff)?;
+                let ds = self.datasets.decode(arff)?;
                 Ok(emit(&Normalize::fit(&ds).apply(&ds).map_err(data_fault)?))
             }
             "standardize" => {
-                let ds = parse(arff)?;
+                let ds = self.datasets.decode(arff)?;
                 Ok(emit(&Standardize::fit(&ds).apply(&ds).map_err(data_fault)?))
             }
             "replaceMissing" => {
-                let ds = parse(arff)?;
+                let ds = self.datasets.decode(arff)?;
                 Ok(emit(
                     &ReplaceMissing::fit(&ds).apply(&ds).map_err(data_fault)?,
                 ))
             }
             "discretize" => {
                 let class = opt_text_arg(args, "class")?;
-                let ds = parse_with_class(arff, class)?;
+                let ds = self.decode_with_class(arff, class)?;
                 let bins = args
                     .iter()
                     .find(|(n, _)| n == "bins")
@@ -153,12 +161,12 @@ impl WebService for PreprocessService {
             }
             "discretizeSupervised" => {
                 let class = text_arg(args, "class")?;
-                let ds = parse_with_class(arff, Some(class))?;
+                let ds = self.decode_with_class(arff, Some(class))?;
                 let filter = SupervisedDiscretize::fit(&ds).map_err(data_fault)?;
                 Ok(emit(&filter.apply(&ds).map_err(data_fault)?))
             }
             "removeAttributes" => {
-                let ds = parse(arff)?;
+                let ds = self.datasets.decode(arff)?;
                 let names = text_arg(args, "attributes")?;
                 let drop: Vec<usize> = names
                     .split(',')
@@ -174,7 +182,7 @@ impl WebService for PreprocessService {
                 ))
             }
             "resample" => {
-                let ds = parse(arff)?;
+                let ds = self.datasets.decode(arff)?;
                 let fraction = args
                     .iter()
                     .find(|(n, _)| n == "fraction")

@@ -31,6 +31,7 @@
 //! automatically — re-sent chunks pass by reference, visible in
 //! `WireStats::ref_substitutions`.
 
+use crate::dataset_cache::DatasetCache;
 use crate::support::{algo_fault, data_fault, int_arg, text_arg, traced_handler};
 use dm_algorithms::classifiers::{Classifier, HoeffdingTree};
 use dm_algorithms::cluster::{Clusterer, IncrementalKMeans};
@@ -43,6 +44,7 @@ use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// The online model consuming a stream.
 enum OnlineModel {
@@ -154,6 +156,7 @@ impl StreamSession {
 pub struct DataStreamService {
     sessions: Mutex<BTreeMap<String, StreamSession>>,
     next_id: Mutex<u64>,
+    datasets: DatasetCache,
 }
 
 impl Default for DataStreamService {
@@ -165,9 +168,15 @@ impl Default for DataStreamService {
 impl DataStreamService {
     /// Create an empty service.
     pub fn new() -> DataStreamService {
+        DataStreamService::with_datasets(DatasetCache::default())
+    }
+
+    /// Create an empty service decoding datasets through `datasets`.
+    pub(crate) fn with_datasets(datasets: DatasetCache) -> DataStreamService {
         DataStreamService {
             sessions: Mutex::new(BTreeMap::new()),
             next_id: Mutex::new(0),
+            datasets,
         }
     }
 
@@ -311,7 +320,7 @@ impl DataStreamService {
         let session = sessions
             .get(id)
             .ok_or_else(|| ServiceFault::client(format!("unknown stream {id:?}")))?;
-        let mut ds = dm_data::arff::parse_arff(arff).map_err(data_fault)?;
+        let mut ds = Arc::unwrap_or_clone(self.datasets.decode(arff)?);
         ds.set_class_index(session.header.class_index())
             .map_err(data_fault)?;
         match &session.model {

@@ -109,16 +109,6 @@ pub fn tree_to_svg(tree: &dm_algorithms::tree::TreeModel) -> String {
     tree_to_spec(tree).to_svg()
 }
 
-/// Parse an ARFF dataset argument and set its class by attribute name.
-pub fn dataset_with_class(
-    arff: &str,
-    class_attribute: &str,
-) -> Result<dm_data::Dataset, ServiceFault> {
-    let mut ds = dm_data::arff::parse_arff(arff).map_err(data_fault)?;
-    ds.set_class_by_name(class_attribute).map_err(data_fault)?;
-    Ok(ds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,14 +137,5 @@ mod tests {
             algo_fault(AlgoError::UnknownAlgorithm("X".into())).code,
             "Client"
         );
-    }
-
-    #[test]
-    fn dataset_with_class_parses() {
-        let arff = "@relation t\n@attribute a {x,y}\n@attribute c {p,n}\n@data\nx,p\n";
-        let ds = dataset_with_class(arff, "c").unwrap();
-        assert_eq!(ds.class_index(), Some(1));
-        assert!(dataset_with_class(arff, "nope").is_err());
-        assert!(dataset_with_class("garbage", "c").is_err());
     }
 }

@@ -54,7 +54,9 @@ use crossbeam::channel::Sender;
 use dm_wsrf::resilience::CrashScript;
 use dm_wsrf::trace::SpanKind;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,6 +244,34 @@ impl Orchestrator<'_> {
     }
 }
 
+/// The failed outcome of a claim whose tool panicked, carrying the
+/// panic message.
+fn panicked(
+    graph: &TaskGraph,
+    task: TaskId,
+    payload: &(dyn Any + Send),
+    started: Instant,
+) -> (std::result::Result<Vec<Token>, String>, TaskRun) {
+    let cause = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload");
+    let message = format!("tool panicked: {cause}");
+    let run = TaskRun {
+        task: graph.task(task).map(|t| t.name.clone()).unwrap_or_default(),
+        attempts: 1,
+        duration: started.elapsed(),
+        virtual_duration: Duration::ZERO,
+        backoff: Duration::ZERO,
+        sheds: 0,
+        cached: false,
+        replayed: false,
+        error: Some(message.clone()),
+    };
+    (Err(message), run)
+}
+
 /// Mark every not-yet-resolved descendant of `task` blocked: a failed
 /// node poisons only its downstream cone; independent branches keep
 /// running.
@@ -414,14 +444,29 @@ impl Executor {
                             break;
                         }
                         let events = Mutex::new(Vec::new());
-                        let (result, run) =
-                            self.execute_task(graph, job.task, &job.inputs, budget, root, &|e| {
-                                if buffered {
-                                    events.lock().push(e);
-                                } else {
-                                    self.emit(e);
-                                }
+                        let emit = |e| {
+                            if buffered {
+                                events.lock().push(e);
+                            } else {
+                                self.emit(e);
+                            }
+                        };
+                        let started = Instant::now();
+                        // A panicking tool fails its claim instead of
+                        // killing the worker: a dead worker never acks,
+                        // and with others alive the orchestrator would
+                        // wait for that ack forever.
+                        let (result, run) = panic::catch_unwind(AssertUnwindSafe(|| {
+                            self.execute_task(graph, job.task, &job.inputs, budget, root, &emit)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            let (result, run) = panicked(graph, job.task, &*payload, started);
+                            emit(ProgressEvent::Failed {
+                                task: run.task.clone(),
+                                message: run.error.clone().unwrap_or_default(),
                             });
+                            (result, run)
+                        });
                         if fail_fast && result.is_err() {
                             stop.store(true, Ordering::SeqCst);
                         }
@@ -805,6 +850,82 @@ mod tests {
         assert_eq!(resumed.canonical_bytes(), report.canonical_bytes());
         assert_eq!(resumed.replay_hits(), 3); // src, ok, and the failure record
         assert!(resumed.runs.iter().all(|r| r.replayed));
+    }
+
+    /// A tool whose every call panics.
+    struct Panics;
+
+    impl crate::graph::Tool for Panics {
+        fn name(&self) -> &str {
+            "Panics"
+        }
+
+        fn input_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("in", "string")]
+        }
+
+        fn output_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("out", "string")]
+        }
+
+        fn execute(&self, _inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
+            panic!("tool blew up")
+        }
+    }
+
+    /// `src → boom → doomed` beside the independent branch `src → ok`,
+    /// where `boom` panics. Returns the graph and the `ok` and `doomed`
+    /// ids.
+    fn panicking_graph() -> (TaskGraph, TaskId, TaskId) {
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        let boom = g.add_named_task("boom", Arc::new(Panics));
+        let doomed = g.add_named_task("doomed", Arc::new(Upper));
+        let ok = g.add_named_task("ok", Arc::new(Upper));
+        g.connect(src, 0, boom, 0).unwrap();
+        g.connect(boom, 0, doomed, 0).unwrap();
+        g.connect(src, 0, ok, 0).unwrap();
+        (g, ok, doomed)
+    }
+
+    /// Run `enact` on a helper thread and fail, rather than hang, when
+    /// it has not returned within a generous timeout.
+    fn within_timeout<T: Send + 'static>(enact: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(enact());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the frontier loop hung on a panicking tool")
+    }
+
+    #[test]
+    fn panicking_tool_fails_its_claim_at_widths_1_and_4() {
+        for workers in [1, 4] {
+            let (g, _, _) = panicking_graph();
+            let err = within_timeout(move || {
+                Executor::parallel().enact(&g, &HashMap::new(), None, workers)
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, WorkflowError::TaskFailed { task, message }
+                    if task == "boom" && message.contains("tool blew up")),
+                "{workers} workers: {err}"
+            );
+
+            let (g, ok, doomed) = panicking_graph();
+            let report = within_timeout(move || {
+                let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(workers);
+                Executor::parallel().run_durable(&g, &HashMap::new(), &config)
+            })
+            .unwrap();
+            assert_eq!(report.output(ok, 0), Some(&Token::Text("X".into())));
+            assert!(report.output(doomed, 0).is_none(), "{workers} workers");
+            let boom = report.runs.iter().find(|r| r.task == "boom").unwrap();
+            let error = boom.error.as_deref().unwrap_or_default();
+            assert!(error.contains("tool blew up"), "{workers} workers: {error}");
+            assert!(report.runs.iter().all(|r| r.task != "doomed"));
+        }
     }
 
     #[test]
