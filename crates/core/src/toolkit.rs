@@ -293,7 +293,8 @@ impl Toolkit {
 
     /// Snapshot the deployment's counters into a fresh
     /// [`MetricsRegistry`]: per-service invocation counts, latency
-    /// histograms and byte counters from the monitor log, wire-level
+    /// histograms and byte counters from the monitor log's record-time
+    /// aggregates (O(series), however long the log is), wire-level
     /// envelope/byte/savings totals, the attachment stores, the
     /// compute pool's task/steal/busy counters, and the
     /// classifier's model/evaluation caches. Fetching the classifier

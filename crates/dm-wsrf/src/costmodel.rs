@@ -110,6 +110,7 @@ impl CostModel {
     }
 
     /// Fold the monitor log's per-host quantiles and failure rates in.
+    /// Costs O(hosts): the log aggregates when it records.
     pub fn observe_monitor(&mut self, log: &MonitorLog) {
         for s in log.summary_by_host() {
             let e = self.entry(&s.host);

@@ -10,11 +10,15 @@
 //! bucket holding the ranked observation — the same nearest-rank
 //! definition [`crate::monitor::MonitorLog::summary_by_host`] uses for
 //! its median.
+//!
+//! Every `ingest_*` call reads an absolute snapshot and *sets* the
+//! series it covers, so ingesting the same snapshot twice exports the
+//! same values as ingesting it once.
 
 use crate::container::LoadStats;
 use crate::dataplane::CacheStats;
 use crate::fleet::{ScaleAction, ScaleEvent};
-use crate::monitor::{MonitorLog, Outcome};
+use crate::monitor::MonitorLog;
 use crate::transport::WireStats;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -51,9 +55,9 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram over [`LATENCY_BUCKETS`]. Public so other
-    /// layers (e.g. the container's admission-control load state) can
-    /// pre-aggregate observations and merge them in later via
-    /// [`MetricsRegistry::merge_histogram`].
+    /// layers (the monitor log's series, the container's
+    /// admission-control load state) can pre-aggregate observations
+    /// that the registry later exports without replaying them.
     pub fn new() -> Histogram {
         Histogram {
             buckets: vec![0; LATENCY_BUCKETS.len() + 1],
@@ -71,6 +75,15 @@ impl Histogram {
         self.buckets[idx] += 1;
         self.sum += value;
         self.count += 1;
+    }
+
+    /// Add another histogram's observations, bucket by bucket.
+    fn absorb(&mut self, other: &Histogram) {
+        for (bucket, add) in self.buckets.iter_mut().zip(&other.buckets) {
+            *bucket += add;
+        }
+        self.sum += other.sum;
+        self.count += other.count;
     }
 
     /// Nearest-rank quantile estimate: the upper bound of the bucket
@@ -179,6 +192,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// Set a counter series to an absolute `value` read from a snapshot.
+    fn set_counter(&self, name: &str, labels: &[(&str, &str)], value: u64) {
+        let mut metrics = self.metrics.lock();
+        let metric = metrics
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Counter(BTreeMap::new()));
+        if let Metric::Counter(series) = metric {
+            series.insert(labels_of(labels), value);
+        }
+    }
+
     /// Set a gauge series to `value`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let mut metrics = self.metrics.lock();
@@ -204,24 +228,17 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merge a pre-aggregated [`Histogram`] into a histogram series
-    /// (bucket-wise addition). This is how the container's queue-wait
-    /// distributions reach the registry without replaying every
-    /// observation.
-    pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+    /// Set a histogram series to a pre-aggregated [`Histogram`]. This
+    /// is how the monitor log's latency series and the container's
+    /// queue-wait distributions reach the registry without replaying
+    /// every observation.
+    fn set_histogram(&self, name: &str, labels: &[(&str, &str)], h: Histogram) {
         let mut metrics = self.metrics.lock();
         let metric = metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(BTreeMap::new()));
         if let Metric::Histogram(series) = metric {
-            let into = series
-                .entry(labels_of(labels))
-                .or_insert_with(Histogram::new);
-            for (bucket, add) in into.buckets.iter_mut().zip(&h.buckets) {
-                *bucket += add;
-            }
-            into.sum += h.sum;
-            into.count += h.count;
+            series.insert(labels_of(labels), h);
         }
     }
 
@@ -230,11 +247,15 @@ impl MetricsRegistry {
     /// queueing-delay histogram, all labelled by host.
     pub fn ingest_load(&self, host: &str, stats: &LoadStats) {
         let labels = [("host", host)];
-        self.inc_counter("faehim_requests_admitted_total", &labels, stats.admitted);
-        self.inc_counter("faehim_requests_queued_total", &labels, stats.queued);
-        self.inc_counter("faehim_requests_shed_total", &labels, stats.shed);
+        self.set_counter("faehim_requests_admitted_total", &labels, stats.admitted);
+        self.set_counter("faehim_requests_queued_total", &labels, stats.queued);
+        self.set_counter("faehim_requests_shed_total", &labels, stats.shed);
         self.set_gauge("faehim_queue_depth", &labels, stats.in_system as f64);
-        self.merge_histogram("faehim_queueing_delay_seconds", &labels, &stats.queue_waits);
+        self.set_histogram(
+            "faehim_queueing_delay_seconds",
+            &labels,
+            stats.queue_waits.clone(),
+        );
     }
 
     /// Current value of a counter series (0 when absent).
@@ -261,54 +282,75 @@ impl MetricsRegistry {
         }
     }
 
-    /// Ingest every invocation event of a [`MonitorLog`]: per-service ×
-    /// host × outcome counters plus a per-service latency histogram
-    /// (and the wire-byte / ref-hit counters the events carry).
+    /// Ingest a [`MonitorLog`]'s all-time aggregates: per-service ×
+    /// host × outcome counters, a per-service latency histogram, and
+    /// per-service wire-byte / ref-hit counters. Reads the log's
+    /// `(host, service, operation)` series, never its events, so a
+    /// scrape costs O(series) however long the log has been recording.
     pub fn ingest_monitor(&self, log: &MonitorLog) {
-        for event in log.snapshot() {
-            let outcome = match &event.outcome {
-                Outcome::Ok => "ok",
-                Outcome::Fault(_) => "fault",
-                Outcome::TransportError(_) => "transport-error",
-            };
-            self.inc_counter(
-                "faehim_invocations_total",
-                &[
-                    ("service", &event.service),
-                    ("host", &event.host),
-                    ("outcome", outcome),
-                ],
-                1,
-            );
-            self.observe(
+        #[derive(Default)]
+        struct PerService {
+            /// host → ok / fault / transport-error counts.
+            outcomes: BTreeMap<String, [u64; 3]>,
+            latency: Histogram,
+            bytes_in: u64,
+            bytes_out: u64,
+            ref_hits: u64,
+        }
+        let mut services: BTreeMap<String, PerService> = BTreeMap::new();
+        log.for_each_series(|host, service, s| {
+            let per = services.entry(service.to_string()).or_default();
+            let counts = per.outcomes.entry(host.to_string()).or_default();
+            counts[0] += s.ok as u64;
+            counts[1] += s.faults as u64;
+            counts[2] += s.transport_errors as u64;
+            per.latency.absorb(&s.histogram);
+            per.bytes_in += s.bytes_in as u64;
+            per.bytes_out += s.bytes_out as u64;
+            per.ref_hits += s.ref_hits as u64;
+        });
+        for (service, per) in services {
+            let service = service.as_str();
+            for (host, counts) in &per.outcomes {
+                for (outcome, &n) in ["ok", "fault", "transport-error"].iter().zip(&counts[..]) {
+                    if n > 0 {
+                        self.set_counter(
+                            "faehim_invocations_total",
+                            &[("service", service), ("host", host), ("outcome", outcome)],
+                            n,
+                        );
+                    }
+                }
+            }
+            self.set_histogram(
                 "faehim_invocation_duration_seconds",
-                &[("service", &event.service)],
-                event.duration.as_secs_f64(),
+                &[("service", service)],
+                per.latency,
             );
-            self.inc_counter(
+            self.set_counter(
                 "faehim_invocation_bytes_total",
-                &[("service", &event.service), ("direction", "in")],
-                event.bytes_in as u64,
+                &[("service", service), ("direction", "in")],
+                per.bytes_in,
             );
-            self.inc_counter(
+            self.set_counter(
                 "faehim_invocation_bytes_total",
-                &[("service", &event.service), ("direction", "out")],
-                event.bytes_out as u64,
+                &[("service", service), ("direction", "out")],
+                per.bytes_out,
             );
-            self.inc_counter(
+            self.set_counter(
                 "faehim_invocation_ref_hits_total",
-                &[("service", &event.service)],
-                event.ref_hits as u64,
+                &[("service", service)],
+                per.ref_hits,
             );
         }
     }
 
     /// Ingest a [`WireStats`] snapshot as absolute counters.
     pub fn ingest_wire(&self, wire: &WireStats) {
-        self.inc_counter("faehim_wire_envelopes_total", &[], wire.envelopes);
-        self.inc_counter("faehim_wire_bytes_total", &[], wire.bytes);
-        self.inc_counter("faehim_wire_bytes_saved_total", &[], wire.bytes_saved);
-        self.inc_counter(
+        self.set_counter("faehim_wire_envelopes_total", &[], wire.envelopes);
+        self.set_counter("faehim_wire_bytes_total", &[], wire.bytes);
+        self.set_counter("faehim_wire_bytes_saved_total", &[], wire.bytes_saved);
+        self.set_counter(
             "faehim_wire_ref_substitutions_total",
             &[],
             wire.ref_substitutions,
@@ -330,7 +372,7 @@ impl MetricsRegistry {
         ] {
             let mut with_event = all.clone();
             with_event.push(("event", event));
-            self.inc_counter("faehim_cache_events_total", &with_event, value);
+            self.set_counter("faehim_cache_events_total", &with_event, value);
         }
         let mut gauge_labels = all.clone();
         gauge_labels.push(("unit", "entries"));
@@ -346,13 +388,13 @@ impl MetricsRegistry {
     /// worker slot.
     pub fn ingest_pool(&self, snap: &PoolSnapshot) {
         self.set_gauge("faehim_pool_threads", &[], snap.threads as f64);
-        self.inc_counter("faehim_pool_tasks_total", &[], snap.tasks);
-        self.inc_counter("faehim_pool_batches_total", &[], snap.batches);
-        self.inc_counter("faehim_pool_steals_total", &[], snap.steals);
+        self.set_counter("faehim_pool_tasks_total", &[], snap.tasks);
+        self.set_counter("faehim_pool_batches_total", &[], snap.batches);
+        self.set_counter("faehim_pool_steals_total", &[], snap.steals);
         for (slot, (tasks, busy_seconds)) in snap.workers.iter().enumerate() {
             let slot = slot.to_string();
             let labels = [("worker", slot.as_str())];
-            self.inc_counter("faehim_pool_worker_tasks_total", &labels, *tasks);
+            self.set_counter("faehim_pool_worker_tasks_total", &labels, *tasks);
             self.set_gauge("faehim_pool_worker_busy_seconds", &labels, *busy_seconds);
         }
     }
@@ -373,9 +415,9 @@ impl MetricsRegistry {
                 ScaleAction::Hold => hold += 1,
             }
         }
-        self.inc_counter("faehim_autoscale_up_total", &[], up);
-        self.inc_counter("faehim_autoscale_down_total", &[], down);
-        self.inc_counter("faehim_autoscale_hold_total", &[], hold);
+        self.set_counter("faehim_autoscale_up_total", &[], up);
+        self.set_counter("faehim_autoscale_down_total", &[], down);
+        self.set_counter("faehim_autoscale_hold_total", &[], hold);
         self.set_gauge("faehim_fleet_replicas", &[], current_replicas as f64);
     }
 
@@ -385,12 +427,12 @@ impl MetricsRegistry {
     /// worker-death redeliveries, and torn-tail bytes dropped by
     /// checksum verification.
     pub fn ingest_recovery(&self, snap: &RecoverySnapshot) {
-        self.inc_counter("faehim_journal_appends_total", &[], snap.journal_appends);
+        self.set_counter("faehim_journal_appends_total", &[], snap.journal_appends);
         self.set_gauge("faehim_journal_records", &[], snap.journal_records as f64);
         self.set_gauge("faehim_journal_bytes", &[], snap.journal_bytes as f64);
-        self.inc_counter("faehim_replay_hits_total", &[], snap.replay_hits);
-        self.inc_counter("faehim_redeliveries_total", &[], snap.redeliveries);
-        self.inc_counter(
+        self.set_counter("faehim_replay_hits_total", &[], snap.replay_hits);
+        self.set_counter("faehim_redeliveries_total", &[], snap.redeliveries);
+        self.set_counter(
             "faehim_journal_torn_bytes_total",
             &[],
             snap.torn_bytes_dropped,
@@ -593,10 +635,58 @@ fn json_series<'a>(out: &mut String, series: impl Iterator<Item = (&'a LabelSet,
     out.push_str("  ]");
 }
 
+/// `ingest_monitor` as it was before the monitor log aggregated on
+/// record: a replay of raw events. Kept as the reference the
+/// aggregated export is checked against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::MetricsRegistry;
+    use crate::monitor::{InvocationEvent, Outcome};
+
+    pub(crate) fn ingest_monitor(registry: &MetricsRegistry, events: &[InvocationEvent]) {
+        for event in events {
+            let outcome = match &event.outcome {
+                Outcome::Ok => "ok",
+                Outcome::Fault(_) => "fault",
+                Outcome::TransportError(_) => "transport-error",
+            };
+            registry.inc_counter(
+                "faehim_invocations_total",
+                &[
+                    ("service", &event.service),
+                    ("host", &event.host),
+                    ("outcome", outcome),
+                ],
+                1,
+            );
+            registry.observe(
+                "faehim_invocation_duration_seconds",
+                &[("service", &event.service)],
+                event.duration.as_secs_f64(),
+            );
+            registry.inc_counter(
+                "faehim_invocation_bytes_total",
+                &[("service", &event.service), ("direction", "in")],
+                event.bytes_in as u64,
+            );
+            registry.inc_counter(
+                "faehim_invocation_bytes_total",
+                &[("service", &event.service), ("direction", "out")],
+                event.bytes_out as u64,
+            );
+            registry.inc_counter(
+                "faehim_invocation_ref_hits_total",
+                &[("service", &event.service)],
+                event.ref_hits as u64,
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::InvocationEvent;
+    use crate::monitor::{InvocationEvent, Outcome};
 
     #[test]
     fn counters_and_gauges_roundtrip() {
@@ -768,6 +858,97 @@ mod tests {
                 &[("host", "h"), ("cache", "attachments"), ("unit", "bytes")]
             ),
             Some(2048.0)
+        );
+    }
+
+    #[test]
+    fn ingesting_every_snapshot_twice_exports_what_once_does() {
+        let log = MonitorLog::new();
+        for (host, outcome) in [
+            ("a", Outcome::Ok),
+            ("a", Outcome::Fault("Server".into())),
+            ("b", Outcome::TransportError("reset".into())),
+        ] {
+            log.record(InvocationEvent {
+                host: host.into(),
+                service: "Classifier".into(),
+                operation: "classify".into(),
+                duration: Duration::from_millis(3),
+                bytes_in: 100,
+                bytes_out: 10,
+                bytes_saved: 40,
+                ref_hits: 1,
+                outcome,
+            });
+        }
+        let mut queue_waits = Histogram::new();
+        queue_waits.observe(0.002);
+        let load = LoadStats {
+            admitted: 5,
+            queued: 2,
+            shed: 1,
+            total_queue_wait: Duration::from_millis(4),
+            in_system: 3,
+            queue_waits,
+        };
+        let scaling = [ScaleEvent {
+            at: Duration::ZERO,
+            action: ScaleAction::Up,
+            replicas: 2,
+            queue_per_replica: 1.5,
+            p99: Duration::from_millis(5),
+        }];
+        let ingest = |m: &MetricsRegistry| {
+            m.ingest_monitor(&log);
+            m.ingest_wire(&WireStats {
+                envelopes: 4,
+                bytes: 1000,
+                bytes_saved: 300,
+                ref_substitutions: 2,
+                serialisations: 4,
+            });
+            m.ingest_cache(
+                "model",
+                &[("service", "Classifier")],
+                &CacheStats {
+                    lookups: 10,
+                    hits: 7,
+                    misses: 3,
+                    insertions: 3,
+                    evictions: 1,
+                    entries: 2,
+                    bytes: 2048,
+                },
+            );
+            m.ingest_pool(&PoolSnapshot {
+                threads: 2,
+                tasks: 12,
+                batches: 3,
+                steals: 1,
+                workers: vec![(7, 0.5), (5, 0.25)],
+            });
+            m.ingest_load("a", &load);
+            m.ingest_recovery(&RecoverySnapshot {
+                journal_appends: 22,
+                journal_records: 21,
+                journal_bytes: 4096,
+                replay_hits: 7,
+                redeliveries: 1,
+                torn_bytes_dropped: 13,
+            });
+            m.ingest_autoscaler(&scaling, 2);
+        };
+        let once = MetricsRegistry::new();
+        ingest(&once);
+        let twice = MetricsRegistry::new();
+        ingest(&twice);
+        ingest(&twice);
+        assert_eq!(twice.export_prometheus(), once.export_prometheus());
+        assert_eq!(twice.export_json(), once.export_json());
+        assert_eq!(once.counter_value("faehim_wire_bytes_total", &[]), 1000);
+        assert_eq!(
+            once.counter_value("faehim_requests_admitted_total", &[("host", "a")]),
+            5
         );
     }
 

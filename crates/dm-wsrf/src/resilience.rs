@@ -340,8 +340,10 @@ impl BreakerBoard {
         hosts
     }
 
-    /// Replay a monitor log's attempt history into the per-host
-    /// windows, as if the breakers had watched those calls happen.
+    /// Replay a monitor log's raw-event ring (its last
+    /// [`EVENT_RING`](crate::monitor::EVENT_RING) attempts) into the
+    /// per-host windows, as if the breakers had watched those calls
+    /// happen.
     pub fn observe_log(&self, log: &MonitorLog, now: Duration) {
         for event in log.snapshot() {
             let breaker = self.breaker(&event.host);

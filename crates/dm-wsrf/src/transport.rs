@@ -1493,6 +1493,41 @@ mod tests {
     }
 
     #[test]
+    fn network_log_durations_are_virtual_clock_deltas() {
+        use crate::container::CapacityConfig;
+        let net = network_with_echo();
+        net.host("host-a")
+            .unwrap()
+            .set_capacity(Some(CapacityConfig {
+                workers: 1,
+                queue_limit: Some(4),
+                service_time: Duration::from_millis(3),
+            }));
+        let timed = |net: &Network| {
+            let before = net.virtual_time();
+            net.invoke(
+                "host-a",
+                "Echo",
+                "echo",
+                vec![("message".into(), SoapValue::Text("hi".into()))],
+            )
+            .unwrap();
+            let delta = net.virtual_time() - before;
+            (delta, net.monitor().snapshot().pop().unwrap().duration)
+        };
+        let start = net.virtual_time();
+        let (delta, recorded) = timed(&net);
+        assert!(delta >= Duration::from_millis(3), "charged {delta:?}");
+        assert_eq!(recorded, delta);
+        // A second arrival at the same instant also waits in the queue;
+        // the log records that wait too, not the wall time of the call.
+        net.set_virtual_time(start);
+        let (queued, recorded) = timed(&net);
+        assert!(queued >= delta + Duration::from_millis(3), "{queued:?}");
+        assert_eq!(recorded, queued);
+    }
+
+    #[test]
     fn saturated_host_sheds_with_server_busy_fault() {
         use crate::container::CapacityConfig;
         use crate::error::SERVER_BUSY_CODE;
