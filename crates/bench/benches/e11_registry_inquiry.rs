@@ -1,59 +1,71 @@
-//! E11 — UDDI registry publish and inquiry at scale: lookup costs as
-//! the registry grows from the paper's ten services to thousands.
-//! Expected shape: exact-name inquiry and publish-with-replace are
-//! O(1) hash-map lookups, and category inquiry walks only the services
-//! carrying that category via the inverted category→services index —
-//! flat curves where the old list-backed scan grew linearly.
+//! E11 — registry publish and inquiry at scale: the gossip view the
+//! toolkit publishes into, from the paper's ten services to ten
+//! thousand records. Expected shape: publish-with-replace is one
+//! hash-map insert, flat at any size; name inquiry
+//! (`GossipNode::live_replicas`) and category inquiry (a view snapshot
+//! plus `Planner::live_candidates`, as `Toolkit::candidates` does) scan
+//! every record, so they grow linearly. The largest view any test,
+//! bench or example builds holds 42 records (a 3-host toolkit at 14
+//! services per host).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;
-use dm_wsrf::registry::{ServiceEntry, UddiRegistry};
+use dm_workflow::planner::Planner;
+use dm_wsrf::fleet::GossipNode;
+use dm_wsrf::registry::ServiceEntry;
 use std::hint::black_box;
+use std::time::Duration;
 
-fn filled(n: usize) -> UddiRegistry {
-    let reg = UddiRegistry::new();
-    for i in 0..n {
-        reg.publish(ServiceEntry {
-            name: format!("Service{i:05}"),
-            host: format!("host-{}", i % 16),
-            wsdl_url: format!("http://host-{}/axis/Service{i:05}?wsdl", i % 16),
-            categories: vec![
-                if i % 3 == 0 {
-                    "classifier"
-                } else {
-                    "clustering"
-                }
-                .to_string(),
-                "datamining".to_string(),
-            ],
-            description: String::new(),
-        });
+fn entry(i: usize) -> ServiceEntry {
+    ServiceEntry {
+        name: format!("Service{i:05}"),
+        host: format!("host-{}", i % 16),
+        wsdl_url: format!("http://host-{}/axis/Service{i:05}?wsdl", i % 16),
+        categories: vec![
+            if i % 3 == 0 {
+                "classifier"
+            } else {
+                "clustering"
+            }
+            .to_string(),
+            "datamining".to_string(),
+        ],
+        description: String::new(),
     }
-    reg
+}
+
+fn filled(n: usize) -> GossipNode {
+    let node = GossipNode::new("registry");
+    for i in 0..n {
+        node.publish(entry(i), Duration::ZERO);
+    }
+    node
 }
 
 fn bench(c: &mut Criterion) {
-    banner("E11 / §4.6", "UDDI registry inquiry scaling");
+    banner("E11 / §4.6", "registry (gossip view) inquiry scaling");
     let mut group = c.benchmark_group("e11_registry");
     for &n in &[10usize, 100, 1_000, 10_000] {
-        let reg = filled(n);
+        let node = filled(n);
         let needle = format!("Service{:05}", n - 1);
-        group.bench_with_input(BenchmarkId::new("find_exact", n), &reg, |b, reg| {
-            b.iter(|| reg.find(black_box(&needle)).expect("hit"))
-        });
-        group.bench_with_input(BenchmarkId::new("find_by_category", n), &reg, |b, reg| {
-            b.iter(|| black_box(reg.find_by_category("classifier").len()))
-        });
-        group.bench_with_input(BenchmarkId::new("publish_replace", n), &reg, |b, reg| {
+        group.bench_with_input(BenchmarkId::new("live_replicas", n), &node, |b, node| {
             b.iter(|| {
-                reg.publish(ServiceEntry {
-                    name: needle.clone(),
-                    host: "host-x".into(),
-                    wsdl_url: String::new(),
-                    categories: vec![],
-                    description: String::new(),
-                })
+                let hits = node.live_replicas(black_box(&needle), Duration::ZERO, Duration::MAX);
+                assert_eq!(hits.len(), 1);
             })
+        });
+        group.bench_with_input(BenchmarkId::new("live_candidates", n), &node, |b, node| {
+            b.iter(|| {
+                let view = node.view_snapshot();
+                black_box(
+                    Planner::live_candidates(&view, "classifier", Duration::ZERO, Duration::MAX)
+                        .len(),
+                )
+            })
+        });
+        let replacement = entry(n - 1);
+        group.bench_with_input(BenchmarkId::new("publish_replace", n), &node, |b, node| {
+            b.iter(|| node.publish(replacement.clone(), Duration::ZERO))
         });
     }
     group.finish();

@@ -1,7 +1,11 @@
 //! The [`Toolkit`]: one-call provisioning of the FAEHIM environment —
 //! a simulated network with service hosts, the deployed Web Service
-//! suite, a UDDI registry, and a workflow toolbox organised as in
-//! Figures 1 and 2. [`Toolkit::enable_resilience`] turns on the
+//! suite, a registry, and a workflow toolbox organised as in Figures 1
+//! and 2. The registry is one [`GossipNode`] holding a `(service,
+//! host)` record for every deployed service on every host; the toolkit
+//! never heartbeats it, so its inquiries use an unbounded freshness
+//! window and its own deployments never age out.
+//! [`Toolkit::enable_resilience`] turns on the
 //! resilience layer end to end: imported tools, typed clients, and
 //! executors all share one circuit-breaker board and retry policy, and
 //! [`Toolkit::degraded_mode_report`] summarises what the deployment is
@@ -14,15 +18,15 @@ use dm_workflow::engine::{BackoffSink, ExecutionReport, Executor, RetryPolicy};
 use dm_workflow::error::WorkflowError;
 use dm_workflow::graph::{TaskGraph, TaskId, Token};
 use dm_workflow::journal::RunJournal;
-use dm_workflow::planner::{Goal, Plan, Planner, UsageRecommender};
+use dm_workflow::planner::{Goal, GoalStep, Plan, Planner, UsageRecommender};
 use dm_workflow::toolbox::Toolbox;
 use dm_workflow::wsimport::{import_from_host, WsTool};
 use dm_wsrf::container::{CapacityConfig, ServiceContainer};
 use dm_wsrf::costmodel::CostModel;
 use dm_wsrf::dataplane::AttachmentStore;
-use dm_wsrf::fleet::P2cRouter;
+use dm_wsrf::fleet::GossipNode;
 use dm_wsrf::metrics::{MetricsRegistry, PoolSnapshot, RecoverySnapshot};
-use dm_wsrf::registry::{ServiceEntry, UddiRegistry};
+use dm_wsrf::registry::ServiceEntry;
 use dm_wsrf::resilience::{BreakerBoard, BreakerConfig, ResiliencePolicy, ResilientCaller};
 use dm_wsrf::trace::Tracer;
 use dm_wsrf::transport::{DataPlaneConfig, Network, WireStats};
@@ -34,15 +38,19 @@ use std::time::Duration;
 /// were hosted at the Welsh e-Science Centre).
 pub const DEFAULT_HOST: &str = "wesc.cf.ac.uk";
 
+/// Freshness window of every registry inquiry the toolkit makes.
+/// Nothing heartbeats the toolkit's own deployments, so they must never
+/// read as stale.
+const FRESHNESS: Duration = Duration::MAX;
+
 /// The provisioned FAEHIM environment.
 pub struct Toolkit {
     network: Arc<Network>,
-    registry: Arc<UddiRegistry>,
+    registry: Arc<GossipNode>,
     toolbox: Arc<Toolbox>,
     hosts: Vec<String>,
     resilience: Option<ResilientCaller>,
     durable: Option<DurableConfig>,
-    router: Option<Arc<P2cRouter>>,
 }
 
 impl Toolkit {
@@ -54,35 +62,33 @@ impl Toolkit {
 
     /// Provision with several hosts, each running the full suite
     /// (replicas for the fault-tolerance and parallelism experiments).
+    /// The first host is the primary: its services are imported into
+    /// the toolbox, with every other host as a failover replica. Errors
+    /// with [`WsError::NotFound`] when `hosts` is empty.
     pub fn with_hosts(hosts: &[&str]) -> Result<Toolkit, WsError> {
+        let Some(&primary) = hosts.first() else {
+            return Err(WsError::NotFound(
+                "primary host: a toolkit needs at least one host".into(),
+            ));
+        };
         let network = Arc::new(Network::new());
-        let registry = Arc::new(UddiRegistry::new());
+        let registry = Arc::new(GossipNode::new(primary));
         let toolbox = Arc::new(Toolbox::with_common_tools());
-        let mut names = Vec::with_capacity(hosts.len());
         for &host in hosts {
             let container = network.add_host(host);
             deploy_faehim_suite(&container)?;
-            publish_suite(&container, &registry)?;
-            names.push(host.to_string());
+            publish_suite(&container, &registry, network.now())?;
         }
         let toolkit = Toolkit {
             network,
             registry,
             toolbox,
-            hosts: names,
+            hosts: hosts.iter().map(|h| h.to_string()).collect(),
             resilience: None,
             durable: None,
-            router: None,
         };
-        // Import every deployed service's operations as workspace tools
-        // (Triana: "creates a tool for each operation").
-        let primary = toolkit.hosts[0].clone();
-        for entry in toolkit.registry.all() {
-            if entry.host == primary {
-                for tool in toolkit.import_service(&primary, &entry.name)? {
-                    toolkit.toolbox.add(Arc::new(tool));
-                }
-            }
+        for tool in toolkit.import_primary()? {
+            toolkit.toolbox.add(Arc::new(tool));
         }
         // Local data-manipulation / processing / visualisation tools
         // (the Figure 2 toolbox components) plus the Triana signal
@@ -97,9 +103,39 @@ impl Toolkit {
         Arc::clone(&self.network)
     }
 
-    /// The UDDI registry.
-    pub fn registry(&self) -> Arc<UddiRegistry> {
+    /// The registry: a gossip view with one record per deployed
+    /// `(service, host)`.
+    pub fn registry(&self) -> Arc<GossipNode> {
         Arc::clone(&self.registry)
+    }
+
+    /// Import every operation of the primary host's published services
+    /// as a workspace tool (Triana: "creates a tool for each
+    /// operation"), in service-name order, with every other host as a
+    /// failover replica.
+    fn import_primary(&self) -> Result<Vec<WsTool>, WsError> {
+        let mut tools = Vec::new();
+        for entry in self.published() {
+            if entry.host == self.primary_host() {
+                tools.extend(self.import_service(&entry.host, &entry.name)?);
+            }
+        }
+        Ok(tools)
+    }
+
+    /// Every live registry record, sorted by `(service, host)` (the
+    /// view itself is unordered).
+    fn published(&self) -> Vec<ServiceEntry> {
+        let now = self.network.now();
+        let mut entries: Vec<ServiceEntry> = self
+            .registry
+            .view_snapshot()
+            .into_iter()
+            .filter(|r| r.is_live(now, FRESHNESS))
+            .map(|r| r.entry)
+            .collect();
+        entries.sort_by(|a, b| (&a.name, &a.host).cmp(&(&b.name, &b.host)));
+        entries
     }
 
     /// The workflow toolbox.
@@ -135,24 +171,6 @@ impl Toolkit {
     /// has been called.
     pub fn resilience(&self) -> Option<&ResilientCaller> {
         self.resilience.as_ref()
-    }
-
-    /// Turn on replica-aware routing (E19): every tool subsequently
-    /// imported via [`Toolkit::import_service`] re-orders its replica
-    /// set per call with a seeded power-of-two-choices draw over
-    /// [`Network::load_snapshot`], instead of always hammering the
-    /// import host first. Returns the shared router so callers can
-    /// attach it to hand-built tools or inspect its draw counter.
-    pub fn enable_replica_routing(&mut self, seed: u64) -> Arc<P2cRouter> {
-        let router = Arc::new(P2cRouter::new(seed));
-        self.router = Some(Arc::clone(&router));
-        router
-    }
-
-    /// The shared replica router, when
-    /// [`Toolkit::enable_replica_routing`] has been called.
-    pub fn replica_router(&self) -> Option<Arc<P2cRouter>> {
-        self.router.clone()
     }
 
     /// Turn on admission control on every provisioned host: each
@@ -366,16 +384,31 @@ impl Toolkit {
         cost
     }
 
+    /// A goal step's candidate replicas: the registry's live records
+    /// in the step's category ([`Planner::live_candidates`], sorted by
+    /// `(service, host)`) whose service exposes the step's operation.
+    pub fn candidates(&self, step: &GoalStep) -> Vec<ServiceEntry> {
+        let view = self.registry.view_snapshot();
+        Planner::live_candidates(&view, &step.category, self.network.now(), FRESHNESS)
+            .into_iter()
+            .filter(|e| {
+                self.network
+                    .host(&e.host)
+                    .and_then(|c| c.wsdl_of(&e.name))
+                    .is_ok_and(|w| w.operations.iter().any(|o| o.name == step.operation))
+            })
+            .collect()
+    }
+
     /// Plan an abstract composition goal against live telemetry and
     /// bind it to a concrete workflow. Candidates for each step come
-    /// from the registry's healthy inquiry, narrowed to services that
-    /// actually expose the step's operation; the cost snapshot is
+    /// from [`Toolkit::candidates`]; the cost snapshot is
     /// [`Toolkit::cost_model`]; when durable enactment is enabled, the
     /// run journal is mined into a [`UsageRecommender`] so past
     /// co-invocations pre-rank the candidates. Bound tools carry the
     /// toolkit's purity and resilience metadata but are pinned to the
-    /// planner's chosen replica — no router and no failover list, the
-    /// plan *is* the placement decision.
+    /// planner's chosen replica with no failover list: the plan *is*
+    /// the placement decision.
     ///
     /// Returns the plan alongside the enactable graph and its task ids
     /// in step order.
@@ -385,40 +418,13 @@ impl Toolkit {
         planner: &Planner,
     ) -> dm_workflow::Result<(Plan, TaskGraph, Vec<TaskId>)> {
         let cost = self.cost_model();
-        let now = self.network.now();
-        let freshness = Duration::from_secs(300);
         let mut recommender = UsageRecommender::new();
         if let Some(config) = &self.durable {
             recommender.observe_journal(config.journal());
         }
         let plan = planner.plan(
             goal,
-            &|step| {
-                // The UDDI registry keys entries by service name (jUDDI
-                // update semantics), so a category hit names the
-                // *service*; its replica set is every toolkit host that
-                // deploys it with the step's operation.
-                self.registry
-                    .find_by_category_healthy(&step.category, now, freshness)
-                    .into_iter()
-                    .flat_map(|e| {
-                        self.hosts.iter().filter_map(move |host| {
-                            let exposes = self
-                                .network
-                                .host(host)
-                                .ok()
-                                .and_then(|c| c.wsdl_of(&e.name).ok())
-                                .is_some_and(|w| {
-                                    w.operations.iter().any(|o| o.name == step.operation)
-                                });
-                            exposes.then(|| ServiceEntry {
-                                host: host.clone(),
-                                ..e.clone()
-                            })
-                        })
-                    })
-                    .collect()
-            },
+            &|step| self.candidates(step),
             &cost,
             if recommender.is_empty() {
                 None
@@ -478,8 +484,8 @@ impl Toolkit {
         executor
     }
 
-    /// What the deployment is currently routing around: breaker states,
-    /// per-host traffic and failure rates, and registry health.
+    /// What the deployment is currently routing around: breaker states
+    /// and per-host traffic and failure rates.
     pub fn degraded_mode_report(&self) -> String {
         let now = self.network.now();
         let mut out = String::from("Degraded-mode report\n====================\n\n");
@@ -548,9 +554,6 @@ impl Toolkit {
             if let Some(caller) = &self.resilience {
                 tool.set_resilience(caller.clone());
             }
-            if let Some(router) = &self.router {
-                tool.set_router(Arc::clone(router));
-            }
         }
         Ok(tools)
     }
@@ -613,7 +616,7 @@ impl Toolkit {
             ));
         }
         out.push_str("\nDeployed Web Services:\n");
-        for entry in self.registry.all() {
+        for entry in self.published() {
             out.push_str(&format!(
                 "  {} @ {}  [{}]\n",
                 entry.name,
@@ -641,7 +644,7 @@ mod tests {
     fn single_host_provisioning() {
         let tk = Toolkit::new().unwrap();
         assert_eq!(tk.hosts().len(), 1);
-        assert_eq!(tk.registry().len(), 14);
+        assert_eq!(tk.registry().view_len(), 14);
         // Common tools + local tools + imported WS operation tools.
         assert!(
             tk.toolbox().len() > 20,
@@ -655,13 +658,61 @@ mod tests {
 
     #[test]
     fn multi_host_replicas() {
+        use dm_workflow::graph::Tool;
+        let both = ["host-a".to_string(), "host-b".to_string()];
         let tk = Toolkit::with_hosts(&["host-a", "host-b"]).unwrap();
-        assert_eq!(tk.hosts().len(), 2);
+        assert_eq!(tk.hosts(), both);
         let tools = tk.import_service("host-a", "J48").unwrap();
+        assert_eq!(tools[0].hosts(), both);
+
+        // One record per (service, host): both hosts' suites are
+        // published, and the primary's services are imported with the
+        // other host as their replica.
+        assert_eq!(tk.registry().view_len(), 28);
         assert_eq!(
-            tools[0].hosts(),
-            ["host-a".to_string(), "host-b".to_string()]
+            tk.registry()
+                .live_hosts("Classifier", tk.network().now(), FRESHNESS),
+            both
         );
+        let toolbox = tk.toolbox();
+        let ws_folders: Vec<String> = toolbox
+            .folders()
+            .into_iter()
+            .filter(|f| f.starts_with("WebServices."))
+            .collect();
+        assert_eq!(ws_folders.len(), 14, "{ws_folders:?}");
+        let one_host = Toolkit::new().unwrap();
+        assert_eq!(toolbox.len(), one_host.toolbox().len());
+        let imported = tk.import_primary().unwrap();
+        assert_eq!(
+            imported.len(),
+            ws_folders
+                .iter()
+                .map(|f| toolbox.tools_in(f).len())
+                .sum::<usize>()
+        );
+        for tool in &imported {
+            assert_eq!(tool.hosts(), both, "{}", tool.name());
+        }
+
+        // The case study builds and runs on the two-host toolkit, with
+        // the same bytes as on one host.
+        let run = |tk: &Toolkit| {
+            let (graph, _, bindings) = crate::casestudy::build_case_study(tk).unwrap();
+            Executor::serial()
+                .run(&graph, &bindings)
+                .unwrap()
+                .canonical_bytes()
+        };
+        assert_eq!(run(&tk), run(&one_host));
+    }
+
+    #[test]
+    fn an_empty_host_list_is_a_typed_error() {
+        assert!(matches!(
+            Toolkit::with_hosts(&[]),
+            Err(WsError::NotFound(_))
+        ));
     }
 
     #[test]
@@ -826,8 +877,22 @@ mod tests {
     #[test]
     fn registry_category_lookup_finds_visualisation() {
         let tk = Toolkit::new().unwrap();
-        let viz = tk.registry().find_by_category("visualisation");
-        assert_eq!(viz.len(), 2); // Plot, Math
+        let view = tk.registry().view_snapshot();
+        let viz = Planner::live_candidates(&view, "visualisation", tk.network().now(), FRESHNESS);
+        let names: Vec<&str> = viz.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["Math", "Plot"]);
+    }
+
+    #[test]
+    fn plan_composition_never_ages_out_the_toolkits_own_deployments() {
+        // Nothing heartbeats the registry, so records published at
+        // construction must still be candidates long after any finite
+        // freshness window a fleet would use.
+        let tk = Toolkit::with_hosts(&["wesc-a", "wesc-b"]).unwrap();
+        tk.network().advance_virtual_time(Duration::from_secs(301));
+        let goal = Goal::chain(&[("classifier", "classify", 4_096)]);
+        let (plan, _, _) = tk.plan_composition(&goal, &Planner::default()).unwrap();
+        assert_eq!(plan.assignments[0].service, "J48");
     }
 
     #[test]

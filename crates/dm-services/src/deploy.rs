@@ -1,6 +1,6 @@
 //! One-call deployment of the FAEHIM service suite onto a container
-//! host, and UDDI publication — what installing the toolkit's WAR files
-//! into Tomcat plus jUDDI registration did on the paper's testbed
+//! host, and registry publication — what installing the toolkit's WAR
+//! files into Tomcat plus jUDDI registration did on the paper's testbed
 //! (§4.6).
 
 use crate::assoc_ws::AssociationService;
@@ -15,9 +15,11 @@ use crate::preprocess_ws::PreprocessService;
 use crate::stream_ws::DataStreamService;
 use dm_wsrf::container::ServiceContainer;
 use dm_wsrf::error::Result;
+use dm_wsrf::fleet::GossipNode;
 use dm_wsrf::lifecycle::LifecyclePolicy;
-use dm_wsrf::registry::{ServiceEntry, UddiRegistry};
+use dm_wsrf::registry::ServiceEntry;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Deploy every FAEHIM Web Service into `container`. Returns the list
 /// of deployed service names. Every service that decodes a dataset
@@ -72,21 +74,29 @@ fn categories_of(service: &str) -> Vec<String> {
     cats.iter().map(|s| s.to_string()).collect()
 }
 
-/// Publish every service deployed on `container` into `registry`.
-pub fn publish_suite(container: &ServiceContainer, registry: &UddiRegistry) -> Result<()> {
+/// Publish every service deployed on `container` into `registry` at
+/// virtual instant `now`, one `(service, host)` record per service.
+pub fn publish_suite(
+    container: &ServiceContainer,
+    registry: &GossipNode,
+    now: Duration,
+) -> Result<()> {
     for name in container.deployed() {
         let wsdl = container.wsdl_of(&name)?;
-        registry.publish(ServiceEntry {
-            name: name.clone(),
-            host: container.host().to_string(),
-            wsdl_url: format!("{}?wsdl", wsdl.endpoint),
-            categories: categories_of(&name),
-            description: wsdl
-                .operations
-                .first()
-                .map(|o| o.documentation.clone())
-                .unwrap_or_default(),
-        });
+        registry.publish(
+            ServiceEntry {
+                name: name.clone(),
+                host: container.host().to_string(),
+                wsdl_url: format!("{}?wsdl", wsdl.endpoint),
+                categories: categories_of(&name),
+                description: wsdl
+                    .operations
+                    .first()
+                    .map(|o| o.documentation.clone())
+                    .unwrap_or_default(),
+            },
+            now,
+        );
     }
     Ok(())
 }
@@ -123,13 +133,21 @@ mod tests {
     fn publication_fills_registry() {
         let c = ServiceContainer::new("host-a");
         deploy_faehim_suite(&c).unwrap();
-        let registry = UddiRegistry::new();
-        publish_suite(&c, &registry).unwrap();
-        assert_eq!(registry.len(), 14);
-        let classifiers = registry.find_by_category("classifier");
-        assert_eq!(classifiers.len(), 2);
-        assert!(classifiers[0].wsdl_url.ends_with("?wsdl"));
-        assert_eq!(registry.find_by_category("visualisation").len(), 2);
-        assert_eq!(registry.find_by_category("streaming").len(), 1);
+        let registry = GossipNode::new("host-a");
+        publish_suite(&c, &registry, Duration::ZERO).unwrap();
+        assert_eq!(registry.view_len(), 14);
+        let view = registry.view_snapshot();
+        let in_category = |category: &str| {
+            view.iter()
+                .filter(|r| r.entry.categories.iter().any(|c| c == category))
+                .count()
+        };
+        assert_eq!(in_category("classifier"), 2);
+        assert_eq!(in_category("visualisation"), 2);
+        assert_eq!(in_category("streaming"), 1);
+        let classifier = registry.live_replicas("Classifier", Duration::ZERO, Duration::MAX);
+        assert_eq!(classifier.len(), 1);
+        assert_eq!(classifier[0].host, "host-a");
+        assert!(classifier[0].wsdl_url.ends_with("?wsdl"));
     }
 }

@@ -303,9 +303,9 @@ impl Planner {
         &self.config
     }
 
-    /// Enumerate live candidates for `category` from a gossip view
-    /// snapshot: tombstoned replicas and stale heartbeats are excluded,
-    /// survivors are sorted by `(service, host)` for determinism.
+    /// Category inquiry over a gossip view snapshot: the live records
+    /// ([`ReplicaRecord::is_live`]) tagged `category`, sorted by
+    /// `(service, host)` for determinism.
     pub fn live_candidates(
         view: &[ReplicaRecord],
         category: &str,
@@ -315,9 +315,7 @@ impl Planner {
         let mut hits: Vec<ServiceEntry> = view
             .iter()
             .filter(|r| {
-                !r.tombstone
-                    && now.saturating_sub(r.heartbeat_at) < freshness
-                    && r.entry.categories.iter().any(|c| c == category)
+                r.is_live(now, freshness) && r.entry.categories.iter().any(|c| c == category)
             })
             .map(|r| r.entry.clone())
             .collect();
@@ -326,9 +324,9 @@ impl Planner {
     }
 
     /// Plan `goal` against live telemetry. `candidates` supplies each
-    /// step's replica set (e.g. a registry inquiry or
-    /// [`live_candidates`](Self::live_candidates) over a gossip view);
-    /// hosts whose breakers the snapshot reports open are excluded.
+    /// step's replica set (e.g. [`live_candidates`](Self::live_candidates)
+    /// over a gossip view); hosts whose breakers the snapshot reports
+    /// open are excluded.
     /// Errors with [`WorkflowError::NoCandidates`] when a step has no
     /// placeable replica.
     pub fn plan(
@@ -607,6 +605,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_wsrf::fleet::GossipNode;
 
     fn entry(service: &str, host: &str, categories: &[&str]) -> ServiceEntry {
         ServiceEntry {
@@ -780,6 +779,51 @@ mod tests {
         let hits = Planner::live_candidates(&view, "a", now, fresh);
         let hosts: Vec<&str> = hits.iter().map(|e| e.host.as_str()).collect();
         assert_eq!(hosts, ["live"]);
+    }
+
+    #[test]
+    fn category_hits_follow_republish_and_deregister() {
+        let node = GossipNode::new("registry");
+        let now = Duration::from_secs(1);
+        let hits = |category: &str| {
+            Planner::live_candidates(&node.view_snapshot(), category, now, Duration::MAX).len()
+        };
+        node.publish(entry("S", "h", &["alpha", "beta"]), now);
+        assert_eq!(hits("alpha"), 1);
+        assert_eq!(hits("beta"), 1);
+
+        // Re-publishing with different categories drops the stale hits
+        // and adds the new ones.
+        node.publish(entry("S", "h", &["beta", "gamma"]), now);
+        assert_eq!(hits("alpha"), 0);
+        assert_eq!(hits("beta"), 1);
+        assert_eq!(hits("gamma"), 1);
+
+        node.deregister("S", "h", now);
+        assert_eq!(hits("beta"), 0);
+        assert_eq!(hits("gamma"), 0);
+    }
+
+    #[test]
+    fn category_results_stay_sorted_at_scale() {
+        let node = GossipNode::new("registry");
+        // 50 services on 2 hosts, published in reverse order: the hits
+        // must still come back sorted by (service, host).
+        for i in (0..100).rev() {
+            let service = format!("Svc{:03}", i / 2);
+            let host = format!("h{}", i % 2);
+            node.publish(entry(&service, &host, &["datamining"]), Duration::ZERO);
+        }
+        let view = node.view_snapshot();
+        let hits = Planner::live_candidates(&view, "datamining", Duration::ZERO, Duration::MAX);
+        assert_eq!(hits.len(), 100);
+        let keys: Vec<(&str, &str)> = hits
+            .iter()
+            .map(|e| (e.name.as_str(), e.host.as_str()))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! resource").
 
 use crate::graph::{PortSpec, Token, Tool};
-use dm_wsrf::fleet::P2cRouter;
 use dm_wsrf::resilience::{CallStats, ResilientCaller};
 use dm_wsrf::trace::{current, SpanKind};
 use dm_wsrf::transport::Network;
@@ -34,10 +33,6 @@ pub struct WsTool {
     /// caller (deadline, backoff retries, circuit breakers) and failing
     /// primaries are demoted behind healthy replicas.
     resilience: Option<ResilientCaller>,
-    /// When attached, each `execute` re-orders the replica set with a
-    /// power-of-two-choices draw over the network's live load snapshot
-    /// (E19) instead of using the stored preference order.
-    router: Option<Arc<P2cRouter>>,
     /// Host that served the most recent successful `execute`.
     last_served: Mutex<Option<String>>,
     /// Aggregate attempt/backoff statistics of the most recent `execute`.
@@ -88,21 +83,6 @@ impl WsTool {
     /// fails an `execute` is demoted behind the replicas that did not.
     pub fn set_resilience(&mut self, caller: ResilientCaller) {
         self.resilience = Some(caller);
-    }
-
-    /// Route each `execute` with `router` (builder form).
-    pub fn with_router(mut self, router: Arc<P2cRouter>) -> WsTool {
-        self.set_router(router);
-        self
-    }
-
-    /// Route each `execute` power-of-two-choices over the network's
-    /// load snapshot: the router picks the serving replica per call and
-    /// the remaining replicas (ordered by ascending observed load)
-    /// become the failover sequence. Demotion still reorders the stored
-    /// hosts, which only matters if the router is later detached.
-    pub fn set_router(&mut self, router: Arc<P2cRouter>) {
-        self.router = Some(router);
     }
 
     /// The host that served the last successful [`Tool::execute`], if any.
@@ -230,10 +210,7 @@ impl Tool for WsTool {
         *self.last_served.lock() = None;
         *self.last_stats.lock() = CallStats::default();
 
-        let hosts = match &self.router {
-            Some(router) => router.order(&self.hosts(), &self.network.load_snapshot()),
-            None => self.hosts(),
-        };
+        let hosts = self.hosts();
         let mut attempt_errors: Vec<String> = Vec::new();
         let mut failed_hosts: Vec<String> = Vec::new();
         for host in &hosts {
@@ -302,7 +279,6 @@ pub fn import_wsdl(network: Arc<Network>, host: &str, wsdl: &WsdlDocument) -> Ve
             network: Arc::clone(&network),
             hosts: Mutex::new(vec![host.to_string()]),
             resilience: None,
-            router: None,
             last_served: Mutex::new(None),
             last_stats: Mutex::new(CallStats::default()),
             pure: false,
@@ -507,41 +483,6 @@ mod tests {
         assert_eq!(tool.last_served_host(), Some("b".to_string()));
         assert_eq!(net.monitor().len(), before + 1);
         assert_eq!(tool.hosts(), ["b".to_string(), "a".to_string()]);
-    }
-
-    #[test]
-    fn router_spreads_calls_across_replicas() {
-        let net = network();
-        let tools = import_from_host(Arc::clone(&net), "a", "Doubler").unwrap();
-        let mut tool = tools.into_iter().next().unwrap();
-        tool.add_replica("b");
-        tool.set_router(Arc::new(P2cRouter::new(11)));
-        let mut served = std::collections::HashSet::new();
-        for _ in 0..32 {
-            assert_eq!(tool.execute(&[Token::Int(2)]).unwrap(), vec![Token::Int(4)]);
-            served.insert(tool.last_served_host().unwrap());
-        }
-        assert_eq!(
-            served.len(),
-            2,
-            "router kept hammering one replica: {served:?}"
-        );
-        // Routing is per-call; the stored preference order is untouched.
-        assert_eq!(tool.hosts(), ["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn router_still_fails_over_to_surviving_replica() {
-        let net = network();
-        let tools = import_from_host(Arc::clone(&net), "a", "Doubler").unwrap();
-        let mut tool = tools.into_iter().next().unwrap();
-        tool.add_replica("b");
-        tool.set_router(Arc::new(P2cRouter::new(3)));
-        net.set_host_down("a", true);
-        for _ in 0..8 {
-            assert_eq!(tool.execute(&[Token::Int(3)]).unwrap(), vec![Token::Int(6)]);
-            assert_eq!(tool.last_served_host(), Some("b".to_string()));
-        }
     }
 
     #[test]

@@ -261,8 +261,8 @@ impl ServiceContainer {
     }
 
     /// Requests in the system (serving + queued) at virtual instant
-    /// `now`; 0 without a capacity model. This is the load signal the
-    /// registry's least-outstanding ranking consumes.
+    /// `now`; 0 without a capacity model. This is the load signal
+    /// `Network::load_snapshot` hands the router and the cost model.
     pub fn in_system(&self, now: Duration) -> usize {
         match self.capacity.lock().as_mut() {
             Some(state) => {

@@ -144,15 +144,6 @@ impl CostModel {
         self.hosts.get(host).is_none_or(|h| !h.breaker_open)
     }
 
-    /// The blended load × tail score used by the registry's
-    /// least-outstanding ranking: `(outstanding + 1) × p99`, in
-    /// nanoseconds. A fast-but-busy host (many requests, small tail)
-    /// can beat a slow-but-idle one; with no tail signal the score
-    /// degrades to the plain outstanding count.
-    pub fn cost_score(outstanding: u64, p99: Duration) -> u128 {
-        (outstanding as u128 + 1) * p99.as_nanos().max(1)
-    }
-
     /// Predicted virtual nanoseconds for one invocation on `host`:
     /// queue-depth-many service times ahead of ours plus our own,
     /// inflated by the host's shed and failure rates (each shed or
@@ -266,19 +257,6 @@ mod tests {
         m.observe_breakers(&board, Duration::ZERO);
         assert!(!m.allows("bad"));
         assert!(m.allows("good"));
-    }
-
-    #[test]
-    fn cost_score_blends_load_and_tail() {
-        // Busy-but-fast beats idle-but-slow.
-        let fast_busy = CostModel::cost_score(6, Duration::from_millis(1));
-        let slow_idle = CostModel::cost_score(0, Duration::from_millis(20));
-        assert!(fast_busy < slow_idle);
-        // No tail signal degrades to the outstanding count.
-        assert!(
-            CostModel::cost_score(2, Duration::from_nanos(1))
-                < CostModel::cost_score(3, Duration::from_nanos(1))
-        );
     }
 
     #[test]

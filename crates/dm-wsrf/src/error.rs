@@ -63,7 +63,7 @@ pub enum WsError {
     Malformed(String),
     /// Disk-backed instance store I/O failure.
     Store(String),
-    /// A registry inquiry matched nothing.
+    /// A lookup (registry, session, primary host) matched nothing.
     NotFound(String),
 }
 

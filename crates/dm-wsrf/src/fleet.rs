@@ -1,5 +1,6 @@
-//! Federated multi-host fleet (E19): replicated services, a gossiped
-//! registry, replica-aware routing, and a simulated autoscaler.
+//! The registry and the federated multi-host fleet (E19): replicated
+//! services, a gossiped registry, replica-aware routing, and a
+//! simulated autoscaler.
 //!
 //! The paper's deployment was one host at the Welsh e-Science Centre;
 //! DAME (PAPERS.md) is the exemplar for the *federated* version of the
@@ -17,14 +18,15 @@
 //!   Views converge by push-pull anti-entropy rounds over a seeded,
 //!   deterministic peer choice (a ring edge plus random fanout, so
 //!   convergence is bounded by the ring diameter and typically
-//!   logarithmic).
+//!   logarithmic). A lone node is an authoritative UDDI registry: the
+//!   toolkit publishes its whole deployment into one and inquires it
+//!   by name and category.
 //! - **Replica-aware routing** ([`P2cRouter`]): power-of-two-choices
 //!   over [`Network::load_snapshot`] — draw two candidate replicas with
 //!   a seeded deterministic generator, send the call to the less loaded
 //!   one. Replicas the snapshot has never measured are treated as
 //!   *unknown*, ranked after lightly-loaded measured replicas instead
-//!   of winning every draw (the cold-replica stampede the registry fix
-//!   in [`rank_least_outstanding`] addresses the same way).
+//!   of winning every draw (the cold-replica stampede).
 //! - **Autoscaler** ([`Autoscaler`]): adds or drains replicas from
 //!   queue-depth and p99 signals sampled on the virtual clock, with a
 //!   cooldown so one burst does not thrash the fleet.
@@ -37,8 +39,6 @@
 //! Everything runs on the virtual clock and every random choice is
 //! seeded, so fleet runs are byte-identical given the same seed —
 //! which is what lets E19 pin p99 and shed-rate against replica count.
-//!
-//! [`rank_least_outstanding`]: crate::registry::UddiRegistry::rank_least_outstanding
 
 use crate::container::{CapacityConfig, WebService};
 use crate::error::{Result, WsError};
@@ -83,6 +83,14 @@ impl ReplicaRecord {
     /// The view key: one record per `(service, host)` replica.
     pub fn key(&self) -> String {
         replica_key(&self.entry.name, &self.entry.host)
+    }
+
+    /// Whether the replica serves at `now`: not tombstoned and
+    /// heartbeated within `freshness`, start-inclusive and
+    /// end-exclusive, so a heartbeat aged exactly `freshness` is
+    /// already stale.
+    pub fn is_live(&self, now: Duration, freshness: Duration) -> bool {
+        !self.tombstone && now.saturating_sub(self.heartbeat_at) < freshness
     }
 
     /// Merge precedence: higher version wins; at equal version a
@@ -169,10 +177,9 @@ impl GossipNode {
         }
     }
 
-    /// Live replicas of `service` at `now`: not tombstoned and
-    /// heartbeated within `freshness` (start-inclusive, end-exclusive —
-    /// the registry's half-open convention). Sorted by host, so every
-    /// converged node answers in the same order.
+    /// Live replicas of `service` at `now` (see
+    /// [`ReplicaRecord::is_live`]). Sorted by host, so every converged
+    /// node answers in the same order.
     pub fn live_replicas(
         &self,
         service: &str,
@@ -183,11 +190,7 @@ impl GossipNode {
             .view
             .read()
             .values()
-            .filter(|r| {
-                !r.tombstone
-                    && r.entry.name == service
-                    && now.saturating_sub(r.heartbeat_at) < freshness
-            })
+            .filter(|r| r.entry.name == service && r.is_live(now, freshness))
             .map(|r| r.entry.clone())
             .collect();
         hits.sort_by(|a, b| a.host.cmp(&b.host));

@@ -17,12 +17,13 @@
 //!   fault-tolerance experiment, and a virtual clock;
 //! * [`container`] — an Axis-like service container that deploys
 //!   [`container::WebService`] implementations and dispatches envelopes;
-//! * [`registry`] — a UDDI-like publish/inquiry registry with per-
-//!   service liveness (heartbeats, health-aware inquiry);
-//! * [`fleet`] — the federated scale-out (E19): replicated services
-//!   across simulated hosts, a gossiped registry with versioned
-//!   heartbeats and tombstones, power-of-two-choices replica routing,
-//!   and a queue-depth/p99 autoscaler on the virtual clock;
+//! * [`registry`] — the published service record (name, host, WSDL
+//!   URL, UDDI category bag);
+//! * [`fleet`] — the one registry and the federated scale-out (E19): a
+//!   gossip view of `(service, host)` records with versioned heartbeats
+//!   and tombstones (a one-node view is the toolkit's UDDI registry),
+//!   power-of-two-choices replica routing, and a queue-depth/p99
+//!   autoscaler on the virtual clock;
 //! * [`costmodel`] — the frozen QoS telemetry snapshot (per-host
 //!   latency quantiles, queue depth, shed rate, breaker state, and
 //!   predicted transfer bytes) that the E20 composition planner prices
@@ -78,7 +79,7 @@ pub mod prelude {
     };
     pub use crate::lifecycle::{InstanceStore, LifecycleManager, LifecyclePolicy};
     pub use crate::metrics::MetricsRegistry;
-    pub use crate::registry::{ServiceEntry, UddiRegistry};
+    pub use crate::registry::ServiceEntry;
     pub use crate::resilience::{
         BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker, ResiliencePolicy,
         ResilientCaller,

@@ -106,11 +106,11 @@ pub struct MonitorSummary {
     pub ref_hits: usize,
 }
 
-/// Per-host aggregate statistics, the registry's and circuit breakers'
-/// view of endpoint health. Counts, traffic and `max_duration` are
-/// all-time; the quantiles read the host's last [`HOST_WINDOW`]
-/// attempts. Durations are in the log's clock: virtual for a network
-/// log, wall for a container log.
+/// Per-host aggregate statistics, the cost model's and circuit
+/// breakers' view of endpoint health. Counts, traffic and
+/// `max_duration` are all-time; the quantiles read the host's last
+/// [`HOST_WINDOW`] attempts. Durations are in the log's clock: virtual
+/// for a network log, wall for a container log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostSummary {
     /// Host name.

@@ -1,24 +1,16 @@
-//! A UDDI-like service registry.
+//! The published service record.
 //!
 //! §4.6: "Access to the UDDI registry for inquiry is available at
-//! <http://agents-comsc.grid.cf.ac.uk:8334/juddi/inquiry>". This module
-//! provides the publish and inquiry operations the toolkit uses:
-//! services are published with a name, a host, a WSDL location, and
-//! category tags ("classifier", "clustering", "visualisation", ...),
-//! and can be found by exact name, name substring, or category.
+//! <http://agents-comsc.grid.cf.ac.uk:8334/juddi/inquiry>". Services are
+//! published with a name, a host, a WSDL location, and category tags
+//! ("classifier", "clustering", "visualisation", ...). The registry
+//! that holds these records is a gossip view
+//! ([`GossipNode`](crate::fleet::GossipNode)), keyed by
+//! `(service, host)` so every replica of a service is its own record;
+//! inquiries by name ([`GossipNode::live_replicas`]) and by category
+//! (`dm_workflow::planner::Planner::live_candidates`) read that view.
 //!
-//! The registry also tracks per-service **liveness** on the virtual
-//! clock: services heartbeat ([`UddiRegistry::heartbeat`]), can be
-//! marked dead outright, and the health-aware inquiries
-//! ([`UddiRegistry::find_by_category_healthy`],
-//! [`UddiRegistry::find_healthy`]) filter out dead endpoints and rank
-//! fresh ones first, so importers never bind a workflow to a host the
-//! monitor already knows is gone.
-
-use crate::error::{Result, WsError};
-use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
-use std::time::Duration;
+//! [`GossipNode::live_replicas`]: crate::fleet::GossipNode::live_replicas
 
 /// One published service record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,692 +25,4 @@ pub struct ServiceEntry {
     pub categories: Vec<String>,
     /// Free-text description.
     pub description: String,
-}
-
-/// Liveness of a published service as the registry sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthStatus {
-    /// No heartbeat has ever been recorded (freshly published).
-    Unknown,
-    /// A heartbeat arrived within the freshness horizon.
-    Alive,
-    /// Explicitly marked dead, or the last heartbeat is stale.
-    Dead,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct HealthRecord {
-    last_heartbeat: Option<Duration>,
-    marked_dead: bool,
-}
-
-/// Indexed entry storage: name → entry for O(1) exact inquiry, plus a
-/// category → names inverted index so category inquiry is proportional
-/// to the result set, not the registry (E11 measured the old list scan
-/// at 122 µs per inquiry at 1 000 entries). `BTreeSet` keeps each
-/// category's names sorted, which is exactly the order the category
-/// inquiry API promises.
-#[derive(Debug, Default)]
-struct EntryIndex {
-    by_name: HashMap<String, ServiceEntry>,
-    by_category: HashMap<String, BTreeSet<String>>,
-}
-
-impl EntryIndex {
-    fn insert(&mut self, entry: ServiceEntry) {
-        self.remove(&entry.name);
-        for category in &entry.categories {
-            self.by_category
-                .entry(category.clone())
-                .or_default()
-                .insert(entry.name.clone());
-        }
-        self.by_name.insert(entry.name.clone(), entry);
-    }
-
-    fn remove(&mut self, name: &str) -> bool {
-        let Some(old) = self.by_name.remove(name) else {
-            return false;
-        };
-        for category in &old.categories {
-            if let Some(names) = self.by_category.get_mut(category) {
-                names.remove(name);
-                if names.is_empty() {
-                    self.by_category.remove(category);
-                }
-            }
-        }
-        true
-    }
-}
-
-/// The registry. Publishing the same name twice replaces the entry
-/// (re-deployment), matching jUDDI's businessService update semantics.
-/// Health lives in a side table keyed by service name so entry records
-/// stay plain published data.
-#[derive(Debug, Default)]
-pub struct UddiRegistry {
-    entries: RwLock<EntryIndex>,
-    health: RwLock<HashMap<String, HealthRecord>>,
-}
-
-impl UddiRegistry {
-    /// Create an empty registry.
-    pub fn new() -> UddiRegistry {
-        UddiRegistry::default()
-    }
-
-    /// Publish (or replace) a service entry. Re-publishing resets any
-    /// previous health record: a redeployed service starts Unknown.
-    pub fn publish(&self, entry: ServiceEntry) {
-        let mut entries = self.entries.write();
-        self.health.write().remove(&entry.name);
-        entries.insert(entry);
-    }
-
-    /// Remove an entry; returns whether one existed.
-    pub fn unpublish(&self, name: &str) -> bool {
-        let mut entries = self.entries.write();
-        self.health.write().remove(name);
-        entries.remove(name)
-    }
-
-    /// Record a liveness heartbeat for `name` at virtual time `now`.
-    /// Clears any prior dead mark.
-    pub fn heartbeat(&self, name: &str, now: Duration) {
-        let mut health = self.health.write();
-        let record = health.entry(name.to_string()).or_default();
-        record.last_heartbeat = Some(now);
-        record.marked_dead = false;
-    }
-
-    /// Explicitly mark `name` dead (e.g. a breaker opened for its
-    /// host). A later heartbeat revives it.
-    pub fn mark_dead(&self, name: &str) {
-        self.health
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .marked_dead = true;
-    }
-
-    /// Health of `name` at `now`: heartbeats older than `freshness`
-    /// count as dead, never-heartbeated services are Unknown. The
-    /// freshness window is start-inclusive, end-exclusive — a heartbeat
-    /// at `t` keeps the service alive for `now ∈ [t, t + freshness)`,
-    /// the same half-open convention the fault engine pins for outage
-    /// windows and latency spikes, so a heartbeat aged exactly
-    /// `freshness` already reads as dead.
-    pub fn health_of(&self, name: &str, now: Duration, freshness: Duration) -> HealthStatus {
-        let health = self.health.read();
-        match health.get(name) {
-            None => HealthStatus::Unknown,
-            Some(record) if record.marked_dead => HealthStatus::Dead,
-            Some(record) => match record.last_heartbeat {
-                None => HealthStatus::Unknown,
-                Some(at) if now.saturating_sub(at) < freshness => HealthStatus::Alive,
-                Some(_) => HealthStatus::Dead,
-            },
-        }
-    }
-
-    /// Number of published services.
-    pub fn len(&self) -> usize {
-        self.entries.read().by_name.len()
-    }
-
-    /// `true` when nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().by_name.is_empty()
-    }
-
-    /// Exact-name inquiry (indexed: one hash lookup).
-    pub fn find(&self, name: &str) -> Result<ServiceEntry> {
-        self.entries
-            .read()
-            .by_name
-            .get(name)
-            .cloned()
-            .ok_or_else(|| WsError::NotFound(format!("service {name:?}")))
-    }
-
-    /// Substring inquiry (case-insensitive), sorted by name.
-    pub fn find_by_name(&self, pattern: &str) -> Vec<ServiceEntry> {
-        let needle = pattern.to_ascii_lowercase();
-        let mut hits: Vec<ServiceEntry> = self
-            .entries
-            .read()
-            .by_name
-            .values()
-            .filter(|e| e.name.to_ascii_lowercase().contains(&needle))
-            .cloned()
-            .collect();
-        hits.sort_by(|a, b| a.name.cmp(&b.name));
-        hits
-    }
-
-    /// Category inquiry, sorted by name. Served from the inverted
-    /// index: cost is proportional to the number of matches, and the
-    /// `BTreeSet` iterates names already in sorted order.
-    pub fn find_by_category(&self, category: &str) -> Vec<ServiceEntry> {
-        let entries = self.entries.read();
-        match entries.by_category.get(category) {
-            None => Vec::new(),
-            Some(names) => names
-                .iter()
-                .filter_map(|name| entries.by_name.get(name).cloned())
-                .collect(),
-        }
-    }
-
-    /// All entries, sorted by name.
-    pub fn all(&self) -> Vec<ServiceEntry> {
-        let mut entries: Vec<ServiceEntry> =
-            self.entries.read().by_name.values().cloned().collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        entries
-    }
-
-    fn rank_healthy(
-        &self,
-        mut hits: Vec<ServiceEntry>,
-        now: Duration,
-        freshness: Duration,
-    ) -> Vec<ServiceEntry> {
-        hits.retain(|e| self.health_of(&e.name, now, freshness) != HealthStatus::Dead);
-        // Alive (freshest heartbeat first) ahead of Unknown; names break
-        // ties so the order is total.
-        hits.sort_by(|a, b| {
-            let key = |e: &ServiceEntry| {
-                let health = self.health.read();
-                match health.get(&e.name).and_then(|r| r.last_heartbeat) {
-                    Some(at) => (0u8, std::cmp::Reverse(at)),
-                    None => (1u8, std::cmp::Reverse(Duration::ZERO)),
-                }
-            };
-            key(a).cmp(&key(b)).then_with(|| a.name.cmp(&b.name))
-        });
-        hits
-    }
-
-    /// Category inquiry that drops dead endpoints and ranks live ones
-    /// (freshest heartbeat) first, then Unknown, by name within ties.
-    pub fn find_by_category_healthy(
-        &self,
-        category: &str,
-        now: Duration,
-        freshness: Duration,
-    ) -> Vec<ServiceEntry> {
-        self.rank_healthy(self.find_by_category(category), now, freshness)
-    }
-
-    /// Substring inquiry filtered and ranked like
-    /// [`find_by_category_healthy`](Self::find_by_category_healthy).
-    pub fn find_healthy(
-        &self,
-        pattern: &str,
-        now: Duration,
-        freshness: Duration,
-    ) -> Vec<ServiceEntry> {
-        self.rank_healthy(self.find_by_name(pattern), now, freshness)
-    }
-
-    /// Rank `hits` cheapest first: dead endpoints are dropped, and the
-    /// survivors are ordered by the blended cost score
-    /// [`CostModel::cost_score`] — `(outstanding + 1) × p99` — over the
-    /// caller-supplied per-host load (e.g. [`Network::load_snapshot`])
-    /// and per-host p99 tail (e.g. the monitor's
-    /// [`summary_by_host`](crate::monitor::MonitorLog::summary_by_host)).
-    /// A fast-but-busy host can therefore beat a slow-but-idle one;
-    /// with an empty `tails` map the score degrades to the plain
-    /// outstanding count, the pre-E20 behaviour.
-    ///
-    /// Hosts a snapshot has never measured are *unknown*, not idle:
-    /// they take the lower median of the measured figures (load and
-    /// tail alike) and rank after measured hosts at the same score, so
-    /// a never-seen replica joins the rotation at a typical depth
-    /// instead of always winning — a load-0 default would stampede
-    /// every caller onto each cold replica the moment it appears. Ties
-    /// fall back to the health ranking — alive-freshest first, then
-    /// Unknown, then name — so two equally-scored replicas still prefer
-    /// the one heartbeating.
-    ///
-    /// [`Network::load_snapshot`]: crate::transport::Network::load_snapshot
-    /// [`CostModel::cost_score`]: crate::costmodel::CostModel::cost_score
-    pub fn rank_least_outstanding(
-        &self,
-        hits: Vec<ServiceEntry>,
-        now: Duration,
-        freshness: Duration,
-        loads: &HashMap<String, u64>,
-        tails: &HashMap<String, Duration>,
-    ) -> Vec<ServiceEntry> {
-        let mut hits = self.rank_healthy(hits, now, freshness);
-        let mut measured: Vec<u64> = hits
-            .iter()
-            .filter_map(|e| loads.get(&e.host).copied())
-            .collect();
-        measured.sort_unstable();
-        // Lower median (empty snapshot → 0, preserving health order).
-        let unknown_load = measured
-            .get(measured.len().saturating_sub(1) / 2)
-            .copied()
-            .unwrap_or(0);
-        let mut measured_tails: Vec<Duration> = hits
-            .iter()
-            .filter_map(|e| tails.get(&e.host).copied())
-            .collect();
-        measured_tails.sort_unstable();
-        // Same lower-median rule for unknown tails; an empty tail map
-        // scores every host's tail as 1 ns, reducing the blend to pure
-        // load ordering.
-        let unknown_tail = measured_tails
-            .get(measured_tails.len().saturating_sub(1) / 2)
-            .copied()
-            .unwrap_or(Duration::from_nanos(1));
-        // Stable sort: equal keys keep the health ranking's order. The
-        // second key ranks unknown hosts after measured ones at the
-        // same score.
-        hits.sort_by_key(|e| {
-            let (load, measured) = match loads.get(&e.host) {
-                Some(&load) => (load, true),
-                None => (unknown_load, false),
-            };
-            let tail = tails.get(&e.host).copied().unwrap_or(unknown_tail);
-            (
-                crate::costmodel::CostModel::cost_score(load, tail),
-                u8::from(!measured),
-            )
-        });
-        hits
-    }
-
-    /// Category inquiry ranked cheapest first (see
-    /// [`rank_least_outstanding`](Self::rank_least_outstanding)) so a
-    /// workflow binding replicas actually spreads load instead of
-    /// piling onto the freshest heartbeat.
-    pub fn find_by_category_least_loaded(
-        &self,
-        category: &str,
-        now: Duration,
-        freshness: Duration,
-        loads: &HashMap<String, u64>,
-        tails: &HashMap<String, Duration>,
-    ) -> Vec<ServiceEntry> {
-        self.rank_least_outstanding(
-            self.find_by_category(category),
-            now,
-            freshness,
-            loads,
-            tails,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(name: &str, categories: &[&str]) -> ServiceEntry {
-        ServiceEntry {
-            name: name.to_string(),
-            host: "host-a".to_string(),
-            wsdl_url: format!("http://host-a:8080/axis/{name}?wsdl"),
-            categories: categories.iter().map(|s| s.to_string()).collect(),
-            description: String::new(),
-        }
-    }
-
-    #[test]
-    fn publish_and_find() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("Classifier", &["classifier", "datamining"]));
-        reg.publish(entry("Cobweb", &["clustering", "datamining"]));
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.find("Cobweb").unwrap().host, "host-a");
-        assert!(reg.find("Nope").is_err());
-    }
-
-    #[test]
-    fn republish_replaces() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("Classifier", &["v1"]));
-        let mut updated = entry("Classifier", &["v2"]);
-        updated.host = "host-b".into();
-        reg.publish(updated);
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.find("Classifier").unwrap().host, "host-b");
-    }
-
-    #[test]
-    fn name_pattern_inquiry() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("ClassifierService", &[]));
-        reg.publish(entry("ClustererService", &[]));
-        reg.publish(entry("PlotService", &[]));
-        let hits = reg.find_by_name("service");
-        assert_eq!(hits.len(), 3);
-        let hits = reg.find_by_name("Cl");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].name, "ClassifierService");
-    }
-
-    #[test]
-    fn category_inquiry() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("J48", &["classifier"]));
-        reg.publish(entry("Cobweb", &["clustering"]));
-        reg.publish(entry("Classifier", &["classifier"]));
-        let hits = reg.find_by_category("classifier");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].name, "Classifier");
-        assert!(reg.find_by_category("visualisation").is_empty());
-    }
-
-    #[test]
-    fn health_lifecycle() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("A", &[]));
-        let fresh = Duration::from_secs(10);
-        assert_eq!(
-            reg.health_of("A", Duration::ZERO, fresh),
-            HealthStatus::Unknown
-        );
-
-        reg.heartbeat("A", Duration::from_secs(5));
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(6), fresh),
-            HealthStatus::Alive
-        );
-        // Stale heartbeat reads as dead.
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(30), fresh),
-            HealthStatus::Dead
-        );
-
-        reg.mark_dead("A");
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(6), fresh),
-            HealthStatus::Dead
-        );
-        // A heartbeat revives an explicitly dead service.
-        reg.heartbeat("A", Duration::from_secs(7));
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(8), fresh),
-            HealthStatus::Alive
-        );
-
-        // Re-publishing resets health to Unknown.
-        reg.publish(entry("A", &[]));
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(8), fresh),
-            HealthStatus::Unknown
-        );
-    }
-
-    #[test]
-    fn healthy_inquiry_filters_and_ranks() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("Stale", &["classifier"]));
-        reg.publish(entry("Fresh", &["classifier"]));
-        reg.publish(entry("Newcomer", &["classifier"]));
-        reg.publish(entry("Corpse", &["classifier"]));
-
-        let now = Duration::from_secs(100);
-        let fresh = Duration::from_secs(30);
-        reg.heartbeat("Stale", Duration::from_secs(10)); // 90 s old: dead
-        reg.heartbeat("Fresh", Duration::from_secs(95));
-        reg.mark_dead("Corpse");
-
-        let hits = reg.find_by_category_healthy("classifier", now, fresh);
-        let names: Vec<&str> = hits.iter().map(|e| e.name.as_str()).collect();
-        // Alive first, then never-heartbeated; stale + marked-dead gone.
-        assert_eq!(names, ["Fresh", "Newcomer"]);
-
-        let by_name = reg.find_healthy("e", now, fresh);
-        assert!(by_name
-            .iter()
-            .all(|e| e.name != "Corpse" && e.name != "Stale"));
-
-        // The plain inquiries still see everything.
-        assert_eq!(reg.find_by_category("classifier").len(), 4);
-    }
-
-    #[test]
-    fn freshness_window_is_start_inclusive_end_exclusive() {
-        // Same half-open convention as the fault engine's outage
-        // windows: alive for now ∈ [t, t + freshness), dead at the
-        // boundary itself.
-        let reg = UddiRegistry::new();
-        reg.publish(entry("A", &[]));
-        let fresh = Duration::from_secs(30);
-        reg.heartbeat("A", Duration::from_secs(10));
-
-        // Age 0 (the heartbeat instant) is alive.
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(10), fresh),
-            HealthStatus::Alive
-        );
-        // One nanosecond inside the window is still alive.
-        assert_eq!(
-            reg.health_of(
-                "A",
-                Duration::from_secs(40) - Duration::from_nanos(1),
-                fresh
-            ),
-            HealthStatus::Alive
-        );
-        // A heartbeat aged exactly `freshness` is already dead.
-        assert_eq!(
-            reg.health_of("A", Duration::from_secs(40), fresh),
-            HealthStatus::Dead
-        );
-    }
-
-    #[test]
-    fn least_loaded_inquiry_spreads_replicas() {
-        let reg = UddiRegistry::new();
-        let replica = |name: &str, host: &str| {
-            let mut e = entry(name, &["classifier"]);
-            e.host = host.to_string();
-            e
-        };
-        reg.publish(replica("ClassifierA", "host-a"));
-        reg.publish(replica("ClassifierB", "host-b"));
-        reg.publish(replica("ClassifierC", "host-c"));
-        reg.publish(replica("ClassifierDead", "host-d"));
-        reg.mark_dead("ClassifierDead");
-
-        let now = Duration::from_secs(100);
-        let fresh = Duration::from_secs(30);
-        reg.heartbeat("ClassifierA", Duration::from_secs(99));
-        reg.heartbeat("ClassifierB", Duration::from_secs(98));
-        reg.heartbeat("ClassifierC", Duration::from_secs(97));
-
-        // Health-only ranking piles onto the freshest heartbeat (A).
-        let healthy = reg.find_by_category_healthy("classifier", now, fresh);
-        assert_eq!(healthy[0].name, "ClassifierA");
-
-        // Load-aware ranking sends the call to the lightest replica.
-        let loads: HashMap<String, u64> =
-            [("host-a".to_string(), 7), ("host-b".to_string(), 2)].into();
-        let ranked =
-            reg.find_by_category_least_loaded("classifier", now, fresh, &loads, &HashMap::new());
-        let names: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
-        // host-b is the lightest *measured* host (2). host-c was never
-        // measured, so it is unknown — it takes the lower median of the
-        // measured loads (2) and ranks after the measured host-b, but
-        // still ahead of overloaded host-a (7). The dead replica never
-        // appears. (The pre-fix code treated unknown as idle, putting C
-        // first — the cold-replica stampede.)
-        assert_eq!(names, ["ClassifierB", "ClassifierC", "ClassifierA"]);
-
-        // Equal loads fall back to the health ranking's order.
-        let ranked = reg.find_by_category_least_loaded(
-            "classifier",
-            now,
-            fresh,
-            &HashMap::new(),
-            &HashMap::new(),
-        );
-        let names: Vec<&str> = ranked.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["ClassifierA", "ClassifierB", "ClassifierC"]);
-    }
-
-    #[test]
-    fn unknown_hosts_rank_after_lightly_loaded_measured_ones() {
-        // Regression for the cold-replica stampede: a replica absent
-        // from the load snapshot must not outrank every measured host.
-        let reg = UddiRegistry::new();
-        let replica = |name: &str, host: &str| {
-            let mut e = entry(name, &["c"]);
-            e.host = host.to_string();
-            e
-        };
-        reg.publish(replica("Idle", "measured-idle"));
-        reg.publish(replica("Busy", "measured-busy"));
-        reg.publish(replica("Cold", "never-seen"));
-        let now = Duration::from_secs(10);
-        let fresh = Duration::from_secs(60);
-
-        let loads: HashMap<String, u64> = [
-            ("measured-idle".to_string(), 0),
-            ("measured-busy".to_string(), 8),
-        ]
-        .into();
-        let names: Vec<String> = reg
-            .find_by_category_least_loaded("c", now, fresh, &loads, &HashMap::new())
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        // Unknown takes the lower median of {0, 8} = 0 but ranks after
-        // the measured idle host; it still beats the saturated one.
-        assert_eq!(names, ["Idle", "Cold", "Busy"]);
-    }
-
-    #[test]
-    fn fast_but_busy_host_beats_slow_but_idle_one() {
-        // Regression for the E20 cost blend: ranking on outstanding
-        // count alone sends the call to the idle host even when its
-        // p99 tail is an order of magnitude worse. The blended score
-        // (outstanding + 1) × p99 picks the busy-but-fast host.
-        let reg = UddiRegistry::new();
-        let replica = |name: &str, host: &str| {
-            let mut e = entry(name, &["c"]);
-            e.host = host.to_string();
-            e
-        };
-        reg.publish(replica("Fast", "busy-fast"));
-        reg.publish(replica("Slow", "idle-slow"));
-        let now = Duration::from_secs(10);
-        let fresh = Duration::from_secs(60);
-
-        let loads: HashMap<String, u64> =
-            [("busy-fast".to_string(), 6), ("idle-slow".to_string(), 0)].into();
-        // Outstanding count alone (no tails): the idle host wins.
-        let names: Vec<String> = reg
-            .find_by_category_least_loaded("c", now, fresh, &loads, &HashMap::new())
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(names, ["Slow", "Fast"]);
-
-        // With p99 tails blended in: 7 × 1 ms = 7 ms for the busy-fast
-        // host vs 1 × 20 ms = 20 ms for the idle-slow one.
-        let tails: HashMap<String, Duration> = [
-            ("busy-fast".to_string(), Duration::from_millis(1)),
-            ("idle-slow".to_string(), Duration::from_millis(20)),
-        ]
-        .into();
-        let names: Vec<String> = reg
-            .find_by_category_least_loaded("c", now, fresh, &loads, &tails)
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(names, ["Fast", "Slow"]);
-    }
-
-    #[test]
-    fn unknown_tails_take_the_lower_median_of_measured_ones() {
-        // A host with a measured load but no recorded tail must not be
-        // scored at 1 ns (which would make it unbeatable once any other
-        // host has a real p99) — it takes the lower median tail.
-        let reg = UddiRegistry::new();
-        let replica = |name: &str, host: &str| {
-            let mut e = entry(name, &["c"]);
-            e.host = host.to_string();
-            e
-        };
-        reg.publish(replica("Measured", "with-tail"));
-        reg.publish(replica("Tailless", "no-tail"));
-        let now = Duration::from_secs(10);
-        let fresh = Duration::from_secs(60);
-        let loads: HashMap<String, u64> =
-            [("with-tail".to_string(), 1), ("no-tail".to_string(), 2)].into();
-        let tails: HashMap<String, Duration> =
-            [("with-tail".to_string(), Duration::from_millis(4))].into();
-        // Tailless inherits the 4 ms median: 3 × 4 ms > 2 × 4 ms.
-        let names: Vec<String> = reg
-            .find_by_category_least_loaded("c", now, fresh, &loads, &tails)
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(names, ["Measured", "Tailless"]);
-    }
-
-    #[test]
-    fn freshest_heartbeat_ranks_first() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("Old", &["c"]));
-        reg.publish(entry("New", &["c"]));
-        reg.heartbeat("Old", Duration::from_secs(1));
-        reg.heartbeat("New", Duration::from_secs(9));
-        let hits =
-            reg.find_by_category_healthy("c", Duration::from_secs(10), Duration::from_secs(60));
-        assert_eq!(hits[0].name, "New");
-        assert_eq!(hits[1].name, "Old");
-    }
-
-    #[test]
-    fn category_index_follows_republish_and_unpublish() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("S", &["alpha", "beta"]));
-        assert_eq!(reg.find_by_category("alpha").len(), 1);
-        assert_eq!(reg.find_by_category("beta").len(), 1);
-
-        // Re-publishing with different categories must drop the stale
-        // index entries and add the new ones.
-        reg.publish(entry("S", &["beta", "gamma"]));
-        assert!(reg.find_by_category("alpha").is_empty());
-        assert_eq!(reg.find_by_category("beta").len(), 1);
-        assert_eq!(reg.find_by_category("gamma").len(), 1);
-
-        reg.unpublish("S");
-        assert!(reg.find_by_category("beta").is_empty());
-        assert!(reg.find_by_category("gamma").is_empty());
-    }
-
-    #[test]
-    fn category_results_stay_name_sorted_at_scale() {
-        let reg = UddiRegistry::new();
-        // Insert in reverse order; the index must still return sorted.
-        for i in (0..100).rev() {
-            reg.publish(entry(&format!("Svc{i:03}"), &["datamining"]));
-        }
-        let hits = reg.find_by_category("datamining");
-        assert_eq!(hits.len(), 100);
-        let names: Vec<&str> = hits.iter().map(|e| e.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn unpublish() {
-        let reg = UddiRegistry::new();
-        reg.publish(entry("X", &[]));
-        assert!(reg.unpublish("X"));
-        assert!(!reg.unpublish("X"));
-        assert!(reg.is_empty());
-    }
 }

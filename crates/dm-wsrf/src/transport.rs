@@ -424,10 +424,10 @@ impl Network {
         self.outstanding.lock().get(host).copied().unwrap_or(0)
     }
 
-    /// Per-host load estimate for the registry's least-outstanding
-    /// ranking: the larger of the wall-clock outstanding counter and
-    /// the requests in the host's capacity system at the current
-    /// virtual instant (queued + serving; 0 without a capacity model).
+    /// Per-host load estimate for P2C routing and the cost model: the
+    /// larger of the wall-clock outstanding counter and the requests in
+    /// the host's capacity system at the current virtual instant
+    /// (queued + serving; 0 without a capacity model).
     pub fn load_snapshot(&self) -> HashMap<String, u64> {
         let now = self.virtual_time();
         let outstanding = self.outstanding.lock().clone();

@@ -5,21 +5,23 @@
 //!
 //! Run with `cargo run --example figure2_components`.
 
+use dm_workflow::planner::Planner;
 use faehim::Toolkit;
+use std::time::Duration;
 
 fn main() {
     let toolkit = Toolkit::new().expect("toolkit provisioning");
     print!("{}", toolkit.describe_components());
 
     println!("\nUDDI inquiry demonstration (§4.6):");
+    // The registry is a gossip view; a category inquiry filters its
+    // live records and sorts them by (service, host). Nothing
+    // heartbeats the toolkit's deployments, so the window is unbounded.
+    let view = toolkit.registry().view_snapshot();
+    let now = toolkit.network().now();
     for category in ["classifier", "clustering", "visualisation", "data-handling"] {
-        let hits = toolkit.registry().find_by_category(category);
+        let hits = Planner::live_candidates(&view, category, now, Duration::MAX);
         let names: Vec<&str> = hits.iter().map(|e| e.name.as_str()).collect();
         println!("  category {category:?} -> {names:?}");
     }
-    let inquiry = toolkit.registry().find_by_name("Cl");
-    println!(
-        "  name inquiry \"Cl\" -> {:?}",
-        inquiry.iter().map(|e| e.name.as_str()).collect::<Vec<_>>()
-    );
 }

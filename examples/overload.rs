@@ -1,12 +1,13 @@
 //! Admission control under overload: a host with bounded capacity
 //! sheds excess arrivals as retryable `ServerBusy` faults, the
-//! resilience layer rides out a shed with extended backoff, and the
-//! registry's least-loaded inquiry steers new work at the idle replica.
+//! resilience layer rides out a shed with extended backoff, and
+//! power-of-two-choices routing over the load snapshot steers new work
+//! at the idle replica.
 //!
 //! Run with `cargo run --example overload`.
 
 use dm_wsrf::container::CapacityConfig;
-use dm_wsrf::registry::ServiceEntry;
+use dm_wsrf::fleet::P2cRouter;
 use dm_wsrf::resilience::{BreakerConfig, ResiliencePolicy};
 use faehim::Toolkit;
 use std::time::Duration;
@@ -67,18 +68,7 @@ fn main() {
         stats.attempts, stats.busy, stats.backoff
     );
 
-    println!("\n=== Least-loaded registry inquiry prefers the idle replica ===");
-    let registry = toolkit.registry();
-    for host in ["wesc-a", "wesc-b"] {
-        registry.publish(ServiceEntry {
-            name: format!("Classifier@{host}"),
-            host: host.to_string(),
-            wsdl_url: format!("http://{host}:8080/axis/Classifier?wsdl"),
-            categories: vec!["classifier-replica".to_string()],
-            description: "replicated classifier".to_string(),
-        });
-        registry.heartbeat(&format!("Classifier@{host}"), net.now());
-    }
+    println!("\n=== Power-of-two-choices routing prefers the idle replica ===");
     // Rewind into the burst's busy window so wesc-a still holds work.
     net.set_virtual_time(t0 + Duration::from_millis(1));
     let loads = net.load_snapshot();
@@ -87,31 +77,21 @@ fn main() {
         loads.get("wesc-a").copied().unwrap_or(0),
         loads.get("wesc-b").copied().unwrap_or(0)
     );
-    // Blend in the monitor's per-host p99 tails (the E20 cost score):
-    // a fast-but-busy replica can outrank a slow-but-idle one.
-    let tails: std::collections::HashMap<String, Duration> = net
-        .monitor()
-        .summary_by_host()
-        .into_iter()
-        .map(|s| (s.host, s.p99_duration))
-        .collect();
-    let ranked = registry.find_by_category_least_loaded(
-        "classifier-replica",
-        net.now(),
-        Duration::from_secs(300),
-        &loads,
-        &tails,
-    );
-    for (i, entry) in ranked.iter().enumerate() {
+    // The registry lists one Classifier replica per host; the router
+    // draws two and sends the call to the less loaded one, then orders
+    // the rest by load as the failover sequence.
+    let replicas = toolkit
+        .registry()
+        .live_hosts("Classifier", net.now(), Duration::MAX);
+    let ranked = P2cRouter::new(7).order(&replicas, &loads);
+    for (i, host) in ranked.iter().enumerate() {
         println!(
-            "  {}. {} on {} (load {})",
+            "  {}. Classifier on {host} (load {})",
             i + 1,
-            entry.name,
-            entry.host,
-            loads.get(&entry.host).copied().unwrap_or(0)
+            loads.get(host).copied().unwrap_or(0)
         );
     }
-    assert_eq!(ranked[0].host, "wesc-b", "idle replica ranks first");
+    assert_eq!(ranked[0], "wesc-b", "idle replica ranks first");
 
     println!("\n=== Load metrics ===");
     let metrics = toolkit.metrics_registry();

@@ -258,35 +258,8 @@ fn different_placements_enact_byte_identical_outputs() {
         ("data-handling", "csvToArff", csv.len()),
         ("classifier", "classify", csv.len()),
     ]);
-    let now = tk.network().now();
-    let freshness = Duration::from_secs(300);
-    let registry = tk.registry();
-    let network = tk.network();
-    // Fan each category hit out across the hosts that deploy it (the
-    // UDDI registry keys by service name, so a hit names the service,
-    // not a replica) — the same enumeration Toolkit::plan_composition
-    // performs.
-    let hosts = tk.hosts().to_vec();
-    let candidates = move |step: &GoalStep| {
-        registry
-            .find_by_category_healthy(&step.category, now, freshness)
-            .into_iter()
-            .flat_map(|e| {
-                let network = &network;
-                hosts.iter().filter_map(move |host| {
-                    let exposes = network
-                        .host(host)
-                        .ok()
-                        .and_then(|c| c.wsdl_of(&e.name).ok())
-                        .is_some_and(|w| w.operations.iter().any(|o| o.name == step.operation));
-                    exposes.then(|| ServiceEntry {
-                        host: host.clone(),
-                        ..e.clone()
-                    })
-                })
-            })
-            .collect::<Vec<_>>()
-    };
+    // The same candidates Toolkit::plan_composition draws.
+    let candidates = |step: &GoalStep| tk.candidates(step);
 
     let mut canonical: Vec<Vec<u8>> = Vec::new();
     let mut placements: Vec<String> = Vec::new();

@@ -2,7 +2,9 @@
 //! contain the engine, the three local tool groups, the imported
 //! service tools, and the published registry.
 
+use dm_workflow::planner::Planner;
 use faehim::Toolkit;
+use std::time::Duration;
 
 #[test]
 fn figure2_components_present() {
@@ -25,7 +27,7 @@ fn figure2_components_present() {
     assert_eq!(ws_folders.len(), 14, "{ws_folders:?}");
 
     // The registry holds the published suite.
-    assert_eq!(toolkit.registry().len(), 14);
+    assert_eq!(toolkit.registry().view_len(), 14);
 
     // The description names the key components.
     let text = toolkit.describe_components();
@@ -62,7 +64,17 @@ fn toolbox_tools_are_instantiable_in_graphs() {
 fn registry_inquiry_paths() {
     let toolkit = Toolkit::new().unwrap();
     let reg = toolkit.registry();
-    assert_eq!(reg.find("Classifier").unwrap().host, toolkit.primary_host());
-    assert_eq!(reg.find_by_category("datamining").len(), 6);
-    assert!(reg.find("NoSuchService").is_err());
+    let now = toolkit.network().now();
+    assert_eq!(
+        reg.live_hosts("Classifier", now, Duration::MAX),
+        [toolkit.primary_host()]
+    );
+    let view = reg.view_snapshot();
+    assert_eq!(
+        Planner::live_candidates(&view, "datamining", now, Duration::MAX).len(),
+        6
+    );
+    assert!(reg
+        .live_replicas("NoSuchService", now, Duration::MAX)
+        .is_empty());
 }

@@ -109,7 +109,8 @@ fn imported_tool_runs_in_workflow() {
 fn every_deployed_service_imports() {
     let toolkit = Toolkit::new().unwrap();
     let mut total_tools = 0;
-    for entry in toolkit.registry().all() {
+    for record in toolkit.registry().view_snapshot() {
+        let entry = record.entry;
         let tools = toolkit.import_service(&entry.host, &entry.name).unwrap();
         assert!(!tools.is_empty(), "{} produced no tools", entry.name);
         total_tools += tools.len();
@@ -140,7 +141,8 @@ fn case_study_taskgraph_xml_reimports_and_runs() {
 #[test]
 fn wsdl_documents_roundtrip_through_xml() {
     let toolkit = Toolkit::new().unwrap();
-    for entry in toolkit.registry().all() {
+    for record in toolkit.registry().view_snapshot() {
+        let entry = record.entry;
         let wsdl = toolkit
             .network()
             .fetch_wsdl(&entry.host, &entry.name)
