@@ -1,24 +1,97 @@
 //! SOAP envelope codec micro-benchmarks: encode/decode cost for small
 //! control-plane calls, bulk dataset-bearing calls, and list-shaped
-//! responses. Guards the allocation-churn work in the envelope writers
-//! (single-buffer fast paths instead of tree construction).
+//! responses, plus the two case-study responses that dominate codec
+//! time: J48's `classifyGraph` SVG (entity-dense text) and the
+//! 286-label `classifyInstances` prediction list. Guards the
+//! single-buffer envelope writers and the one-pass envelope reader.
+//!
+//! Prints a table of each envelope's size and its median encode and
+//! decode time per envelope and per byte.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dm_bench::banner;
-use dm_data::corpus::breast_cancer_arff;
+use dm_bench::{banner, breast_cancer_arff};
+use dm_services::classifier_ws::ClassifierService;
+use dm_wsrf::container::WebService;
 use dm_wsrf::soap::{SoapCall, SoapResponse, SoapValue};
 use std::hint::black_box;
+use std::time::Instant;
 
-fn bench(c: &mut Criterion) {
+/// One envelope shape: a call, or a response to an operation.
+enum Shape {
+    Call(SoapCall),
+    Response(SoapResponse, &'static str),
+}
+
+impl Shape {
+    fn encode(&self) -> String {
+        match self {
+            Shape::Call(call) => call.to_envelope(),
+            Shape::Response(response, operation) => response.to_envelope(operation),
+        }
+    }
+
+    fn decode(&self, xml: &str) {
+        match self {
+            Shape::Call(_) => {
+                black_box(SoapCall::from_envelope(xml).expect("decode"));
+            }
+            Shape::Response(..) => {
+                black_box(SoapResponse::from_envelope(xml).expect("decode"));
+            }
+        }
+    }
+}
+
+/// The `classifyGraph` and `classifyInstances` responses of the case
+/// study: J48 on the breast-cancer data, scoring its own 286 rows.
+fn case_study_responses() -> (SoapValue, SoapValue) {
+    let service = ClassifierService::new();
+    let text = |s: &str| SoapValue::Text(s.to_string());
+    let mut args = vec![
+        ("dataset".to_string(), text(breast_cancer_arff())),
+        ("classifier".to_string(), text("J48")),
+        ("options".to_string(), text("")),
+        ("attribute".to_string(), text("Class")),
+    ];
+    let svg = service
+        .invoke("classifyGraph", &args)
+        .expect("J48 draws its tree");
+    args.push(("instances".to_string(), text(breast_cancer_arff())));
+    let predictions = service
+        .invoke("classifyInstances", &args)
+        .expect("J48 scores the batch");
+    (svg, predictions)
+}
+
+/// Median time of one `f()` in nanoseconds: 15 samples of a batch
+/// sized to take about 2 ms.
+fn median_nanos(mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    let once = start.elapsed().as_nanos().max(1);
+    let iters = (2_000_000 / once).clamp(1, 10_000) as u32;
+    let mut samples: Vec<f64> = (0..15)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(iters)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn main() {
     banner(
         "codec",
-        "SOAP envelope encode/decode (control calls, bulk datasets, list responses)",
+        "SOAP envelope encode/decode (control calls, bulk datasets, list and SVG responses)",
     );
 
     let small =
         SoapCall::new("Classifier", "getOptions").arg("name", SoapValue::Text("J48".into()));
     let bulk = SoapCall::new("Classifier", "classifyInstance")
-        .arg("dataset", SoapValue::Text(breast_cancer_arff()))
+        .arg("dataset", SoapValue::Text(breast_cancer_arff().to_string()))
         .arg("classifier", SoapValue::Text("J48".into()))
         .arg("options", SoapValue::Text(String::new()))
         .arg("attribute", SoapValue::Text("Class".into()));
@@ -27,38 +100,40 @@ fn bench(c: &mut Criterion) {
             .map(|i| SoapValue::Text(format!("algorithm-{i}")))
             .collect(),
     ));
+    let (svg, predictions) = case_study_responses();
 
-    let small_xml = small.to_envelope();
-    let bulk_xml = bulk.to_envelope();
-    let list_xml = list.to_envelope("getClassifiers");
+    let shapes = [
+        ("small_call", Shape::Call(small)),
+        ("bulk_call", Shape::Call(bulk)),
+        ("list_response", Shape::Response(list, "getClassifiers")),
+        (
+            "svg_response",
+            Shape::Response(SoapResponse::Value(svg), "classifyGraph"),
+        ),
+        (
+            "predictions_response",
+            Shape::Response(SoapResponse::Value(predictions), "classifyInstances"),
+        ),
+    ];
+    let envelopes: Vec<String> = shapes.iter().map(|(_, shape)| shape.encode()).collect();
 
     println!(
-        "envelope sizes: small {} B, bulk {} B, list {} B",
-        small_xml.len(),
-        bulk_xml.len(),
-        list_xml.len()
+        "{:<22} {:>9} {:>11} {:>9} {:>11} {:>9}",
+        "envelope", "bytes", "encode", "ns/B", "decode", "ns/B"
     );
-
-    let mut group = c.benchmark_group("soap_codec");
-    for (label, call, xml) in [
-        ("small_call", &small, &small_xml),
-        ("bulk_call", &bulk, &bulk_xml),
-    ] {
-        group.bench_with_input(BenchmarkId::new("encode", label), call, |b, call| {
-            b.iter(|| black_box(call).to_envelope())
+    for ((label, shape), xml) in shapes.iter().zip(&envelopes) {
+        let encode = median_nanos(|| {
+            black_box(black_box(shape).encode());
         });
-        group.bench_with_input(BenchmarkId::new("decode", label), xml, |b, xml| {
-            b.iter(|| SoapCall::from_envelope(black_box(xml)).expect("decode"))
-        });
+        let decode = median_nanos(|| shape.decode(black_box(xml)));
+        let bytes = xml.len() as f64;
+        println!(
+            "{label:<22} {:>9} {:>8.2} us {:>9.2} {:>8.2} us {:>9.2}",
+            xml.len(),
+            encode / 1e3,
+            encode / bytes,
+            decode / 1e3,
+            decode / bytes,
+        );
     }
-    group.bench_function("encode/list_response", |b| {
-        b.iter(|| black_box(&list).to_envelope("getClassifiers"))
-    });
-    group.bench_function("decode/list_response", |b| {
-        b.iter(|| SoapResponse::from_envelope(black_box(&list_xml)).expect("decode"))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

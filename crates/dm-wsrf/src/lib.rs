@@ -60,6 +60,9 @@ pub mod registry;
 pub mod resilience;
 pub mod session;
 pub mod soap;
+mod soap_reader;
+#[cfg(test)]
+mod soap_reference;
 pub mod trace;
 pub mod transport;
 pub mod wsdl;

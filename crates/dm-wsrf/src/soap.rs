@@ -2,10 +2,20 @@
 //! faults, encoded to and from real XML. "Interaction between the
 //! workflow engine and each Web Service instance is supported through
 //! pre-defined SOAP messages" (§4.5) — these are those messages.
+//!
+//! Neither direction builds the element tree of [`crate::xml`]: the
+//! paper's §4.5 finding is that per-call serialisation dominates
+//! invocation cost. Encoding writes an envelope straight into one
+//! pre-sized buffer. Decoding reads it in one pass straight into
+//! values: names and attribute values stay slices of the input, a
+//! payload's text is copied once and unescaped only if it holds an
+//! `&`, and nesting is capped at 64 elements. The tree decoder it
+//! replaced survives as a test oracle; the reader returns what the
+//! oracle returns on every input, errors included.
 
 use crate::error::{Result, WsError};
 use crate::trace::SpanContext;
-use crate::xml::{escape_into, escaped_len, parse, XmlElement};
+use crate::xml::{escape_into, escaped_len};
 
 /// The payload kind behind a [`SoapValue::DataRef`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,9 +140,9 @@ impl SoapValue {
     }
 
     /// Write this value as `<name xsi:type="...">...</name>` directly
-    /// into `out`, byte-identical to building an [`XmlElement`] tree and
-    /// serialising it, but without cloning names, text, or intermediate
-    /// nodes. Envelope encoding is on the hot path of every simulated
+    /// into `out`, byte-identical to building a [`crate::xml::XmlElement`]
+    /// tree and serialising it, but without cloning names, text, or
+    /// intermediate nodes. Envelope encoding is on the hot path of every simulated
     /// wire message, so this is where the allocation churn used to be.
     fn write_element(&self, name: &str, out: &mut String) {
         out.push('<');
@@ -177,30 +187,6 @@ impl SoapValue {
         out.push_str("</");
         out.push_str(name);
         out.push('>');
-    }
-
-    fn from_element(el: &XmlElement) -> Result<SoapValue> {
-        let ty = el.attribute("xsi:type").unwrap_or("string");
-        Ok(match ty {
-            "nil" => SoapValue::Null,
-            "boolean" => SoapValue::Bool(el.text == "true"),
-            "long" => SoapValue::Int(
-                el.text
-                    .parse()
-                    .map_err(|_| WsError::Malformed(format!("bad long {:?}", el.text)))?,
-            ),
-            "double" => SoapValue::Double(parse_double(&el.text)?),
-            "string" => SoapValue::Text(el.text.clone()),
-            "base64Binary" => SoapValue::Bytes(hex_decode(&el.text)?),
-            "list" => SoapValue::List(
-                el.children
-                    .iter()
-                    .map(SoapValue::from_element)
-                    .collect::<Result<_>>()?,
-            ),
-            "dataRef" => parse_data_ref(&el.text)?,
-            other => return Err(WsError::Malformed(format!("unknown xsi:type {other:?}"))),
-        })
     }
 
     /// Approximate wire size in bytes (used by the transport cost model
@@ -288,7 +274,7 @@ fn decimal_len_i64(v: i64) -> usize {
     }
 }
 
-fn parse_data_ref(text: &str) -> Result<SoapValue> {
+pub(crate) fn parse_data_ref(text: &str) -> Result<SoapValue> {
     let bad = || WsError::Malformed(format!("bad dataRef {text:?}"));
     let mut parts = text.splitn(3, ':');
     let hash = parts
@@ -320,7 +306,7 @@ fn format_double_into(d: f64, out: &mut String) {
     }
 }
 
-fn parse_double(s: &str) -> Result<f64> {
+pub(crate) fn parse_double(s: &str) -> Result<f64> {
     match s {
         "NaN" => Ok(f64::NAN),
         "INF" => Ok(f64::INFINITY),
@@ -341,15 +327,20 @@ fn hex_encode_into(b: &[u8], out: &mut String) {
     }
 }
 
-fn hex_decode(s: &str) -> Result<Vec<u8>> {
+/// Decode hex text (either case) two bytes at a time; a pair that is
+/// not two hex digits — a sign, or part of a multi-byte character — is
+/// an error naming its byte offset.
+pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>> {
     if s.len() % 2 != 0 {
         return Err(WsError::Malformed("odd-length hex payload".into()));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| WsError::Malformed(format!("bad hex at {i}")))
+    let digit = |b: u8| char::from(b).to_digit(16);
+    s.as_bytes()
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(k, pair)| match (digit(pair[0]), digit(pair[1])) {
+            (Some(hi), Some(lo)) => Ok(((hi << 4) | lo) as u8),
+            _ => Err(WsError::Malformed(format!("bad hex at {}", 2 * k))),
         })
         .collect()
 }
@@ -420,7 +411,8 @@ impl SoapCall {
 
     /// Encode as a SOAP envelope. Writes the envelope directly into a
     /// pre-sized buffer (byte-identical to serialising the equivalent
-    /// element tree) rather than building intermediate [`XmlElement`]s.
+    /// element tree) rather than building intermediate
+    /// [`crate::xml::XmlElement`]s.
     pub fn to_envelope(&self) -> String {
         let estimate = 256
             + self
@@ -455,39 +447,16 @@ impl SoapCall {
         out
     }
 
-    /// Decode a request envelope.
+    /// Decode a request envelope in one pass, straight into values.
+    ///
+    /// Errors, in order of precedence: the first XML syntax error
+    /// ([`WsError::Xml`], with the offset and message
+    /// [`crate::xml::parse`] gives, including nesting deeper than 64
+    /// elements); then, with the whole document read, a missing
+    /// `soap:Body`, an empty one, and the first argument value (in
+    /// document order) that does not decode.
     pub fn from_envelope(xml: &str) -> Result<SoapCall> {
-        let doc = parse(xml)?;
-        let body = doc
-            .find("Body")
-            .ok_or_else(|| WsError::Malformed("no soap:Body".into()))?;
-        let op = body
-            .children
-            .first()
-            .ok_or_else(|| WsError::Malformed("empty soap:Body".into()))?;
-        let service = op
-            .attributes
-            .iter()
-            .find(|(k, _)| k.starts_with("xmlns"))
-            .and_then(|(_, v)| v.strip_prefix("urn:"))
-            .unwrap_or("")
-            .to_string();
-        let operation = crate::xml::local_name(&op.name).to_string();
-        let args = op
-            .children
-            .iter()
-            .map(|c| Ok((c.name.clone(), SoapValue::from_element(c)?)))
-            .collect::<Result<_>>()?;
-        let trace_parent = doc
-            .find("Header")
-            .and_then(|h| h.find("traceparent"))
-            .and_then(|e| SpanContext::from_traceparent(&e.text));
-        Ok(SoapCall {
-            service,
-            operation,
-            args,
-            trace_parent,
-        })
+        crate::soap_reader::read_call(xml)
     }
 }
 
@@ -538,31 +507,18 @@ impl SoapResponse {
         out
     }
 
-    /// Decode a response envelope.
+    /// Decode a response envelope in one pass, straight into values.
+    ///
+    /// Errors, in order of precedence: the first XML syntax error
+    /// ([`WsError::Xml`], with the offset and message
+    /// [`crate::xml::parse`] gives, including nesting deeper than 64
+    /// elements); then, with the whole document read, a missing
+    /// `soap:Body`; then, unless a child of the body named `Fault`
+    /// makes the response a [`SoapResponse::Fault`], an empty body, a
+    /// response element with no `return`, and the first value that does
+    /// not decode.
     pub fn from_envelope(xml: &str) -> Result<SoapResponse> {
-        let doc = parse(xml)?;
-        let body = doc
-            .find("Body")
-            .ok_or_else(|| WsError::Malformed("no soap:Body".into()))?;
-        if let Some(fault) = body.find("Fault") {
-            let code = fault
-                .find("faultcode")
-                .map(|e| e.text.clone())
-                .unwrap_or_default();
-            let message = fault
-                .find("faultstring")
-                .map(|e| e.text.clone())
-                .unwrap_or_default();
-            return Ok(SoapResponse::Fault { code, message });
-        }
-        let resp = body
-            .children
-            .first()
-            .ok_or_else(|| WsError::Malformed("empty response body".into()))?;
-        let ret = resp
-            .find("return")
-            .ok_or_else(|| WsError::Malformed("no return element".into()))?;
-        Ok(SoapResponse::Value(SoapValue::from_element(ret)?))
+        crate::soap_reader::read_response(xml)
     }
 
     /// Convert into a plain result.
@@ -577,6 +533,7 @@ impl SoapResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xml::XmlElement;
 
     #[test]
     fn call_envelope_roundtrip() {
@@ -658,6 +615,112 @@ mod tests {
         assert_eq!(hex_decode("00ff10").unwrap(), vec![0, 255, 16]);
         assert!(hex_decode("0f0").is_err());
         assert!(hex_decode("zz").is_err());
+        assert_eq!(hex_decode("0A0b").unwrap(), vec![10, 11]);
+        // A sign is not a digit, though `u8::from_str_radix` takes one.
+        assert_eq!(
+            hex_decode("00+f"),
+            Err(WsError::Malformed("bad hex at 2".into()))
+        );
+    }
+
+    #[test]
+    fn non_ascii_hex_is_an_error_not_a_panic() {
+        // 'é' is two bytes, so "aéb" has even length and its first
+        // pair splits the character.
+        let bad_hex = WsError::Malformed("bad hex at 0".into());
+        let call = "<soap:Envelope><soap:Body><ns:op xmlns:ns=\"urn:S\">\
+                    <x xsi:type=\"base64Binary\">aéb</x></ns:op></soap:Body></soap:Envelope>";
+        assert_eq!(SoapCall::from_envelope(call), Err(bad_hex.clone()));
+        let response = "<soap:Envelope><soap:Body><opResponse>\
+                        <return xsi:type=\"base64Binary\">0f中0</return>\
+                        </opResponse></soap:Body></soap:Envelope>";
+        assert_eq!(
+            SoapResponse::from_envelope(response),
+            Err(WsError::Malformed("bad hex at 2".into()))
+        );
+        assert_eq!(hex_decode("é"), Err(bad_hex));
+    }
+
+    /// `Int(1)` wrapped in `lists` lists.
+    fn nested(lists: usize) -> SoapValue {
+        (0..lists).fold(SoapValue::Int(1), |v, _| SoapValue::List(vec![v]))
+    }
+
+    fn nested_call(lists: usize) -> String {
+        SoapCall::new("S", "op")
+            .arg("x", nested(lists))
+            .to_envelope()
+    }
+
+    /// The error for input nested too deep, and where it is raised: at
+    /// the `<` of the first element past the limit.
+    fn too_deep(xml: &str) -> Result<()> {
+        let (offset, _) = xml
+            .match_indices('<')
+            .nth(crate::xml::MAX_DEPTH)
+            .expect("more than MAX_DEPTH elements");
+        Err(WsError::Xml {
+            offset,
+            message: crate::xml::TOO_DEEP.into(),
+        })
+    }
+
+    #[test]
+    fn envelopes_nested_to_the_depth_limit_still_decode() {
+        // The envelope, the body, the operation (or response) element
+        // and the argument (or `return`) take four levels, so the
+        // innermost item sits exactly at the limit.
+        let lists = crate::xml::MAX_DEPTH - 4;
+        let call = SoapCall::new("S", "op").arg("x", nested(lists));
+        assert_eq!(SoapCall::from_envelope(&call.to_envelope()), Ok(call));
+        let response = SoapResponse::Value(nested(lists));
+        assert_eq!(
+            SoapResponse::from_envelope(&response.to_envelope("op")),
+            Ok(response)
+        );
+        let deeper = nested_call(lists + 1);
+        assert_eq!(
+            SoapCall::from_envelope(&deeper).map(|_| ()),
+            too_deep(&deeper)
+        );
+    }
+
+    #[test]
+    fn deeply_nested_envelopes_are_errors_not_stack_overflows() {
+        const LEVELS: usize = 100_000;
+        let plain = format!("{}{}", "<a>".repeat(LEVELS), "</a>".repeat(LEVELS));
+        // Written as text: a value this deep would overflow the stack
+        // of the encoder (and of its own drop) first.
+        let lists = |name: &str| {
+            format!(
+                "{}{}",
+                format!("<{name} xsi:type=\"list\">").repeat(LEVELS),
+                format!("</{name}>").repeat(LEVELS)
+            )
+        };
+        let call = format!(
+            "{ENVELOPE_OPEN}<soap:Body><ns:op xmlns:ns=\"urn:S\">{}</ns:op>\
+             </soap:Body></soap:Envelope>",
+            lists("x")
+        );
+        let response = format!(
+            "{ENVELOPE_OPEN}<soap:Body><opResponse>{}</opResponse></soap:Body></soap:Envelope>",
+            lists("return")
+        );
+        let expected = (too_deep(&plain), too_deep(&call), too_deep(&response));
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    crate::xml::parse(&plain).map(|_| ()),
+                    SoapCall::from_envelope(&call).map(|_| ()),
+                    SoapResponse::from_envelope(&response).map(|_| ()),
+                )
+            })
+            .expect("spawn a 2 MiB-stack thread")
+            .join()
+            .expect("no decoder overflows its stack");
+        assert_eq!(outcome, expected);
     }
 
     fn hex_encode(b: &[u8]) -> String {

@@ -1,9 +1,16 @@
 //! A minimal XML element tree with a writer and a non-validating
-//! parser — enough for SOAP envelopes, WSDL documents, and the workflow
-//! engine's taskgraph/DAX exports. Supports elements, attributes,
-//! character data with the five standard entities, comments, processing
-//! instructions (skipped), CDATA, and self-closing tags. No DTDs, no
-//! namespace resolution (prefixes travel as part of the name).
+//! parser — for WSDL documents and the workflow engine's taskgraph/DAX
+//! exports — plus the entity escaping every writer shares. Supports
+//! elements, attributes, character data with the five standard
+//! entities, comments, processing instructions (skipped), CDATA, and
+//! self-closing tags. No DTDs, no namespace resolution (prefixes travel
+//! as part of the name). Elements nest at most 64 levels deep; deeper
+//! input is a [`WsError::Xml`] error.
+//!
+//! The lexical rules live in one place, `Cursor`. [`parse`] builds the
+//! tree with it; SOAP envelopes do not go through the tree at all:
+//! `crate::soap` reads them with the same cursor in one pass, straight
+//! into values, so both raise the same errors at the same offsets.
 
 use crate::error::{Result, WsError};
 
@@ -139,59 +146,164 @@ pub fn escape(s: &str) -> String {
 
 /// Escape into an existing buffer. Clean runs (the overwhelmingly
 /// common case for dataset payloads) are appended in one `push_str`
-/// instead of char by char.
+/// each.
 pub fn escape_into(s: &str, out: &mut String) {
-    let mut rest = s;
-    while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'&' => out.push_str("&amp;"),
-            b'<' => out.push_str("&lt;"),
-            b'>' => out.push_str("&gt;"),
-            b'"' => out.push_str("&quot;"),
-            _ => out.push_str("&apos;"),
-        }
-        rest = &rest[i + 1..];
-    }
-    out.push_str(rest);
+    let mut clean = 0;
+    for_each_special(s.as_bytes(), |i, entity| {
+        out.push_str(&s[clean..i]);
+        out.push_str(entity);
+        clean = i + 1;
+    });
+    out.push_str(&s[clean..]);
 }
 
 /// Length of [`escape`]'s output without allocating it — used by the
 /// exact wire-size accounting in [`crate::soap`].
 pub fn escaped_len(s: &str) -> usize {
     let mut extra = 0;
-    for b in s.bytes() {
-        extra += match b {
-            b'&' => 4,         // &amp;
-            b'"' | b'\'' => 5, // &quot; / &apos;
-            b'<' | b'>' => 3,  // &lt; / &gt;
-            _ => 0,
-        };
-    }
+    for_each_special(s.as_bytes(), |_, entity| extra += entity.len() - 1);
     s.len() + extra
 }
 
+/// The entity [`escape`] writes for `b`, if `b` is one of the five
+/// special bytes.
+fn entity(b: u8) -> Option<&'static str> {
+    Some(match b {
+        b'&' => "&amp;",
+        b'<' => "&lt;",
+        b'>' => "&gt;",
+        b'"' => "&quot;",
+        b'\'' => "&apos;",
+        _ => return None,
+    })
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `word` that may be a special byte. It
+/// is set for every special byte (a zero-byte test of `word ^ b…b` per
+/// special `b`); a borrow can also set it on the byte after one, so a
+/// candidate is confirmed before use.
+fn candidates(word: u64) -> u64 {
+    let equal = |b: u8| {
+        let x = word ^ (ONES * u64::from(b));
+        x.wrapping_sub(ONES) & !x & HIGHS
+    };
+    equal(b'&') | equal(b'<') | equal(b'>') | equal(b'"') | equal(b'\'')
+}
+
+/// Call `f(offset, entity)` for each special byte of `bytes`, in order.
+/// Every byte is tested as part of an eight-byte little-endian word,
+/// the last one zero-padded; only the candidate bytes of a word that
+/// has any are looked at, and the scan then resumes at the next word.
+fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
+    let mut visit = |base: usize, word: u64, mut mask: u64| {
+        while mask != 0 {
+            let j = mask.trailing_zeros() / 8;
+            if let Some(e) = entity((word >> (8 * j)) as u8) {
+                f(base + j as usize, e);
+            }
+            mask &= mask - 1;
+        }
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for span in &mut words {
+        let word = u64::from_le_bytes(span.try_into().expect("chunks_exact yields 8 bytes"));
+        let mask = candidates(word);
+        if mask != 0 {
+            visit(base, word, mask);
+        }
+        base += 8;
+    }
+    let tail = words
+        .remainder()
+        .iter()
+        .rev()
+        .fold(0, |word, &b| word << 8 | u64::from(b));
+    visit(base, tail, candidates(tail));
+}
+
+/// The deepest element nesting a document may have, counting the root
+/// as level one: the FJ1 journal's token-nesting limit. Deeper input is
+/// a [`WsError::Xml`] at the `<` of the first element past the limit,
+/// so no nesting can exhaust a reader's stack.
+pub(crate) const MAX_DEPTH: usize = 64;
+
+/// The error message for input nested deeper than [`MAX_DEPTH`].
+pub(crate) const TOO_DEEP: &str = "elements nested deeper than 64 levels";
+
 /// Parse a document into its root element.
 pub fn parse(input: &str) -> Result<XmlElement> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_prolog();
-    let root = p.element()?;
-    p.skip_misc();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing content after the root element"));
-    }
+    let mut cursor = Cursor::new(input);
+    let root = element(&mut cursor, 1)?;
+    cursor.finish()?;
     Ok(root)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The element whose start tag is at the cursor, `depth` levels down.
+fn element(cursor: &mut Cursor<'_>, depth: usize) -> Result<XmlElement> {
+    let mut attributes = Vec::new();
+    let (name, empty) =
+        cursor.start_tag(|key, value| attributes.push((key.to_string(), unescape(value))))?;
+    let mut el = XmlElement {
+        name: name.to_string(),
+        attributes,
+        ..XmlElement::default()
+    };
+    if empty {
+        return Ok(el);
+    }
+    loop {
+        match cursor.content(name, depth)? {
+            Content::Text(run) => unescape_into(run, &mut el.text),
+            Content::CData(raw) => el.text.push_str(raw),
+            Content::Child => el.children.push(element(cursor, depth + 1)?),
+            Content::End => {
+                // Trim only mixed-content elements: there the character
+                // data is pretty-printing indentation. Childless
+                // elements carry values whose whitespace is significant.
+                if !el.children.is_empty() {
+                    el.text = el.text.trim().to_string();
+                }
+                return Ok(el);
+            }
+        }
+    }
+}
+
+/// One step through an element's content (see [`Cursor::content`]).
+pub(crate) enum Content<'a> {
+    /// A run of character data, its entities not yet resolved.
+    Text(&'a str),
+    /// The contents of a CDATA section, taken as they are.
+    CData(&'a str),
+    /// A child element's start tag is next.
+    Child,
+    /// The element's closing tag has been read.
+    End,
+}
+
+/// The lexical rules of a document, as a cursor over it: [`parse`]
+/// builds the element tree with it and the SOAP envelope reader reads
+/// envelopes with it, so the two make the same syntax checks and raise
+/// the same errors at the same offsets. Every piece it returns is a
+/// slice of the input.
+pub(crate) struct Cursor<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
+    /// A cursor past the prolog (whitespace, comments, processing
+    /// instructions and the XML declaration) of `src`.
+    pub(crate) fn new(src: &'a str) -> Cursor<'a> {
+        let mut cursor = Cursor { src, pos: 0 };
+        cursor.skip_misc();
+        cursor
+    }
+
     fn err(&self, message: &str) -> WsError {
         WsError::Xml {
             offset: self.pos,
@@ -200,11 +312,16 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.src.as_bytes()[self.pos..].starts_with(s.as_bytes())
+    }
+
+    /// The offset of the first `needle` at or after `from`.
+    fn find_from(&self, from: usize, needle: &str) -> Option<usize> {
+        self.src[from..].find(needle).map(|i| from + i)
     }
 
     fn skip_ws(&mut self) {
@@ -213,58 +330,53 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_prolog(&mut self) {
-        self.skip_misc();
-    }
-
-    /// Skip whitespace, comments, PIs and the XML declaration.
+    /// Skip whitespace, comments, PIs and the XML declaration. An
+    /// unterminated one runs to the end of the input.
     fn skip_misc(&mut self) {
         loop {
             self.skip_ws();
-            if self.starts_with("<?") {
-                if let Some(end) = find(self.bytes, self.pos, b"?>") {
-                    self.pos = end + 2;
-                    continue;
-                }
-                self.pos = self.bytes.len();
+            let close = if self.starts_with("<?") {
+                "?>"
+            } else if self.starts_with("<!--") {
+                "-->"
+            } else {
                 return;
-            }
-            if self.starts_with("<!--") {
-                if let Some(end) = find(self.bytes, self.pos, b"-->") {
-                    self.pos = end + 3;
-                    continue;
+            };
+            match self.find_from(self.pos, close) {
+                Some(end) => self.pos = end + close.len(),
+                None => {
+                    self.pos = self.src.len();
+                    return;
                 }
-                self.pos = self.bytes.len();
-                return;
             }
-            break;
         }
     }
 
-    fn name(&mut self) -> Result<String> {
+    fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+        let len = self.src.as_bytes()[start..]
+            .iter()
+            .take_while(|&&c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':'))
+            .count();
+        if len == 0 {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        self.pos += len;
+        Ok(&self.src[start..self.pos])
     }
 
-    fn element(&mut self) -> Result<XmlElement> {
+    /// Read the start tag at the cursor, handing each attribute to
+    /// `attribute` as its name and raw (still escaped) value. Returns
+    /// the tag's name and whether it closed itself.
+    pub(crate) fn start_tag(
+        &mut self,
+        mut attribute: impl FnMut(&'a str, &'a str),
+    ) -> Result<(&'a str, bool)> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
         self.pos += 1;
         let name = self.name()?;
-        let mut el = XmlElement::new(name.clone());
-
-        // Attributes.
         loop {
             self.skip_ws();
             match self.peek() {
@@ -274,11 +386,11 @@ impl<'a> Parser<'a> {
                         return Err(self.err("expected '>' after '/'"));
                     }
                     self.pos += 1;
-                    return Ok(el);
+                    return Ok((name, true));
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok((name, false));
                 }
                 Some(_) => {
                     let key = self.name()?;
@@ -296,29 +408,27 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == quote {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if self.peek() != Some(quote) {
+                    let Some(len) = self.src[start..].find(char::from(quote)) else {
+                        self.pos = self.src.len();
                         return Err(self.err("unterminated attribute value"));
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                    self.pos += 1;
-                    el.attributes.push((key, unescape(&raw)));
+                    };
+                    self.pos += len + 1;
+                    attribute(key, &self.src[start..start + len]);
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
         }
+    }
 
-        // Content.
+    /// The next step through the content of the open element `open`,
+    /// which sits `depth` levels down (the root is 1). Comments are
+    /// skipped, and a child that would sit deeper than [`MAX_DEPTH`] is
+    /// an error at its `<`.
+    pub(crate) fn content(&mut self, open: &str, depth: usize) -> Result<Content<'a>> {
         loop {
             if self.starts_with("</") {
                 self.pos += 2;
-                let close = self.name()?;
-                if close != name {
+                if self.name()? != open {
                     return Err(self.err("mismatched closing tag"));
                 }
                 self.skip_ws();
@@ -326,67 +436,66 @@ impl<'a> Parser<'a> {
                     return Err(self.err("expected '>' in closing tag"));
                 }
                 self.pos += 1;
-                // Trim only mixed-content elements: there the character
-                // data is pretty-printing indentation. Childless
-                // elements carry values whose whitespace is significant.
-                if !el.children.is_empty() {
-                    el.text = el.text.trim().to_string();
-                }
-                return Ok(el);
+                return Ok(Content::End);
             }
             if self.starts_with("<!--") {
-                let end = find(self.bytes, self.pos, b"-->")
+                let end = self
+                    .find_from(self.pos, "-->")
                     .ok_or_else(|| self.err("unterminated comment"))?;
                 self.pos = end + 3;
                 continue;
             }
             if self.starts_with("<![CDATA[") {
                 let start = self.pos + 9;
-                let end = find(self.bytes, start, b"]]>")
+                let end = self
+                    .find_from(start, "]]>")
                     .ok_or_else(|| self.err("unterminated CDATA"))?;
-                el.text
-                    .push_str(&String::from_utf8_lossy(&self.bytes[start..end]));
                 self.pos = end + 3;
-                continue;
+                return Ok(Content::CData(&self.src[start..end]));
             }
-            match self.peek() {
-                Some(b'<') => {
-                    el.children.push(self.element()?);
-                }
+            return match self.peek() {
+                Some(b'<') if depth >= MAX_DEPTH => Err(self.err(TOO_DEEP)),
+                Some(b'<') => Ok(Content::Child),
                 Some(_) => {
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-                    el.text.push_str(&unescape(&raw));
+                    self.pos = self.src[start..]
+                        .find('<')
+                        .map_or(self.src.len(), |i| start + i);
+                    Ok(Content::Text(&self.src[start..self.pos]))
                 }
-                None => return Err(self.err("unterminated element content")),
-            }
+                None => Err(self.err("unterminated element content")),
+            };
         }
     }
-}
 
-fn find(bytes: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    bytes[from..]
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|p| p + from)
+    /// After the root element: skip trailing comments, PIs and
+    /// whitespace, and fail on anything else.
+    pub(crate) fn finish(&mut self) -> Result<()> {
+        self.skip_misc();
+        if self.pos < self.src.len() {
+            return Err(self.err("trailing content after the root element"));
+        }
+        Ok(())
+    }
 }
 
 /// Resolve the five standard entities (unknown entities pass through).
 pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    unescape_into(s, &mut out);
+    out
+}
+
+/// [`unescape`] appending to `out`. An `&` starts an entity only if a
+/// `;` follows within six bytes; otherwise it is literal.
+pub(crate) fn unescape_into(s: &str, out: &mut String) {
     let mut rest = s;
     while let Some(i) = rest.find('&') {
         out.push_str(&rest[..i]);
         rest = &rest[i..];
-        let entity_end = rest.find(';');
-        match entity_end {
-            Some(end) if end <= 6 => {
+        let window = &rest.as_bytes()[..rest.len().min(7)];
+        match window.iter().position(|&b| b == b';') {
+            Some(end) => {
                 match &rest[..=end] {
                     "&amp;" => out.push('&'),
                     "&lt;" => out.push('<'),
@@ -397,14 +506,13 @@ pub fn unescape(s: &str) -> String {
                 }
                 rest = &rest[end + 1..];
             }
-            _ => {
+            None => {
                 out.push('&');
                 rest = &rest[1..];
             }
         }
     }
     out.push_str(rest);
-    out
 }
 
 #[cfg(test)]
@@ -505,6 +613,26 @@ mod tests {
         for s in ["", "plain", "a&b<c>d\"e'f", "&&&", "mixed & <tags> 'x'"] {
             assert_eq!(escaped_len(s), escape(s).len(), "{s:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let doc = |levels| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        assert!(parse(&doc(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&doc(MAX_DEPTH + 1)),
+            Err(WsError::Xml {
+                offset: 3 * MAX_DEPTH,
+                message: TOO_DEEP.into(),
+            })
+        );
+    }
+
+    #[test]
+    fn unescape_resolves_only_entities_closed_within_six_bytes() {
+        assert_eq!(unescape("&amp;&lt;&gt;&quot;&apos;"), "&<>\"'");
+        assert_eq!(unescape("&toolong; &a"), "&toolong; &a");
+        assert_eq!(unescape("&lt;&gt"), "<&gt");
     }
 
     #[test]

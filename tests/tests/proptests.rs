@@ -80,6 +80,23 @@ fn datasets_equal(a: &Dataset, b: &Dataset) -> bool {
     true
 }
 
+/// The five-entity escape, one char at a time: the reference the
+/// word-at-a-time scan in `dm_wsrf::xml::escape` must match.
+fn escape_by_char(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&apos;"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -177,6 +194,8 @@ proptest! {
     #[test]
     fn xml_escaping_total(s in ".{0,128}") {
         let escaped = dm_wsrf::xml::escape(&s);
+        prop_assert_eq!(dm_wsrf::xml::escaped_len(&s), escaped.len());
+        prop_assert_eq!(&escaped, &escape_by_char(&s));
         prop_assert_eq!(dm_wsrf::xml::unescape(&escaped), s);
     }
 
@@ -291,5 +310,45 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
+    }
+}
+
+/// The edges of the escape scan's 8-byte words: each special byte at
+/// every offset from 0 to 16 of strings of every length from 0 to 17,
+/// and multi-byte characters straddling a word boundary next to a
+/// special byte.
+#[test]
+fn xml_escaping_word_scan_edges() {
+    let check = |s: &str| {
+        let escaped = dm_wsrf::xml::escape(s);
+        assert_eq!(escaped, escape_by_char(s), "{s:?}");
+        assert_eq!(dm_wsrf::xml::escaped_len(s), escaped.len(), "{s:?}");
+        let mut appended = String::from("prefix");
+        dm_wsrf::xml::escape_into(s, &mut appended);
+        assert_eq!(appended, format!("prefix{escaped}"), "{s:?}");
+        assert_eq!(dm_wsrf::xml::unescape(&escaped), s, "{s:?}");
+    };
+    for len in 0..=17 {
+        check(&"a".repeat(len));
+        for special in ['&', '<', '>', '"', '\''] {
+            for at in 0..len.min(17) {
+                let mut s: Vec<char> = vec!['a'; len];
+                s[at] = special;
+                check(&s.iter().collect::<String>());
+                // Specials on both sides of the word boundary.
+                s[len - 1] = special;
+                check(&s.iter().collect::<String>());
+            }
+        }
+    }
+    for wide in ["é", "中", "😀"] {
+        for lead in 0..=16 {
+            for special in ["&", "<", "\"", "'", ">"] {
+                let pad = "x".repeat(lead);
+                check(&format!("{pad}{wide}{special}{wide}{pad}"));
+                check(&format!("{pad}{special}{wide}{wide}"));
+                check(&format!("{pad}{wide}{wide}{wide}{special}"));
+            }
+        }
     }
 }
