@@ -1,15 +1,80 @@
 //! E12 — the content-addressed data plane: cold versus warm
 //! re-enactment of the §5 case study with pass-by-reference payloads,
-//! the trained-model cache, and memoised pure tasks.
+//! the trained-model cache, and memoised pure tasks. After the
+//! wire-traffic tables it prints the median wall time of the content
+//! digest on the inputs the workloads hash.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dm_bench::banner;
+use dm_bench::{banner, breast_cancer_arff, case_study_responses, median_nanos};
+use dm_services::dataset_cache::content_hash;
+use dm_services::model_cache::model_key;
 use dm_workflow::engine::Executor;
 use dm_workflow::memo::MemoCache;
+use dm_wsrf::dataplane::{content_ref, fingerprint, hash_bytes};
+use dm_wsrf::soap::SoapValue;
 use faehim::casestudy::run_case_study_with;
 use faehim::Toolkit;
 use std::hint::black_box;
 use std::sync::Arc;
+
+/// Print one digest-table row: the median time of `digest`.
+fn row(input: &str, bytes: usize, digest: impl FnMut()) {
+    let nanos = median_nanos(digest);
+    println!(
+        "  {input:<34} {bytes:>7} {nanos:>10.1} {:>7.2}",
+        nanos / bytes as f64
+    );
+}
+
+/// Median cost of the content digest on the inputs the workloads hash:
+/// short keys, the 16 KiB payload each planned-chain leg addresses, the
+/// case-study dataset, the 286-label `classifyInstances` list the memo
+/// cache fingerprints, and a trained-model cache key. `bytes` counts
+/// what the digest absorbs, framing (kind tags, length prefixes)
+/// included.
+fn digest_table() {
+    let payload: String = (0..1024u64)
+        .map(|k| format!("{:016x}", k.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        .collect();
+    let payload = SoapValue::Text(payload);
+    let arff = breast_cancer_arff();
+    let (_, predictions) = case_study_responses();
+    let labels = predictions.as_list().expect("a label list");
+    let dataset = content_hash(arff);
+    let key_bytes = 3 * 8 + "J48".len() + "Class".len() + 16;
+    let list_bytes = 9 + labels
+        .iter()
+        .map(|l| 9 + l.as_text().expect("a label").len())
+        .sum::<usize>();
+    let short: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
+
+    println!("content digest, median per input:");
+    println!(
+        "  {:<34} {:>7} {:>10} {:>7}",
+        "input", "bytes", "ns", "ns/B"
+    );
+    for (input, n) in [
+        ("hash_bytes, 16 B", 16),
+        ("hash_bytes, 64 B", 64),
+        ("hash_bytes, 1 KiB", 1024),
+    ] {
+        row(input, n, || {
+            black_box(hash_bytes(black_box(&short[..n])));
+        });
+    }
+    row("content_ref, 16 KiB payload", 1 + 16 * 1024, || {
+        black_box(content_ref(black_box(&payload)));
+    });
+    row("content_hash, breast-cancer ARFF", 1 + arff.len(), || {
+        black_box(content_hash(black_box(arff)));
+    });
+    row("fingerprint, 286 labels", list_bytes, || {
+        black_box(fingerprint(black_box(&predictions)));
+    });
+    row("model_key", key_bytes, || {
+        black_box(model_key("J48", "", "Class", black_box(dataset)));
+    });
+}
 
 fn bench(c: &mut Criterion) {
     banner(
@@ -93,6 +158,8 @@ fn bench(c: &mut Criterion) {
         rest_time,
         first_wire.bytes as f64 / (rest_wire.bytes as f64 / 9.0)
     );
+
+    digest_table();
 
     let mut group = c.benchmark_group("e12_dataplane");
     // Cold: everything from scratch, including service provisioning —

@@ -13,19 +13,18 @@ use crate::support::data_fault;
 use dm_data::convert::DataFormat;
 use dm_data::Dataset;
 use dm_wsrf::container::ServiceFault;
-use dm_wsrf::dataplane::{Hasher128, LruMap};
+use dm_wsrf::dataplane::{payload_hash, LruMap};
+use dm_wsrf::soap::RefKind;
 use std::sync::Arc;
 
 /// Decoded datasets retained per cache.
 pub(crate) const DATASET_CAPACITY: usize = 32;
 
 /// Content hash of a dataset text: the cache key here, and the dataset
-/// field of [`crate::model_cache::model_key`].
+/// field of [`crate::model_cache::model_key`]. It is the text's
+/// data-plane [`payload_hash`], the hash a `DataRef` to it carries.
 pub fn content_hash(text: &str) -> u128 {
-    let mut h = Hasher128::new();
-    h.write(&(text.len() as u64).to_le_bytes());
-    h.write(text.as_bytes());
-    h.finish()
+    payload_hash(RefKind::Text, text.as_bytes())
 }
 
 /// An entry-bounded LRU of decoded datasets keyed by [`content_hash`].
@@ -152,6 +151,16 @@ mod tests {
         let stats = cache.datasets.stats();
         assert_eq!(stats.entries, DATASET_CAPACITY);
         assert_eq!(stats.evictions, 5);
+    }
+
+    #[test]
+    fn dataset_key_is_the_data_ref_hash() {
+        use dm_wsrf::dataplane::content_ref;
+        use dm_wsrf::soap::SoapValue;
+        for text in ["", "a", ARFF, &"@relation r\n".repeat(100)] {
+            let r = content_ref(&SoapValue::Text(text.into())).unwrap();
+            assert_eq!(content_hash(text), r.hash, "{text:?}");
+        }
     }
 
     #[test]

@@ -23,14 +23,19 @@
 //! ## Record format
 //!
 //! ```text
-//! FJ1 <payload-len> <checksum-32-hex>\n
+//! FJ2 <payload-len> <checksum-32-hex>\n
 //! <payload bytes>\n
 //! ```
 //!
-//! `FJ1` is the version envelope (Faehim Journal, version 1); the
-//! checksum is the 128-bit content hash of the payload. Payloads are a
-//! compact field encoding with length-prefixed strings, so task names,
-//! failure messages, and inline tokens may contain any byte sequence.
+//! `FJ2` is the version envelope (Faehim Journal, version 2); the
+//! checksum is the payload's 128-bit
+//! [`hash_bytes`](dm_wsrf::dataplane::hash_bytes) digest. Version 2
+//! changed only that digest (to the word-at-a-time `Hasher128`), so a
+//! version-1 record is rejected by its envelope, not by a checksum
+//! that would look corrupt, and is dropped like a torn tail. Payloads
+//! are a compact field encoding with length-prefixed strings, so task
+//! names, failure messages, and inline tokens may contain any byte
+//! sequence.
 
 use crate::graph::{TaskId, Token};
 use dm_wsrf::dataplane::{content_ref, hash_bytes, AttachmentStore, Payload};
@@ -41,10 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The journal format version written into every record's envelope.
-pub const JOURNAL_VERSION: u32 = 1;
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Magic prefix of every record header (`FJ` + version).
-const MAGIC: &str = "FJ1";
+const MAGIC: &str = "FJ2";
 
 /// Default inline threshold: Text/Bytes outputs at or above this many
 /// bytes are persisted into the attachment store and journaled as
@@ -997,6 +1002,33 @@ mod tests {
         record.extend_from_slice(payload);
         record.push(b'\n');
         record
+    }
+
+    #[test]
+    fn version_one_records_are_dropped_as_torn() {
+        assert_eq!(MAGIC, format!("FJ{JOURNAL_VERSION}"));
+        // A well-formed record under the version-1 envelope, even with
+        // a checksum that verifies under this build's digest, is not
+        // trusted: it and everything after it drop like a torn tail.
+        let payload = b"task-started 0 4:read";
+        let mut record = framed(payload);
+        record[..3].copy_from_slice(b"FJ1");
+        let journal = RunJournal::from_bytes(&record);
+        assert!(journal.events().is_empty());
+        assert_eq!(journal.stats().torn_bytes, record.len() as u64);
+        // The recovered journal extends its verified (empty) prefix.
+        let event = RunEvent::TaskStarted {
+            task: 1,
+            name: "classify".into(),
+        };
+        journal.append(&event);
+        assert_eq!(journal.events(), vec![event.clone()]);
+        assert_eq!(
+            RunJournal::from_bytes(&journal.bytes()).events(),
+            vec![event]
+        );
+        // The same payload under this version's envelope decodes.
+        assert_eq!(RunJournal::from_bytes(&framed(payload)).events().len(), 1);
     }
 
     #[test]

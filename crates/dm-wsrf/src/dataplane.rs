@@ -10,9 +10,12 @@
 //!
 //! Three pieces live here:
 //!
-//! * content hashing ([`content_hash`], [`fingerprint`]) — a seeded
-//!   double-FNV-1a 128-bit digest, dependency-free and stable across
-//!   runs, used both for attachment identity and for memoisation keys;
+//! * content hashing ([`payload_hash`], [`content_ref`],
+//!   [`fingerprint`]) on [`Hasher128`], a word-at-a-time 128-bit
+//!   multiply-fold digest, dependency-free and stable across runs and
+//!   platforms. It is the workspace's one digest: attachment identity,
+//!   dataset-cache and model-cache keys, memoisation keys, and journal
+//!   checksums all go through it;
 //! * [`AttachmentStore`] — a size-bounded, thread-safe LRU of payloads
 //!   keyed by content hash, with hit/miss/eviction counters. One store
 //!   sits in every service container (the host side) and one in the
@@ -27,14 +30,42 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a over two 64-bit lanes with distinct offset bases, cross-mixed
-/// so the lanes decorrelate. Not cryptographic — collision resistance
-/// only needs to hold against honest workloads, like the CRC-style
-/// content ids of the DIME era.
+/// The workspace's one content digest: 128 bits from two 64-bit lanes,
+/// absorbed 16 bytes at a time.
+///
+/// Each step reads a block as two little-endian `u64` words `w0, w1`
+/// and advances both lanes with a folded 64×64→128-bit multiply (the
+/// low and high halves of the product XORed together):
+/// `a = fold(w0 ^ K0, w1 ^ a)` and `b = fold(w1 ^ K1, w0 ^ b)`, so
+/// every input bit reaches both lanes. `finish` zero-pads and absorbs
+/// a final partial block, then folds the lanes together with the total
+/// byte length into the two 64-bit halves of the digest.
+///
+/// * **Streamed.** A partial block is carried across [`write`] calls,
+///   so the digest depends only on the concatenation of the bytes
+///   written, however they were split.
+/// * **Length-bound.** The total length is mixed in at [`finish`], so
+///   inputs that differ only by trailing zero bytes still differ.
+/// * **Platform-stable.** Words are read little-endian and all
+///   arithmetic is on `u64`/`u128`, so the digest is the same on every
+///   platform and every run: it names attachments on the wire and
+///   checksums journal records, which outlive a process.
+/// * **Not cryptographic.** Collision resistance holds only against
+///   honest workloads (an adversary can construct collisions), like
+///   the CRC-style content ids of the DIME era.
+///
+/// [`write`]: Hasher128::write
+/// [`finish`]: Hasher128::finish
 #[derive(Debug, Clone)]
 pub struct Hasher128 {
-    lo: u64,
-    hi: u64,
+    a: u64,
+    b: u64,
+    /// Bytes written so far.
+    len: u64,
+    /// The partial block awaiting its remaining bytes; only the first
+    /// `pending` bytes are meaningful.
+    tail: [u8; 16],
+    pending: usize,
 }
 
 impl Default for Hasher128 {
@@ -43,23 +74,62 @@ impl Default for Hasher128 {
     }
 }
 
+/// The low and high halves of `x * y` XORed together.
+fn fold_mul(x: u64, y: u64) -> u64 {
+    let product = u128::from(x) * u128::from(y);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
 impl Hasher128 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    // Odd constants with well-spread bits (wyhash's secret words), and
+    // the first digits of pi's fraction as the lane seeds.
+    const K0: u64 = 0xa076_1d64_78bd_642f;
+    const K1: u64 = 0xe703_7ed1_a0b4_28db;
+    const K2: u64 = 0x8ebc_6af0_9c88_c6e3;
+    const K3: u64 = 0x5899_65cc_7537_4cc3;
 
     /// Start a fresh digest.
     pub fn new() -> Hasher128 {
         Hasher128 {
-            lo: 0xcbf2_9ce4_8422_2325,
-            hi: 0x6c62_272e_07bb_0142,
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+            len: 0,
+            tail: [0; 16],
+            pending: 0,
         }
     }
 
+    /// Advance both lanes by one 16-byte block.
+    fn absorb(&mut self, block: &[u8]) {
+        let (w0, w1) = block.split_at(8);
+        let w0 = u64::from_le_bytes(w0.try_into().expect("a block is 16 bytes"));
+        let w1 = u64::from_le_bytes(w1.try_into().expect("a block is 16 bytes"));
+        self.a = fold_mul(w0 ^ Self::K0, w1 ^ self.a);
+        self.b = fold_mul(w1 ^ Self::K1, w0 ^ self.b);
+    }
+
     /// Absorb bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(Self::PRIME);
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(Self::PRIME) ^ self.lo.rotate_left(29);
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.pending > 0 {
+            let take = bytes.len().min(16 - self.pending);
+            let (head, rest) = bytes.split_at(take);
+            self.tail[self.pending..self.pending + take].copy_from_slice(head);
+            self.pending += take;
+            if self.pending < 16 {
+                return;
+            }
+            let block = self.tail;
+            self.absorb(&block);
+            bytes = rest;
         }
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            self.absorb(block);
+        }
+        let rest = blocks.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.pending = rest.len();
     }
 
     /// Absorb a single tag byte (used to separate value kinds).
@@ -67,9 +137,17 @@ impl Hasher128 {
         self.write(&[byte]);
     }
 
-    /// The 128-bit digest.
+    /// The 128-bit digest of everything written so far.
     pub fn finish(&self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
+        let mut last = self.clone();
+        if last.pending > 0 {
+            let mut block = [0; 16];
+            block[..last.pending].copy_from_slice(&last.tail[..last.pending]);
+            last.absorb(&block);
+        }
+        let lo = fold_mul(last.a ^ Self::K2, last.b ^ self.len ^ Self::K3);
+        let hi = fold_mul(last.b ^ Self::K0, last.a ^ lo ^ Self::K1);
+        (u128::from(hi) << 64) | u128::from(lo)
     }
 }
 
@@ -84,7 +162,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u128 {
 /// [`crate::soap::SoapValue::DataRef`] carries on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentRef {
-    /// Content hash of the payload bytes (kind-tagged).
+    /// The payload's [`payload_hash`].
     pub hash: u128,
     /// Payload length in bytes.
     pub len: u64,
@@ -92,21 +170,33 @@ pub struct ContentRef {
     pub kind: RefKind,
 }
 
+/// The content hash of a Text or Bytes payload: its kind tag, then its
+/// bytes. This is the one payload framing: a [`ContentRef`] carries it,
+/// attachment stores and journal spills are keyed by it, and the
+/// services' dataset cache keys a dataset's text by it, so a dataset's
+/// cache key is its `DataRef` hash. The tag keeps equal byte strings of
+/// different kinds from aliasing.
+pub fn payload_hash(kind: RefKind, bytes: &[u8]) -> u128 {
+    let mut h = Hasher128::new();
+    h.write_u8(match kind {
+        RefKind::Text => b'T',
+        RefKind::Bytes => b'B',
+    });
+    h.write(bytes);
+    h.finish()
+}
+
 /// Compute the content address of a value, if it is one of the payload
-/// kinds the data plane can pass by reference (Text or Bytes). The
-/// hash is tagged by kind so equal byte strings of different kinds
-/// never alias.
+/// kinds the data plane can pass by reference (Text or Bytes): its
+/// [`payload_hash`], length and kind.
 pub fn content_ref(value: &SoapValue) -> Option<ContentRef> {
-    let (tag, bytes, kind) = match value {
-        SoapValue::Text(s) => (b'T', s.as_bytes(), RefKind::Text),
-        SoapValue::Bytes(b) => (b'B', b.as_slice(), RefKind::Bytes),
+    let (kind, bytes) = match value {
+        SoapValue::Text(s) => (RefKind::Text, s.as_bytes()),
+        SoapValue::Bytes(b) => (RefKind::Bytes, b.as_slice()),
         _ => return None,
     };
-    let mut h = Hasher128::new();
-    h.write_u8(tag);
-    h.write(bytes);
     Some(ContentRef {
-        hash: h.finish(),
+        hash: payload_hash(kind, bytes),
         len: bytes.len() as u64,
         kind,
     })
@@ -547,6 +637,8 @@ impl<K, V> std::fmt::Debug for LruMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn text(n: usize, fill: char) -> SoapValue {
         SoapValue::Text(fill.to_string().repeat(n))
@@ -566,6 +658,116 @@ mod tests {
         assert_ne!(a.hash, bytes.hash, "kind tag must separate Text/Bytes");
         assert_eq!(a.len, 3);
         assert!(content_ref(&SoapValue::Int(3)).is_none());
+    }
+
+    /// `n` bytes of a splitmix64 stream seeded with `seed`.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn digest_known_answers() {
+        // A digest change renames every attachment and invalidates every
+        // journal checksum (bump the journal version with it): these
+        // values must only ever change on purpose.
+        let expected: [(u8, u128); 10] = [
+            (0, 0x373c97c8bc92b053d90c927dd26d40e1),
+            (1, 0xccae3fe6c58b5741ad8efc90178b1e52),
+            (7, 0x7b8901eabd7ab2356c60bc4876b54ba5),
+            (8, 0x6b9f28238baba737664f66bfbc4e9365),
+            (15, 0xb67e8330889f74593528dd9ebedfdcb1),
+            (16, 0x3fb670ef7e224275f16a7c78e76d6d47),
+            (17, 0xbffb49591b27c00dd81c90df8488ed7c),
+            (31, 0x8798f3cf9e774943c1aa4cbffc784b6a),
+            (32, 0x5b21a89e95649abd18e38f5a267361f0),
+            (33, 0xd62cd42cab8f02256b38b5b129522ac9),
+        ];
+        for (n, digest) in expected {
+            let bytes: Vec<u8> = (0..n).collect();
+            assert_eq!(hash_bytes(&bytes), digest, "hash_bytes of 0..{n}");
+        }
+        assert_eq!(
+            hash_bytes(&seeded_bytes(7, 16 * 1024)),
+            0xb4a7441323fd5a56053aa79333f66669
+        );
+        assert_eq!(
+            content_ref(&SoapValue::Text("faehim".into())).unwrap().hash,
+            0xf2fb9d43c277b7cd7a54e3acdef7e26a
+        );
+        let list = SoapValue::List(vec![
+            SoapValue::Text("no-recurrence-events".into()),
+            SoapValue::Int(286),
+            SoapValue::Null,
+        ]);
+        assert_eq!(fingerprint(&list), 0xdb705a08ad550ba3b9b6a30cb048ad48);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn digest_is_split_invariant(
+            bytes in proptest::collection::vec(any::<u8>(), 0..160),
+            cuts in proptest::collection::vec(0usize..160, 0..8),
+        ) {
+            // Cut points past the end clamp to it, and repeated cuts
+            // are empty writes; both ends get one too.
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+            cuts.extend([0, bytes.len()]);
+            cuts.sort_unstable();
+            let mut h = Hasher128::new();
+            h.write(&[]);
+            for pair in cuts.windows(2) {
+                h.write(&bytes[pair[0]..pair[1]]);
+            }
+            prop_assert_eq!(h.finish(), hash_bytes(&bytes), "cuts {:?}", cuts);
+        }
+    }
+
+    #[test]
+    fn digest_binds_the_length() {
+        let zero_runs: HashSet<u128> = (0..=40).map(|n| hash_bytes(&vec![0; n])).collect();
+        assert_eq!(zero_runs.len(), 41, "zero runs of length 0-40 collide");
+        assert_ne!(hash_bytes(b"a"), hash_bytes(b"a\0"));
+    }
+
+    #[test]
+    fn short_inputs_are_distinct() {
+        let mut seen = HashSet::new();
+        seen.insert(hash_bytes(&[]));
+        for a in 0..=255u8 {
+            seen.insert(hash_bytes(&[a]));
+            for b in 0..=255u8 {
+                seen.insert(hash_bytes(&[a, b]));
+            }
+        }
+        assert_eq!(seen.len(), 1 + 256 + 256 * 256);
+    }
+
+    #[test]
+    fn every_bit_flip_changes_both_halves() {
+        let input = seeded_bytes(64, 64);
+        let base = hash_bytes(&input);
+        for bit in 0..input.len() * 8 {
+            let mut flipped = input.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let diff = hash_bytes(&flipped) ^ base;
+            assert_ne!(diff as u64, 0, "bit {bit} left the low half unchanged");
+            assert_ne!(
+                (diff >> 64) as u64,
+                0,
+                "bit {bit} left the high half unchanged"
+            );
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
 }
 
 /// The deepest element nesting a document may have, counting the root
-/// as level one: the FJ1 journal's token-nesting limit. Deeper input is
+/// as level one: the run journal's token-nesting limit. Deeper input is
 /// a [`WsError::Xml`] at the `<` of the first element past the limit,
 /// so no nesting can exhaust a reader's stack.
 pub(crate) const MAX_DEPTH: usize = 64;
