@@ -85,17 +85,6 @@ impl<'a> Instance<'a> {
     pub fn weight(&self) -> f64 {
         self.dataset.weight(self.row)
     }
-
-    /// Encoded class value (`NaN` when missing). Panics if the dataset
-    /// has no class attribute.
-    #[inline]
-    pub fn class_value(&self) -> f64 {
-        let c = self
-            .dataset
-            .class_index()
-            .expect("dataset has no class attribute");
-        self.value(c)
-    }
 }
 
 /// A dataset: a relation name, an attribute header, per-attribute
@@ -190,11 +179,6 @@ impl Dataset {
     /// The relation name (ARFF `@relation`).
     pub fn relation(&self) -> &str {
         &self.relation
-    }
-
-    /// Rename the relation.
-    pub fn set_relation<N: Into<String>>(&mut self, name: N) {
-        self.relation = name.into();
     }
 
     /// Number of attributes (columns).

@@ -37,15 +37,6 @@ impl ClassifierService {
         ClassifierService::default()
     }
 
-    /// Create the service with explicit cache capacities (entries, not
-    /// bytes). A capacity of 1 effectively keeps only the latest model.
-    pub fn with_cache(model_capacity: usize, eval_capacity: usize) -> ClassifierService {
-        ClassifierService {
-            cache: ModelCache::new(model_capacity, eval_capacity),
-            datasets: DatasetCache::default(),
-        }
-    }
-
     /// Create the service decoding datasets through `datasets`.
     pub(crate) fn with_datasets(datasets: DatasetCache) -> ClassifierService {
         ClassifierService {

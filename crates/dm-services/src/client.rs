@@ -6,9 +6,8 @@
 
 use dm_wsrf::dataplane::CacheStats;
 use dm_wsrf::error::Result;
-use dm_wsrf::resilience::ResilientCaller;
+use dm_wsrf::resilience::{attempt, ResilientCaller};
 use dm_wsrf::soap::SoapValue;
-use dm_wsrf::trace::{current, SpanKind};
 use dm_wsrf::transport::Network;
 use std::sync::Arc;
 
@@ -88,33 +87,24 @@ impl ClientChannel {
         &self.host
     }
 
-    /// Invoke `operation` on `service` at the channel's host.
+    /// Invoke `operation` on `service` at the channel's host, as one
+    /// [`attempt`] (a traced SOAP call, through the resilient caller
+    /// when one is attached).
     pub fn invoke(
         &self,
         service: &str,
         operation: &str,
         args: Vec<(String, SoapValue)>,
     ) -> Result<SoapValue> {
-        // Open a SOAP-call span chained under the caller's current span
-        // when one exists (e.g. a workflow task), or as a new root
-        // trace for direct client calls. Making it current lets the
-        // transport legs below nest under it.
-        let mut span = self.network.tracer().map(|tracer| {
-            let parent = current().map(|(_, ctx)| ctx);
-            let mut s =
-                tracer.start_span(format!("{service}.{operation}"), SpanKind::SoapCall, parent);
-            s.set_attr("host", &self.host);
-            s
-        });
-        let _current = span.as_ref().map(|s| s.make_current());
-        let result = match &self.resilience {
-            Some(caller) => caller.invoke(&self.host, service, operation, args),
-            None => self.network.invoke(&self.host, service, operation, args),
-        };
-        if let (Some(s), Err(err)) = (span.as_mut(), &result) {
-            s.set_error(err.to_string());
-        }
-        result
+        attempt(
+            &self.network,
+            self.resilience.as_ref(),
+            &self.host,
+            service,
+            operation,
+            args,
+        )
+        .0
     }
 }
 

@@ -20,7 +20,7 @@
 //! * `run` has no journal. It stops at the first task failure: no
 //!   successor is dispatched and claims not yet started are dropped
 //!   unrun. Events are delivered live by the worker running the task,
-//!   unless [`Executor::with_deterministic_events`] asks for buffering.
+//!   which is what monitoring wants, in a scheduler-dependent order.
 //! * `run_durable` journals every state transition to a [`RunJournal`]
 //!   before it takes effect, and the orchestrator is the journal's only
 //!   writer. It first replays the journal to rebuild the frontier:
@@ -39,10 +39,10 @@
 //! ([`dm_wsrf::resilience::CrashScript`]): scripted orchestrator
 //! kill-points (by virtual-clock instant or by journal-append count,
 //! so tests can kill the enactment at *every* task boundary and
-//! mid-task) and scripted worker deaths. A killed orchestrator returns
-//! [`WorkflowError::Crashed`]; everything appended before the kill is
-//! durable, and a fresh `Executor` given the surviving journal bytes
-//! resumes to a report whose
+//! mid-task) and scripted worker deaths (by claim number). A killed
+//! orchestrator returns [`WorkflowError::Crashed`]; everything
+//! appended before the kill is durable, and a fresh `Executor` given
+//! the surviving journal bytes resumes to a report whose
 //! [`canonical bytes`](ExecutionReport::canonical_bytes) are identical
 //! to an uninterrupted run's.
 
@@ -70,7 +70,6 @@ pub struct DurableConfig {
     workers: usize,
     orchestrator_crash: Option<Arc<CrashScript>>,
     kill_after_appends: Option<u64>,
-    worker_crash: Option<Arc<CrashScript>>,
     kill_worker_on_claim: Option<u64>,
 }
 
@@ -81,7 +80,6 @@ impl std::fmt::Debug for DurableConfig {
             .field("workers", &self.workers)
             .field("orchestrator_crash", &self.orchestrator_crash.is_some())
             .field("kill_after_appends", &self.kill_after_appends)
-            .field("worker_crash", &self.worker_crash.is_some())
             .field("kill_worker_on_claim", &self.kill_worker_on_claim)
             .finish()
     }
@@ -96,7 +94,6 @@ impl DurableConfig {
             workers: 4,
             orchestrator_crash: None,
             kill_after_appends: None,
-            worker_crash: None,
             kill_worker_on_claim: None,
         }
     }
@@ -120,13 +117,6 @@ impl DurableConfig {
     /// land mid-task, before the matching completion).
     pub fn with_kill_after_appends(mut self, n: u64) -> DurableConfig {
         self.kill_after_appends = Some(n);
-        self
-    }
-
-    /// Builder: workers die (discard their finished claim without
-    /// acking) when `script` schedules a crash on the virtual clock.
-    pub fn with_worker_crash(mut self, script: Arc<CrashScript>) -> DurableConfig {
-        self.worker_crash = Some(script);
         self
     }
 
@@ -299,8 +289,12 @@ impl Executor {
     /// Unlike [`Executor::run`], task failure is not fatal to the
     /// enactment: the run continues on independent branches and the
     /// returned report carries per-task errors ([`TaskRun::error`]).
-    /// The report's event stream and run order are deterministic (as
-    /// with [`Executor::with_deterministic_events`]).
+    /// The report's event stream and run order are deterministic: each
+    /// task's events are buffered while workers race and delivered when
+    /// the loop stops, ordered by the task's completion instant on the
+    /// simulated clock (ties broken by task id), with `RunStarted` first
+    /// and `RunFinished` last; `ExecutionReport::runs` follows the same
+    /// order.
     ///
     /// Returns [`WorkflowError::Crashed`] when a scripted crash kills
     /// the orchestrator (the journal keeps everything appended before
@@ -340,7 +334,7 @@ impl Executor {
         let n = graph.num_tasks();
         let journal = durable.map(|c| c.journal.as_ref());
         let fail_fast = journal.is_none();
-        let buffered = journal.is_some() || self.deterministic_events;
+        let buffered = journal.is_some();
 
         // Replay: reconstruct the frontier from the journal.
         let replay = journal.map(RunJournal::replay).unwrap_or_default();
@@ -475,10 +469,8 @@ impl Executor {
                         // discarded without an ack, so the orchestrator
                         // must redeliver. The thread itself keeps
                         // serving — it models a restarted worker.
-                        let died = durable.is_some_and(|c| {
-                            c.worker_crash.as_ref().is_some_and(|s| s.poll_kill(tick))
-                                || c.kill_worker_on_claim == Some(job.claim)
-                        });
+                        let died =
+                            durable.is_some_and(|c| c.kill_worker_on_claim == Some(job.claim));
                         let outcome = if died {
                             Outcome::Died
                         } else {

@@ -113,8 +113,7 @@ pub struct ExecutionReport {
     pub outputs: HashMap<(TaskId, usize), Token>,
     /// Per-task run records, in the order the orchestrator acknowledged
     /// them; ordered by (virtual completion tick, task id) when events
-    /// are buffered ([`Executor::with_deterministic_events`], durable
-    /// enactment).
+    /// are buffered (durable enactment).
     pub runs: Vec<TaskRun>,
     /// Total enactment wall-clock time.
     pub elapsed: Duration,
@@ -145,12 +144,6 @@ impl ExecutionReport {
     /// Tasks served from the memo cache without executing.
     pub fn memo_hits(&self) -> usize {
         self.runs.iter().filter(|r| r.cached).count()
-    }
-
-    /// Total `ServerBusy` sheds absorbed across all task runs — the
-    /// overload pressure the resilience layer hid from the outputs.
-    pub fn total_sheds(&self) -> u64 {
-        self.runs.iter().map(|r| r.sheds).sum()
     }
 
     /// Tasks restored from a run journal instead of executing
@@ -272,7 +265,6 @@ pub struct Executor {
     pub(crate) listener: Option<ProgressListener>,
     pub(crate) memo: Option<Arc<MemoCache>>,
     pub(crate) tracer: Option<Arc<Tracer>>,
-    pub(crate) deterministic_events: bool,
 }
 
 impl std::fmt::Debug for Executor {
@@ -285,7 +277,6 @@ impl std::fmt::Debug for Executor {
             .field("listener", &self.listener.is_some())
             .field("memo", &self.memo.is_some())
             .field("tracer", &self.tracer.is_some())
-            .field("deterministic_events", &self.deterministic_events)
             .finish()
     }
 }
@@ -301,7 +292,6 @@ impl Executor {
             listener: None,
             memo: None,
             tracer: None,
-            deterministic_events: false,
         }
     }
 
@@ -369,11 +359,6 @@ impl Executor {
         self
     }
 
-    /// The memo cache in use, if any.
-    pub fn memo_cache(&self) -> Option<Arc<MemoCache>> {
-        self.memo.clone()
-    }
-
     /// Builder: record causal spans into `tracer` — one workflow root
     /// per run, one task span per execution attempt. Task spans are
     /// made the thread's current span while the tool executes, so
@@ -389,21 +374,6 @@ impl Executor {
     /// The tracer in use, if any.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.tracer.clone()
-    }
-
-    /// Builder: make the [`ProgressEvent`] sequence replay-deterministic
-    /// under parallel enactment. Each task's event block is buffered
-    /// while workers race and flushed when the run stops, ordered by the
-    /// task's completion instant on the simulated clock (ties broken by
-    /// task id), with `RunStarted` first and `RunFinished` last;
-    /// `ExecutionReport::runs` follows the same order. The default
-    /// (live) delivery hands events to the listener the moment they
-    /// happen, which is what monitoring wants but makes the interleaving
-    /// scheduler-dependent. Durable enactment ([`crate::durable`])
-    /// always buffers.
-    pub fn with_deterministic_events(mut self) -> Executor {
-        self.deterministic_events = true;
-        self
     }
 
     pub(crate) fn emit(&self, event: ProgressEvent) {
@@ -1354,15 +1324,17 @@ mod tests {
 
     #[test]
     fn deterministic_events_are_replay_stable_under_parallelism() {
+        use crate::durable::DurableConfig;
+        use crate::journal::RunJournal;
         use parking_lot::Mutex;
-        // Eight same-tick leaves raced by the worker pool: with live
+        // Eight same-tick leaves raced by four workers: with live
         // delivery the Started/Finished interleaving varies run to run,
         // so a journal replayed against the event stream could never be
-        // compared. In deterministic mode every enactment of the same
-        // workflow must yield the identical sequence — per-task blocks
-        // ordered by (completion tick, task id), RunStarted first,
-        // RunFinished last. Many iterations pin the ordering against
-        // scheduler luck.
+        // compared. Durable enactment buffers events, so every
+        // enactment of the same workflow must yield the identical
+        // sequence — per-task blocks ordered by (completion tick, task
+        // id), RunStarted first, RunFinished last. Many iterations, each
+        // on a fresh journal, pin the ordering against scheduler luck.
         let build = || {
             let mut g = TaskGraph::new();
             let src = g.add_task(Arc::new(ConstText("abc".into())));
@@ -1378,10 +1350,10 @@ mod tests {
             let sink = std::sync::Arc::clone(&events);
             let listener: super::ProgressListener =
                 std::sync::Arc::new(move |e| sink.lock().push(e));
+            let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(4);
             let report = Executor::parallel()
-                .with_deterministic_events()
                 .with_listener(listener)
-                .run(&build(), &HashMap::new())
+                .run_durable(&build(), &HashMap::new(), &config)
                 .unwrap();
             // Run records follow the same deterministic order.
             let names: Vec<_> = report.runs.iter().map(|r| r.task.clone()).collect();

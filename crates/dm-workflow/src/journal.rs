@@ -305,15 +305,6 @@ impl RunJournal {
         self.buf.lock().clone()
     }
 
-    /// Cut the log to its first `len` bytes — simulates a crash tearing
-    /// the tail of the file mid-record.
-    pub fn truncate_to(&self, len: usize) {
-        let mut buf = self.buf.lock();
-        if len < buf.len() {
-            buf.truncate(len);
-        }
-    }
-
     /// Decode every verifiable record, stopping at the first torn or
     /// corrupt one. Never fails: a damaged tail yields fewer events.
     pub fn events(&self) -> Vec<RunEvent> {

@@ -23,12 +23,11 @@
 //! choices — so mining outputs are byte-identical regardless of
 //! placement, which the E20 bench pins.
 //!
-//! A [`UsageRecommender`] mines past [`ExecutionReport`]s and
+//! A [`UsageRecommender`] mines past invocation sequences and
 //! [`RunJournal`] logs for frequently co-invoked operation pairs and
 //! pre-ranks each step's candidates, so historical affinity breaks
 //! cost ties before the seed does.
 
-use crate::engine::ExecutionReport;
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId};
 use crate::journal::{RunEvent, RunJournal};
@@ -207,7 +206,7 @@ impl Plan {
     }
 }
 
-/// Mines enactment history — [`ExecutionReport`]s and [`RunJournal`]
+/// Mines enactment history — invocation sequences and [`RunJournal`]
 /// event logs — for co-invoked operation pairs, and pre-ranks a step's
 /// candidates by how often they historically followed the previous
 /// step's candidates. Labels are `"Service.operation"`, the same form
@@ -244,12 +243,6 @@ impl UsageRecommender {
             );
             *self.pairs.entry(key).or_insert(0) += 1;
         }
-    }
-
-    /// Mine an [`ExecutionReport`]: task names in completion order.
-    pub fn observe_report(&mut self, report: &ExecutionReport) {
-        let names: Vec<&str> = report.runs.iter().map(|r| r.task.as_str()).collect();
-        self.observe_sequence(&names);
     }
 
     /// Mine a [`RunJournal`]: completed-task names in append order.

@@ -12,8 +12,7 @@
 //! resource").
 
 use crate::graph::{PortSpec, Token, Tool};
-use dm_wsrf::resilience::{CallStats, ResilientCaller};
-use dm_wsrf::trace::{current, SpanKind};
+use dm_wsrf::resilience::{attempt, failover, CallStats, Failover, ResilientCaller};
 use dm_wsrf::transport::Network;
 use dm_wsrf::wsdl::{Operation, WsdlDocument};
 use dm_wsrf::WsError;
@@ -96,51 +95,6 @@ impl WsTool {
         *self.last_stats.lock()
     }
 
-    /// One invocation attempt against `host`, through the resilient
-    /// caller when attached. Always reports the attempt stats, even for
-    /// failed calls, so `execute` can account retries spent on hosts
-    /// that never answered.
-    fn try_host(
-        &self,
-        host: &str,
-        args: &[(String, Token)],
-    ) -> (Result<Token, WsError>, CallStats) {
-        // Open a SOAP-call span chained under the enclosing task span
-        // when one exists, or as a new root trace when the tool runs
-        // outside an enactment. Making it current lets the transport
-        // legs opened below parent under it.
-        let mut span = self.network.tracer().map(|tracer| {
-            let parent = current().map(|(_, ctx)| ctx);
-            let mut s = tracer.start_span(self.name.clone(), SpanKind::SoapCall, parent);
-            s.set_attr("host", host);
-            s
-        });
-        let _current = span.as_ref().map(|s| s.make_current());
-        let (result, stats) = match &self.resilience {
-            Some(caller) => {
-                caller.invoke_collect(host, &self.service, &self.operation.name, args.to_vec())
-            }
-            None => {
-                let result =
-                    self.network
-                        .invoke(host, &self.service, &self.operation.name, args.to_vec());
-                let busy = u32::from(matches!(&result, Err(e) if e.is_server_busy()));
-                (
-                    result,
-                    CallStats {
-                        attempts: 1,
-                        busy,
-                        ..CallStats::default()
-                    },
-                )
-            }
-        };
-        if let (Some(s), Err(err)) = (span.as_mut(), &result) {
-            s.set_error(err.to_string());
-        }
-        (result, stats)
-    }
-
     /// Should `err` migrate the job to the next replica?
     fn fails_over(&self, err: &WsError) -> bool {
         if self.resilience.is_some() {
@@ -157,9 +111,12 @@ impl WsTool {
         }
     }
 
-    /// Move every host in `failed` behind the hosts that are not,
-    /// preserving relative order within each group.
+    /// In resilient mode, move every host in `failed` behind the hosts
+    /// that are not, preserving relative order within each group.
     fn demote(&self, failed: &[String]) {
+        if self.resilience.is_none() || failed.is_empty() {
+            return;
+        }
         let mut hosts = self.hosts.lock();
         let mut healthy: Vec<String> = Vec::with_capacity(hosts.len());
         let mut demoted: Vec<String> = Vec::new();
@@ -200,54 +157,57 @@ impl Tool for WsTool {
     }
 
     fn execute(&self, inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
-        let args: Vec<(String, Token)> = self
-            .operation
-            .inputs
-            .iter()
-            .zip(inputs)
-            .map(|(part, token)| (part.name.clone(), token.clone()))
-            .collect();
         *self.last_served.lock() = None;
         *self.last_stats.lock() = CallStats::default();
-
         let hosts = self.hosts();
-        let mut attempt_errors: Vec<String> = Vec::new();
-        let mut failed_hosts: Vec<String> = Vec::new();
-        for host in &hosts {
-            let (result, stats) = self.try_host(host, &args);
-            {
+        let outcome = failover(
+            &hosts,
+            |host| {
+                let args = self
+                    .operation
+                    .inputs
+                    .iter()
+                    .zip(inputs)
+                    .map(|(part, token)| (part.name.clone(), token.clone()))
+                    .collect();
+                let (result, stats) = attempt(
+                    &self.network,
+                    self.resilience.as_ref(),
+                    host,
+                    &self.service,
+                    &self.operation.name,
+                    args,
+                );
                 let mut total = self.last_stats.lock();
                 total.attempts += stats.attempts;
                 total.backoff += stats.backoff;
                 total.possibly_duplicated += stats.possibly_duplicated;
                 total.busy += stats.busy;
+                result
+            },
+            |err| self.fails_over(err),
+        );
+        match outcome {
+            Failover::Served { index, value } => {
+                *self.last_served.lock() = Some(hosts[index].clone());
+                self.demote(&hosts[..index]);
+                Ok(vec![value])
             }
-            match result {
-                Ok(value) => {
-                    *self.last_served.lock() = Some(host.clone());
-                    if self.resilience.is_some() && !failed_hosts.is_empty() {
-                        self.demote(&failed_hosts);
-                    }
-                    return Ok(vec![value]);
-                }
-                Err(err) if self.fails_over(&err) => {
-                    // Job migration: try the next replica.
-                    attempt_errors.push(format!("host {host}: {err}"));
-                    failed_hosts.push(host.clone());
-                }
-                Err(err) => return Err(err.to_string()),
+            Failover::Stopped(err) => Err(err.to_string()),
+            // Every host failed, so demotion would not reorder them.
+            Failover::Exhausted(tried) => {
+                let attempts: Vec<String> = tried
+                    .iter()
+                    .map(|(host, err)| format!("host {host}: {err}"))
+                    .collect();
+                let attempts = if attempts.is_empty() {
+                    "no hosts configured".to_string()
+                } else {
+                    attempts.join(" | ")
+                };
+                Err(format!("all hosts failed; attempts: [{attempts}]"))
             }
         }
-        if self.resilience.is_some() && !failed_hosts.is_empty() {
-            self.demote(&failed_hosts);
-        }
-        if attempt_errors.is_empty() {
-            attempt_errors.push("no hosts configured".to_string());
-        }
-        Err(format!(
-            "all hosts failed; attempts: [{}]",
-            attempt_errors.join(" | ")
-        ))
     }
 
     fn is_pure(&self) -> bool {

@@ -1,18 +1,19 @@
 //! The service container — the Tomcat/Axis equivalent: services are
-//! deployed by name and envelopes are dispatched to them, with every
-//! invocation recorded by the monitor.
+//! deployed by name and envelopes are dispatched to them. The container
+//! keeps no invocation log of its own: the network's
+//! [`MonitorLog`](crate::monitor::MonitorLog) records every attempt, on
+//! the virtual clock, where the call crosses the transport.
 
 use crate::dataplane::AttachmentStore;
 use crate::error::{Result, WsError};
 use crate::metrics::Histogram;
-use crate::monitor::{InvocationEvent, MonitorLog, Outcome};
 use crate::soap::{SoapCall, SoapResponse, SoapValue};
 use crate::trace::{SpanKind, Tracer};
 use crate::wsdl::WsdlDocument;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A fault raised by a service implementation; mapped to a SOAP fault
 /// on the wire.
@@ -211,18 +212,10 @@ impl CapacityState {
     }
 }
 
-/// Materialised arguments plus what the resolution saved on the wire.
-struct ResolvedArgs {
-    args: Vec<(String, SoapValue)>,
-    ref_hits: usize,
-    bytes_saved: usize,
-}
-
 /// An Axis-like container holding deployed services on one host.
 pub struct ServiceContainer {
     host: String,
     services: RwLock<HashMap<String, Arc<dyn WebService>>>,
-    monitor: Arc<MonitorLog>,
     attachments: Arc<AttachmentStore>,
     tracer: RwLock<Option<Arc<Tracer>>>,
     capacity: Mutex<Option<CapacityState>>,
@@ -234,7 +227,6 @@ impl ServiceContainer {
         ServiceContainer {
             host: host.into(),
             services: RwLock::new(HashMap::new()),
-            monitor: Arc::new(MonitorLog::new()),
             attachments: Arc::new(AttachmentStore::new(DEFAULT_ATTACHMENT_CAPACITY)),
             tracer: RwLock::new(None),
             capacity: Mutex::new(None),
@@ -300,11 +292,6 @@ impl ServiceContainer {
         &self.host
     }
 
-    /// The container's invocation monitor.
-    pub fn monitor(&self) -> Arc<MonitorLog> {
-        Arc::clone(&self.monitor)
-    }
-
     /// The host-side attachment store: payloads this host has already
     /// received or served, addressable by content hash.
     pub fn attachments(&self) -> Arc<AttachmentStore> {
@@ -345,50 +332,36 @@ impl ServiceContainer {
     }
 
     /// Resolve any `DataRef` arguments against this host's attachment
-    /// store. Returns the materialised arguments (or the originals,
-    /// untouched, when no references are present) plus how many
-    /// references resolved and the wire bytes they saved. An unknown
+    /// store, returning the materialised arguments. An unknown
     /// reference is the caller's error — the sender substituted a
-    /// handle this host never held.
+    /// handle this host never held. (The transport counts the ref hits
+    /// and the bytes they saved when it substitutes the handles.)
     fn resolve_refs(
         &self,
         args: &[(String, SoapValue)],
-    ) -> std::result::Result<ResolvedArgs, ServiceFault> {
-        let mut resolved = ResolvedArgs {
-            args: Vec::with_capacity(args.len()),
-            ref_hits: 0,
-            bytes_saved: 0,
-        };
-        for (name, value) in args {
-            if let Some((hash, _, _)) = value.as_data_ref() {
-                let payload = self.attachments.get(hash).ok_or_else(|| {
-                    ServiceFault::client(format!(
-                        "unknown dataRef {hash:032x} (not in {}'s attachment store)",
-                        self.host
-                    ))
-                })?;
-                let materialised = payload.to_value();
-                resolved.ref_hits += 1;
-                // Exact envelope bytes the handle kept off the wire
-                // (the element name cancels out of the difference).
-                resolved.bytes_saved += materialised
-                    .serialized_size("p")
-                    .saturating_sub(value.serialized_size("p"));
-                resolved.args.push((name.clone(), materialised));
-            } else {
-                resolved.args.push((name.clone(), value.clone()));
-            }
-        }
-        Ok(resolved)
+    ) -> std::result::Result<Vec<(String, SoapValue)>, ServiceFault> {
+        args.iter()
+            .map(|(name, value)| match value.as_data_ref() {
+                Some((hash, _, _)) => {
+                    let payload = self.attachments.get(hash).ok_or_else(|| {
+                        ServiceFault::client(format!(
+                            "unknown dataRef {hash:032x} (not in {}'s attachment store)",
+                            self.host
+                        ))
+                    })?;
+                    Ok((name.clone(), payload.to_value()))
+                }
+                None => Ok((name.clone(), value.clone())),
+            })
+            .collect()
     }
 
-    /// Dispatch a decoded call, recording the invocation. `DataRef`
-    /// arguments are materialised from the attachment store before the
-    /// service sees them — services never know whether a payload
-    /// arrived inline or by reference.
+    /// Dispatch a decoded call. `DataRef` arguments are materialised
+    /// from the attachment store before the service sees them —
+    /// services never know whether a payload arrived inline or by
+    /// reference.
     pub fn dispatch(&self, call: &SoapCall) -> SoapResponse {
         let service = self.services.read().get(&call.service).cloned();
-        let start = Instant::now();
         // The dispatch span parents under the envelope's traceparent
         // header (the transport's request leg) — this is the causal
         // link across the simulated wire. Making it current lets
@@ -404,8 +377,6 @@ impl ServiceContainer {
         });
         let _current = dispatch_span.as_ref().map(|s| s.make_current());
         let has_refs = call.args.iter().any(|(_, v)| v.as_data_ref().is_some());
-        let mut ref_hits = 0;
-        let mut bytes_saved = 0;
         let response = match service {
             None => SoapResponse::Fault {
                 code: "Client".into(),
@@ -416,14 +387,8 @@ impl ServiceContainer {
             },
             Some(s) => {
                 let invoked = if has_refs {
-                    match self.resolve_refs(&call.args) {
-                        Ok(resolved) => {
-                            ref_hits = resolved.ref_hits;
-                            bytes_saved = resolved.bytes_saved;
-                            s.invoke(&call.operation, &resolved.args)
-                        }
-                        Err(fault) => Err(fault),
-                    }
+                    self.resolve_refs(&call.args)
+                        .and_then(|args| s.invoke(&call.operation, &args))
                 } else {
                     s.invoke(&call.operation, &call.args)
                 };
@@ -441,24 +406,6 @@ impl ServiceContainer {
         {
             span.set_error(format!("[{code}] {message}"));
         }
-        let outcome = match &response {
-            SoapResponse::Value(_) => Outcome::Ok,
-            SoapResponse::Fault { code, .. } => Outcome::Fault(code.clone()),
-        };
-        self.monitor.record(InvocationEvent {
-            host: self.host.clone(),
-            service: call.service.clone(),
-            operation: call.operation.clone(),
-            duration: start.elapsed(),
-            bytes_in: call.args.iter().map(|(_, v)| v.wire_size()).sum(),
-            bytes_out: match &response {
-                SoapResponse::Value(v) => v.wire_size(),
-                SoapResponse::Fault { .. } => 64,
-            },
-            bytes_saved,
-            ref_hits,
-            outcome,
-        });
         response
     }
 
@@ -583,18 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_records_invocations() {
-        let c = container();
-        c.dispatch(&SoapCall::new("Echo", "echo").arg("message", SoapValue::Null));
-        c.dispatch(&SoapCall::new("Echo", "fail"));
-        let events = c.monitor().snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0].outcome, Outcome::Ok));
-        assert!(matches!(events[1].outcome, Outcome::Fault(_)));
-        assert_eq!(events[0].service, "Echo");
-    }
-
-    #[test]
     fn data_ref_args_resolve_from_attachment_store() {
         use crate::dataplane::{content_ref, Payload};
         let c = container();
@@ -614,9 +549,6 @@ mod tests {
             SoapResponse::Value(v) => assert_eq!(v, payload),
             other => panic!("expected materialised payload, got {other:?}"),
         }
-        let event = c.monitor().snapshot().pop().unwrap();
-        assert_eq!(event.ref_hits, 1);
-        assert!(event.bytes_saved > 4000, "saved {}", event.bytes_saved);
     }
 
     #[test]

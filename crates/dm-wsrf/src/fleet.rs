@@ -33,8 +33,9 @@
 //! - **[`Fleet`]**: glues the above to a [`Network`] — provisions
 //!   replica hosts with the E14 capacity model, joins them to the
 //!   gossip mesh, heartbeats them, and routes invocations with
-//!   health-aware failover across the ordered replicas (PR 1's
-//!   job-migration requirement, fleet-sized).
+//!   health-aware failover across the ordered replicas (the paper's
+//!   job migration, fleet-sized, through the same
+//!   [`failover`](crate::resilience::failover) loop workflow tools use).
 //!
 //! Everything runs on the virtual clock and every random choice is
 //! seeded, so fleet runs are byte-identical given the same seed —
@@ -43,6 +44,7 @@
 use crate::container::{CapacityConfig, WebService};
 use crate::error::{Result, WsError};
 use crate::registry::ServiceEntry;
+use crate::resilience::{failover, Failover};
 use crate::soap::SoapValue;
 use crate::transport::Network;
 use parking_lot::{Mutex, RwLock};
@@ -799,10 +801,11 @@ impl Fleet {
             .order(&candidates, &self.network.load_snapshot())
     }
 
-    /// Invoke `operation` on the fleet at `now`: route, then try the
-    /// ordered replicas, migrating past transport failures and
-    /// saturated (`ServerBusy`) hosts — PR 1's health-aware failover at
-    /// fleet scale. Application faults surface immediately.
+    /// Invoke `operation` on the fleet at `now`: route, then
+    /// [`failover`] across the ordered replicas, migrating past
+    /// transport failures and saturated (`ServerBusy`) hosts. Application
+    /// faults surface immediately; when every replica fails, the last
+    /// one's error does.
     pub fn invoke(
         &self,
         now: Duration,
@@ -810,27 +813,24 @@ impl Fleet {
         args: Vec<(String, SoapValue)>,
     ) -> Result<SoapValue> {
         let hosts = self.route(now);
-        if hosts.is_empty() {
-            return Err(WsError::NotFound(format!(
-                "no live replicas of {:?} in the gossip view",
-                self.config.service
-            )));
-        }
-        let mut last_err = None;
-        for host in &hosts {
-            match self
-                .network
+        let call = |host: &str| {
+            self.network
                 .invoke(host, &self.config.service, operation, args.clone())
-            {
-                Ok(value) => {
-                    *self.last_served.lock() = Some(host.clone());
-                    return Ok(value);
-                }
-                Err(err) if err.is_retryable() || err.is_server_busy() => last_err = Some(err),
-                Err(err) => return Err(err),
+        };
+        match failover(&hosts, call, WsError::is_retryable) {
+            Failover::Served { index, value } => {
+                *self.last_served.lock() = Some(hosts[index].clone());
+                Ok(value)
             }
+            Failover::Stopped(err) => Err(err),
+            Failover::Exhausted(tried) => Err(match tried.into_iter().last() {
+                Some((_, err)) => err,
+                None => WsError::NotFound(format!(
+                    "no live replicas of {:?} in the gossip view",
+                    self.config.service
+                )),
+            }),
         }
-        Err(last_err.expect("at least one replica attempted"))
     }
 
     /// One autoscaler tick at `now`: sample mean in-system depth per

@@ -1,7 +1,9 @@
 //! Service monitoring: "the framework should allow users to monitor the
 //! progress of their jobs as they are executed on distributed
-//! resources" (§3, category 2). Networks and containers record an event
-//! for every attempt, and the toolkit summarises them.
+//! resources" (§3, category 2). There is one invocation log: the
+//! network's, which [`Network::invoke`] records into for every attempt
+//! at the transport chokepoint, failed attempts included, and which the
+//! toolkit, cost model and exporters summarise.
 //!
 //! [`MonitorLog::record`] is the one place telemetry is aggregated, so
 //! every reader costs O(series) however long the run has been going.
@@ -15,12 +17,10 @@
 //! * a ring of the last [`EVENT_RING`] raw events, which is all that
 //!   [`MonitorLog::snapshot`] returns.
 //!
-//! Durations are in the clock of the log that recorded them: a network
-//! log ([`Network::invoke`]) records virtual time, a container log
-//! ([`ServiceContainer::dispatch`]) wall time.
+//! Durations are virtual time, the simulated clock's delta across the
+//! call. Wall time is the tracer's business, not the log's.
 //!
 //! [`Network::invoke`]: crate::transport::Network::invoke
-//! [`ServiceContainer::dispatch`]: crate::container::ServiceContainer::dispatch
 
 use crate::metrics::Histogram;
 use parking_lot::Mutex;
@@ -42,8 +42,8 @@ pub enum Outcome {
     /// The operation returned a SOAP fault (carrying its code).
     Fault(String),
     /// The call failed in transit (either leg) and never produced a
-    /// usable response. Only network-level logs record this; container
-    /// logs cannot see transport failures.
+    /// usable response; the network's log sees it because it records
+    /// at the transport, not at the service.
     TransportError(String),
 }
 
@@ -57,25 +57,22 @@ impl Outcome {
 /// One recorded invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvocationEvent {
-    /// Host the container runs on.
+    /// Host the call was addressed to.
     pub host: String,
     /// Service name.
     pub service: String,
     /// Operation name.
     pub operation: String,
-    /// How long the attempt took, in the clock of the log that records
-    /// it. A network log ([`Network::invoke`]) records the call's
-    /// virtual-clock delta: both links, queue wait and service time on
-    /// the simulated clock. A container log
-    /// ([`ServiceContainer::dispatch`]) records the wall-clock time the
-    /// dispatch took.
+    /// How long the attempt took on the virtual clock: both links,
+    /// queue wait and service time, as [`Network::invoke`] charged them.
     ///
     /// [`Network::invoke`]: crate::transport::Network::invoke
-    /// [`ServiceContainer::dispatch`]: crate::container::ServiceContainer::dispatch
     pub duration: Duration,
-    /// Request payload size (approximate wire bytes).
+    /// Request envelope bytes on the wire (0 when the request leg
+    /// failed before sending).
     pub bytes_in: usize,
-    /// Response payload size.
+    /// Response envelope bytes on the wire (0 when no response was
+    /// sent).
     pub bytes_out: usize,
     /// Wire bytes avoided by pass-by-reference substitution (0 when
     /// the data plane is off or nothing was substituted).
@@ -94,7 +91,7 @@ pub struct MonitorSummary {
     /// Invocations that did not return a value: SOAP faults plus
     /// transport errors.
     pub faults: usize,
-    /// Sum of attempt durations, in the log's clock.
+    /// Sum of attempt durations (virtual time).
     pub total_duration: Duration,
     /// Total request bytes.
     pub bytes_in: usize,
@@ -109,8 +106,7 @@ pub struct MonitorSummary {
 /// Per-host aggregate statistics, the cost model's and circuit
 /// breakers' view of endpoint health. Counts, traffic and
 /// `max_duration` are all-time; the quantiles read the host's last
-/// [`HOST_WINDOW`] attempts. Durations are in the log's clock: virtual
-/// for a network log, wall for a container log.
+/// [`HOST_WINDOW`] attempts. Durations are virtual time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostSummary {
     /// Host name.
@@ -119,7 +115,7 @@ pub struct HostSummary {
     pub invocations: usize,
     /// Attempts that ended in a SOAP fault.
     pub faults: usize,
-    /// Attempts that failed in transit (network-level logs only).
+    /// Attempts that failed in transit (either leg).
     pub transport_errors: usize,
     /// `(faults + transport_errors) / invocations`; 0 when empty.
     pub failure_rate: f64,
@@ -160,7 +156,7 @@ pub struct OperationSummary {
     pub bytes_saved: usize,
     /// Payloads that travelled as `DataRef` handles.
     pub ref_hits: usize,
-    /// Sum of attempt durations, in the log's clock.
+    /// Sum of attempt durations (virtual time).
     pub total_duration: Duration,
 }
 

@@ -18,11 +18,17 @@
 //!   failures under the policy, and records outcomes back into the
 //!   breaker.
 //!
+//! Every remote call takes one path through here: [`attempt`] makes
+//! one traced per-host attempt, plain or through a [`ResilientCaller`],
+//! and [`failover`] migrates a call across an ordered host list.
+//! Workflow tools, typed clients and the fleet all call these two.
+//!
 //! All time here is **virtual** (`Network::now`), never wall-clock.
 
 use crate::error::{Result, WsError};
 use crate::monitor::MonitorLog;
 use crate::soap::SoapValue;
+use crate::trace::{current, SpanKind};
 use crate::transport::Network;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -517,35 +523,10 @@ impl ResilientCaller {
     }
 
     /// Invoke with deadline, retries, backoff, and breaker accounting.
-    pub fn invoke(
-        &self,
-        host: &str,
-        service: &str,
-        operation: &str,
-        args: Vec<(String, SoapValue)>,
-    ) -> Result<SoapValue> {
-        self.invoke_with_stats(host, service, operation, args)
-            .map(|(v, _)| v)
-    }
-
-    /// Like [`invoke`](Self::invoke) but also reports attempt counts
-    /// and backoff so callers can surface them in execution reports.
-    pub fn invoke_with_stats(
-        &self,
-        host: &str,
-        service: &str,
-        operation: &str,
-        args: Vec<(String, SoapValue)>,
-    ) -> Result<(SoapValue, CallStats)> {
-        let (result, stats) = self.invoke_collect(host, service, operation, args);
-        result.map(|value| (value, stats))
-    }
-
-    /// Like [`invoke_with_stats`](Self::invoke_with_stats) but reports
-    /// the stats even when the call ultimately fails, so failover
+    /// The stats come back even when the call fails, so failover
     /// layers can account for attempts and backoff spent on hosts that
     /// never answered.
-    pub fn invoke_collect(
+    pub fn invoke(
         &self,
         host: &str,
         service: &str,
@@ -618,6 +599,85 @@ impl ResilientCaller {
         }
         (Err(last_err), stats)
     }
+}
+
+/// One SOAP call attempt against `host`: through `caller` (deadline,
+/// retries, breaker) when one is given, else one plain
+/// [`Network::invoke`], which reports `attempts: 1`. The stats come
+/// back even when the call fails. The attempt runs in a SOAP-call span
+/// named `{service}.{operation}`, chained under the thread's current
+/// span (a workflow task) when one exists, or as a new root trace;
+/// making it current lets the transport legs parent under it.
+pub fn attempt(
+    network: &Network,
+    caller: Option<&ResilientCaller>,
+    host: &str,
+    service: &str,
+    operation: &str,
+    args: Vec<(String, SoapValue)>,
+) -> (Result<SoapValue>, CallStats) {
+    let mut span = network.tracer().map(|tracer| {
+        let parent = current().map(|(_, ctx)| ctx);
+        let mut span =
+            tracer.start_span(format!("{service}.{operation}"), SpanKind::SoapCall, parent);
+        span.set_attr("host", host);
+        span
+    });
+    let _current = span.as_ref().map(|s| s.make_current());
+    let (result, stats) = match caller {
+        Some(caller) => caller.invoke(host, service, operation, args),
+        None => {
+            let result = network.invoke(host, service, operation, args);
+            let busy = u32::from(matches!(&result, Err(e) if e.is_server_busy()));
+            let stats = CallStats {
+                attempts: 1,
+                busy,
+                ..CallStats::default()
+            };
+            (result, stats)
+        }
+    };
+    if let (Some(span), Err(err)) = (span.as_mut(), &result) {
+        span.set_error(err.to_string());
+    }
+    (result, stats)
+}
+
+/// How a [`failover`] pass over an ordered host list ended.
+#[derive(Debug)]
+pub enum Failover<'h> {
+    /// `hosts[index]` answered with `value`.
+    Served {
+        /// Position of the serving host in the list.
+        index: usize,
+        /// What it returned.
+        value: SoapValue,
+    },
+    /// An error the predicate does not fail over on stopped the pass;
+    /// later hosts were never tried.
+    Stopped(WsError),
+    /// Every host failed over: each `(host, error)` in the order tried,
+    /// empty when there were no hosts.
+    Exhausted(Vec<(&'h str, WsError)>),
+}
+
+/// Job migration, the paper's "moving the job to another resource":
+/// `call` each of `hosts` in order, moving on to the next host while
+/// `fails_over` accepts the error.
+pub fn failover<'h>(
+    hosts: &'h [String],
+    mut call: impl FnMut(&str) -> Result<SoapValue>,
+    fails_over: impl Fn(&WsError) -> bool,
+) -> Failover<'h> {
+    let mut tried = Vec::new();
+    for (index, host) in hosts.iter().enumerate() {
+        match call(host) {
+            Ok(value) => return Failover::Served { index, value },
+            Err(err) if fails_over(&err) => tried.push((host.as_str(), err)),
+            Err(err) => return Failover::Stopped(err),
+        }
+    }
+    Failover::Exhausted(tried)
 }
 
 /// Stable per-(host, operation) seed perturbation so concurrent calls
@@ -746,10 +806,8 @@ mod tests {
             Arc::new(BreakerBoard::default()),
             ResiliencePolicy::default(),
         );
-        let (value, stats) = caller
-            .invoke_with_stats("host-a", "Echo", "echo", msg())
-            .unwrap();
-        assert_eq!(value, SoapValue::Text("hi".into()));
+        let (value, stats) = caller.invoke("host-a", "Echo", "echo", msg());
+        assert_eq!(value.unwrap(), SoapValue::Text("hi".into()));
         assert_eq!(stats.attempts, 1);
         assert_eq!(stats.backoff, Duration::ZERO);
     }
@@ -771,7 +829,7 @@ mod tests {
         );
         let mut successes = 0;
         for _ in 0..20 {
-            if caller.invoke("host-a", "Echo", "echo", msg()).is_ok() {
+            if caller.invoke("host-a", "Echo", "echo", msg()).0.is_ok() {
                 successes += 1;
             }
         }
@@ -797,7 +855,10 @@ mod tests {
             policy,
         );
         let before = net.virtual_time();
-        let err = caller.invoke("host-a", "Echo", "echo", msg()).unwrap_err();
+        let err = caller
+            .invoke("host-a", "Echo", "echo", msg())
+            .0
+            .unwrap_err();
         assert!(
             matches!(err, WsError::DeadlineExceeded { .. }),
             "expected deadline, got {err:?}"
@@ -823,13 +884,14 @@ mod tests {
             ResiliencePolicy::default().attempts(1),
         );
         // Two failing calls trip the breaker...
-        assert!(caller.invoke("host-a", "Echo", "echo", msg()).is_err());
-        assert!(caller.invoke("host-a", "Echo", "echo", msg()).is_err());
+        assert!(caller.invoke("host-a", "Echo", "echo", msg()).0.is_err());
+        assert!(caller.invoke("host-a", "Echo", "echo", msg()).0.is_err());
         // ...after which calls are rejected without reaching the wire.
-        let before = net.host("host-a").unwrap().monitor().len();
-        let err = caller.invoke("host-a", "Echo", "echo", msg()).unwrap_err();
-        assert_eq!(err, WsError::CircuitOpen("host-a".into()));
-        assert_eq!(net.host("host-a").unwrap().monitor().len(), before);
+        let before = net.monitor().len();
+        let (result, stats) = caller.invoke("host-a", "Echo", "echo", msg());
+        assert_eq!(result.unwrap_err(), WsError::CircuitOpen("host-a".into()));
+        assert_eq!(stats.attempts, 0);
+        assert_eq!(net.monitor().len(), before);
         assert_eq!(board.open_hosts(net.now()), vec!["host-a".to_string()]);
     }
 
@@ -841,12 +903,10 @@ mod tests {
             Arc::new(BreakerBoard::default()),
             ResiliencePolicy::default().attempts(5),
         );
-        let (err, attempts) = match caller.invoke_with_stats("host-a", "Echo", "fail", vec![]) {
-            Err(e) => (e, net.monitor().len()),
-            Ok(_) => panic!("fail op should fault"),
-        };
-        assert!(matches!(err, WsError::Fault { .. }));
-        assert_eq!(attempts, 1, "deterministic fault retried");
+        let (result, stats) = caller.invoke("host-a", "Echo", "fail", vec![]);
+        assert!(matches!(result, Err(WsError::Fault { .. })), "{result:?}");
+        assert_eq!(stats.attempts, 1, "deterministic fault retried");
+        assert_eq!(net.monitor().len(), 1);
     }
 
     #[test]
@@ -873,9 +933,8 @@ mod tests {
             })),
             ResiliencePolicy::default().attempts(5),
         );
-        let (value, stats) = caller
-            .invoke_with_stats("host-a", "Echo", "echo", msg())
-            .expect("busy host drains within the retry budget");
+        let (value, stats) = caller.invoke("host-a", "Echo", "echo", msg());
+        let value = value.expect("busy host drains within the retry budget");
         assert_eq!(value, SoapValue::Text("hi".into()));
         assert!(stats.busy >= 1, "no shed observed: {stats:?}");
         assert_eq!(
@@ -952,5 +1011,91 @@ mod tests {
         let board = BreakerBoard::default();
         board.observe_log(net.monitor(), net.now());
         assert_eq!(board.breaker("host-a").state(net.now()), BreakerState::Open);
+    }
+
+    fn three_hosts() -> (Arc<Network>, Vec<String>) {
+        let net = Arc::new(Network::new());
+        let hosts: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        for host in &hosts {
+            net.add_host(host.as_str()).deploy(Arc::new(EchoService));
+        }
+        (net, hosts)
+    }
+
+    fn echo_on<'n>(
+        net: &'n Network,
+        operation: &'n str,
+    ) -> impl FnMut(&str) -> Result<SoapValue> + 'n {
+        move |host| net.invoke(host, "Echo", operation, msg())
+    }
+
+    fn logged_hosts(net: &Network) -> Vec<String> {
+        net.monitor()
+            .snapshot()
+            .into_iter()
+            .map(|e| e.host)
+            .collect()
+    }
+
+    #[test]
+    fn failover_tries_hosts_in_order() {
+        let (net, hosts) = three_hosts();
+        net.set_host_down("a", true);
+        net.set_host_down("b", true);
+        match failover(&hosts, echo_on(&net, "echo"), WsError::is_retryable) {
+            Failover::Served { index, value } => {
+                assert_eq!(index, 2);
+                assert_eq!(value, SoapValue::Text("hi".into()));
+            }
+            other => panic!("expected c to serve, got {other:?}"),
+        }
+        assert_eq!(logged_hosts(&net), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn failover_stops_at_an_error_the_predicate_rejects() {
+        let (net, hosts) = three_hosts();
+        // A SOAP fault is deterministic: no later host is called.
+        match failover(&hosts, echo_on(&net, "fail"), WsError::is_retryable) {
+            Failover::Stopped(err) => assert!(matches!(err, WsError::Fault { .. }), "{err:?}"),
+            other => panic!("expected a stop, got {other:?}"),
+        }
+        assert_eq!(net.monitor().len(), 1);
+        // A transport error the predicate rejects stops the pass too.
+        net.set_host_down("a", true);
+        match failover(&hosts, echo_on(&net, "echo"), |_| false) {
+            Failover::Stopped(err) => assert!(err.is_transport_level(), "{err:?}"),
+            other => panic!("expected a stop, got {other:?}"),
+        }
+        assert_eq!(logged_hosts(&net), ["a", "a"]);
+    }
+
+    #[test]
+    fn failover_exhaustion_lists_every_host_and_error_in_order() {
+        let (net, hosts) = three_hosts();
+        for host in &hosts {
+            net.set_host_down(host, true);
+        }
+        match failover(&hosts, echo_on(&net, "echo"), WsError::is_retryable) {
+            Failover::Exhausted(tried) => {
+                let order: Vec<&str> = tried.iter().map(|(host, _)| *host).collect();
+                assert_eq!(order, ["a", "b", "c"]);
+                for (host, err) in &tried {
+                    assert!(err.is_retryable(), "{host}: {err:?}");
+                    assert!(err.to_string().contains(host), "{host}: {err}");
+                }
+            }
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
+        assert_eq!(logged_hosts(&net), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn failover_over_no_hosts_is_an_empty_exhaustion() {
+        let outcome = failover(&[], |_| panic!("no host to attempt"), |_| true);
+        assert!(
+            matches!(&outcome, Failover::Exhausted(tried) if tried.is_empty()),
+            "{outcome:?}"
+        );
     }
 }

@@ -7,10 +7,12 @@
 //! make the same point about end-to-end monitoring of composed mining
 //! services. Flat logs ([`crate::monitor::MonitorLog`]) cannot answer
 //! "which workflow task caused this dispatch?" — spans can: the
-//! executor opens a span per task attempt, `WsTool`/client channels
-//! open a SOAP-call span per host attempt, the transport records the
-//! request and response legs, and the container records the dispatch
-//! and handler work, each child carrying its parent's `span_id`.
+//! executor opens a span per task attempt,
+//! [`crate::resilience::attempt`] opens a SOAP-call span per host
+//! attempt (for tools and typed clients alike), the transport records
+//! the request and response legs, and the container records the
+//! dispatch and handler work, each child carrying its parent's
+//! `span_id`.
 //!
 //! Propagation is two-layered: **within a thread**, a task-local stack
 //! ([`push_current`]/[`current`]) carries the active span so deeper

@@ -232,8 +232,8 @@ impl FaultPlan {
 }
 
 /// The simulated network: hosts, cost model, virtual clock, fault
-/// engine, and a network-level monitor log that — unlike the container
-/// logs — sees transport failures.
+/// engine, and the invocation log, which records every attempt here,
+/// at the transport, so it sees transport failures too.
 pub struct Network {
     config: NetworkConfig,
     hosts: RwLock<HashMap<String, Arc<ServiceContainer>>>,
@@ -442,8 +442,8 @@ impl Network {
             .collect()
     }
 
-    /// The network-level attempt log. Every `invoke` records here —
-    /// including transport failures, which container logs cannot see.
+    /// The invocation log. Every `invoke` records here, on the virtual
+    /// clock, including attempts that failed in transit.
     pub fn monitor(&self) -> &MonitorLog {
         &self.monitor
     }
@@ -659,7 +659,7 @@ impl Network {
         let container = self.host(host)?;
         // Request leg: a failure here means the service never ran.
         // The leg span parents under whatever span the caller made
-        // current (a SOAP-call span in WsTool/ClientChannel), and its
+        // current (the SOAP-call span of `resilience::attempt`), and its
         // own context rides the envelope so the container's dispatch
         // span links under this leg.
         let tracer = self.tracer.read().clone();
@@ -1105,10 +1105,10 @@ mod tests {
             events[1].outcome,
             crate::monitor::Outcome::TransportError(_)
         ));
-        // Container logs can't see the failed attempt.
-        assert_eq!(net.host("host-a").unwrap().monitor().len(), 1);
         let by_host = net.monitor().summary_by_host();
         assert_eq!(by_host.len(), 1);
+        assert_eq!(by_host[0].invocations, 2);
+        assert_eq!(by_host[0].transport_errors, 1);
         assert!((by_host[0].failure_rate - 0.5).abs() < 1e-12);
     }
 
@@ -1147,7 +1147,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(net.host("host-a").unwrap().monitor().len(), 400);
+        assert_eq!(net.monitor().len(), 400);
+        let by_host = net.monitor().summary_by_host();
+        assert_eq!(by_host[0].invocations, 400);
+        assert_eq!(by_host[0].failure_rate, 0.0);
     }
 
     #[test]

@@ -107,13 +107,13 @@ fn main() {
     );
 
     // --- Monitoring --------------------------------------------------------
+    // The network's log records every attempt at the transport, the
+    // failed one on the downed host included; bytes are whole envelopes.
     println!("\n=== Service monitoring (§3) ===");
-    for host in toolkit.hosts() {
-        let monitor = toolkit.container(host).expect("container").monitor();
-        let s = monitor.summary(None);
+    for s in net.monitor().summary_by_host() {
         println!(
-            "  {host}: {} invocations, {} faults, {} bytes in, {} bytes out",
-            s.invocations, s.faults, s.bytes_in, s.bytes_out
+            "  {}: {} invocations, {} faults, {} transport errors, {} bytes in, {} bytes out",
+            s.host, s.invocations, s.faults, s.transport_errors, s.bytes_in, s.bytes_out
         );
     }
 }

@@ -60,9 +60,8 @@ fn main() {
     // shed-aware backoff (double the drawn delay) waits the queue out.
     net.set_virtual_time(t0);
     let caller = toolkit.resilience().expect("resilience enabled");
-    let (_, stats) = caller
-        .invoke_with_stats("wesc-a", "Classifier", "getClassifiers", vec![])
-        .expect("retry succeeds once the queue drains");
+    let (result, stats) = caller.invoke("wesc-a", "Classifier", "getClassifiers", vec![]);
+    result.expect("retry succeeds once the queue drains");
     println!(
         "succeeded after {} attempts ({} shed, {:?} total backoff)",
         stats.attempts, stats.busy, stats.backoff

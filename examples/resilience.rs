@@ -61,6 +61,7 @@ fn main() {
     println!("breaker state after 3s: {:?}", breaker.state(net.now()));
     caller
         .invoke("wesc-a", "Classifier", "getClassifiers", vec![])
+        .0
         .expect("probe succeeds once the outage lapses");
     println!(
         "probe succeeded; breaker state: {:?}",

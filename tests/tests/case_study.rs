@@ -30,8 +30,7 @@ fn case_study_consumes_network_time() {
 fn case_study_invocations_are_monitored() {
     let toolkit = Toolkit::new().unwrap();
     run_case_study_on(&toolkit).unwrap();
-    let monitor = toolkit.container(toolkit.primary_host()).unwrap().monitor();
-    let summary = monitor.summary(None);
+    let summary = toolkit.network().monitor().summary(None);
     // readArff + getClassifiers + getOptions + classifyInstance +
     // classifyGraph + the direct summary call = 6 service invocations.
     assert!(

@@ -173,6 +173,7 @@ fn breaker_half_open_probe_restores_service() {
     for _ in 0..2 {
         assert!(caller
             .invoke("a", "Classifier", "getClassifiers", vec![])
+            .0
             .is_err());
     }
     assert_eq!(
@@ -184,6 +185,7 @@ fn breaker_half_open_probe_restores_service() {
     let events_before = net.monitor().len();
     let err = caller
         .invoke("a", "Classifier", "getClassifiers", vec![])
+        .0
         .unwrap_err();
     assert!(
         matches!(err, dm_wsrf::WsError::CircuitOpen(_)),
@@ -201,6 +203,7 @@ fn breaker_half_open_probe_restores_service() {
     );
     let names = caller
         .invoke("a", "Classifier", "getClassifiers", vec![])
+        .0
         .unwrap();
     assert!(!names.as_list().unwrap().is_empty());
     assert_eq!(
@@ -243,8 +246,7 @@ proptest! {
         .with_seed(seed);
 
         let before = net.now();
-        let (result, stats) =
-            caller.invoke_collect("dead", "Classifier", "getClassifiers", vec![]);
+        let (result, stats) = caller.invoke("dead", "Classifier", "getClassifiers", vec![]);
         let elapsed = net.now() - before;
         prop_assert!(result.is_err());
         prop_assert!(stats.attempts <= attempts);
@@ -281,4 +283,57 @@ fn injected_faults_do_not_corrupt_results() {
         ])
         .unwrap();
     assert_eq!(out[0], Token::Text(clean));
+}
+
+/// One row of E9's breaker-comparison table: a flaky primary "a" at
+/// p = 0.3 with healthy replicas "b" and "c", 60 `J48.classify` calls.
+/// Returns (wasted attempts, virtual cost, successes).
+fn breaker_comparison_row(with_breakers: bool) -> (usize, Duration, usize) {
+    let mut toolkit = Toolkit::with_hosts(&["a", "b", "c"]).unwrap();
+    if with_breakers {
+        toolkit.enable_resilience(
+            ResiliencePolicy::default().attempts(1),
+            BreakerConfig::default(),
+        );
+    }
+    let classify = toolkit.import_service("a", "J48").unwrap().remove(0);
+    let net = toolkit.network();
+    net.set_failure_probability("a", 0.3);
+    net.reseed_faults(7);
+    let arff = dm_data::corpus::breast_cancer_arff();
+    let before = net.now();
+    let ok = (0..60)
+        .filter(|_| {
+            classify
+                .execute(&[
+                    Token::Text(arff.clone()),
+                    Token::Text("Class".into()),
+                    Token::Text(String::new()),
+                ])
+                .is_ok()
+        })
+        .count();
+    let wasted = net
+        .monitor()
+        .summary_by_host()
+        .iter()
+        .map(|s| s.faults + s.transport_errors)
+        .sum();
+    (wasted, net.now() - before, ok)
+}
+
+#[test]
+fn e9_breaker_table_figures_are_pinned() {
+    // The exact figures E9 prints. Any change to failover order,
+    // demotion, breaker accounting or the fault stream moves them.
+    assert_eq!(
+        breaker_comparison_row(false),
+        (37, Duration::from_nanos(80_282_592), 60),
+        "naive row"
+    );
+    assert_eq!(
+        breaker_comparison_row(true),
+        (1, Duration::from_nanos(69_779_040), 60),
+        "breakers row"
+    );
 }

@@ -218,9 +218,8 @@ fn byte_len_agrees_with_transport_cost() {
         wire.bytes,
         batch.byte_len()
     );
-    // The host-side monitor accounts the same request.
-    let host = net.host("miner").unwrap();
-    let summaries = host.monitor().summary_by_operation(Some("DataStream"));
+    // The network's monitor accounts the same request.
+    let summaries = net.monitor().summary_by_operation(Some("DataStream"));
     let send = summaries
         .iter()
         .find(|s| s.operation == "sendChunk")
