@@ -222,9 +222,10 @@ impl Toolkit {
 
     /// Turn on event-sourced durable enactment: subsequent
     /// [`Toolkit::run_durable`] calls append every run event to one
-    /// shared append-only [`RunJournal`], dispatch tasks to `workers`
-    /// claim/ack worker threads, and can resume a crashed run from the
-    /// log without re-executing completed tasks. Large task outputs are
+    /// shared append-only [`RunJournal`], execute tasks under claim/ack
+    /// on `workers` threads (the calling thread included), and can
+    /// resume a crashed run from the log without re-executing completed
+    /// tasks. Large task outputs are
     /// persisted as content-addressed refs into the client attachment
     /// store when the data plane is enabled (a dedicated store is
     /// provisioned otherwise), so the journal itself stays small.

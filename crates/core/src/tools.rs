@@ -295,6 +295,12 @@ impl Tool for OptionSelector {
 
 /// Selects (and validates) the attribute the classifier should classify
 /// on.
+///
+/// The check reads only the dataset's ARFF header
+/// ([`dm_data::arff::parse_arff_header`]): an unknown attribute or a
+/// malformed header fails the task, but the data rows are not decoded
+/// here. A malformed data row is reported by the service that decodes
+/// the rows: `classifyInstance` returns a Client fault.
 pub struct AttributeSelector {
     attribute: String,
 }
@@ -330,8 +336,9 @@ impl Tool for AttributeSelector {
             Token::Text(s) => s,
             _ => return Err("AttributeSelector expects dataset text".into()),
         };
-        let ds = dm_data::arff::parse_arff(arff).map_err(|e| e.to_string())?;
-        ds.attribute_index(&self.attribute)
+        let header = dm_data::arff::parse_arff_header(arff).map_err(|e| e.to_string())?;
+        header
+            .attribute_index(&self.attribute)
             .map_err(|e| e.to_string())?;
         Ok(vec![Token::Text(self.attribute.clone())])
     }
@@ -447,6 +454,8 @@ impl Tool for TreeViewer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_wsrf::container::WebService;
+    use dm_wsrf::soap::SoapValue;
 
     #[test]
     fn local_dataset_emits_arff() {
@@ -523,7 +532,33 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec![Token::Text("Class".into())]);
         assert!(AttributeSelector::new("nope")
-            .execute(&[Token::Text(arff)])
+            .execute(&[Token::Text(arff.clone())])
+            .is_err());
+
+        // Only the header is read: a malformed data row still selects,
+        // and the service that decodes the rows reports it instead.
+        let bad_row = format!("{arff}not,a,row\n");
+        assert!(dm_data::arff::parse_arff(&bad_row).is_err());
+        let out = AttributeSelector::new("Class")
+            .execute(&[Token::Text(bad_row.clone())])
+            .unwrap();
+        assert_eq!(out, vec![Token::Text("Class".into())]);
+        let args = [
+            ("dataset", bad_row.as_str()),
+            ("classifier", "J48"),
+            ("options", ""),
+            ("attribute", "Class"),
+        ]
+        .map(|(name, value)| (name.to_string(), SoapValue::Text(value.into())));
+        let fault = dm_services::classifier_ws::ClassifierService::new()
+            .invoke("classifyInstance", &args)
+            .unwrap_err();
+        assert_eq!(fault.code, "Client");
+
+        // A malformed header fails the task.
+        let bad_header = format!("@bogus header line\n{arff}");
+        assert!(AttributeSelector::new("Class")
+            .execute(&[Token::Text(bad_header)])
             .is_err());
     }
 

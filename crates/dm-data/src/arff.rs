@@ -19,6 +19,10 @@
 //! for numeric ones, and a hashed interner for string values. Cells
 //! go straight into the [`Column`] buffers, so a cell costs no
 //! allocation.
+//!
+//! [`parse_arff_header`] reads the header alone, through the same
+//! header loop, for callers that need only the relation and the
+//! attribute declarations.
 
 use crate::attribute::{Attribute, AttributeKind};
 use crate::column::Column;
@@ -36,6 +40,58 @@ use std::collections::HashMap;
 /// assert!(ds.instance(1).is_missing(1));
 /// ```
 pub fn parse_arff(text: &str) -> Result<Dataset> {
+    let (relation, attributes, lines) = read_header(text)?;
+    let mut reader = DataReader::new(&attributes);
+    for (lineno, raw) in lines {
+        let line = strip_comment(raw).trim();
+        if line.is_empty() {
+            continue;
+        }
+        if line.starts_with('{') {
+            reader.sparse_row(line, lineno + 1)?;
+        } else {
+            reader.dense_row(line, lineno + 1)?;
+        }
+    }
+    let DataReader {
+        columns,
+        rows,
+        strings,
+        ..
+    } = reader;
+    Ok(Dataset::from_columns(
+        relation,
+        attributes,
+        columns,
+        rows,
+        strings.table,
+    ))
+}
+
+/// Parse only the header of an ARFF document: a [`Dataset`] with the
+/// relation and attributes [`parse_arff`] would give, and no rows. The
+/// data section is not read, so a malformed row is not an error here;
+/// a malformed header or a missing `@data` line is, with the error
+/// [`parse_arff`] returns.
+///
+/// ```
+/// let text = "@relation toy\n@attribute a {x,y}\n@data\nx\nnot-a-label\n";
+/// let header = dm_data::arff::parse_arff_header(text).unwrap();
+/// assert_eq!(header.num_instances(), 0);
+/// assert_eq!(header.attribute_index("a").unwrap(), 0);
+/// assert!(dm_data::arff::parse_arff(text).is_err());
+/// ```
+pub fn parse_arff_header(text: &str) -> Result<Dataset> {
+    let (relation, attributes, _) = read_header(text)?;
+    Ok(Dataset::new(relation, attributes))
+}
+
+/// The numbered lines of a document, from zero.
+type NumberedLines<'a> = std::iter::Enumerate<std::str::Lines<'a>>;
+
+/// Read the header up to and including the `@data` line: the relation
+/// name, the attributes, and the lines that follow `@data`.
+fn read_header(text: &str) -> Result<(String, Vec<Attribute>, NumberedLines<'_>)> {
     let mut relation = String::from("unnamed");
     let mut attributes: Vec<Attribute> = Vec::new();
     let mut lines = text.lines().enumerate();
@@ -65,7 +121,7 @@ pub fn parse_arff(text: &str) -> Result<Dataset> {
                     message: "@data before any @attribute declaration".into(),
                 });
             }
-            break;
+            return Ok((relation, attributes, lines));
         } else {
             return Err(DataError::Parse {
                 line: lineno + 1,
@@ -73,32 +129,6 @@ pub fn parse_arff(text: &str) -> Result<Dataset> {
             });
         }
     }
-
-    let mut reader = DataReader::new(&attributes);
-    for (lineno, raw) in lines {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('{') {
-            reader.sparse_row(line, lineno + 1)?;
-        } else {
-            reader.dense_row(line, lineno + 1)?;
-        }
-    }
-    let DataReader {
-        columns,
-        rows,
-        strings,
-        ..
-    } = reader;
-    Ok(Dataset::from_columns(
-        relation,
-        attributes,
-        columns,
-        rows,
-        strings.table,
-    ))
 }
 
 /// `true` when `line` starts with `directive`, ignoring ASCII case.

@@ -528,6 +528,42 @@ mod tests {
         let expected = parse_arff(text);
         let got = crate::arff::parse_arff(text);
         assert_eq!(got, expected, "readers disagree on {text:?}");
+        assert_header_reader_agrees(text, &got);
+    }
+
+    /// `parse_arff_header` as one more reader: where the full read
+    /// succeeds, the same relation and attributes with zero rows; where
+    /// the header read fails, the full read's error; where only the
+    /// full read fails, an error after the `@data` line.
+    fn assert_header_reader_agrees(text: &str, full: &Result<Dataset>) {
+        match (crate::arff::parse_arff_header(text), full) {
+            (Ok(header), Ok(ds)) => {
+                assert_eq!(header.num_instances(), 0, "{text:?}");
+                assert_eq!(
+                    header,
+                    Dataset::new(ds.relation(), ds.attributes().to_vec()),
+                    "header of {text:?}"
+                );
+            }
+            (Err(e), full) => assert_eq!(full.as_ref(), Err(&e), "{text:?}"),
+            (Ok(_), Err(e)) => {
+                // The header read stopped at the first `@data` line.
+                let data_line = text
+                    .lines()
+                    .position(|raw| {
+                        let line = strip_comment(raw).trim().as_bytes();
+                        line.get(..5)
+                            .is_some_and(|h| h.eq_ignore_ascii_case(b"@data"))
+                    })
+                    .expect("a header read found @data")
+                    + 1;
+                // Errors without a line number come only from the row
+                // decoders' cell checks.
+                if let DataError::Parse { line, .. } = e {
+                    assert!(*line > data_line, "{e} at or before @data in {text:?}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -6,20 +6,28 @@
 //! [`Executor::run_durable`] alike, goes through the same loop:
 //!
 //! * the **orchestrator** (the calling thread) owns the graph logic: it
-//!   tracks the remaining-work frontier, hands each task whose inputs
-//!   have all been produced to the pool under a numbered claim, and
-//!   records each acknowledged outcome. A completed task leaves the
-//!   frontier and releases its successors. The orchestrator is the only
-//!   job sender, so dropping its sender stops the pool;
-//! * the **workers** (scoped threads) execute tools via the engine's
-//!   retry machinery and acknowledge each claim with its outcome.
+//!   tracks the remaining-work frontier, queues each task whose inputs
+//!   have all been produced under a numbered claim, and records each
+//!   acknowledged outcome. A completed task leaves the frontier and
+//!   releases its successors. The orchestrator is the only job sender,
+//!   so dropping its sender stops the pool;
+//! * the **workers** are the threads that execute claims: tools run via
+//!   the engine's retry machinery, and each claim is acknowledged with
+//!   its outcome. The orchestrator's thread is one of them. When it
+//!   needs an outcome and no finished claim is waiting, it runs a queued
+//!   claim itself, so `workers` threads execute claims on `workers − 1`
+//!   scoped threads plus the caller's, and a one-worker run executes
+//!   every task on the calling thread.
+//!
+//! Graph logic and execution stay separate functions; they may share a
+//! thread.
 //!
 //! What differs between the entry points follows from which one was
 //! called:
 //!
 //! * `run` has no journal. It stops at the first task failure: no
 //!   successor is dispatched and claims not yet started are dropped
-//!   unrun. Events are delivered live by the worker running the task,
+//!   unrun. Events are delivered live by the thread running the task,
 //!   which is what monitoring wants, in a scheduler-dependent order.
 //! * `run_durable` journals every state transition to a [`RunJournal`]
 //!   before it takes effect, and the orchestrator is the journal's only
@@ -98,7 +106,9 @@ impl DurableConfig {
         }
     }
 
-    /// Builder: use `workers` pool threads (clamped to at least 1).
+    /// Builder: execute claims on `workers` threads (clamped to at least
+    /// 1), the orchestrator's thread included, so an enactment spawns
+    /// `workers − 1` (at most one thread per task).
     pub fn with_workers(mut self, workers: usize) -> DurableConfig {
         self.workers = workers.max(1);
         self
@@ -211,7 +221,8 @@ impl Orchestrator<'_> {
         Ok(())
     }
 
-    /// Hand `task` and its inputs to the pool under a fresh claim.
+    /// Queue `task` and its inputs under a fresh claim, for whichever
+    /// worker takes it first.
     fn dispatch(&mut self, task: TaskId) -> Result<()> {
         // Journal the dispatch first: a crash between this append and the
         // task's completion record is the mid-task kill point — on resume
@@ -310,8 +321,9 @@ impl Executor {
     }
 
     /// The frontier loop behind [`Executor::run`] (no `durable` config)
-    /// and [`Executor::run_durable`], on a pool of `workers` threads (at
-    /// most one per task).
+    /// and [`Executor::run_durable`], executing claims on `workers`
+    /// threads (at most one per task): the calling thread and
+    /// `workers − 1` scoped ones.
     pub(crate) fn enact(
         &self,
         graph: &TaskGraph,
@@ -426,66 +438,69 @@ impl Executor {
         // Raised when the loop stops, and in a fail-fast run by the
         // worker whose task failed: workers then start no further claim.
         let stop = AtomicBool::new(false);
+        // Execute one claim on the thread that calls this, a pool thread
+        // or the orchestrator's, and return its outcome.
+        let run_claim = |job: Job| -> Done {
+            let events = Mutex::new(Vec::new());
+            let emit = |e| {
+                if buffered {
+                    events.lock().push(e);
+                } else {
+                    self.emit(e);
+                }
+            };
+            let started = Instant::now();
+            // A panicking tool fails its claim instead of killing the
+            // worker: a dead worker never acks, and with others alive the
+            // orchestrator would wait for that ack forever.
+            let (result, run) = panic::catch_unwind(AssertUnwindSafe(|| {
+                self.execute_task(graph, job.task, &job.inputs, &budget, root, &emit)
+            }))
+            .unwrap_or_else(|payload| {
+                let (result, run) = panicked(graph, job.task, &*payload, started);
+                emit(ProgressEvent::Failed {
+                    task: run.task.clone(),
+                    message: run.error.clone().unwrap_or_default(),
+                });
+                (result, run)
+            });
+            if fail_fast && result.is_err() {
+                stop.store(true, Ordering::SeqCst);
+            }
+            let tick = self.virtual_now();
+            // Scripted worker death: the finished claim is discarded
+            // without an ack, so the orchestrator must redeliver. The
+            // worker itself keeps serving — it models a restarted worker.
+            let died = durable.is_some_and(|c| c.kill_worker_on_claim == Some(job.claim));
+            let outcome = if died {
+                Outcome::Died
+            } else {
+                Outcome::Finished {
+                    result,
+                    run,
+                    events: events.into_inner(),
+                    tick,
+                }
+            };
+            Done {
+                claim: job.claim,
+                task: job.task,
+                outcome,
+            }
+        };
         let mut entries: Vec<Entry> = Vec::new();
         let (outcome, produced) = crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                let (budget, stop) = (&budget, &stop);
+            // The orchestrator's thread is the first worker, so a serial
+            // run spawns no thread at all.
+            for _ in 1..workers {
+                let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+                let (run_claim, stop) = (&run_claim, &stop);
                 scope.spawn(move |_| {
                     while let Ok(job) = job_rx.recv() {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let events = Mutex::new(Vec::new());
-                        let emit = |e| {
-                            if buffered {
-                                events.lock().push(e);
-                            } else {
-                                self.emit(e);
-                            }
-                        };
-                        let started = Instant::now();
-                        // A panicking tool fails its claim instead of
-                        // killing the worker: a dead worker never acks,
-                        // and with others alive the orchestrator would
-                        // wait for that ack forever.
-                        let (result, run) = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.execute_task(graph, job.task, &job.inputs, budget, root, &emit)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            let (result, run) = panicked(graph, job.task, &*payload, started);
-                            emit(ProgressEvent::Failed {
-                                task: run.task.clone(),
-                                message: run.error.clone().unwrap_or_default(),
-                            });
-                            (result, run)
-                        });
-                        if fail_fast && result.is_err() {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        let tick = self.virtual_now();
-                        // Scripted worker death: the finished claim is
-                        // discarded without an ack, so the orchestrator
-                        // must redeliver. The thread itself keeps
-                        // serving — it models a restarted worker.
-                        let died =
-                            durable.is_some_and(|c| c.kill_worker_on_claim == Some(job.claim));
-                        let outcome = if died {
-                            Outcome::Died
-                        } else {
-                            Outcome::Finished {
-                                result,
-                                run,
-                                events: events.into_inner(),
-                                tick,
-                            }
-                        };
-                        let _ = done_tx.send(Done {
-                            claim: job.claim,
-                            task: job.task,
-                            outcome,
-                        });
+                        let _ = done_tx.send(run_claim(job));
                     }
                 });
             }
@@ -516,7 +531,21 @@ impl Executor {
                     }
                 }
                 while !orch.claims.is_empty() {
-                    let done = done_rx.recv().expect("workers hold the sender");
+                    // A finished claim first, so successors are released
+                    // as early as possible; else run a queued claim on
+                    // this thread; else wait for a pool thread's ack.
+                    let done = if let Some(done) = done_rx.try_recv() {
+                        done
+                    } else if let Some(job) = job_rx.try_recv() {
+                        if stop.load(Ordering::SeqCst) {
+                            continue;
+                        }
+                        run_claim(job)
+                    } else {
+                        done_rx
+                            .recv()
+                            .expect("an outstanding claim is held by a pool thread")
+                    };
                     if orch.claims.get(&done.task) != Some(&done.claim) {
                         continue; // stale claim: already redelivered
                     }
@@ -780,27 +809,90 @@ mod tests {
 
     #[test]
     fn worker_death_redelivers_unacked_claims() {
-        let g = diamond();
-        let journal = Arc::new(RunJournal::new());
-        let report = Executor::parallel()
-            .run_durable(
-                &g,
-                &HashMap::new(),
-                &DurableConfig::new(Arc::clone(&journal))
-                    .with_workers(2)
-                    .with_kill_worker_on_claim(2),
-            )
+        // At width 1 the dying claim runs on the orchestrator's thread.
+        for workers in [1, 2] {
+            let g = diamond();
+            let journal = Arc::new(RunJournal::new());
+            let report = Executor::parallel()
+                .run_durable(
+                    &g,
+                    &HashMap::new(),
+                    &DurableConfig::new(Arc::clone(&journal))
+                        .with_workers(workers)
+                        .with_kill_worker_on_claim(2),
+                )
+                .unwrap();
+            assert_eq!(journal.stats().redeliveries, 1, "{workers} workers");
+            let plain = Executor::parallel().run(&g, &HashMap::new()).unwrap();
+            assert_eq!(
+                report.canonical_bytes(),
+                plain.canonical_bytes(),
+                "{workers} workers"
+            );
+            // The redelivered task was journaled as started twice.
+            let starts = journal
+                .events()
+                .iter()
+                .filter(|e| matches!(e, RunEvent::TaskStarted { .. }))
+                .count();
+            assert_eq!(starts, 5, "{workers} workers");
+        }
+    }
+
+    /// Passes its input through and records the thread it ran on.
+    struct RecordsThread(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl crate::graph::Tool for RecordsThread {
+        fn name(&self) -> &str {
+            "RecordsThread"
+        }
+
+        fn input_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("in", "string")]
+        }
+
+        fn output_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("out", "string")]
+        }
+
+        fn execute(&self, inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
+            self.0.lock().push(std::thread::current().id());
+            Ok(vec![inputs[0].clone()])
+        }
+    }
+
+    #[test]
+    fn serial_enactment_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        // src → (a → c, b): a fan-out that a wider pool could run at once.
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        let a = g.add_named_task("a", Arc::new(RecordsThread(Arc::clone(&ran_on))));
+        let b = g.add_named_task("b", Arc::new(RecordsThread(Arc::clone(&ran_on))));
+        let c = g.add_named_task("c", Arc::new(RecordsThread(Arc::clone(&ran_on))));
+        g.connect(src, 0, a, 0).unwrap();
+        g.connect(src, 0, b, 0).unwrap();
+        g.connect(a, 0, c, 0).unwrap();
+
+        let delivered_on = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&delivered_on);
+        let listener: crate::engine::ProgressListener =
+            Arc::new(move |_| sink.lock().push(std::thread::current().id()));
+        Executor::serial()
+            .with_listener(listener)
+            .run(&g, &HashMap::new())
             .unwrap();
-        assert_eq!(journal.stats().redeliveries, 1);
-        let plain = Executor::parallel().run(&g, &HashMap::new()).unwrap();
-        assert_eq!(report.canonical_bytes(), plain.canonical_bytes());
-        // The redelivered task was journaled as started twice.
-        let starts = journal
-            .events()
-            .iter()
-            .filter(|e| matches!(e, RunEvent::TaskStarted { .. }))
-            .count();
-        assert_eq!(starts, 5);
+        assert_eq!(*ran_on.lock(), vec![caller; 3]);
+        // RunStarted, Started and Finished for each of 4 tasks, RunFinished.
+        assert_eq!(*delivered_on.lock(), vec![caller; 10]);
+
+        ran_on.lock().clear();
+        let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(1);
+        Executor::parallel()
+            .run_durable(&g, &HashMap::new(), &config)
+            .unwrap();
+        assert_eq!(*ran_on.lock(), vec![caller; 3]);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! progress events.
 //!
 //! Every enactment runs on one scheduler, the frontier loop in
-//! [`crate::durable`]: an orchestrator hands ready tasks to a worker
-//! pool. [`Executor::run`] uses it with no journal, one worker in
-//! [`ExecutionMode::Serial`] and one per core in
+//! [`crate::durable`]: an orchestrator queues ready tasks for a pool of
+//! workers, and the orchestrator's own thread is one of them.
+//! [`Executor::run`] uses it with no journal, one worker (the calling
+//! thread) in [`ExecutionMode::Serial`] and one per core in
 //! [`ExecutionMode::Parallel`]; [`Executor::run_durable`] adds the run
 //! journal.
 
@@ -23,14 +24,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The worker-pool width of [`Executor::run`].
+/// The worker-pool width of [`Executor::run`]: how many threads execute
+/// tasks, the calling thread included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One worker: tasks run one at a time, in the order the frontier
-    /// loop dispatches them.
+    /// One worker, the calling thread: tasks run one at a time, in the
+    /// order the frontier loop dispatches them, and no thread is
+    /// spawned.
     Serial,
-    /// One worker per available core (at most one per task): ready tasks
-    /// run concurrently.
+    /// One worker per available core (at most one per task), the
+    /// calling thread and one spawned thread per further worker: ready
+    /// tasks run concurrently.
     Parallel,
 }
 
@@ -119,7 +123,8 @@ pub struct ExecutionReport {
     pub elapsed: Duration,
     /// Total enactment time on the simulated clock (zero when the
     /// executor has no [`ClockSource`]). This is the figure that agrees
-    /// with benches and traces; `elapsed` only measures host CPU time.
+    /// with benches and traces; `elapsed` is the host's wall-clock time,
+    /// which knows nothing of the simulated network.
     pub virtual_elapsed: Duration,
     /// Retries left in the run's shared budget (`None` = unlimited).
     pub retry_budget_remaining: Option<usize>,
@@ -252,7 +257,9 @@ pub enum ProgressEvent {
 }
 
 /// Listener callback for [`ProgressEvent`]s. Live events arrive on the
-/// worker thread running the task; buffered ones on the calling thread.
+/// thread running the task, which in a serial run is the calling
+/// thread; buffered ones, and `RunStarted`/`RunFinished`, arrive on the
+/// calling thread.
 pub type ProgressListener = std::sync::Arc<dyn Fn(ProgressEvent) + Send + Sync>;
 
 /// The workflow executor.
@@ -386,8 +393,10 @@ impl Executor {
     /// ports (`(task, port) → token`).
     ///
     /// Runs on the same frontier loop as [`Executor::run_durable`], with
-    /// no journal and one worker ([`ExecutionMode::Serial`]) or one per
-    /// available core ([`ExecutionMode::Parallel`]). The first task
+    /// no journal and one worker ([`ExecutionMode::Serial`]: every task
+    /// runs on the calling thread) or one per available core
+    /// ([`ExecutionMode::Parallel`]: the calling thread and one spawned
+    /// thread per further worker). The first task
     /// failure stops the run: no successor is dispatched, claims not yet
     /// started are dropped, and the error is
     /// [`TaskFailed`](crate::error::WorkflowError::TaskFailed) naming

@@ -16,8 +16,8 @@
 //!
 //! Propagation is two-layered: **within a thread**, a task-local stack
 //! ([`push_current`]/[`current`]) carries the active span so deeper
-//! layers need no plumbed-through arguments (workflow worker threads
-//! call the whole stack from one thread, so this crosses every layer);
+//! layers need no plumbed-through arguments (the thread running a
+//! workflow task calls the whole stack, so this crosses every layer);
 //! **across the wire**, [`SpanContext::to_traceparent`] rides in the
 //! envelope header so the server-side dispatch span parents correctly
 //! even though client and server share no stack.

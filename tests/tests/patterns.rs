@@ -120,41 +120,47 @@ fn hierarchical_service_wraps_classification() {
 #[test]
 fn parallel_star_speedup_shape() {
     // With per-task compute, a width-4 star should not be slower in
-    // parallel than serially (allowing generous noise margins).
-    let toolkit = Toolkit::new().unwrap();
-    let mut graph = TaskGraph::new();
-    let source = graph.add_task(Arc::new(faehim::tools::LocalDataset::breast_cancer()));
-    let workers = patterns::widen_star(
-        &mut graph,
-        source,
-        0,
-        || {
-            let tools = toolkit
-                .import_service(toolkit.primary_host(), "Classifier")
-                .unwrap();
-            Arc::new(
-                tools
-                    .into_iter()
-                    .find(|t| t.name().ends_with(".crossValidate"))
-                    .unwrap(),
-            )
-        },
-        4,
-    )
-    .unwrap();
-    let mut bindings = HashMap::new();
-    for &w in &workers {
-        bindings.insert((w, 1), Token::Text("J48".to_string()));
-        bindings.insert((w, 2), Token::Text(String::new()));
-        bindings.insert((w, 3), Token::Text("Class".to_string()));
-        bindings.insert((w, 4), Token::Int(10));
-    }
-    let serial = Executor::serial().run(&graph, &bindings).unwrap();
-    let parallel = Executor::parallel().run(&graph, &bindings).unwrap();
+    // parallel than serially (allowing generous noise margins). Each
+    // worker sends its own options and each mode runs on a fresh
+    // toolkit, so no cross-validation is an evaluation-cache hit.
+    let elapsed = |executor: Executor| {
+        let toolkit = Toolkit::new().unwrap();
+        let mut graph = TaskGraph::new();
+        let source = graph.add_task(Arc::new(faehim::tools::LocalDataset::breast_cancer()));
+        let workers = patterns::widen_star(
+            &mut graph,
+            source,
+            0,
+            || {
+                let tools = toolkit
+                    .import_service(toolkit.primary_host(), "Classifier")
+                    .unwrap();
+                Arc::new(
+                    tools
+                        .into_iter()
+                        .find(|t| t.name().ends_with(".crossValidate"))
+                        .unwrap(),
+                )
+            },
+            4,
+        )
+        .unwrap();
+        let mut bindings = HashMap::new();
+        for (i, &w) in workers.iter().enumerate() {
+            bindings.insert((w, 1), Token::Text("J48".to_string()));
+            bindings.insert((w, 2), Token::Text(format!("-M {}", i + 2)));
+            bindings.insert((w, 3), Token::Text("Class".to_string()));
+            bindings.insert((w, 4), Token::Int(10));
+        }
+        let elapsed = executor.run(&graph, &bindings).unwrap().elapsed;
+        let (_, evals) = toolkit.classifier_client().get_cache_stats().unwrap();
+        assert_eq!((evals.hits, evals.misses), (0, 4), "{evals:?}");
+        elapsed
+    };
+    let serial = elapsed(Executor::serial());
+    let parallel = elapsed(Executor::parallel());
     assert!(
-        parallel.elapsed <= serial.elapsed * 3 / 2,
-        "parallel {:?} vs serial {:?}",
-        parallel.elapsed,
-        serial.elapsed
+        parallel <= serial * 3 / 2,
+        "parallel {parallel:?} vs serial {serial:?}"
     );
 }
