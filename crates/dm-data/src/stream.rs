@@ -95,10 +95,12 @@ impl<'a> FrameReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
+    /// A length or count field. The class-index sentinel (`u64::MAX`)
+    /// is read with [`FrameReader::get_u64`], so no count is exempt.
     fn get_usize(&mut self) -> Result<usize> {
         let v = self.get_u64()?;
         // A hostile length larger than the frame itself cannot be real.
-        if v > self.buf.len() as u64 && v != u64::MAX {
+        if v > self.buf.len() as u64 {
             return Err(DataError::Parse {
                 line: 0,
                 message: format!("stream frame length {v} exceeds frame size"),
@@ -1156,5 +1158,117 @@ mod tests {
             large.byte_len() - small.byte_len(),
             2 * 8 * (1000 - 10) // two numeric columns
         );
+    }
+
+    #[test]
+    fn max_count_stream_header_is_a_parse_error() {
+        // Magic, an empty relation and an attribute count of u64::MAX:
+        // 20 bytes that once reached `Vec::with_capacity(usize::MAX)`.
+        let mut frame = HEADER_MAGIC.to_vec();
+        put_u64(&mut frame, 0);
+        put_u64(&mut frame, u64::MAX);
+        assert_eq!(frame.len(), 20);
+        let err = StreamHeader::from_bytes(&frame).unwrap_err();
+        assert!(matches!(err, DataError::Parse { .. }), "{err:?}");
+        // u64::MAX in the class-index field still means "no class".
+        let header = StreamHeader::of(&toy(1));
+        let back = StreamHeader::from_bytes(&header.to_bytes()).unwrap();
+        assert_eq!(back.class_index(), None);
+    }
+
+    #[test]
+    fn max_row_count_record_batch_is_a_parse_error() {
+        // A row count of u64::MAX once reached `vec![1.0; usize::MAX]`.
+        let mut frame = BATCH_MAGIC.to_vec();
+        put_u64(&mut frame, u64::MAX);
+        put_u64(&mut frame, 0);
+        frame.push(0);
+        let err = RecordBatch::from_bytes(&frame).unwrap_err();
+        assert!(matches!(err, DataError::Parse { .. }), "{err:?}");
+    }
+
+    /// SplitMix64, seeding the battery's byte flips.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Decode every mutation of the valid `frame`: each strict prefix
+    /// (which must fail), each 8-byte window set to `u64::MAX`, to the
+    /// frame length + 1 and to 2^40, and 512 copies with 1–4 seeded
+    /// random byte flips. Returns the number of frames decoded.
+    fn mutation_battery(
+        what: &str,
+        frame: &[u8],
+        seed: u64,
+        decode: &dyn Fn(&[u8]) -> Result<()>,
+    ) -> usize {
+        let run = |mutation: String, bytes: &[u8]| -> Result<()> {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(bytes)))
+                .unwrap_or_else(|_| panic!("{what}, {mutation}: the decoder panicked"))
+        };
+        let mut decoded = 0;
+        for len in 0..frame.len() {
+            let got = run(format!("truncated to {len} bytes"), &frame[..len]);
+            assert!(got.is_err(), "{what}: a {len}-byte prefix decoded");
+            decoded += 1;
+        }
+        for value in [u64::MAX, frame.len() as u64 + 1, 1 << 40] {
+            for at in 0..frame.len().saturating_sub(7) {
+                let mut bytes = frame.to_vec();
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let _ = run(format!("{value} at offset {at}"), &bytes);
+                decoded += 1;
+            }
+        }
+        let mut rng = SplitMix(seed);
+        for copy in 0..512 {
+            let mut bytes = frame.to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 + rng.below(255) as u8;
+            }
+            let _ = run(format!("flip copy {copy} of seed {seed}"), &bytes);
+            decoded += 1;
+        }
+        decoded
+    }
+
+    #[test]
+    fn mutated_stream_frames_are_errors_not_panics() {
+        let mut small = notes();
+        small.set_weight(1, 2.5);
+        let mut breast_cancer = parse_arff(&crate::corpus::breast_cancer_arff()).unwrap();
+        breast_cancer.set_class_by_name("Class").unwrap();
+        let mut decoded = 0;
+        for (seed, ds) in [(7, &breast_cancer), (11, &small)] {
+            let header = StreamHeader::of(ds);
+            decoded += mutation_battery(
+                &format!("{} FSH1", ds.relation()),
+                &header.to_bytes(),
+                seed,
+                &|b| StreamHeader::from_bytes(b).map(drop),
+            );
+            for (i, batch) in chunk_dataset(ds, 100).unwrap().iter().enumerate() {
+                decoded += mutation_battery(
+                    &format!("{} FSB1 #{i}", ds.relation()),
+                    &batch.to_bytes(),
+                    seed + i as u64,
+                    &|b| RecordBatch::from_bytes(b).and_then(|got| got.validate(&header)),
+                );
+            }
+        }
+        assert!(decoded > 10_000, "{decoded} frames");
     }
 }

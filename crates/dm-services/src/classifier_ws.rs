@@ -11,9 +11,14 @@
 //! and returns the textual model. `classifyGraph` returns the tree as
 //! SVG when the model is tree-shaped, and `crossValidate` covers the
 //! "testing the discovered knowledge" requirement.
+//!
+//! Each call looks its model up once in the [`ModelCache`]. A cached
+//! model keeps its textual model and its SVG, so a repeated
+//! `classifyInstance` or `classifyGraph` returns the kept text, and
+//! `classifyInstances` scores the shared model without a lock.
 
 use crate::dataset_cache::{content_hash, with_class, DatasetCache};
-use crate::model_cache::{eval_key, model_key, ModelCache, SharedModel};
+use crate::model_cache::{eval_key, model_key, CachedModel, ModelCache, SharedModel};
 use crate::support::{algo_fault, int_arg, opt_text_arg, text_arg, traced_handler};
 use dm_algorithms::options::parse_options_string;
 use dm_algorithms::registry::{classifier_names, make_classifier};
@@ -21,7 +26,6 @@ use dm_wsrf::container::{ServiceFault, WebService};
 use dm_wsrf::dataplane::CacheStats;
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The general Classifier Web Service.
@@ -68,7 +72,7 @@ impl ClassifierService {
             model.set_option(&flag, &value).map_err(algo_fault)?;
         }
         model.train(&ds).map_err(algo_fault)?;
-        let shared: SharedModel = Arc::new(Mutex::new(model));
+        let shared: SharedModel = Arc::new(CachedModel::new(model));
         self.cache.insert_model(key, Arc::clone(&shared));
         Ok(shared)
     }
@@ -199,19 +203,17 @@ impl WebService for ClassifierService {
             }
             "classifyInstance" => {
                 let model = self.trained_model(args)?;
-                let text = model.lock().describe();
-                Ok(SoapValue::Text(text))
+                Ok(SoapValue::Text(model.text().to_string()))
             }
             "classifyGraph" => {
                 let model = self.trained_model(args)?;
-                let model = model.lock();
-                let tree = model.tree_model().ok_or_else(|| {
+                let svg = model.svg().ok_or_else(|| {
                     ServiceFault::client(format!(
                         "classifier {:?} does not produce a tree graph",
-                        model.name()
+                        model.model().name()
                     ))
                 })?;
-                Ok(SoapValue::Text(crate::support::tree_to_svg(&tree)))
+                Ok(SoapValue::Text(svg.to_string()))
             }
             "classifyInstances" => {
                 // One envelope, N instances: amortise the SOAP round
@@ -225,9 +227,7 @@ impl WebService for ClassifierService {
                     .map_err(crate::support::data_fault)?
                     .labels()
                     .to_vec();
-                let guard = model.lock();
-                let trained: &dyn dm_algorithms::classifiers::Classifier = &**guard;
-                let predictions = trained.predict_batch(&batch).map_err(algo_fault)?;
+                let predictions = model.model().predict_batch(&batch).map_err(algo_fault)?;
                 let mut out = Vec::with_capacity(predictions.len());
                 for idx in predictions {
                     let label = labels.get(idx).ok_or_else(|| {
@@ -356,6 +356,16 @@ mod tests {
             .invoke("classifyGraph", &args_for("NaiveBayes"))
             .unwrap_err();
         assert_eq!(err.code, "Client");
+        // The cached model keeps no SVG: every call faults alike.
+        for _ in 0..2 {
+            assert_eq!(
+                s.invoke("classifyGraph", &args_for("NaiveBayes"))
+                    .unwrap_err(),
+                err
+            );
+        }
+        let stats = s.cache().model_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
     }
 
     #[test]
@@ -458,6 +468,52 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.hits + stats.misses, stats.lookups);
+        // The kept text and SVG equal a fresh service's cold renders.
+        let cold_on_fresh = |operation: &str| {
+            ClassifierService::new()
+                .invoke(operation, &args_for("J48"))
+                .unwrap()
+        };
+        for operation in ["classifyInstance", "classifyGraph"] {
+            let warm = s.invoke(operation, &args_for("J48")).unwrap();
+            assert_eq!(warm, cold_on_fresh(operation), "{operation}");
+        }
+    }
+
+    #[test]
+    fn concurrent_calls_share_one_model_without_a_lock() {
+        let mut batch = args_for("J48");
+        batch.push((
+            "instances".to_string(),
+            SoapValue::Text(breast_cancer_arff()),
+        ));
+        let calls = [
+            ("classifyInstance", args_for("J48")),
+            ("classifyGraph", args_for("J48")),
+            ("classifyInstances", batch),
+        ];
+        let fresh = ClassifierService::new();
+        let expected: Vec<SoapValue> = calls
+            .iter()
+            .map(|(operation, args)| fresh.invoke(operation, args).unwrap())
+            .collect();
+        let s = ClassifierService::new();
+        s.invoke("classifyInstance", &args_for("J48")).unwrap();
+        std::thread::scope(|scope| {
+            for thread in 0..4 {
+                let (s, calls, expected) = (&s, &calls, &expected);
+                scope.spawn(move || {
+                    for round in 0..6 {
+                        let i = (thread + round) % calls.len();
+                        let (operation, args) = &calls[i];
+                        let got = s.invoke(operation, args).unwrap();
+                        assert_eq!(got, expected[i], "thread {thread}: {operation}");
+                    }
+                });
+            }
+        });
+        let stats = s.cache().model_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 24));
     }
 
     #[test]

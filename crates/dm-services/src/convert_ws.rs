@@ -4,7 +4,8 @@
 //! Service to read the data file from a URL and convert this into a
 //! format suitable for analysis". The URL reader resolves against a
 //! registered URL→content map (the offline stand-in for the UCI
-//! repository; see DESIGN.md).
+//! repository; see DESIGN.md) and keeps each content's ARFF conversion
+//! once made.
 
 use crate::dataset_cache::DatasetCache;
 use crate::support::{data_fault, text_arg};
@@ -15,6 +16,7 @@ use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// The data conversion / inspection Web Service.
 #[derive(Debug, Default)]
@@ -114,10 +116,22 @@ impl WebService for DataConversionService {
 /// the paper's service fetched from the live UCI repository; offline,
 /// the corpus generators provide the bytes (substitution documented in
 /// DESIGN.md).
+///
+/// Each URL keeps its content's ARFF conversion once a `readArff` has
+/// produced it, so a repeated `readArff` returns the kept text. A
+/// conversion error is not kept, and registering a URL again replaces
+/// its content and conversion together.
 #[derive(Debug, Default)]
 pub struct UrlReaderService {
-    content: RwLock<HashMap<String, String>>,
+    content: RwLock<HashMap<String, Arc<UrlContent>>>,
     datasets: DatasetCache,
+}
+
+/// A registered URL's content and, once converted, its ARFF text.
+#[derive(Debug)]
+struct UrlContent {
+    text: String,
+    arff: OnceLock<String>,
 }
 
 impl UrlReaderService {
@@ -148,7 +162,21 @@ impl UrlReaderService {
 
     /// Register content for a URL.
     pub fn register<U: Into<String>, C: Into<String>>(&self, url: U, content: C) {
-        self.content.write().insert(url.into(), content.into());
+        let entry = UrlContent {
+            text: content.into(),
+            arff: OnceLock::new(),
+        };
+        self.content.write().insert(url.into(), Arc::new(entry));
+    }
+
+    /// The ARFF conversion of `entry`, converted on first use: ARFF
+    /// through the shared dataset cache, CSV parsed afresh.
+    fn arff_of<'a>(&self, entry: &'a UrlContent) -> Result<&'a str, ServiceFault> {
+        if let Some(arff) = entry.arff.get() {
+            return Ok(arff);
+        }
+        let ds = self.datasets.decode_sniffed(&entry.text)?;
+        Ok(entry.arff.get_or_init(|| dm_data::arff::write_arff(&ds)))
     }
 }
 
@@ -183,18 +211,15 @@ impl WebService for UrlReaderService {
         args: &[(String, SoapValue)],
     ) -> Result<SoapValue, ServiceFault> {
         let url = text_arg(args, "url")?;
-        let content = self
+        let entry = self
             .content
             .read()
             .get(url)
             .cloned()
             .ok_or_else(|| ServiceFault::client(format!("404: no content at {url:?}")))?;
         match operation {
-            "readUrl" => Ok(SoapValue::Text(content)),
-            "readArff" => {
-                let ds = self.datasets.decode_sniffed(&content)?;
-                Ok(SoapValue::Text(dm_data::arff::write_arff(&ds)))
-            }
+            "readUrl" => Ok(SoapValue::Text(entry.text.clone())),
+            "readArff" => Ok(SoapValue::Text(self.arff_of(&entry)?.to_string())),
             other => Err(ServiceFault::client(format!("no operation {other:?}"))),
         }
     }
@@ -203,6 +228,7 @@ impl WebService for UrlReaderService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_data::arff::{parse_arff, write_arff};
 
     #[test]
     fn csv_arff_roundtrip() {
@@ -302,6 +328,60 @@ mod tests {
             )
             .unwrap();
         assert!(v.as_text().unwrap().contains("@relation"));
+    }
+
+    fn read(s: &UrlReaderService, operation: &str, url: &str) -> Result<String, ServiceFault> {
+        s.invoke(
+            operation,
+            &[("url".to_string(), SoapValue::Text(url.into()))],
+        )
+        .map(|v| v.as_text().unwrap().to_string())
+    }
+
+    #[test]
+    fn url_reader_keeps_the_conversion_until_the_url_is_registered_again() {
+        let s = UrlReaderService::new();
+        let url = "http://example/r.arff";
+        let first = "@relation one\n@attribute a numeric\n@data\n1\n";
+        s.register(url, first);
+        let arff = read(&s, "readArff", url).unwrap();
+        assert!(arff.contains("@relation one"));
+        assert_eq!(read(&s, "readArff", url).unwrap(), arff);
+        let second = "@relation two\n@attribute b {x,y}\n@data\ny\n";
+        s.register(url, second);
+        let arff = read(&s, "readArff", url).unwrap();
+        assert!(arff.contains("@relation two"), "{arff}");
+        assert_eq!(arff, write_arff(&parse_arff(second).unwrap()));
+        assert_eq!(read(&s, "readUrl", url).unwrap(), second);
+    }
+
+    #[test]
+    fn url_reader_keeps_no_conversion_error() {
+        let s = UrlReaderService::new();
+        let url = "http://example/bad.arff";
+        s.register(url, "@relation t\n@data\n1\n");
+        let fault = read(&s, "readArff", url).unwrap_err();
+        assert_eq!(fault.code, "Client");
+        assert_eq!(read(&s, "readArff", url).unwrap_err(), fault);
+        s.register(url, "@relation t\n@attribute a numeric\n@data\n1\n");
+        assert!(read(&s, "readArff", url)
+            .unwrap()
+            .contains("@attribute a numeric"));
+    }
+
+    #[test]
+    fn url_reader_converts_csv_like_csv_to_arff() {
+        let s = UrlReaderService::new();
+        let csv = "a,b\n1,x\n2,y\n?,x\n";
+        s.register("http://example/x.csv", csv);
+        let expected = convert(csv, DataFormat::Csv, DataFormat::Arff).unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                read(&s, "readArff", "http://example/x.csv").unwrap(),
+                expected
+            );
+        }
+        assert_eq!(read(&s, "readUrl", "http://example/x.csv").unwrap(), csv);
     }
 
     #[test]

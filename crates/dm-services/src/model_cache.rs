@@ -10,16 +10,59 @@
 //! repeat request reuses the model instead of retraining, and keeps a
 //! parallel cache of cross-validation summaries (which train k models
 //! per call and therefore gain even more).
+//!
+//! An entry is a [`CachedModel`]: the trained model plus the two
+//! responses that are pure functions of it, its `describe()` text and
+//! its SVG tree. Each is rendered on first use and kept until the entry
+//! is evicted or cleared, so a warm `classifyInstance` or
+//! `classifyGraph` costs a lookup, not a re-render. Entries hold no
+//! lock: [`Classifier`] is `Sync` and no classifier mutates after
+//! training, so concurrent calls score and read one model at once.
 
+use crate::support::tree_to_svg;
 use dm_algorithms::classifiers::Classifier;
 use dm_wsrf::dataplane::{CacheStats, Hasher128, LruMap};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A trained classifier shared between cache and callers. The
-/// [`Classifier`] trait is `Send` but not `Sync`, so concurrent
-/// dispatches serialise on the mutex.
-pub type SharedModel = Arc<Mutex<Box<dyn Classifier>>>;
+/// A trained classifier with its rendered responses, each computed at
+/// most once.
+pub struct CachedModel {
+    model: Box<dyn Classifier>,
+    text: OnceLock<String>,
+    svg: OnceLock<Option<String>>,
+}
+
+impl CachedModel {
+    /// Wrap a trained model; nothing is rendered yet.
+    pub fn new(model: Box<dyn Classifier>) -> CachedModel {
+        CachedModel {
+            model,
+            text: OnceLock::new(),
+            svg: OnceLock::new(),
+        }
+    }
+
+    /// The trained model, for scoring.
+    pub fn model(&self) -> &dyn Classifier {
+        &*self.model
+    }
+
+    /// The model's `describe()` text, rendered on the first call.
+    pub fn text(&self) -> &str {
+        self.text.get_or_init(|| self.model.describe())
+    }
+
+    /// The model's decision tree as SVG, rendered on the first call;
+    /// `None` when the model is not tree-shaped.
+    pub fn svg(&self) -> Option<&str> {
+        self.svg
+            .get_or_init(|| self.model.tree_model().map(|tree| tree_to_svg(&tree)))
+            .as_deref()
+    }
+}
+
+/// A cached model shared between the cache and the calls using it.
+pub type SharedModel = Arc<CachedModel>;
 
 /// Default number of trained models retained.
 pub const DEFAULT_MODEL_CAPACITY: usize = 32;
@@ -114,7 +157,8 @@ impl ModelCache {
         self.evals.stats()
     }
 
-    /// Drop every cached model and evaluation (counters survive).
+    /// Drop every cached model, with its rendered responses, and every
+    /// evaluation (counters survive).
     pub fn clear(&self) {
         self.models.clear();
         self.evals.clear();
@@ -134,7 +178,7 @@ mod tests {
             .unwrap();
         let mut m = make_classifier(name).unwrap();
         m.train(&ds).unwrap();
-        Arc::new(Mutex::new(m))
+        Arc::new(CachedModel::new(m))
     }
 
     #[test]
@@ -205,8 +249,33 @@ mod tests {
         let key = model_key("ZeroR", "", "Class", content_hash("bc"));
         cache.insert_model(key, trained("ZeroR"));
         let model = cache.get_model(key).unwrap();
-        let text = model.lock().describe();
-        assert!(!text.is_empty());
+        assert!(!model.text().is_empty());
+    }
+
+    #[test]
+    fn describe_and_svg_render_once_per_cached_model() {
+        let tree = trained("J48");
+        let text = tree.text();
+        assert!(text.contains("node-caps"));
+        assert_eq!(text.as_ptr(), tree.text().as_ptr(), "text re-rendered");
+        assert_eq!(text, tree.model().describe());
+        let svg = tree.svg().expect("J48 is tree-shaped");
+        assert!(svg.starts_with("<svg"));
+        assert_eq!(
+            svg.as_ptr(),
+            tree.svg().unwrap().as_ptr(),
+            "SVG re-rendered"
+        );
+        let bayes = trained("NaiveBayes");
+        assert!(bayes.svg().is_none());
+        assert!(bayes.svg().is_none());
+        assert!(bayes.text().contains("Naive Bayes"));
+        // The rendered strings go with their entry.
+        let cache = ModelCache::default();
+        let entry = Arc::downgrade(&tree);
+        cache.insert_model(model_key("J48", "", "Class", content_hash("bc")), tree);
+        cache.clear();
+        assert!(entry.upgrade().is_none());
     }
 
     #[test]

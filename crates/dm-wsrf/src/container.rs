@@ -12,6 +12,7 @@ use crate::trace::{SpanKind, Tracer};
 use crate::wsdl::WsdlDocument;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -386,12 +387,28 @@ impl ServiceContainer {
                 ),
             },
             Some(s) => {
-                let invoked = if has_refs {
-                    self.resolve_refs(&call.args)
-                        .and_then(|args| s.invoke(&call.operation, &args))
-                } else {
-                    s.invoke(&call.operation, &call.args)
-                };
+                // A panicking handler answers with a Server fault, so
+                // the caller's transport still records the call and
+                // releases the host.
+                let invoked = panic::catch_unwind(AssertUnwindSafe(|| {
+                    if has_refs {
+                        self.resolve_refs(&call.args)
+                            .and_then(|args| s.invoke(&call.operation, &args))
+                    } else {
+                        s.invoke(&call.operation, &call.args)
+                    }
+                }))
+                .unwrap_or_else(|payload| {
+                    let cause = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-text panic payload");
+                    Err(ServiceFault::server(format!(
+                        "{}.{} panicked: {cause}",
+                        call.service, call.operation
+                    )))
+                });
                 match invoked {
                     Ok(v) => SoapResponse::Value(v),
                     Err(fault) => SoapResponse::Fault {

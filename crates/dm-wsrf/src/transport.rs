@@ -165,6 +165,28 @@ struct LegAccounting {
     ref_hits: usize,
 }
 
+/// One call's share of a host's outstanding count: raised on entry and
+/// lowered on drop, so a call that unwinds cannot leave the host loaded.
+struct InFlight<'a> {
+    outstanding: &'a Mutex<HashMap<String, u64>>,
+    host: &'a str,
+}
+
+impl<'a> InFlight<'a> {
+    fn enter(outstanding: &'a Mutex<HashMap<String, u64>>, host: &'a str) -> InFlight<'a> {
+        *outstanding.lock().entry(host.to_string()).or_insert(0) += 1;
+        InFlight { outstanding, host }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if let Some(count) = self.outstanding.lock().get_mut(self.host) {
+            *count = count.saturating_sub(1);
+        }
+    }
+}
+
 /// Scripted faults for one host. All windows are on the virtual clock.
 #[derive(Debug, Default, Clone)]
 struct HostFaults {
@@ -568,12 +590,10 @@ impl Network {
         args: Vec<(String, SoapValue)>,
     ) -> Result<SoapValue> {
         let started = self.virtual_time();
-        *self.outstanding.lock().entry(host.to_string()).or_insert(0) += 1;
+        let in_flight = InFlight::enter(&self.outstanding, host);
         let mut wire = LegAccounting::default();
         let result = self.invoke_wire(host, service, operation, args, &mut wire);
-        if let Some(count) = self.outstanding.lock().get_mut(host) {
-            *count = count.saturating_sub(1);
-        }
+        drop(in_flight);
         let outcome = match &result {
             Ok(_) => Outcome::Ok,
             Err(WsError::Fault { code, .. }) => Outcome::Fault(code.clone()),
@@ -821,12 +841,69 @@ impl std::fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::container::test_support::EchoService;
+    use crate::container::{ServiceFault, WebService};
 
     fn network_with_echo() -> Network {
         let net = Network::new();
         let host = net.add_host("host-a");
         host.deploy(Arc::new(EchoService));
         net
+    }
+
+    /// A service whose handler panics on every call.
+    struct Panicking;
+
+    impl WebService for Panicking {
+        fn name(&self) -> &str {
+            "Panicking"
+        }
+
+        fn wsdl(&self) -> WsdlDocument {
+            WsdlDocument::new("Panicking", "http://localhost/Panicking")
+        }
+
+        fn invoke(
+            &self,
+            _operation: &str,
+            _args: &[(String, SoapValue)],
+        ) -> std::result::Result<SoapValue, ServiceFault> {
+            panic!("handler bug")
+        }
+    }
+
+    #[test]
+    fn panicking_handler_returns_a_server_fault_and_releases_the_host() {
+        let net = network_with_echo();
+        net.host("host-a").unwrap().deploy(Arc::new(Panicking));
+        match net.invoke("host-a", "Panicking", "boom", vec![]) {
+            Err(WsError::Fault { code, message }) => {
+                assert_eq!(code, "Server");
+                assert_eq!(message, "Panicking.boom panicked: handler bug");
+            }
+            other => panic!("expected a Server fault, got {other:?}"),
+        }
+        assert_eq!(net.monitor().len(), 1);
+        assert_eq!(net.outstanding("host-a"), 0);
+        // The host keeps serving.
+        let echoed = net.invoke(
+            "host-a",
+            "Echo",
+            "echo",
+            vec![("message".into(), SoapValue::Null)],
+        );
+        assert_eq!(echoed.unwrap(), SoapValue::Null);
+    }
+
+    #[test]
+    fn in_flight_count_is_released_by_an_unwinding_call() {
+        let outstanding = Mutex::new(HashMap::new());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _call = InFlight::enter(&outstanding, "host-a");
+            assert_eq!(outstanding.lock()["host-a"], 1);
+            panic!("mid-call");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(outstanding.lock()["host-a"], 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! E3 — the §5 case study: four Web Services composed through the
 //! workflow engine, reproducing every artifact the paper reports.
 
-use faehim::casestudy::{build_case_study, run_case_study, run_case_study_on, BREAST_CANCER_URL};
+use dm_workflow::engine::{ExecutionReport, Executor};
+use faehim::casestudy::{
+    build_case_study, run_case_study, run_case_study_on, CaseStudyTasks, BREAST_CANCER_URL,
+};
 use faehim::Toolkit;
 
 #[test]
@@ -74,4 +77,49 @@ fn workflow_rewires_for_other_classifiers() {
         )
         .unwrap();
     assert!(model.contains("Naive Bayes"));
+}
+
+/// After the first enactment, `readArff`, `classifyInstance` and
+/// `classifyGraph` answer with the text their host kept from it. Every
+/// engine's warm outputs must equal a fresh toolkit's cold ones, byte
+/// for byte, and a warm enactment must train nothing.
+#[test]
+fn warm_enactments_match_a_cold_enactment() {
+    let outputs = |tasks: &CaseStudyTasks, report: &ExecutionReport| -> Vec<String> {
+        [tasks.analyser, tasks.viewer, tasks.visualise]
+            .into_iter()
+            .map(|task| {
+                report
+                    .output(task, 0)
+                    .unwrap()
+                    .as_text()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    };
+    let fresh = Toolkit::new().unwrap();
+    let (graph, tasks, bindings) = build_case_study(&fresh).unwrap();
+    let cold = outputs(&tasks, &Executor::serial().run(&graph, &bindings).unwrap());
+    assert!(cold[2].starts_with("<svg"));
+
+    let mut toolkit = Toolkit::new().unwrap();
+    toolkit.enable_durable_enactment(2);
+    let (graph, tasks, bindings) = build_case_study(&toolkit).unwrap();
+    let first = Executor::serial().run(&graph, &bindings).unwrap();
+    assert_eq!(outputs(&tasks, &first), cold, "first enactment");
+    let classifier = toolkit.classifier_client();
+    let (models, _) = classifier.get_cache_stats().unwrap();
+    assert_eq!((models.misses, models.hits), (2, 0));
+    for (warm, engine) in (1..).zip(["serial", "parallel", "durable"]) {
+        let report = match engine {
+            "serial" => Executor::serial().run(&graph, &bindings),
+            "parallel" => Executor::parallel().run(&graph, &bindings),
+            _ => toolkit.run_durable(&graph, &bindings),
+        }
+        .unwrap();
+        assert_eq!(outputs(&tasks, &report), cold, "{engine}");
+        let (models, _) = classifier.get_cache_stats().unwrap();
+        assert_eq!((models.misses, models.hits), (2, 2 * warm), "{engine}");
+    }
 }

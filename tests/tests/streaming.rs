@@ -312,3 +312,33 @@ fn datastream_tools_import_as_impure() {
         .unwrap_err();
     assert!(matches!(err, WsError::Fault { code, .. } if code == "Client"));
 }
+
+/// A 20-byte `FSH1` header claiming `u64::MAX` attributes is a Client
+/// fault, recorded once, and leaves the host with no call outstanding.
+#[test]
+fn hostile_stream_header_returns_a_client_fault() {
+    let net = network();
+    let mut header = b"FSH1".to_vec();
+    header.extend_from_slice(&0u64.to_le_bytes());
+    header.extend_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(header.len(), 20);
+    let args = vec![
+        ("header".to_string(), SoapValue::Bytes(header)),
+        (
+            "learner".to_string(),
+            SoapValue::Text("HoeffdingTree".into()),
+        ),
+        ("options".to_string(), SoapValue::Text(String::new())),
+        ("window".to_string(), SoapValue::Int(4)),
+        ("rowNanos".to_string(), SoapValue::Int(0)),
+    ];
+    match net.invoke("miner", "DataStream", "openStream", args) {
+        Err(WsError::Fault { code, message }) => {
+            assert_eq!(code, "Client", "{message}");
+            assert!(message.contains("exceeds frame size"), "{message}");
+        }
+        other => panic!("expected a Client fault, got {other:?}"),
+    }
+    assert_eq!(net.monitor().len(), 1);
+    assert_eq!(net.outstanding("miner"), 0);
+}
