@@ -11,7 +11,11 @@
 //!   so the measured curve is flat — included for honesty, not as the
 //!   headline.
 //! * **modeled makespan** — each workload's tasks (one tree, one fold,
-//!   one row) are timed individually, then list-scheduled onto W
+//!   one row) are timed individually (the median of three runs of the
+//!   same deterministic task, so one preempted or cold run cannot sink
+//!   the makespan). The model then follows the pool's fan-out rule: the
+//!   tasks run in order on one worker until the rule would fan the
+//!   batch out, and the rest are list-scheduled onto W
 //!   earliest-available workers, the same greedy order the
 //!   work-stealing deques converge to. This is the speedup the pool
 //!   delivers once W cores exist, computed from *measured* per-task
@@ -19,7 +23,11 @@
 //!
 //! The determinism contract is asserted inline: forest state bytes,
 //! pooled-CV `Evaluation`s, and batched predictions must be identical
-//! at 1, 2, 4, and 8 threads.
+//! at 1, 2, 4, and 8 threads. A batch whose projected work is under
+//! the pool's fan-out constant runs on the calling thread, so the bench
+//! also counts the batches that fanned out per workload and width and,
+//! at full size, asserts that every workload fanned out at widths ≥ 2:
+//! the determinism asserts then cover the pooled path.
 //!
 //! `FAEHIM_E15_SMOKE=1` shrinks the workloads for CI smoke runs.
 
@@ -92,13 +100,24 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Median-of-3 wall-clock for `f` under an `n`-thread pool.
-fn wall_clock<R>(threads: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..3)
-        .map(|_| pool::with_threads(threads, || time(&mut f).1))
-        .collect();
+/// Median-of-3 wall-clock seconds for `f`.
+fn median_time<R>(mut f: impl FnMut() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..3).map(|_| time(&mut f).1).collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[1]
+}
+
+/// Median-of-3 wall-clock for `f` under an `n`-thread pool.
+fn wall_clock<R>(threads: usize, f: impl FnMut() -> R) -> f64 {
+    pool::with_threads(threads, || median_time(f))
+}
+
+/// `f`'s result and the number of pool batches that fanned out while it
+/// ran (nothing else uses the pool during E15).
+fn counting_fanouts<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = pool::stats().fanouts;
+    let out = f();
+    (out, pool::stats().fanouts - before)
 }
 
 /// Train the E15 forest under whatever pool threads are in effect.
@@ -131,14 +150,13 @@ fn forest_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
         .map(|i| {
             let rows: Vec<usize> = (0..n).map(|_| (next() % n as u64) as usize).collect();
             let sample = ds.select_rows(&rows);
-            let (_, secs) = time(|| {
+            median_time(|| {
                 let mut tree = RandomTree::new();
                 tree.set_option("-S", &(SEED + i as u64).to_string())
                     .unwrap();
                 tree.train(&sample).unwrap();
                 black_box(tree.encode_state().len())
-            });
-            secs
+            })
         })
         .collect()
 }
@@ -151,14 +169,13 @@ fn cv_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
     (0..cv.k())
         .map(|fold| {
             let (train, test) = cv.split(ds, fold);
-            let (_, secs) = time(|| {
+            median_time(|| {
                 let mut c = make_classifier("J48").unwrap();
                 c.train(&train).unwrap();
                 let mut eval = dm_algorithms::eval::Evaluation::new(labels.clone());
                 eval.evaluate(c.as_ref(), &test).unwrap();
                 black_box(eval.accuracy())
-            });
-            secs
+            })
         })
         .collect()
 }
@@ -170,7 +187,7 @@ fn cv_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
 fn scoring_task_durations(forest: &RandomForest, batch: &dm_data::Dataset) -> Vec<f64> {
     pool::with_threads(1, || {
         (0..batch.num_instances())
-            .map(|row| time(|| black_box(forest.predict(batch, row).unwrap())).1)
+            .map(|row| median_time(|| black_box(forest.predict(batch, row).unwrap())))
             .collect()
     })
 }
@@ -198,11 +215,43 @@ fn report(w: &WorkloadReport) {
     }
 }
 
+/// The pool's fan-out constants (`dm_algorithms::pool`, module doc): a
+/// batch fans out once it has run `MIN_PREFIX` seconds inline and its
+/// projected remainder reaches `FAN_OUT_AT` seconds.
+const FAN_OUT_AT: f64 = 200e-6;
+const MIN_PREFIX: f64 = FAN_OUT_AT / 4.0;
+
+/// Makespan of one pool batch of `durations` on `workers`, following the
+/// pool's rule: the tasks run in order on the calling thread, which
+/// checks after tasks 1, 2, 4, …, 32 and every 32nd whether to fan out;
+/// once it does, the remaining tasks are list-scheduled onto the
+/// workers, all free when the inline prefix ends.
+fn pooled_makespan(durations: &[f64], workers: usize) -> f64 {
+    let n = durations.len();
+    let mut elapsed = 0.0;
+    let mut check = 1;
+    for (done, d) in (1..).zip(durations) {
+        elapsed += d;
+        if workers < 2 || done != check {
+            continue;
+        }
+        check = if done < 32 { done * 2 } else { done + 32 };
+        let remaining = n - done;
+        if remaining > 1
+            && elapsed >= MIN_PREFIX
+            && elapsed * remaining as f64 >= FAN_OUT_AT * done as f64
+        {
+            return elapsed + greedy_makespan(&durations[done..], workers.min(remaining));
+        }
+    }
+    elapsed
+}
+
 fn modeled(durations: &[f64]) -> Vec<(usize, f64)> {
     let total: f64 = durations.iter().sum();
     THREAD_COUNTS
         .iter()
-        .map(|&w| (w, total / greedy_makespan(durations, w)))
+        .map(|&w| (w, total / pooled_makespan(durations, w)))
         .collect()
 }
 
@@ -219,42 +268,70 @@ fn bench(c: &mut Criterion) {
     let batch = batch_dataset(&ds);
 
     // --- Determinism: byte-identical outputs at every thread count. --
-    let reference = trained_forest(1, &ds);
+    // Each run also counts the batches that fanned out, per width.
+    let mut fanouts: Vec<(&str, Vec<(usize, u64)>)> = Vec::new();
+    let (reference, fanned) = counting_fanouts(|| trained_forest(1, &ds));
     let ref_state = reference.encode_state();
+    let mut counts = vec![(1, fanned)];
     for &threads in &THREAD_COUNTS[1..] {
+        let (forest, fanned) = counting_fanouts(|| trained_forest(threads, &ds));
         assert!(
-            trained_forest(threads, &ds).encode_state() == ref_state,
+            forest.encode_state() == ref_state,
             "forest state diverged at {threads} threads"
         );
+        counts.push((threads, fanned));
     }
+    fanouts.push(("forest training", counts));
     let make = || make_classifier("J48");
     let serial_cv = cross_validate(make, &ds, CV_FOLDS, SEED).unwrap();
+    let mut counts = Vec::new();
     for &threads in &THREAD_COUNTS {
-        let pooled = pool::with_threads(threads, || {
-            cross_validate_parallel(make, &ds, CV_FOLDS, SEED).unwrap()
-        });
-        assert!(pooled == serial_cv, "CV diverged at {threads} threads");
-    }
-    let ref_preds: Vec<usize> = pool::with_threads(1, || {
-        pool::parallel_map(batch.num_instances(), |r| {
-            reference.predict(&batch, r).unwrap()
-        })
-    });
-    for &threads in &THREAD_COUNTS[1..] {
-        let preds = pool::with_threads(threads, || {
-            pool::parallel_map(batch.num_instances(), |r| {
-                reference.predict(&batch, r).unwrap()
+        let (pooled, fanned) = counting_fanouts(|| {
+            pool::with_threads(threads, || {
+                cross_validate_parallel(make, &ds, CV_FOLDS, SEED).unwrap()
             })
         });
+        assert!(pooled == serial_cv, "CV diverged at {threads} threads");
+        counts.push((threads, fanned));
+    }
+    fanouts.push(("10-fold CV (J48)", counts));
+    let score = |threads: usize| {
+        counting_fanouts(|| {
+            pool::with_threads(threads, || {
+                pool::parallel_map(batch.num_instances(), |r| {
+                    reference.predict(&batch, r).unwrap()
+                })
+            })
+        })
+    };
+    let (ref_preds, fanned) = score(1);
+    let mut counts = vec![(1, fanned)];
+    for &threads in &THREAD_COUNTS[1..] {
+        let (preds, fanned) = score(threads);
         assert_eq!(
             preds, ref_preds,
             "batch predictions diverged at {threads} threads"
         );
+        counts.push((threads, fanned));
     }
+    fanouts.push(("batch scoring", counts));
     println!(
         "determinism: forest state, CV evaluation, and {} batch predictions identical at {THREAD_COUNTS:?} threads",
         batch.num_instances()
     );
+    println!("batches that fanned out, per pool width:");
+    for (name, counts) in &fanouts {
+        let cells: Vec<String> = counts.iter().map(|(t, n)| format!("{t}: {n}")).collect();
+        println!("  {name}: {}", cells.join(", "));
+        // At full size every workload is heavy enough to fan out, so
+        // the determinism asserts above covered the pooled path.
+        for &(threads, n) in counts {
+            assert!(
+                smoke() || threads < 2 || n > 0,
+                "{name} never fanned out at {threads} threads"
+            );
+        }
+    }
 
     // --- Forest training. --------------------------------------------
     let durations = forest_task_durations(&ds);
@@ -324,7 +401,7 @@ fn bench(c: &mut Criterion) {
     report(&scoring);
 
     // The acceptance floor: >= 2x at 4 workers on forest training and
-    // CV, from measured per-task durations under greedy scheduling.
+    // CV, from measured per-task durations under the pool's rule.
     for w in [&forest, &cv] {
         let at4 = w
             .modeled_speedup_at
@@ -341,9 +418,10 @@ fn bench(c: &mut Criterion) {
 
     let pool_stats = pool::stats();
     println!(
-        "pool counters: {} tasks, {} batches, {} steals across {} worker slots",
+        "pool counters: {} tasks, {} batches ({} fanned out), {} steals across {} worker slots",
         pool_stats.tasks,
         pool_stats.batches,
+        pool_stats.fanouts,
         pool_stats.steals,
         pool_stats.workers.len()
     );

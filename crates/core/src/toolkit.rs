@@ -293,7 +293,7 @@ impl Toolkit {
     }
 
     /// Snapshot of the shared compute pool's lifetime counters
-    /// (threads, tasks, batches, steals, per-worker busy time),
+    /// (threads, tasks, batches, fan-outs, steals, per-worker busy time),
     /// flattened to the primitive form the metrics registry ingests.
     pub fn compute_pool_stats(&self) -> PoolSnapshot {
         let stats = dm_algorithms::pool::stats();
@@ -301,6 +301,7 @@ impl Toolkit {
             threads: stats.threads,
             tasks: stats.tasks,
             batches: stats.batches,
+            fanouts: stats.fanouts,
             steals: stats.steals,
             workers: stats
                 .workers
@@ -942,8 +943,10 @@ mod tests {
         let tk = Toolkit::new().unwrap();
         tk.set_compute_threads(2);
         dm_algorithms::pool::reset_stats();
-        // Drive one parallel batch through the pool: the batched
-        // scoring operation fans the 286 rows out across workers.
+        // Drive one batch through the pool: the batched scoring
+        // operation scores the 286 rows as one batch. That is little
+        // work, so it may run on the calling thread without fanning out;
+        // it counts as a batch either way.
         let arff = dm_data::corpus::breast_cancer_arff();
         let preds = tk
             .classifier_client()
@@ -963,6 +966,7 @@ mod tests {
         assert!(metrics.counter_value("faehim_pool_batches_total", &[]) >= 1);
         let text = metrics.export_prometheus();
         assert!(text.contains("faehim_pool_tasks_total"), "{text}");
+        assert!(text.contains("faehim_pool_fanouts_total"), "{text}");
         assert!(text.contains("faehim_pool_worker_tasks_total"), "{text}");
     }
 

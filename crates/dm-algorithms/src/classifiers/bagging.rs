@@ -108,15 +108,12 @@ impl Classifier for Bagging {
         if self.members.is_empty() {
             return Err(AlgoError::NotTrained);
         }
-        // Parallel member votes, serial member-order fold: identical
-        // floating-point accumulation to the old loop.
-        let votes: Vec<Result<Vec<f64>>> =
-            pool::parallel_map_min(self.members.len(), super::MIN_PARALLEL_MEMBERS, |i| {
-                self.members[i].distribution(data, row)
-            });
+        // Member votes fold in member order on the calling thread, like
+        // the forest's: a batch of rows around the vote is what the pool
+        // spreads.
         let mut dist = vec![0.0; self.num_classes];
-        for d in votes {
-            for (acc, x) in dist.iter_mut().zip(&d?) {
+        for member in &self.members {
+            for (acc, x) in dist.iter_mut().zip(&member.distribution(data, row)?) {
                 *acc += x;
             }
         }
@@ -232,6 +229,26 @@ impl Stateful for Bagging {
 mod tests {
     use super::super::test_support::{resubstitution_accuracy, weather_nominal};
     use super::*;
+
+    #[test]
+    fn votes_start_no_pool_batch_at_any_width() {
+        // Like the forest's: a default 10-member vote runs on the calling
+        // thread and starts no pool batch, even on a 16-thread pool.
+        let ds = dm_data::corpus::breast_cancer();
+        let mut b = Bagging::new();
+        b.train(&ds).unwrap();
+        let votes = |threads: usize| {
+            pool::with_threads(threads, || {
+                (0..ds.num_instances())
+                    .map(|r| b.distribution(&ds, r).unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let serial = votes(1);
+        let before = pool::started_here();
+        assert_eq!(votes(16), serial);
+        assert_eq!(pool::started_here(), before, "a vote started a pool batch");
+    }
 
     #[test]
     fn bags_j48_on_weather() {

@@ -19,13 +19,8 @@ use crate::error::{AlgoError, Result};
 use crate::options::{descriptor_for, Configurable, OptionDescriptor, OptionKind};
 use crate::pool;
 use crate::state::{StateReader, StateWriter, Stateful};
-use dm_data::{block_ranges, Bitmap, Dataset, Value};
+use dm_data::{Bitmap, Dataset, Value};
 use std::collections::BinaryHeap;
-
-/// Minimum stored-instance count before the distance scan is
-/// partitioned across the pool; below this the per-row work cannot
-/// amortise batch setup.
-const MIN_PARALLEL_ROWS: usize = 1024;
 
 /// A candidate neighbour under the total order `(distance, stored
 /// index)`. The index tiebreak makes k-selection deterministic (the old
@@ -346,25 +341,14 @@ impl IBk {
     }
 
     /// The global `kk` nearest neighbours of `query`, sorted ascending
-    /// by `(distance, index)`. Large stores are scanned as parallel row
-    /// blocks; because the order is total, the merged global k-set (and
-    /// therefore the vote) is identical for any partitioning, including
-    /// the serial single-block scan.
+    /// by `(distance, index)`. The store is scanned as row blocks on the
+    /// pool; because the order is total, the merged global k-set (and
+    /// therefore the vote) is identical for any partitioning.
     fn k_nearest(&self, query: &[f64], kk: usize) -> Vec<Neighbour> {
-        let n = self.n_stored;
         let plan = self.plan(query);
-        let threads = pool::current_threads();
-        let mut candidates = if n >= MIN_PARALLEL_ROWS && threads > 1 {
-            let blocks = block_ranges(n, threads);
-            pool::parallel_map(blocks.len(), |b| {
-                self.k_nearest_in_block(&plan, blocks[b].clone(), kk)
-            })
-            .into_iter()
-            .flatten()
-            .collect::<Vec<Neighbour>>()
-        } else {
-            self.k_nearest_in_block(&plan, 0..n, kk)
-        };
+        let mut candidates = pool::scan_rows(self.n_stored, |rows| {
+            self.k_nearest_in_block(&plan, rows, kk)
+        });
         candidates.sort_unstable();
         candidates.truncate(kk);
         candidates
@@ -797,11 +781,10 @@ mod tests {
 
     #[test]
     fn parallel_scan_identical_to_serial() {
-        // Force the pooled block scan (store >= MIN_PARALLEL_ROWS is
-        // not reachable with the small corpora, so drop the threshold
-        // by duplicating rows) and compare with the 1-thread path.
+        // A store of three scan blocks (rows duplicated past the small
+        // corpus), scored at several pool widths against 1 thread.
         let base = separable_numeric(40);
-        let rows: Vec<usize> = (0..MIN_PARALLEL_ROWS + 50).map(|i| i % 40).collect();
+        let rows: Vec<usize> = (0..2098).map(|i| i % 40).collect();
         let big = base.select_rows(&rows);
         let mut c = IBk::with_k(9);
         c.set_option("-W", "inverse").unwrap();

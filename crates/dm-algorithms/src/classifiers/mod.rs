@@ -44,15 +44,6 @@ use crate::state::Stateful;
 use crate::tree::TreeModel;
 use dm_data::Dataset;
 
-/// Minimum ensemble width before per-member vote aggregation fans out
-/// on the compute pool; a default 10-member forest stays inline, where
-/// the per-member work is too small to pay batch setup.
-pub(crate) const MIN_PARALLEL_MEMBERS: usize = 16;
-
-/// Minimum batch size before [`Classifier::predict_batch`] fans rows
-/// out on the compute pool; smaller batches score inline.
-pub(crate) const MIN_PARALLEL_SCORE: usize = 256;
-
 /// A trainable classification algorithm.
 ///
 /// `Sync` is a supertrait so trained models can be scored from several
@@ -76,16 +67,15 @@ pub trait Classifier: Configurable + Stateful + Send + Sync {
         argmax(&dist).ok_or(AlgoError::NotTrained)
     }
 
-    /// Predicted class index for every row of `data`, fanning the
-    /// per-row scoring out on the compute pool (the batched
-    /// `classifyInstances` path). Deterministic: the result is the
+    /// Predicted class index for every row of `data`, scoring the rows
+    /// as one compute-pool batch (the batched `classifyInstances`
+    /// path), which fans out when it is long enough to pay for
+    /// threads. Deterministic: the result is the
     /// concatenation of per-row [`Classifier::predict`] calls
     /// regardless of pool width.
     fn predict_batch(&self, data: &Dataset) -> Result<Vec<usize>> {
         let results =
-            crate::pool::parallel_map_min(data.num_instances(), MIN_PARALLEL_SCORE, |row| {
-                self.predict(data, row)
-            });
+            crate::pool::parallel_map(data.num_instances(), |row| self.predict(data, row));
         results.into_iter().collect()
     }
 

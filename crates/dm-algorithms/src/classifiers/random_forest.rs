@@ -83,16 +83,12 @@ impl Classifier for RandomForest {
         if self.trees.is_empty() {
             return Err(AlgoError::NotTrained);
         }
-        // Member votes are computed in parallel (for wide ensembles) but
-        // folded serially in member order, so the floating-point sums
-        // match the old serial loop bit-for-bit.
-        let votes: Vec<Result<Vec<f64>>> =
-            pool::parallel_map_min(self.trees.len(), super::MIN_PARALLEL_MEMBERS, |i| {
-                self.trees[i].distribution(data, row)
-            });
+        // A vote is a few µs of work, far less than one thread start, so
+        // it folds in member order on the calling thread; a batch of
+        // rows around it is what the pool spreads.
         let mut dist = vec![0.0; self.num_classes];
-        for d in votes {
-            for (acc, x) in dist.iter_mut().zip(&d?) {
+        for tree in &self.trees {
+            for (acc, x) in dist.iter_mut().zip(&tree.distribution(data, row)?) {
                 *acc += x;
             }
         }
@@ -221,6 +217,27 @@ mod tests {
         f.train(&ds).unwrap();
         assert_eq!(f.num_members(), 15);
         assert!(resubstitution_accuracy(&f, &ds) >= 12.0 / 14.0);
+    }
+
+    #[test]
+    fn votes_start_no_pool_batch_at_any_width() {
+        // A default 10-tree vote is a few µs of work, so even on a
+        // 16-thread pool it runs on the calling thread and starts no
+        // batch, let alone a thread.
+        let ds = dm_data::corpus::breast_cancer();
+        let mut f = RandomForest::new();
+        f.train(&ds).unwrap();
+        let votes = |threads: usize| {
+            pool::with_threads(threads, || {
+                (0..ds.num_instances())
+                    .map(|r| f.distribution(&ds, r).unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let serial = votes(1);
+        let before = pool::started_here();
+        assert_eq!(votes(16), serial);
+        assert_eq!(pool::started_here(), before, "a vote started a pool batch");
     }
 
     #[test]

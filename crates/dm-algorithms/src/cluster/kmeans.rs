@@ -6,10 +6,7 @@ use crate::error::{AlgoError, Result};
 use crate::options::{descriptor_for, Configurable, OptionDescriptor, OptionKind};
 use crate::pool;
 use crate::state::{StateReader, StateWriter, Stateful};
-use dm_data::{block_ranges, Bitmap, CodesView, Dataset, Value};
-
-/// Minimum row count before the assignment step fans out on the pool.
-const MIN_PARALLEL_ASSIGN: usize = 512;
+use dm_data::{Bitmap, CodesView, Dataset, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -115,8 +112,8 @@ impl KMeans {
     }
 
     /// Cluster assignments for every row of `data`. Rows are scored in
-    /// parallel for large datasets; each assignment is an independent
-    /// argmin, so the result is identical at any thread count.
+    /// blocks on the pool; each assignment is an independent argmin, so
+    /// the result is identical at any thread count.
     pub fn assignments(&self, data: &Dataset) -> Result<Vec<usize>> {
         if !self.built {
             return Err(AlgoError::NotTrained);
@@ -130,20 +127,9 @@ impl KMeans {
     fn assign_all(&self, data: &Dataset) -> Vec<usize> {
         let n = data.num_instances();
         let Some(proj) = Projection::build(&self.space, data) else {
-            return pool::parallel_map_min(n, MIN_PARALLEL_ASSIGN, |r| self.nearest(data, r));
+            return pool::parallel_map(n, |r| self.nearest(data, r));
         };
-        let threads = pool::current_threads();
-        if n >= MIN_PARALLEL_ASSIGN && threads > 1 {
-            let blocks = block_ranges(n, threads);
-            pool::parallel_map(blocks.len(), |b| {
-                self.assign_block(&proj, blocks[b].clone())
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.assign_block(&proj, 0..n)
-        }
+        pool::scan_rows(n, |rows| self.assign_block(&proj, rows))
     }
 
     /// Columnar assignment for one contiguous row block: for each
@@ -575,7 +561,7 @@ mod tests {
     fn columnar_assignment_matches_scalar_nearest() {
         // The vectorized block scan must agree with the per-row scalar
         // argmin on mixed nominal data with missing cells, at every
-        // pool width, including the pooled large-n path.
+        // pool width, including a scan of several blocks.
         let base = dm_data::corpus::breast_cancer();
         let mut km = KMeans::with_k(4);
         km.build(&base).unwrap();
@@ -583,10 +569,8 @@ mod tests {
             .map(|r| km.nearest(&base, r))
             .collect();
         assert_eq!(km.assignments(&base).unwrap(), scalar);
-        // Duplicate rows past MIN_PARALLEL_ASSIGN to force block fan-out.
-        let rows: Vec<usize> = (0..MIN_PARALLEL_ASSIGN + 37)
-            .map(|i| i % base.num_instances())
-            .collect();
+        // Duplicate rows to make the scan three blocks.
+        let rows: Vec<usize> = (0..2085).map(|i| i % base.num_instances()).collect();
         let big = base.select_rows(&rows);
         let scalar_big: Vec<usize> = (0..big.num_instances())
             .map(|r| km.nearest(&big, r))

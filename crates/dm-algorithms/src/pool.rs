@@ -27,6 +27,32 @@
 //! batch (`std::thread::scope`; the caller participates as worker 0),
 //! which keeps the whole pool safe under the workspace-wide
 //! `#![forbid(unsafe_code)]` — no lifetime erasure, no leaked threads.
+//!
+//! **A batch starts threads only when its work pays for them.** A
+//! scoped spawn+join costs about 40 µs of CPU (39.6 µs, p50 of process
+//! CPU, on a 2-core x86-64 VM), while a 64-row J48 scoring batch or a
+//! 10-tree forest vote is a few µs of work. Neither the item count nor
+//! the call site says which kind a batch is, so every batch of two or
+//! more items starts on the calling thread, in index order, with nested
+//! calls inline as inside a worker. After items 1, 2, 4, 8, … and every
+//! 32nd, it projects the rest as `elapsed × remaining / done`. Once it
+//! has run for `FAN_OUT_AT / 4` (so one slow first item cannot trigger
+//! it) and the projection reaches the private constant `FAN_OUT_AT`
+//! (200 µs, about five thread starts), the remaining items go to the
+//! pooled path. A batch that never gets there ends inline, having taken
+//! no permit and read the clock O(log n + n/32) times. A batch of one
+//! item is a plain call: it is not counted and does not mark the thread
+//! as a worker.
+//!
+//! The price is paid by heavy batches: at least their first item runs
+//! alone before helpers start, so `n` items of `t` each finish in
+//! `t + ⌈(n − 1) / W⌉ · t` on `W` workers rather than `⌈n / W⌉ · t`,
+//! and a batch of two never fans out. For a 10-fold cross-validation
+//! that is one fold's time more (+20 % at 2 workers, +33 % at 4, +50 %
+//! at 8, +100 % at 10 or more); E15 models it.
+//!
+//! [`stats`] counts the batches that started a helper (`fanouts`), so a
+//! caller can see which way a batch went.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -47,6 +73,34 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Extra (non-caller) worker threads currently in flight, across all
 /// concurrent batches. Bounded by `effective_threads - 1` per batch.
 static EXTRA_IN_USE: AtomicUsize = AtomicUsize::new(0);
+
+/// Projected remaining inline time, in nanoseconds, at which a batch
+/// hands its remaining items to the pooled path: about five scoped
+/// thread starts (39.6 µs of CPU each, measured on a 2-core VM). A
+/// remainder projected below this finishes sooner, and on less CPU, on
+/// the calling thread.
+const FAN_OUT_AT: u128 = 200_000;
+
+/// Inline run time, in nanoseconds, before the projection is trusted,
+/// so that one slow first item (a cold cache, a page fault) of a batch
+/// of cheap items cannot fan it out.
+const MIN_PREFIX: u128 = FAN_OUT_AT / 4;
+
+/// Most rows in one block of a blocked row scan ([`scan_rows`]).
+const SCAN_BLOCK_ROWS: usize = 1024;
+
+#[cfg(test)]
+thread_local! {
+    /// `(batches, fanouts)` started on this thread, for unit tests that
+    /// must not see other tests' batches in the process-wide counters.
+    static STARTED_HERE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// This thread's `(batches, fanouts)` so far.
+#[cfg(test)]
+pub(crate) fn started_here() -> (u64, u64) {
+    STARTED_HERE.with(|c| c.get())
+}
 
 thread_local! {
     /// Set while the current thread is executing pool tasks: nested
@@ -144,6 +198,7 @@ fn release_extra(n: usize) {
 
 static TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static BATCHES_TOTAL: AtomicU64 = AtomicU64::new(0);
+static FANOUTS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static STEALS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static WORKER_STATS: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
 
@@ -160,12 +215,16 @@ pub struct WorkerStats {
 /// `MetricsRegistry` as the `faehim_pool_*` family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolStats {
-    /// Currently configured thread budget.
+    /// The global thread setting ([`set_global_threads`]), whatever the
+    /// scraping thread's [`with_threads`] override or worker status.
     pub threads: usize,
     /// Tasks executed (pooled and inline batches alike).
     pub tasks: u64,
     /// `parallel_*` batches run.
     pub batches: u64,
+    /// Batches that started at least one helper thread; the rest ran
+    /// entirely on their calling thread.
+    pub fanouts: u64,
     /// Successful steals from another worker's deque.
     pub steals: u64,
     /// Per-worker-slot counters; slot 0 is the calling thread.
@@ -184,9 +243,10 @@ pub fn stats() -> PoolStats {
         })
         .collect();
     PoolStats {
-        threads: current_threads(),
+        threads: global_threads(),
         tasks: TASKS_TOTAL.load(Ordering::Relaxed),
         batches: BATCHES_TOTAL.load(Ordering::Relaxed),
+        fanouts: FANOUTS_TOTAL.load(Ordering::Relaxed),
         steals: STEALS_TOTAL.load(Ordering::Relaxed),
         workers,
     }
@@ -196,6 +256,7 @@ pub fn stats() -> PoolStats {
 pub fn reset_stats() {
     TASKS_TOTAL.store(0, Ordering::Relaxed);
     BATCHES_TOTAL.store(0, Ordering::Relaxed);
+    FANOUTS_TOTAL.store(0, Ordering::Relaxed);
     STEALS_TOTAL.store(0, Ordering::Relaxed);
     WORKER_STATS.lock().expect("pool stats poisoned").clear();
 }
@@ -218,7 +279,8 @@ fn flush_worker_stats(slot: usize, tasks: u64, busy_nanos: u64, steals: u64) {
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
 /// Apply `f` to every index in `0..n` and return the results **in index
-/// order**, using up to [`current_threads`] workers. Byte-identical to
+/// order**, using up to [`current_threads`] workers once the batch's
+/// work pays for them (see the module doc). Byte-identical to
 /// `(0..n).map(f).collect()` at any thread count; a panicking `f` is
 /// re-raised on the caller with its original payload.
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
@@ -226,40 +288,83 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
+    if n < 2 {
+        return (0..n).map(f).collect();
     }
-    let threads = current_threads().min(n);
-    if threads <= 1 {
-        return inline_map(n, &f);
-    }
-    let granted = acquire_extra(threads - 1, threads - 1);
-    if granted == 0 {
-        return inline_map(n, &f);
-    }
-    let workers = granted + 1;
-    let out = run_pooled(n, workers, &f);
+    BATCHES_TOTAL.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    STARTED_HERE.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    let threads = current_threads();
+    // The inline prefix: index order on the calling thread, checking the
+    // clock after items 1, 2, 4, …, 32 and every 32nd after that.
+    let mut out = Vec::with_capacity(n);
+    let started = Instant::now();
+    let was_worker = IN_WORKER.with(|w| w.replace(true));
+    let granted = catch_unwind(AssertUnwindSafe(|| {
+        let mut check = if threads > 1 { 1 } else { usize::MAX };
+        while out.len() < n {
+            out.push(f(out.len()));
+            let done = out.len();
+            if done == check {
+                check = if done < 32 { done * 2 } else { done + 32 };
+                let elapsed = started.elapsed().as_nanos();
+                let remaining = (n - done) as u128;
+                if remaining > 1
+                    && elapsed >= MIN_PREFIX
+                    && elapsed * remaining >= FAN_OUT_AT * done as u128
+                {
+                    let want = threads.min(n - done) - 1;
+                    let granted = acquire_extra(want, threads - 1);
+                    if granted > 0 {
+                        return granted;
+                    }
+                }
+            }
+        }
+        0
+    }));
+    IN_WORKER.with(|w| w.set(was_worker));
+    flush_worker_stats(0, out.len() as u64, started.elapsed().as_nanos() as u64, 0);
+    let granted = match granted {
+        Ok(0) => return out,
+        Ok(granted) => granted,
+        Err(payload) => resume_unwind(payload),
+    };
+    // Items `out.len()..n` on the caller plus the granted helpers.
+    FANOUTS_TOTAL.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    STARTED_HERE.with(|c| c.set((c.get().0, c.get().1 + 1)));
+    let rest = run_pooled(out.len()..n, granted + 1, &f);
     release_extra(granted);
-    match out {
-        Ok(values) => values,
+    match rest {
+        Ok(values) => {
+            out.extend(values);
+            out
+        }
         Err(payload) => resume_unwind(payload),
     }
 }
 
-/// [`parallel_map`] that stays on a plain serial loop below
-/// `min_parallel` items, so tiny batches (a 10-member ensemble vote)
-/// skip deque and scope setup entirely. Results are identical either
-/// way by construction.
-pub fn parallel_map_min<T, F>(n: usize, min_parallel: usize, f: F) -> Vec<T>
+/// Run a row scan over `0..rows` as one [`parallel_map`] batch of
+/// `⌈rows / 1024⌉` near-equal blocks and concatenate the blocks' outputs
+/// in row order. A scan of up to 1024 rows is one block, a plain call.
+/// Smaller blocks would cost every scan a heap and an accumulator per
+/// block (on one thread of a 2-core VM, an IBk query over 4,000 rows ran
+/// 2.7–4.6× slower with 64-row blocks). Per-row results of such a scan
+/// must not depend on the partition.
+pub(crate) fn scan_rows<T, F>(rows: usize, scan: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
 {
-    if n < min_parallel {
-        (0..n).map(f).collect()
-    } else {
-        parallel_map(n, f)
-    }
+    let blocks = dm_data::block_ranges(rows, rows.div_ceil(SCAN_BLOCK_ROWS));
+    parallel_map(blocks.len(), |b| scan(blocks[b].clone()))
+        .into_iter()
+        .reduce(|mut all, block| {
+            all.extend(block);
+            all
+        })
+        .unwrap_or_default()
 }
 
 /// Run `f` for every index in `0..n` (side effects only), with the same
@@ -283,45 +388,25 @@ where
     parallel_map(n, map).into_iter().fold(init, fold)
 }
 
-/// Serial execution path: thread budget of 1, nested call, or no
-/// permits available. Still participates in pool accounting so the
-/// metrics see every batch.
-fn inline_map<T, F>(n: usize, f: &F) -> Vec<T>
-where
-    F: Fn(usize) -> T,
-{
-    BATCHES_TOTAL.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    let was_worker = IN_WORKER.with(|w| w.replace(true));
-    let result = catch_unwind(AssertUnwindSafe(|| (0..n).map(f).collect::<Vec<T>>()));
-    IN_WORKER.with(|w| w.set(was_worker));
-    let executed = match &result {
-        Ok(v) => v.len() as u64,
-        Err(_) => 0, // partial progress is not observable after a panic
-    };
-    flush_worker_stats(0, executed, started.elapsed().as_nanos() as u64, 0);
-    match result {
-        Ok(v) => v,
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// The pooled path: seed one deque per worker with contiguous index
-/// chunks, spawn `workers - 1` scoped threads (the caller is worker 0),
+/// The pooled path: seed one deque per worker with contiguous chunks of
+/// `items`, spawn `workers - 1` scoped threads (the caller is worker 0),
 /// drain with work stealing, and assemble results in index order.
-fn run_pooled<T, F>(n: usize, workers: usize, f: &F) -> Result<Vec<T>, PanicPayload>
+fn run_pooled<T, F>(
+    items: std::ops::Range<usize>,
+    workers: usize,
+    f: &F,
+) -> Result<Vec<T>, PanicPayload>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    BATCHES_TOTAL.fetch_add(1, Ordering::Relaxed);
-
+    let (start, n) = (items.start, items.len());
     let mut deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
     // Contiguous chunks keep each worker's slice of the index space
     // cache-friendly; stealing rebalances when chunks are uneven.
-    for i in 0..n {
-        deques[i * workers / n].push(i);
+    for k in 0..n {
+        deques[k * workers / n].push(start + k);
     }
 
     let abort = AtomicBool::new(false);
@@ -361,7 +446,7 @@ where
     assembled.resize_with(n, || None);
     for slot in slots.drain(..) {
         for (i, v) in slot {
-            assembled[i] = Some(v);
+            assembled[i - start] = Some(v);
         }
     }
     Ok(assembled
@@ -439,7 +524,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
+
+    /// Busy-wait `micros` µs: enough work per item for a batch of a
+    /// few items to cross the fan-out constant and reach the pooled
+    /// path. Items never wait on each other, so a batch that runs
+    /// inline (no permit free) still finishes.
+    fn spin(micros: u64) {
+        let until = Instant::now() + Duration::from_micros(micros);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+    }
 
     #[test]
     fn map_matches_serial_at_every_thread_count() {
@@ -448,7 +545,10 @@ mod tests {
             .collect();
         for threads in [1, 2, 3, 8] {
             let pooled = with_threads(threads, || {
-                parallel_map(997, |i| (i as u64).wrapping_mul(2654435761))
+                parallel_map(997, |i| {
+                    spin(50);
+                    (i as u64).wrapping_mul(2654435761)
+                })
             });
             assert_eq!(pooled, serial, "threads={threads}");
         }
@@ -461,7 +561,15 @@ mod tests {
         let serial = (0..200).fold(String::new(), |acc, i| format!("{acc}/{i}"));
         for threads in [1, 2, 8] {
             let pooled = with_threads(threads, || {
-                parallel_map_reduce(200, |i| i, String::new(), |acc, i| format!("{acc}/{i}"))
+                parallel_map_reduce(
+                    200,
+                    |i| {
+                        spin(50);
+                        i
+                    },
+                    String::new(),
+                    |acc, i| format!("{acc}/{i}"),
+                )
             });
             assert_eq!(pooled, serial, "threads={threads}");
         }
@@ -490,6 +598,7 @@ mod tests {
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_threads(4, || {
                 parallel_map(64, |i| {
+                    spin(50);
                     if i == 17 {
                         panic!("task 17 exploded");
                     }
@@ -506,6 +615,7 @@ mod tests {
     fn nested_calls_run_inline() {
         let observed = with_threads(4, || {
             parallel_map(4, |_| {
+                spin(300);
                 // Inside a worker the pool must report 1 thread and the
                 // nested call must still produce correct ordered output.
                 let inner = parallel_map(8, |j| j * 2);
@@ -541,12 +651,31 @@ mod tests {
     }
 
     #[test]
+    fn stats_threads_is_the_global_setting_on_any_thread() {
+        // A scrape reads the same gauge under an override and on a pool
+        // worker, where `current_threads()` is 7 and 1.
+        let outside = stats().threads;
+        assert_eq!(with_threads(7, || stats().threads), outside);
+        let on_workers = with_threads(2, || parallel_map(2, |_| stats().threads));
+        assert_eq!(on_workers, vec![outside; 2]);
+    }
+
+    #[test]
     fn permit_budget_bounds_concurrent_batches() {
         // Two top-level batches racing for permits must both finish
         // with correct results even when one is forced inline.
         let results: Vec<Vec<usize>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
-                .map(|_| s.spawn(|| with_threads(8, || parallel_map(300, |i| i * 3))))
+                .map(|_| {
+                    s.spawn(|| {
+                        with_threads(8, || {
+                            parallel_map(300, |i| {
+                                spin(50);
+                                i * 3
+                            })
+                        })
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -554,14 +683,70 @@ mod tests {
         for r in results {
             assert_eq!(r, expect);
         }
+        // Other tests' batches share the budget: let them drain before
+        // checking that these two released every permit they took.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while EXTRA_IN_USE.load(Ordering::SeqCst) != 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(EXTRA_IN_USE.load(Ordering::SeqCst), 0, "permits leaked");
     }
 
     #[test]
-    fn parallel_map_min_keeps_small_batches_serial() {
-        let small = parallel_map_min(8, 16, |i| i + 1);
-        assert_eq!(small, (1..=8).collect::<Vec<_>>());
-        let large = with_threads(2, || parallel_map_min(32, 16, |i| i + 1));
-        assert_eq!(large, (1..=32).collect::<Vec<_>>());
+    fn trivial_batch_runs_on_the_calling_thread() {
+        // A long trivial batch and a short one at a wider pool (a
+        // 10-tree forest vote at 16 threads) are far under the fan-out
+        // constant, so they run on the caller, taking no permit. Only a
+        // preemption mid-batch can inflate the projection enough to fan
+        // one out.
+        let caller = std::thread::current().id();
+        for (n, threads) in [(64, 4), (10, 16)] {
+            let fanned_out = (0..100)
+                .filter(|_| {
+                    let ids =
+                        with_threads(threads, || parallel_map(n, |_| std::thread::current().id()));
+                    ids.iter().any(|&id| id != caller)
+                })
+                .count();
+            assert!(
+                fanned_out <= 3,
+                "{fanned_out} of 100 trivial {n}-item batches fanned out at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn heavy_batch_fans_out() {
+        // A long batch (more items than threads) fans out after its
+        // inline prefix, and so does a short one (no more items than
+        // threads) after its first item. Other tests may hold every
+        // permit, so retry until one is granted; the results must equal
+        // the serial map every time.
+        for (n, threads, micros) in [(32usize, 2usize, 50u64), (4, 4, 300)] {
+            let serial: Vec<usize> = (0..n).map(|i| i * 7).collect();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                let fanouts = stats().fanouts;
+                let (values, ids): (Vec<usize>, Vec<std::thread::ThreadId>) =
+                    with_threads(threads, || {
+                        parallel_map(n, |i| {
+                            spin(micros);
+                            (i * 7, std::thread::current().id())
+                        })
+                    })
+                    .into_iter()
+                    .unzip();
+                assert_eq!(values, serial, "n={n}");
+                if ids.into_iter().collect::<HashSet<_>>().len() >= 2 {
+                    // Counters only grow in this crate's tests.
+                    assert!(stats().fanouts > fanouts, "fan-out not counted");
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "a heavy {n}-item batch never ran on two threads"
+                );
+            }
+        }
     }
 }

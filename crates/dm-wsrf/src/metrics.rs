@@ -124,6 +124,8 @@ pub struct PoolSnapshot {
     pub tasks: u64,
     /// Parallel batches dispatched.
     pub batches: u64,
+    /// Batches that started at least one helper thread.
+    pub fanouts: u64,
     /// Tasks obtained by stealing from another worker's deque.
     pub steals: u64,
     /// Per-worker `(tasks, busy_seconds)` pairs, indexed by slot.
@@ -383,13 +385,14 @@ impl MetricsRegistry {
     }
 
     /// Ingest a [`PoolSnapshot`] of the shared compute pool: global
-    /// task / batch / steal counters, a thread-count gauge, and
+    /// task / batch / fan-out / steal counters, a thread-count gauge, and
     /// per-worker task counters and busy-time gauges labelled by
     /// worker slot.
     pub fn ingest_pool(&self, snap: &PoolSnapshot) {
         self.set_gauge("faehim_pool_threads", &[], snap.threads as f64);
         self.set_counter("faehim_pool_tasks_total", &[], snap.tasks);
         self.set_counter("faehim_pool_batches_total", &[], snap.batches);
+        self.set_counter("faehim_pool_fanouts_total", &[], snap.fanouts);
         self.set_counter("faehim_pool_steals_total", &[], snap.steals);
         for (slot, (tasks, busy_seconds)) in snap.workers.iter().enumerate() {
             let slot = slot.to_string();
@@ -924,6 +927,7 @@ mod tests {
                 threads: 2,
                 tasks: 12,
                 batches: 3,
+                fanouts: 2,
                 steals: 1,
                 workers: vec![(7, 0.5), (5, 0.25)],
             });
@@ -959,12 +963,14 @@ mod tests {
             threads: 4,
             tasks: 120,
             batches: 3,
+            fanouts: 2,
             steals: 17,
             workers: vec![(70, 0.25), (50, 0.125)],
         });
         assert_eq!(m.gauge_value("faehim_pool_threads", &[]), Some(4.0));
         assert_eq!(m.counter_value("faehim_pool_tasks_total", &[]), 120);
         assert_eq!(m.counter_value("faehim_pool_batches_total", &[]), 3);
+        assert_eq!(m.counter_value("faehim_pool_fanouts_total", &[]), 2);
         assert_eq!(m.counter_value("faehim_pool_steals_total", &[]), 17);
         assert_eq!(
             m.counter_value("faehim_pool_worker_tasks_total", &[("worker", "0")]),
@@ -981,6 +987,7 @@ mod tests {
             "faehim_pool_threads 4",
             "faehim_pool_tasks_total 120",
             "faehim_pool_batches_total 3",
+            "faehim_pool_fanouts_total 2",
             "faehim_pool_steals_total 17",
             "faehim_pool_worker_tasks_total{worker=\"0\"} 70",
             "faehim_pool_worker_busy_seconds{worker=\"1\"} 0.125",

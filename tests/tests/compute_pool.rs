@@ -1,8 +1,9 @@
 //! Determinism contract of the shared compute pool: every parallelised
-//! kernel (ensemble training, ensemble voting, k-means assignment,
-//! parallel cross-validation, batched service scoring) must produce
-//! byte-identical results at every thread count. These properties pin
-//! that contract across random seeds and pool sizes {1, 2, 8}.
+//! kernel (ensemble training, IBk's row scan, k-means assignment,
+//! parallel cross-validation, batched scoring, ensemble votes run on
+//! pool workers) must produce byte-identical results at every thread
+//! count. These properties pin that contract across random seeds and
+//! pool sizes {1, 2, 8}.
 
 use dm_algorithms::cluster::{Clusterer, KMeans};
 use dm_algorithms::options::Configurable;
@@ -10,9 +11,30 @@ use dm_algorithms::pool;
 use dm_algorithms::registry::make_classifier;
 use dm_algorithms::state::Stateful;
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Pool sizes every property is checked at; 1 is the serial reference.
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
+
+/// Run `f` until some pool batch fans out during a run (for at most
+/// 30 s) and return every run's output. A pool batch runs on the calling
+/// thread unless its work pays for threads, so each property's inputs
+/// are heavy enough to fan out, and this checks that the pooled path was
+/// covered. The permit budget and the counter are process-wide: a test
+/// running alongside may hold every permit for one run, and its batches
+/// count too.
+fn until_fanned_out<R>(mut f: impl FnMut() -> R) -> Vec<R> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut runs = Vec::new();
+    loop {
+        let before = pool::stats().fanouts;
+        runs.push(f());
+        if pool::stats().fanouts > before {
+            return runs;
+        }
+        assert!(Instant::now() < deadline, "no pool batch fanned out");
+    }
+}
 
 /// Train a fresh classifier of `name` (with `-S` = seed, `-I` =
 /// members) under `threads` pool threads and return its encoded state.
@@ -39,37 +61,43 @@ proptest! {
     fn random_forest_state_identical_at_every_pool_size(seed in any::<u32>(), noise in 0.0f64..0.4) {
         let ds = dm_data::corpus::nominal_classification(80, 4, 3, 2, noise, seed as u64);
         let reference = trained_state("RandomForest", "8", seed, &ds, 1);
-        for threads in [2, 8] {
-            let state = trained_state("RandomForest", "8", seed, &ds, threads);
+        let states = until_fanned_out(|| [2, 8].map(|t| (t, trained_state("RandomForest", "8", seed, &ds, t))));
+        for (threads, state) in states.into_iter().flatten() {
             prop_assert!(state == reference, "forest state diverged at {threads} threads");
         }
     }
 
     #[test]
     fn bagging_state_identical_at_every_pool_size(seed in any::<u32>(), noise in 0.0f64..0.4) {
-        let ds = dm_data::corpus::nominal_classification(70, 4, 3, 2, noise, seed as u64);
+        let ds = dm_data::corpus::nominal_classification(300, 4, 3, 2, noise, seed as u64);
         let reference = trained_state("Bagging", "6", seed, &ds, 1);
-        for threads in [2, 8] {
-            let state = trained_state("Bagging", "6", seed, &ds, threads);
+        let states = until_fanned_out(|| [2, 8].map(|t| (t, trained_state("Bagging", "6", seed, &ds, t))));
+        for (threads, state) in states.into_iter().flatten() {
             prop_assert!(state == reference, "bagging state diverged at {threads} threads");
         }
     }
 
     #[test]
     fn ensemble_votes_identical_at_every_pool_size(seed in any::<u32>()) {
+        // A vote folds its members in order on whichever thread runs it;
+        // scoring 600 rows as one batch puts votes on pool workers.
         let ds = dm_data::corpus::nominal_classification(60, 4, 3, 2, 0.2, seed as u64);
         let mut forest = make_classifier("RandomForest").unwrap();
         forest.set_option("-I", "20").unwrap();
         forest.set_option("-S", &seed.to_string()).unwrap();
         pool::with_threads(1, || forest.train(&ds)).unwrap();
-        for row in 0..ds.num_instances().min(8) {
-            let reference = pool::with_threads(1, || forest.distribution(&ds, row)).unwrap();
-            for threads in [2, 8] {
-                let dist = pool::with_threads(threads, || forest.distribution(&ds, row)).unwrap();
-                let same = reference.len() == dist.len()
-                    && reference.iter().zip(&dist).all(|(a, b)| a.to_bits() == b.to_bits());
-                prop_assert!(same, "vote fold diverged at {threads} threads on row {row}");
-            }
+        let n = ds.num_instances();
+        let votes = |threads: usize| {
+            pool::with_threads(threads, || {
+                pool::parallel_map(600, |i| forest.distribution(&ds, i % n).unwrap())
+            })
+        };
+        let reference = votes(1);
+        for (threads, dists) in until_fanned_out(|| [2, 8].map(|t| (t, votes(t)))).into_iter().flatten() {
+            let same = reference.iter().zip(&dists).all(|(a, b)| {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            });
+            prop_assert!(same, "vote fold diverged at {threads} threads");
         }
     }
 
@@ -78,7 +106,9 @@ proptest! {
         seed in any::<u32>(),
         k in 2usize..5,
     ) {
-        let ds = dm_data::corpus::nominal_classification(90, 5, 3, 2, 0.3, seed as u64);
+        // 4,000 rows: four scan blocks, enough assignment work per Lloyd
+        // iteration to fan out.
+        let ds = dm_data::corpus::nominal_classification(4000, 5, 3, 2, 0.3, seed as u64);
         let build = |threads: usize| {
             pool::with_threads(threads, || {
                 let mut km = KMeans::with_k(k);
@@ -89,8 +119,8 @@ proptest! {
             })
         };
         let (ref_state, ref_assigns) = build(1);
-        for threads in [2, 8] {
-            let (state, assigns) = build(threads);
+        let runs = until_fanned_out(|| [2, 8].map(|t| (t, build(t))));
+        for (threads, (state, assigns)) in runs.into_iter().flatten() {
             prop_assert!(state == ref_state, "k-means state diverged at {threads} threads");
             prop_assert_eq!(&assigns, &ref_assigns, "assignments diverged at {} threads", threads);
         }
@@ -98,9 +128,9 @@ proptest! {
 
     #[test]
     fn ibk_columnar_scan_identical_at_every_pool_size(seed in any::<u32>(), k in 1usize..6) {
-        // Big enough to cross IBk's parallel-scan threshold, so the
-        // columnar distance kernel runs both serially and blocked.
-        let ds = dm_data::corpus::nominal_classification(1100, 4, 3, 2, 0.25, seed as u64);
+        // 24 scan blocks: enough distance work per query for the scan to
+        // fan out at widths 2 and 8.
+        let ds = dm_data::corpus::nominal_classification(24_000, 4, 3, 2, 0.25, seed as u64);
         let mut c = make_classifier("IBk").unwrap();
         c.set_option("-K", &k.to_string()).unwrap();
         pool::with_threads(1, || c.train(&ds)).unwrap();
@@ -110,8 +140,7 @@ proptest! {
             })
         };
         let reference = score(1);
-        for threads in [2, 8] {
-            let dists = score(threads);
+        for (threads, dists) in until_fanned_out(|| [2, 8].map(|t| (t, score(t)))).into_iter().flatten() {
             let same = reference.iter().zip(&dists).all(|(a, b)| {
                 a.len() == b.len()
                     && a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -123,30 +152,39 @@ proptest! {
     #[test]
     fn predict_batch_matches_serial_predicts_at_every_pool_size(seed in any::<u32>()) {
         // The batched scoring path must be the concatenation of per-row
-        // predicts at every pool width (300 rows crosses the batch
-        // fan-out threshold).
-        let ds = dm_data::corpus::nominal_classification(300, 4, 3, 2, 0.25, seed as u64);
+        // predicts at every pool width (3,000 rows: enough to fan out).
+        let ds = dm_data::corpus::nominal_classification(3000, 4, 3, 2, 0.25, seed as u64);
         let mut c = make_classifier("NaiveBayes").unwrap();
         pool::with_threads(1, || c.train(&ds)).unwrap();
         let serial: Vec<usize> =
             (0..ds.num_instances()).map(|r| c.predict(&ds, r).unwrap()).collect();
-        for threads in POOL_SIZES {
-            let batch = pool::with_threads(threads, || c.predict_batch(&ds).unwrap());
+        let batches = until_fanned_out(|| {
+            POOL_SIZES.map(|t| (t, pool::with_threads(t, || c.predict_batch(&ds).unwrap())))
+        });
+        for (threads, batch) in batches.into_iter().flatten() {
             prop_assert_eq!(&batch, &serial, "batch predictions diverged at {} threads", threads);
         }
     }
 
     #[test]
     fn parallel_cv_equals_serial_cv_at_every_pool_size(seed in any::<u32>(), folds in 2usize..6) {
-        let ds = dm_data::corpus::nominal_classification(60, 4, 3, 2, 0.25, seed as u64);
+        // 600 rows: enough work per fold for three or more folds to fan
+        // out. A batch of two never does, so 2-fold CV runs inline at
+        // every width.
+        let ds = dm_data::corpus::nominal_classification(600, 4, 3, 2, 0.25, seed as u64);
         let make = || make_classifier("NaiveBayes");
         let serial = dm_algorithms::eval::cross_validate(make, &ds, folds, seed as u64).unwrap();
-        for threads in POOL_SIZES {
-            let pooled = pool::with_threads(threads, || {
-                dm_algorithms::eval::cross_validate_parallel(make, &ds, folds, seed as u64)
+        let pooled = || {
+            POOL_SIZES.map(|t| {
+                let cv = pool::with_threads(t, || {
+                    dm_algorithms::eval::cross_validate_parallel(make, &ds, folds, seed as u64)
+                });
+                (t, cv.unwrap())
             })
-            .unwrap();
-            prop_assert!(pooled == serial, "CV diverged at {threads} threads");
+        };
+        let runs = if folds > 2 { until_fanned_out(pooled) } else { vec![pooled()] };
+        for (threads, cv) in runs.into_iter().flatten() {
+            prop_assert!(cv == serial, "CV diverged at {threads} threads");
         }
     }
 }
@@ -156,22 +194,25 @@ fn batched_scoring_byte_identical_across_pool_sizes() {
     // End-to-end: the classifyInstances operation through the typed
     // client must return the same SOAP-decoded predictions at every
     // pool size (the envelope path is exercised in dm-services tests;
-    // here the whole toolkit stack is in the loop).
+    // here the whole toolkit stack is in the loop). IBk, because each
+    // of its predictions scans the stored rows: scoring 286 rows is
+    // then enough work to fan out, where J48's is not.
     let toolkit = faehim::Toolkit::new().unwrap();
     let arff = dm_data::corpus::breast_cancer_arff();
     let client = toolkit.classifier_client();
-    let reference = pool::with_threads(1, || {
-        client
-            .classify_instances(&arff, "J48", "", "Class", &arff)
-            .unwrap()
-    });
-    assert_eq!(reference.len(), 286);
-    for threads in [2, 8] {
-        let preds = pool::with_threads(threads, || {
+    let classify = |threads: usize| {
+        pool::with_threads(threads, || {
             client
-                .classify_instances(&arff, "J48", "", "Class", &arff)
+                .classify_instances(&arff, "IBk", "", "Class", &arff)
                 .unwrap()
-        });
+        })
+    };
+    let reference = classify(1);
+    assert_eq!(reference.len(), 286);
+    for (threads, preds) in until_fanned_out(|| [2, 8].map(|t| (t, classify(t))))
+        .into_iter()
+        .flatten()
+    {
         assert_eq!(
             preds, reference,
             "batch predictions diverged at {threads} threads"
