@@ -26,7 +26,7 @@ use dm_algorithms::cluster::{Clusterer, KMeans};
 use dm_algorithms::options::Configurable;
 use dm_algorithms::pool;
 use dm_bench::banner;
-use dm_data::convert::{to_row_major, RowMajorDataset};
+use dm_bench::row_major::{to_row_major, RowMajorDataset};
 use dm_data::{Attribute, Dataset, Value};
 use std::hint::black_box;
 use std::time::Instant;

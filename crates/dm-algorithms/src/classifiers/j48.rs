@@ -28,7 +28,10 @@ use crate::error::{AlgoError, Result};
 use crate::options::{descriptor_for, Configurable, OptionDescriptor, OptionKind};
 use crate::state::{StateReader, StateWriter, Stateful};
 use crate::tree::TreeModel;
-use dm_data::{Dataset, Value};
+use dm_data::{Bitmap, CodesView, Dataset, Value};
+
+#[cfg(test)]
+mod reference;
 
 /// The split test at an internal node.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,301 +165,6 @@ impl J48 {
     /// Total node count of the trained tree.
     pub fn tree_size(&self) -> Option<usize> {
         self.root.as_ref().map(Node::size)
-    }
-
-    // -- training ------------------------------------------------------
-
-    fn class_counts(data: &Dataset, items: &[(usize, f64)], ci: usize, k: usize) -> Vec<f64> {
-        let mut counts = vec![0.0; k];
-        // Hoist the class column view out of the item loop: one match
-        // on the storage kind per call instead of per cell.
-        let ccol = data.column(ci);
-        for &(r, w) in items {
-            if let Some(c) = ccol.index_at(r) {
-                counts[c] += w;
-            }
-        }
-        counts
-    }
-
-    /// Evaluate a nominal split. Returns `None` when not viable.
-    fn eval_nominal(
-        &self,
-        data: &Dataset,
-        items: &[(usize, f64)],
-        a: usize,
-        ci: usize,
-        k: usize,
-    ) -> Option<Candidate> {
-        let arity = data.attributes()[a].num_labels();
-        if arity < 2 {
-            return None;
-        }
-        let mut branch = vec![vec![0.0f64; k]; arity];
-        let mut missing_w = 0.0;
-        let mut total_w = 0.0;
-        // Contingency counting over hoisted column views: the per-cell
-        // work is a code load plus a validity bit probe.
-        let acol = data.column(a);
-        let ccol = data.column(ci);
-        for &(r, w) in items {
-            total_w += w;
-            match acol.index_at(r) {
-                None => missing_w += w,
-                Some(vi) => {
-                    if let Some(c) = ccol.index_at(r) {
-                        branch[vi][c] += w;
-                    }
-                    // Present attribute but missing class contributes
-                    // nothing to the table (the old code added 0.0).
-                }
-            }
-        }
-        let branch_weights: Vec<f64> = branch.iter().map(|b| b.iter().sum()).collect();
-        let present_w: f64 = branch_weights.iter().sum();
-        if present_w <= 0.0 {
-            return None;
-        }
-        // Viability: at least 2 branches with >= min_instances.
-        let populated = branch_weights
-            .iter()
-            .filter(|&&w| w >= self.min_instances)
-            .count();
-        if populated < 2 {
-            return None;
-        }
-        let mut present_counts = vec![0.0; k];
-        for b in &branch {
-            for (c, &x) in b.iter().enumerate() {
-                present_counts[c] += x;
-            }
-        }
-        let info_present = entropy(&present_counts);
-        let mut info_split = 0.0;
-        for (b, &bw) in branch.iter().zip(&branch_weights) {
-            if bw > 0.0 {
-                info_split += bw / present_w * entropy(b);
-            }
-        }
-        let gain = present_w / total_w * (info_present - info_split);
-        if gain <= 1e-12 {
-            return None;
-        }
-        // Split info over branch weights plus the missing bucket.
-        let mut si_weights = branch_weights.clone();
-        if missing_w > 0.0 {
-            si_weights.push(missing_w);
-        }
-        let split_info = entropy(&si_weights);
-        if split_info <= 1e-12 {
-            return None;
-        }
-        Some(Candidate {
-            split: Split::Nominal { attr: a },
-            gain,
-            ratio: gain / split_info,
-        })
-    }
-
-    /// Evaluate the best numeric threshold for attribute `a`.
-    fn eval_numeric(
-        &self,
-        data: &Dataset,
-        items: &[(usize, f64)],
-        a: usize,
-        ci: usize,
-        k: usize,
-    ) -> Option<Candidate> {
-        let mut pairs: Vec<(f64, usize, f64)> = Vec::new();
-        let mut missing_w = 0.0;
-        let mut total_w = 0.0;
-        let acol = data.column(a);
-        let ccol = data.column(ci);
-        for &(r, w) in items {
-            total_w += w;
-            if acol.is_missing(r) {
-                missing_w += w;
-                continue;
-            }
-            let Some(c) = ccol.index_at(r) else { continue };
-            pairs.push((acol.get(r), c, w));
-        }
-        if pairs.len() < 2 {
-            return None;
-        }
-        pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("no NaN"));
-        let present_w: f64 = pairs.iter().map(|p| p.2).sum();
-        let mut present_counts = vec![0.0; k];
-        for &(_, c, w) in &pairs {
-            present_counts[c] += w;
-        }
-        let info_present = entropy(&present_counts);
-
-        let distinct = {
-            let mut d = 1;
-            for i in 1..pairs.len() {
-                if pairs[i].0 != pairs[i - 1].0 {
-                    d += 1;
-                }
-            }
-            d
-        };
-        if distinct < 2 {
-            return None;
-        }
-
-        let mut left = vec![0.0f64; k];
-        let mut right = present_counts.clone();
-        let mut best: Option<(f64, f64, f64, f64)> = None; // (gain_raw, threshold, lw, rw)
-        let mut lw = 0.0;
-        for i in 0..pairs.len() - 1 {
-            let (v, c, w) = pairs[i];
-            left[c] += w;
-            right[c] -= w;
-            lw += w;
-            if pairs[i + 1].0 == v {
-                continue;
-            }
-            let rw = present_w - lw;
-            if lw < self.min_instances || rw < self.min_instances {
-                continue;
-            }
-            let info_split = (lw * entropy(&left) + rw * entropy(&right)) / present_w;
-            let gain_raw = info_present - info_split;
-            if best.is_none_or(|(g, ..)| gain_raw > g) {
-                best = Some((gain_raw, (v + pairs[i + 1].0) / 2.0, lw, rw));
-            }
-        }
-        let (gain_raw, threshold, lw, rw) = best?;
-        // C4.5 MDL correction for choosing among `distinct - 1` cuts.
-        let corrected = gain_raw - ((distinct - 1) as f64).log2() / present_w;
-        let gain = present_w / total_w * corrected;
-        if gain <= 1e-12 {
-            return None;
-        }
-        let mut si_weights = vec![lw, rw];
-        if missing_w > 0.0 {
-            si_weights.push(missing_w);
-        }
-        let split_info = entropy(&si_weights);
-        if split_info <= 1e-12 {
-            return None;
-        }
-        Some(Candidate {
-            split: Split::Numeric { attr: a, threshold },
-            gain,
-            ratio: gain / split_info,
-        })
-    }
-
-    fn build(
-        &self,
-        data: &Dataset,
-        items: &[(usize, f64)],
-        ci: usize,
-        k: usize,
-        depth: usize,
-    ) -> Node {
-        let counts = Self::class_counts(data, items, ci, k);
-        let total: f64 = counts.iter().sum();
-        let max = counts.iter().cloned().fold(0.0, f64::max);
-
-        // Stop: pure, too small, or too deep (defensive cap).
-        if total <= 0.0 || (total - max) < 1e-9 || total < 2.0 * self.min_instances || depth > 64 {
-            return Node::leaf(counts);
-        }
-
-        // Gather viable candidates.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for a in 0..data.num_attributes() {
-            if a == ci {
-                continue;
-            }
-            let cand = if data.attributes()[a].is_nominal() {
-                self.eval_nominal(data, items, a, ci, k)
-            } else if data.attributes()[a].is_numeric() {
-                self.eval_numeric(data, items, a, ci, k)
-            } else {
-                None
-            };
-            if let Some(c) = cand {
-                candidates.push(c);
-            }
-        }
-        if candidates.is_empty() {
-            return Node::leaf(counts);
-        }
-        let avg_gain: f64 =
-            candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
-        let chosen = candidates
-            .iter()
-            .filter(|c| c.gain >= avg_gain - 1e-12)
-            .max_by(|x, y| x.ratio.partial_cmp(&y.ratio).expect("finite ratios"));
-        let chosen = match chosen {
-            Some(c) => c,
-            None => return Node::leaf(counts),
-        };
-
-        // Partition items into branches with fractional missing weights.
-        let (attr, num_branches, branch_of): (usize, usize, Box<dyn Fn(f64) -> usize>) =
-            match &chosen.split {
-                Split::Nominal { attr } => {
-                    let arity = data.attributes()[*attr].num_labels();
-                    (*attr, arity, Box::new(Value::as_index))
-                }
-                Split::Numeric { attr, threshold } => {
-                    let t = *threshold;
-                    (*attr, 2, Box::new(move |v| usize::from(v > t)))
-                }
-            };
-
-        let mut branch_items: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_branches];
-        let mut branch_weights = vec![0.0f64; num_branches];
-        let mut missing_items: Vec<(usize, f64)> = Vec::new();
-        for &(r, w) in items {
-            let v = data.value(r, attr);
-            if Value::is_missing(v) {
-                missing_items.push((r, w));
-            } else {
-                let b = branch_of(v);
-                branch_items[b].push((r, w));
-                branch_weights[b] += w;
-            }
-        }
-        let present_w: f64 = branch_weights.iter().sum();
-        let branch_fracs: Vec<f64> = if present_w > 0.0 {
-            branch_weights.iter().map(|&w| w / present_w).collect()
-        } else {
-            vec![1.0 / num_branches as f64; num_branches]
-        };
-        // Fractional distribution of missing-valued instances.
-        for &(r, w) in &missing_items {
-            for (b, items_b) in branch_items.iter_mut().enumerate() {
-                let frac = branch_fracs[b];
-                if frac > 0.0 {
-                    items_b.push((r, w * frac));
-                }
-            }
-        }
-
-        let children: Vec<Node> = branch_items
-            .iter()
-            .map(|bi| {
-                if bi.is_empty() {
-                    // Empty branch: leaf predicting the parent majority.
-                    Node::leaf(counts.clone())
-                } else {
-                    self.build(data, bi, ci, k, depth + 1)
-                }
-            })
-            .collect();
-
-        Node {
-            split: Some(chosen.split.clone()),
-            children,
-            branch_fracs,
-            counts,
-        }
     }
 
     // -- pruning -------------------------------------------------------
@@ -652,6 +360,441 @@ impl J48 {
     }
 }
 
+/// Class code of an item whose class is missing.
+const NO_CLASS: u32 = u32::MAX;
+
+/// One tree growth: the training set, the scratch every node reuses,
+/// and the value ranks that order numeric candidates.
+///
+/// **Growth invariant: the per-cell order of additions.** A node visits
+/// its items in one order: row order at the root, and at a child its
+/// parent's order for the items that took its branch, followed by the
+/// parent's missing-valued items in the parent's order. Every
+/// floating-point accumulator receives its additions in that order: a
+/// class count, a contingency cell, a branch weight, the missing bucket.
+/// A numeric candidate's prefix sums follow the stable sort by value,
+/// whose ties keep item order. `f64` sums depend on their order, so
+/// this is what keeps the tree, its thresholds and its encoded state
+/// bit-identical to recounting every attribute from scratch (the
+/// `reference` oracle in the tests).
+struct Grower<'a> {
+    data: &'a Dataset,
+    ci: usize,
+    k: usize,
+    min_instances: f64,
+    /// Per numeric attribute, once a node has evaluated it: each
+    /// present row's dense rank among the attribute's distinct values.
+    ranks: Vec<Option<Vec<u32>>>,
+    /// The current node's class codes in item order (`NO_CLASS` where
+    /// the class is missing), gathered once for all its candidates.
+    classes: Vec<u32>,
+    /// The flat `arity × k` contingency table of a nominal candidate:
+    /// row `b` holds branch `b`'s class weights.
+    table: Vec<f64>,
+    /// Branch weights, with room for the missing bucket.
+    branch_w: Vec<f64>,
+    /// Per-class present weight.
+    present: Vec<f64>,
+    /// A numeric scan's per-class weights left and right of the cut.
+    left: Vec<f64>,
+    right: Vec<f64>,
+    /// A numeric candidate's `rank << 32 | item position` sort keys.
+    keys: Vec<u64>,
+    /// A numeric candidate's `(value, class, weight)` in sorted order.
+    pairs: Vec<(f64, usize, f64)>,
+}
+
+impl<'a> Grower<'a> {
+    fn new(j48: &J48, data: &'a Dataset, ci: usize, k: usize) -> Grower<'a> {
+        let max_arity = data
+            .attributes()
+            .iter()
+            .map(|a| a.num_labels())
+            .max()
+            .unwrap_or(0);
+        Grower {
+            data,
+            ci,
+            k,
+            min_instances: j48.min_instances,
+            ranks: vec![None; data.num_attributes()],
+            classes: Vec::new(),
+            table: vec![0.0; max_arity * k],
+            branch_w: vec![0.0; max_arity + 1],
+            present: vec![0.0; k],
+            left: vec![0.0; k],
+            right: vec![0.0; k],
+            keys: Vec::new(),
+            pairs: Vec::new(),
+        }
+    }
+
+    /// Gather the node's class codes once, for all its candidates, and
+    /// return its class counts.
+    fn gather(&mut self, items: &[(usize, f64)]) -> Vec<f64> {
+        let mut counts = vec![0.0; self.k];
+        let ccol = self.data.column(self.ci);
+        self.classes.clear();
+        for &(r, w) in items {
+            let c = ccol.index_at(r);
+            if let Some(c) = c {
+                counts[c] += w;
+            }
+            self.classes.push(c.map_or(NO_CLASS, |c| c as u32));
+        }
+        counts
+    }
+
+    fn grow(&mut self, items: &[(usize, f64)], depth: usize) -> Node {
+        let counts = self.gather(items);
+        let total: f64 = counts.iter().sum();
+        let max = counts.iter().cloned().fold(0.0, f64::max);
+
+        // Stop: pure, too small, or too deep (defensive cap).
+        if total <= 0.0 || (total - max) < 1e-9 || total < 2.0 * self.min_instances || depth > 64 {
+            return Node::leaf(counts);
+        }
+
+        // Gather viable candidates; each divides by the node's total
+        // weight, summed once here in item order.
+        let mut total_w = 0.0;
+        for &(_, w) in items {
+            total_w += w;
+        }
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for a in 0..self.data.num_attributes() {
+            if a == self.ci {
+                continue;
+            }
+            let attr = &self.data.attributes()[a];
+            let cand = if attr.is_nominal() {
+                self.eval_nominal(items, a, total_w)
+            } else if attr.is_numeric() {
+                self.eval_numeric(items, a, total_w)
+            } else {
+                None
+            };
+            if let Some(c) = cand {
+                candidates.push(c);
+            }
+        }
+        if candidates.is_empty() {
+            return Node::leaf(counts);
+        }
+        let avg_gain: f64 =
+            candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
+        let chosen = candidates
+            .iter()
+            .filter(|c| c.gain >= avg_gain - 1e-12)
+            .max_by(|x, y| x.ratio.partial_cmp(&y.ratio).expect("finite ratios"));
+        let chosen = match chosen {
+            Some(c) => c,
+            None => return Node::leaf(counts),
+        };
+
+        // Partition through the split column's view.
+        let (branch_items, branch_fracs) = match &chosen.split {
+            Split::Nominal { attr } => {
+                let arity = self.data.attributes()[*attr].num_labels();
+                let (codes, valid) = self
+                    .data
+                    .column(*attr)
+                    .nominal()
+                    .expect("a nominal split was evaluated on a nominal column");
+                partition(items, arity, |r| valid.get(r).then(|| codes.get(r)))
+            }
+            Split::Numeric { attr, threshold } => {
+                let (values, valid) = self
+                    .data
+                    .column(*attr)
+                    .numeric()
+                    .expect("a numeric split was evaluated on a numeric column");
+                partition(items, 2, |r| {
+                    valid.get(r).then(|| usize::from(values[r] > *threshold))
+                })
+            }
+        };
+
+        let children: Vec<Node> = branch_items
+            .iter()
+            .map(|bi| {
+                if bi.is_empty() {
+                    // Empty branch: leaf predicting the parent majority.
+                    Node::leaf(counts.clone())
+                } else {
+                    self.grow(bi, depth + 1)
+                }
+            })
+            .collect();
+
+        Node {
+            split: Some(chosen.split.clone()),
+            children,
+            branch_fracs,
+            counts,
+        }
+    }
+
+    /// Evaluate a nominal split, counting it into the reused table.
+    /// Returns `None` when not viable.
+    fn eval_nominal(
+        &mut self,
+        items: &[(usize, f64)],
+        a: usize,
+        total_w: f64,
+    ) -> Option<Candidate> {
+        let k = self.k;
+        let arity = self.data.attributes()[a].num_labels();
+        if arity < 2 {
+            return None;
+        }
+        let (codes, valid) = self.data.column(a).nominal()?;
+        let table = &mut self.table[..arity * k];
+        table.fill(0.0);
+        let missing_w = match codes {
+            CodesView::U8(codes) => tally(codes, valid, items, &self.classes, k, table),
+            CodesView::U16(codes) => tally(codes, valid, items, &self.classes, k, table),
+            CodesView::U32(codes) => tally(codes, valid, items, &self.classes, k, table),
+        };
+        let table = &self.table[..arity * k];
+        let branch_w = &mut self.branch_w[..arity + 1];
+        for (bw, row) in branch_w.iter_mut().zip(table.chunks_exact(k)) {
+            *bw = row.iter().sum();
+        }
+        let present_w: f64 = branch_w[..arity].iter().sum();
+        if present_w <= 0.0 {
+            return None;
+        }
+        // Viability: at least 2 branches with >= min_instances.
+        let populated = branch_w[..arity]
+            .iter()
+            .filter(|&&w| w >= self.min_instances)
+            .count();
+        if populated < 2 {
+            return None;
+        }
+        let present = &mut self.present;
+        present.fill(0.0);
+        for row in table.chunks_exact(k) {
+            for (c, &x) in row.iter().enumerate() {
+                present[c] += x;
+            }
+        }
+        let info_present = entropy(present);
+        let mut info_split = 0.0;
+        for (row, &bw) in table.chunks_exact(k).zip(&branch_w[..arity]) {
+            if bw > 0.0 {
+                info_split += bw / present_w * entropy(row);
+            }
+        }
+        let gain = present_w / total_w * (info_present - info_split);
+        if gain <= 1e-12 {
+            return None;
+        }
+        // Split info over branch weights plus the missing bucket.
+        let mut buckets = arity;
+        if missing_w > 0.0 {
+            branch_w[arity] = missing_w;
+            buckets += 1;
+        }
+        let split_info = entropy(&branch_w[..buckets]);
+        if split_info <= 1e-12 {
+            return None;
+        }
+        Some(Candidate {
+            split: Split::Nominal { attr: a },
+            gain,
+            ratio: gain / split_info,
+        })
+    }
+
+    /// Evaluate the best numeric threshold for attribute `a`.
+    fn eval_numeric(
+        &mut self,
+        items: &[(usize, f64)],
+        a: usize,
+        total_w: f64,
+    ) -> Option<Candidate> {
+        let (values, valid) = self.data.column(a).numeric()?;
+        let ranks = self.ranks[a].get_or_insert_with(|| value_ranks(values, valid));
+        self.keys.clear();
+        let mut missing_w = 0.0;
+        for (i, (&(r, w), &c)) in items.iter().zip(&self.classes).enumerate() {
+            if !valid.get(r) {
+                missing_w += w;
+                continue;
+            }
+            if c == NO_CLASS {
+                continue;
+            }
+            self.keys.push(u64::from(ranks[r]) << 32 | i as u64);
+        }
+        if self.keys.len() < 2 {
+            return None;
+        }
+        // Ranks order values as `partial_cmp` does, and item positions
+        // break ties: the order of a stable sort by value.
+        self.keys.sort_unstable();
+        self.pairs.clear();
+        for &key in &self.keys {
+            let i = (key & u64::from(u32::MAX)) as usize;
+            let (r, w) = items[i];
+            self.pairs.push((values[r], self.classes[i] as usize, w));
+        }
+        let pairs = &self.pairs;
+        let present_w: f64 = pairs.iter().map(|p| p.2).sum();
+        let present_counts = &mut self.present;
+        present_counts.fill(0.0);
+        for &(_, c, w) in pairs {
+            present_counts[c] += w;
+        }
+        let info_present = entropy(present_counts);
+
+        let distinct = {
+            let mut d = 1;
+            for i in 1..pairs.len() {
+                if pairs[i].0 != pairs[i - 1].0 {
+                    d += 1;
+                }
+            }
+            d
+        };
+        if distinct < 2 {
+            return None;
+        }
+
+        let left = &mut self.left;
+        let right = &mut self.right;
+        left.fill(0.0);
+        right.copy_from_slice(present_counts);
+        let mut best: Option<(f64, f64, f64, f64)> = None; // (gain_raw, threshold, lw, rw)
+        let mut lw = 0.0;
+        for i in 0..pairs.len() - 1 {
+            let (v, c, w) = pairs[i];
+            left[c] += w;
+            right[c] -= w;
+            lw += w;
+            if pairs[i + 1].0 == v {
+                continue;
+            }
+            let rw = present_w - lw;
+            if lw < self.min_instances || rw < self.min_instances {
+                continue;
+            }
+            let info_split = (lw * entropy(left) + rw * entropy(right)) / present_w;
+            let gain_raw = info_present - info_split;
+            if best.is_none_or(|(g, ..)| gain_raw > g) {
+                best = Some((gain_raw, (v + pairs[i + 1].0) / 2.0, lw, rw));
+            }
+        }
+        let (gain_raw, threshold, lw, rw) = best?;
+        // C4.5 MDL correction for choosing among `distinct - 1` cuts.
+        let corrected = gain_raw - ((distinct - 1) as f64).log2() / present_w;
+        let gain = present_w / total_w * corrected;
+        if gain <= 1e-12 {
+            return None;
+        }
+        let si_weights = [lw, rw, missing_w];
+        let buckets = if missing_w > 0.0 { 3 } else { 2 };
+        let split_info = entropy(&si_weights[..buckets]);
+        if split_info <= 1e-12 {
+            return None;
+        }
+        Some(Candidate {
+            split: Split::Numeric { attr: a, threshold },
+            gain,
+            ratio: gain / split_info,
+        })
+    }
+}
+
+/// Add each item's weight to its `(code, class)` cell of the flat
+/// `arity × k` table, visiting items in order, and return the summed
+/// weight of the items whose code is missing. An item with a code but
+/// no class adds nothing.
+fn tally<C: Copy + Into<u32>>(
+    codes: &[C],
+    valid: &Bitmap,
+    items: &[(usize, f64)],
+    classes: &[u32],
+    k: usize,
+    table: &mut [f64],
+) -> f64 {
+    let mut missing_w = 0.0;
+    for (&(r, w), &c) in items.iter().zip(classes) {
+        if !valid.get(r) {
+            missing_w += w;
+        } else if c != NO_CLASS {
+            let code: u32 = codes[r].into();
+            table[code as usize * k + c as usize] += w;
+        }
+    }
+    missing_w
+}
+
+/// Each present row's dense rank among the column's distinct values;
+/// values that compare equal (`-0.0` and `0.0`) share a rank. Rows with
+/// a missing value rank 0 and are never read.
+fn value_ranks(values: &[f64], valid: &Bitmap) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..values.len() as u32)
+        .filter(|&r| valid.get(r as usize))
+        .collect();
+    order.sort_unstable_by(|&x, &y| {
+        values[x as usize]
+            .partial_cmp(&values[y as usize])
+            .expect("no NaN")
+    });
+    let mut ranks = vec![0u32; values.len()];
+    let mut rank = 0u32;
+    for (i, &r) in order.iter().enumerate() {
+        if i > 0 && values[r as usize] != values[order[i - 1] as usize] {
+            rank += 1;
+        }
+        ranks[r as usize] = rank;
+    }
+    ranks
+}
+
+/// Split `items` by `branch_of(row)` (`None` when the split value is
+/// missing) into one list per branch, in item order. Each missing-valued
+/// item then joins every branch with a positive share of the present
+/// weight, at that share of its weight. Returns the lists and the
+/// shares.
+fn partition(
+    items: &[(usize, f64)],
+    num_branches: usize,
+    branch_of: impl Fn(usize) -> Option<usize>,
+) -> (Vec<Vec<(usize, f64)>>, Vec<f64>) {
+    let mut branch_items: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_branches];
+    let mut branch_weights = vec![0.0f64; num_branches];
+    let mut missing_items: Vec<(usize, f64)> = Vec::new();
+    for &(r, w) in items {
+        match branch_of(r) {
+            None => missing_items.push((r, w)),
+            Some(b) => {
+                branch_items[b].push((r, w));
+                branch_weights[b] += w;
+            }
+        }
+    }
+    let present_w: f64 = branch_weights.iter().sum();
+    let branch_fracs: Vec<f64> = if present_w > 0.0 {
+        branch_weights.iter().map(|&w| w / present_w).collect()
+    } else {
+        vec![1.0 / num_branches as f64; num_branches]
+    };
+    // Fractional distribution of missing-valued instances.
+    for &(r, w) in &missing_items {
+        for (b, items_b) in branch_items.iter_mut().enumerate() {
+            let frac = branch_fracs[b];
+            if frac > 0.0 {
+                items_b.push((r, w * frac));
+            }
+        }
+    }
+    (branch_items, branch_fracs)
+}
+
 /// WEKA's `Stats.addErrs`: the number of *additional* errors predicted
 /// by the upper confidence bound of a binomial with `e` observed errors
 /// in `n` trials at confidence factor `cf`. Returns the total
@@ -738,6 +881,13 @@ impl Classifier for J48 {
 
     fn train(&mut self, data: &Dataset) -> Result<()> {
         let (ci, k) = check_trainable(data)?;
+        // Growth keys rows and value ranks as `u32`.
+        if u32::try_from(data.num_instances()).is_err() {
+            return Err(AlgoError::Unsupported(format!(
+                "J48 trains on at most {} rows",
+                u32::MAX
+            )));
+        }
         self.header = Header {
             attr_names: data
                 .attributes()
@@ -755,7 +905,7 @@ impl Classifier for J48 {
         let items: Vec<(usize, f64)> = (0..data.num_instances())
             .map(|r| (r, data.weight(r)))
             .collect();
-        let mut root = self.build(data, &items, ci, k, 0);
+        let mut root = Grower::new(self, data, ci, k).grow(&items, 0);
         if !self.unpruned {
             Self::prune(&mut root, self.confidence);
         }

@@ -7,6 +7,9 @@ use crate::options::{descriptor_for, Configurable, OptionDescriptor, OptionKind}
 use crate::pool;
 use crate::state::{StateReader, StateWriter, Stateful};
 use dm_data::{Bitmap, CodesView, Dataset, Value};
+
+#[cfg(test)]
+mod reference;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -14,8 +17,9 @@ use rand::SeedableRng;
 /// A columnar projection of the dataset into the distance space:
 /// numeric attributes pre-normalised (same `norm` expression the
 /// scalar path applies per cell), nominal codes and validity bitmaps
-/// borrowed zero-copy from the dataset. Built once per assignment
-/// sweep and shared by every Lloyd iteration's scan.
+/// borrowed zero-copy from the dataset. Built once per `build` (and
+/// once per `assignments` call) and shared by the k-means++ seeding,
+/// every Lloyd iteration's scan and every recentring.
 enum ProjCol<'a> {
     /// Class or string attribute — contributes nothing.
     Skip,
@@ -60,6 +64,127 @@ impl<'a> Projection<'a> {
             }
         }
         Some(Projection { cols })
+    }
+
+    /// Row `r` as a seed centroid: its normalised numeric values and
+    /// its nominal codes, with `0.0` for skipped attributes and missing
+    /// cells.
+    fn encode_row(&self, r: usize) -> Vec<f64> {
+        self.cols
+            .iter()
+            .map(|col| match col {
+                ProjCol::Skip => 0.0,
+                ProjCol::Numeric { norm, valid } => {
+                    if valid.get(r) {
+                        norm[r]
+                    } else {
+                        0.0
+                    }
+                }
+                ProjCol::Nominal { codes, valid } => {
+                    if valid.get(r) {
+                        codes.get(r) as f64
+                    } else {
+                        0.0
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Add each row of `range`'s squared differences from `centroid`
+    /// to its slot of `dist`, attribute by attribute: per row, the
+    /// exact floating-point sequence of
+    /// `DistanceSpace::distance_to_centroid` before its square root.
+    fn accumulate(&self, centroid: &[f64], range: std::ops::Range<usize>, dist: &mut [f64]) {
+        let start = range.start;
+        for (a, &cv) in centroid.iter().enumerate() {
+            match &self.cols[a] {
+                ProjCol::Skip => {}
+                ProjCol::Numeric { norm, valid } => {
+                    if Value::is_missing(cv) {
+                        for d in dist.iter_mut() {
+                            *d += 1.0;
+                        }
+                    } else {
+                        let col = &norm[range.clone()];
+                        if valid.all_valid() {
+                            for (d, &nv) in dist.iter_mut().zip(col) {
+                                let diff = nv - cv;
+                                *d += diff * diff;
+                            }
+                        } else {
+                            for (i, (d, &nv)) in dist.iter_mut().zip(col).enumerate() {
+                                if valid.get(start + i) {
+                                    let diff = nv - cv;
+                                    *d += diff * diff;
+                                } else {
+                                    *d += 1.0;
+                                }
+                            }
+                        }
+                    }
+                }
+                ProjCol::Nominal { codes, valid } => {
+                    if Value::is_missing(cv) {
+                        for d in dist.iter_mut() {
+                            *d += 1.0;
+                        }
+                    } else {
+                        let cc = Value::as_index(cv);
+                        let range = range.clone();
+                        match codes {
+                            CodesView::U8(codes) => {
+                                mismatches(&codes[range], valid, start, cc, dist)
+                            }
+                            CodesView::U16(codes) => {
+                                mismatches(&codes[range], valid, start, cc, dist)
+                            }
+                            CodesView::U32(codes) => {
+                                mismatches(&codes[range], valid, start, cc, dist)
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every row's squared distance to `centroid` as k-means++ seeding
+    /// weighs it: the square of the rounded distance
+    /// `distance_to_centroid` returns, not the raw sum.
+    fn seed_weights(&self, centroid: &[f64], rows: usize) -> Vec<f64> {
+        pool::scan_rows(rows, |range| {
+            let mut dist = vec![0.0f64; range.len()];
+            self.accumulate(centroid, range, &mut dist);
+            for d in &mut dist {
+                let root = d.sqrt();
+                *d = root * root;
+            }
+            dist
+        })
+    }
+}
+
+/// Add 1.0 to each row's slot of `dist` where its code differs from
+/// `cc` or is missing, and 0.0 where it matches; `codes` holds the rows
+/// from `start` on. Matching on the code width once per column, not per
+/// cell, leaves a loop over one slice.
+fn mismatches<C: Copy + Into<u32>>(
+    codes: &[C],
+    valid: &Bitmap,
+    start: usize,
+    cc: usize,
+    dist: &mut [f64],
+) {
+    if valid.all_valid() {
+        for (d, &code) in dist.iter_mut().zip(codes) {
+            *d += f64::from(code.into() as usize != cc);
+        }
+    } else {
+        for (i, (d, &code)) in dist.iter_mut().zip(codes).enumerate() {
+            *d += f64::from(!valid.get(start + i) || code.into() as usize != cc);
+        }
     }
 }
 
@@ -113,23 +238,24 @@ impl KMeans {
 
     /// Cluster assignments for every row of `data`. Rows are scored in
     /// blocks on the pool; each assignment is an independent argmin, so
-    /// the result is identical at any thread count.
+    /// the result is identical at any thread count, and identical to
+    /// [`Clusterer::cluster_instance`] on each row.
     pub fn assignments(&self, data: &Dataset) -> Result<Vec<usize>> {
         if !self.built {
             return Err(AlgoError::NotTrained);
         }
-        Ok(self.assign_all(data))
+        // The scalar per-row path serves a dataset whose header the
+        // fitted space does not match.
+        Ok(match Projection::build(&self.space, data) {
+            Some(proj) => self.assign(&proj, data.num_instances()),
+            None => pool::parallel_map(data.num_instances(), |r| self.nearest(data, r)),
+        })
     }
 
     /// The Lloyd assignment step: nearest centroid per row, via the
-    /// vectorized columnar scan (falling back to the scalar per-row
-    /// path when the fitted space does not match the dataset header).
-    fn assign_all(&self, data: &Dataset) -> Vec<usize> {
-        let n = data.num_instances();
-        let Some(proj) = Projection::build(&self.space, data) else {
-            return pool::parallel_map(n, |r| self.nearest(data, r));
-        };
-        pool::scan_rows(n, |rows| self.assign_block(&proj, rows))
+    /// vectorized columnar scan.
+    fn assign(&self, proj: &Projection<'_>, rows: usize) -> Vec<usize> {
+        pool::scan_rows(rows, |range| self.assign_block(proj, range))
     }
 
     /// Columnar assignment for one contiguous row block: for each
@@ -142,62 +268,13 @@ impl KMeans {
     /// squared distances — distinct d² can round to equal √d², which
     /// would otherwise flip first-wins ties).
     fn assign_block(&self, proj: &Projection<'_>, range: std::ops::Range<usize>) -> Vec<usize> {
-        let start = range.start;
         let len = range.len();
         let mut best = vec![0usize; len];
         let mut best_d = vec![f64::INFINITY; len];
         let mut dist = vec![0.0f64; len];
         for (c, centroid) in self.centroids.iter().enumerate() {
-            dist.iter_mut().for_each(|d| *d = 0.0);
-            for (a, &cv) in centroid.iter().enumerate() {
-                match &proj.cols[a] {
-                    ProjCol::Skip => {}
-                    ProjCol::Numeric { norm, valid } => {
-                        if Value::is_missing(cv) {
-                            for d in dist.iter_mut() {
-                                *d += 1.0;
-                            }
-                        } else {
-                            let col = &norm[range.clone()];
-                            if valid.all_valid() {
-                                for (d, &nv) in dist.iter_mut().zip(col) {
-                                    let diff = nv - cv;
-                                    *d += diff * diff;
-                                }
-                            } else {
-                                for (i, (d, &nv)) in dist.iter_mut().zip(col).enumerate() {
-                                    if valid.get(start + i) {
-                                        let diff = nv - cv;
-                                        *d += diff * diff;
-                                    } else {
-                                        *d += 1.0;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    ProjCol::Nominal { codes, valid } => {
-                        if Value::is_missing(cv) {
-                            for d in dist.iter_mut() {
-                                *d += 1.0;
-                            }
-                        } else {
-                            let cc = Value::as_index(cv);
-                            if valid.all_valid() {
-                                for (i, d) in dist.iter_mut().enumerate() {
-                                    *d += f64::from(codes.get(start + i) != cc);
-                                }
-                            } else {
-                                for (i, d) in dist.iter_mut().enumerate() {
-                                    *d += f64::from(
-                                        !valid.get(start + i) || codes.get(start + i) != cc,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            dist.fill(0.0);
+            proj.accumulate(centroid, range.clone(), &mut dist);
             for (i, d) in dist.iter().enumerate() {
                 let d = d.sqrt();
                 if d < best_d[i] {
@@ -222,40 +299,61 @@ impl KMeans {
         best
     }
 
-    fn recompute_centroid(&self, data: &Dataset, members: &[usize], centroid: &mut Vec<f64>) {
-        let n_attrs = data.num_attributes();
-        for a in 0..n_attrs {
-            if self.space.skip[a] {
-                centroid[a] = 0.0;
-                continue;
+    /// Move every centroid that has members to their centre, one
+    /// attribute at a time over the projection: a numeric attribute's
+    /// mean normalised value (summed in row order, over members with a
+    /// value), a nominal one's mode (the last of equally frequent
+    /// labels), `0.0` for a skipped one. A centroid without members
+    /// stays where it is.
+    fn recentre(&mut self, proj: &Projection<'_>, data: &Dataset, assign: &[usize]) {
+        let k = self.centroids.len();
+        let mut members = vec![0usize; k];
+        for &c in assign {
+            members[c] += 1;
+        }
+        let mut centre = vec![0.0f64; k];
+        let mut counts = vec![0.0f64; k];
+        let mut labels = Vec::new();
+        for (a, col) in proj.cols.iter().enumerate() {
+            match col {
+                ProjCol::Skip => centre.fill(0.0),
+                ProjCol::Numeric { norm, valid } => {
+                    centre.fill(0.0);
+                    counts.fill(0.0);
+                    for (r, &c) in assign.iter().enumerate() {
+                        if valid.get(r) {
+                            centre[c] += norm[r];
+                            counts[c] += 1.0;
+                        }
+                    }
+                    for (sum, &n) in centre.iter_mut().zip(&counts) {
+                        *sum = if n > 0.0 { *sum / n } else { 0.0 };
+                    }
+                }
+                ProjCol::Nominal { codes, valid } => {
+                    let arity = data.attributes()[a].num_labels();
+                    labels.clear();
+                    labels.resize(k * arity, 0usize);
+                    for (r, &c) in assign.iter().enumerate() {
+                        if valid.get(r) {
+                            labels[c * arity + codes.get(r)] += 1;
+                        }
+                    }
+                    for (c, mode) in centre.iter_mut().enumerate() {
+                        let label = labels[c * arity..(c + 1) * arity]
+                            .iter()
+                            .enumerate()
+                            .max_by_key(|(_, &n)| n)
+                            .map(|(i, _)| i)
+                            .unwrap_or(0);
+                        *mode = Value::from_index(label);
+                    }
+                }
             }
-            if self.space.nominal[a] {
-                let arity = data.attributes()[a].num_labels();
-                let mut counts = vec![0usize; arity];
-                for &r in members {
-                    let v = data.value(r, a);
-                    if !Value::is_missing(v) {
-                        counts[Value::as_index(v)] += 1;
-                    }
+            for (c, centroid) in self.centroids.iter_mut().enumerate() {
+                if members[c] > 0 {
+                    centroid[a] = centre[c];
                 }
-                let mode = counts
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &c)| c)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                centroid[a] = Value::from_index(mode);
-            } else {
-                let mut sum = 0.0;
-                let mut n = 0.0;
-                for &r in members {
-                    let v = data.value(r, a);
-                    if !Value::is_missing(v) {
-                        sum += self.space.norm(a, v);
-                        n += 1.0;
-                    }
-                }
-                centroid[a] = if n > 0.0 { sum / n } else { 0.0 };
             }
         }
     }
@@ -276,36 +374,18 @@ impl Clusterer for KMeans {
             )));
         }
         self.space = DistanceSpace::fit(data);
-        let n_attrs = data.num_attributes();
+        let proj =
+            Projection::build(&self.space, data).expect("a space fitted to a dataset projects it");
 
         // k-means++ seeding: first centroid uniform, each subsequent one
         // drawn with probability proportional to the squared distance to
         // the nearest centroid chosen so far (avoids the classic bad
         // initialisation of two seeds landing in one cluster).
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let encode_row = |r: usize| -> Vec<f64> {
-            (0..n_attrs)
-                .map(|a| {
-                    let v = data.value(r, a);
-                    if self.space.skip[a] || Value::is_missing(v) {
-                        0.0
-                    } else if self.space.nominal[a] {
-                        v
-                    } else {
-                        self.space.norm(a, v)
-                    }
-                })
-                .collect()
-        };
         let n = data.num_instances();
         let first = rng.random_range(0..n);
-        self.centroids = vec![encode_row(first)];
-        let mut nearest_sq: Vec<f64> = (0..n)
-            .map(|r| {
-                let d = self.space.distance_to_centroid(data, r, &self.centroids[0]);
-                d * d
-            })
-            .collect();
+        self.centroids = vec![proj.encode_row(first)];
+        let mut nearest_sq = proj.seed_weights(&self.centroids[0], n);
         while self.centroids.len() < self.k {
             let total: f64 = nearest_sq.iter().sum();
             let pick = if total <= 0.0 {
@@ -322,22 +402,21 @@ impl Clusterer for KMeans {
                 }
                 chosen
             };
-            let centroid = encode_row(pick);
-            for (r, slot) in nearest_sq.iter_mut().enumerate() {
-                let d = self.space.distance_to_centroid(data, r, &centroid);
-                *slot = slot.min(d * d);
+            let centroid = proj.encode_row(pick);
+            for (slot, d2) in nearest_sq.iter_mut().zip(proj.seed_weights(&centroid, n)) {
+                *slot = slot.min(d2);
             }
             self.centroids.push(centroid);
         }
         self.built = true;
 
-        let mut assign = vec![usize::MAX; data.num_instances()];
+        let mut assign = vec![usize::MAX; n];
         self.iterations_run = 0;
         for _ in 0..self.max_iterations {
             self.iterations_run += 1;
-            // Parallel assignment step; centroid recomputation below
-            // stays serial (it folds member rows in row order).
-            let next = self.assign_all(data);
+            // Parallel assignment step; recentring below stays serial
+            // (it folds member rows in row order).
+            let next = self.assign(&proj, n);
             let mut changed = false;
             for (r, &c) in next.iter().enumerate() {
                 if assign[r] != c {
@@ -348,17 +427,7 @@ impl Clusterer for KMeans {
             if !changed {
                 break;
             }
-            let mut members: Vec<Vec<usize>> = vec![Vec::new(); self.k];
-            for (r, &c) in assign.iter().enumerate() {
-                members[c].push(r);
-            }
-            let mut centroids = std::mem::take(&mut self.centroids);
-            for (c, centroid) in centroids.iter_mut().enumerate() {
-                if !members[c].is_empty() {
-                    self.recompute_centroid(data, &members[c], centroid);
-                }
-            }
-            self.centroids = centroids;
+            self.recentre(&proj, data, &assign);
         }
         self.sizes = {
             let mut s = vec![0usize; self.k];
@@ -375,6 +444,10 @@ impl Clusterer for KMeans {
             return Err(AlgoError::NotTrained);
         }
         Ok(self.nearest(data, row))
+    }
+
+    fn assignments(&self, data: &Dataset) -> Result<Vec<usize>> {
+        KMeans::assignments(self, data)
     }
 
     fn num_clusters(&self) -> Result<usize> {

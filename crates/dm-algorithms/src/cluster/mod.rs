@@ -37,6 +37,17 @@ pub trait Clusterer: Configurable + Stateful + Send {
     /// Cluster index assigned to row `row` of `data`.
     fn cluster_instance(&self, data: &Dataset, row: usize) -> Result<usize>;
 
+    /// Cluster index of every row of `data`, in row order: by contract
+    /// the same indices as [`Clusterer::cluster_instance`] row by row,
+    /// which is what this default calls (the first error wins). A
+    /// clusterer with a whole-dataset path overrides it; `KMeans` scores
+    /// every row in one columnar scan.
+    fn assignments(&self, data: &Dataset) -> Result<Vec<usize>> {
+        (0..data.num_instances())
+            .map(|r| self.cluster_instance(data, r))
+            .collect()
+    }
+
     /// Number of clusters in the built model.
     fn num_clusters(&self) -> Result<usize>;
 
@@ -332,6 +343,32 @@ mod tests {
         let mut r = crate::state::StateReader::new(&bytes);
         let space2 = DistanceSpace::decode(&mut r).unwrap();
         assert_eq!(space, space2);
+    }
+
+    #[test]
+    fn assignments_match_cluster_instance_for_every_registered_clusterer() {
+        // Blobs, and the mixed weather data with missing cells.
+        let mut weather = dm_data::corpus::weather_numeric();
+        weather.set_value(2, 1, f64::NAN);
+        weather.set_value(5, 0, f64::NAN);
+        let datasets = [test_support::three_blobs(), weather];
+        for name in crate::registry::clusterer_names() {
+            let unbuilt = crate::registry::make_clusterer(name).unwrap();
+            assert!(unbuilt.assignments(&datasets[0]).is_err(), "{name} unbuilt");
+            for ds in &datasets {
+                let mut c = crate::registry::make_clusterer(name).unwrap();
+                c.build(ds).unwrap();
+                let per_row: Vec<usize> = (0..ds.num_instances())
+                    .map(|r| c.cluster_instance(ds, r).unwrap())
+                    .collect();
+                assert_eq!(
+                    c.assignments(ds).unwrap(),
+                    per_row,
+                    "{name} on {}",
+                    ds.relation()
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! ("a library of such converters may be necessary", §3.1).
 
 use crate::arff::{parse_arff, write_arff};
-use crate::attribute::Attribute;
 use crate::csv::{parse_csv, write_csv};
 use crate::dataset::Dataset;
 use crate::error::{DataError, Result};
@@ -91,59 +90,6 @@ pub fn convert(text: &str, from: DataFormat, to: DataFormat) -> Result<String> {
     Ok(write(to, &ds))
 }
 
-/// A dense row-major snapshot of a dataset — the pre-columnar legacy
-/// layout, kept as an explicit interchange form for benchmark baselines
-/// and for round-trip testing of the columnar engine. Each row is the
-/// encoded cell vector: `NaN` for missing, label indices for nominal
-/// cells, string-pool ids for `Str` cells.
-///
-/// Deliberately not `PartialEq`: rows contain `NaN`, whose `f64`
-/// equality would report every missing cell as unequal. Compare by
-/// converting back with [`from_row_major`] and using `Dataset`
-/// equality, which treats missing-as-missing.
-#[derive(Debug, Clone)]
-pub struct RowMajorDataset {
-    /// Relation name.
-    pub relation: String,
-    /// Attribute headers, in column order.
-    pub attributes: Vec<Attribute>,
-    /// Class attribute index, if set.
-    pub class_index: Option<usize>,
-    /// Interned string pool (ids in `Str` cells index this).
-    pub strings: Vec<String>,
-    /// One encoded cell vector per instance.
-    pub rows: Vec<Vec<f64>>,
-    /// Per-instance weights, parallel to `rows`.
-    pub weights: Vec<f64>,
-}
-
-/// Snapshot a columnar [`Dataset`] into the row-major layout.
-pub fn to_row_major(ds: &Dataset) -> RowMajorDataset {
-    let n = ds.num_instances();
-    RowMajorDataset {
-        relation: ds.relation().to_string(),
-        attributes: ds.attributes().to_vec(),
-        class_index: ds.class_index(),
-        strings: ds.strings().to_vec(),
-        rows: (0..n).map(|r| ds.row_values(r)).collect(),
-        weights: (0..n).map(|r| ds.weight(r)).collect(),
-    }
-}
-
-/// Rebuild a columnar [`Dataset`] from a row-major snapshot. The string
-/// pool is re-interned in order, so `Str` cell ids stay valid.
-pub fn from_row_major(rm: &RowMajorDataset) -> Result<Dataset> {
-    let mut ds = Dataset::new(rm.relation.clone(), rm.attributes.clone());
-    ds.set_class_index(rm.class_index)?;
-    for s in &rm.strings {
-        ds.intern_string(s.clone());
-    }
-    for (row, &w) in rm.rows.iter().zip(&rm.weights) {
-        ds.push_row_weighted(row.clone(), w)?;
-    }
-    Ok(ds)
-}
-
 /// A named converter entry, as presented in the workflow toolbox.
 #[derive(Debug, Clone)]
 pub struct Converter {
@@ -217,66 +163,6 @@ mod tests {
         assert!(lib.iter().any(|c| c.name == "ARFFToCSV"));
         let c = &lib[0];
         assert!(c.apply("x\n1\n").unwrap().contains("@data"));
-    }
-
-    #[test]
-    fn row_major_roundtrip_over_arff_corpus() {
-        // Satellite regression: every corpus dataset must survive
-        // parse → columnar → row-major snapshot → columnar with exact
-        // Dataset equality (values, missingness, class index, weights).
-        use crate::corpus;
-        let sources = [
-            corpus::breast_cancer_arff(),
-            crate::arff::write_arff(&corpus::weather_nominal()),
-            crate::arff::write_arff(&corpus::weather_numeric()),
-            crate::arff::write_arff(&corpus::nominal_classification(40, 4, 3, 2, 0.2, 7)),
-        ];
-        for (i, text) in sources.iter().enumerate() {
-            let ds = parse_arff(text).unwrap();
-            let back = from_row_major(&to_row_major(&ds)).unwrap();
-            assert_eq!(ds, back, "corpus source {i}");
-        }
-    }
-
-    #[test]
-    fn row_major_roundtrip_with_strings_and_missing() {
-        // String cells travel as pool ids; the pool must be re-interned
-        // in order so ids stay stable, and missing cells (of every
-        // attribute kind) must stay missing.
-        let arff = "@relation notes\n\
-                    @attribute id numeric\n\
-                    @attribute note string\n\
-                    @attribute grade {low,high}\n\
-                    @data\n\
-                    1,'first note',low\n\
-                    2,?,high\n\
-                    ?,'third note',?\n";
-        let ds = parse_arff(arff).unwrap();
-        assert_eq!(ds.strings().len(), 2);
-        let rm = to_row_major(&ds);
-        assert_eq!(rm.strings, ds.strings());
-        let back = from_row_major(&rm).unwrap();
-        assert_eq!(ds, back);
-        assert_eq!(
-            back.string_at(back.value(0, 1) as usize),
-            Some("first note")
-        );
-        assert!(back.instance(1).is_missing(1));
-        assert!(back.instance(2).is_missing(0));
-        assert!(back.instance(2).is_missing(2));
-    }
-
-    #[test]
-    fn row_major_preserves_weights_and_class() {
-        let mut ds =
-            parse_arff("@relation w\n@attribute x numeric\n@attribute c {a,b}\n@data\n1,a\n2,b\n")
-                .unwrap();
-        ds.set_class_index(Some(1)).unwrap();
-        ds.set_weight(1, 2.5);
-        let back = from_row_major(&to_row_major(&ds)).unwrap();
-        assert_eq!(ds, back);
-        assert_eq!(back.class_index(), Some(1));
-        assert_eq!(back.weight(1), 2.5);
     }
 
     #[test]

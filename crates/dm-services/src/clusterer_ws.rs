@@ -34,8 +34,7 @@ fn cluster_report(
 ) -> Result<String, ServiceFault> {
     let k = clusterer.num_clusters().map_err(algo_fault)?;
     let mut counts = vec![0usize; k.max(1)];
-    for r in 0..ds.num_instances() {
-        let c = clusterer.cluster_instance(ds, r).map_err(algo_fault)?;
+    for c in clusterer.assignments(ds).map_err(algo_fault)? {
         if c >= counts.len() {
             counts.resize(c + 1, 0);
         }
@@ -234,13 +233,13 @@ impl WebService for ClustererService {
                 let name = text_arg(args, "clusterer")?;
                 let options = opt_text_arg(args, "options")?.unwrap_or("");
                 let (clusterer, ds) = run_clusterer(&self.datasets, name, options, arff)?;
-                let mut out = Vec::with_capacity(ds.num_instances());
-                for r in 0..ds.num_instances() {
-                    out.push(SoapValue::Int(
-                        clusterer.cluster_instance(&ds, r).map_err(algo_fault)? as i64,
-                    ));
-                }
-                Ok(SoapValue::List(out))
+                let assignments = clusterer.assignments(&ds).map_err(algo_fault)?;
+                Ok(SoapValue::List(
+                    assignments
+                        .into_iter()
+                        .map(|c| SoapValue::Int(c as i64))
+                        .collect(),
+                ))
             }
             other => Err(ServiceFault::client(format!("no operation {other:?}"))),
         })

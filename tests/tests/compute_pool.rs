@@ -219,14 +219,3 @@ fn batched_scoring_byte_identical_across_pool_sizes() {
         );
     }
 }
-
-#[test]
-fn pool_env_override_is_respected() {
-    // FAEHIM_POOL_THREADS is read once at first pool touch; the
-    // explicit setter wins afterwards. This pins the setter +
-    // current_threads round-trip the CI matrix relies on.
-    pool::set_global_threads(3);
-    assert_eq!(pool::current_threads(), 3);
-    pool::with_threads(5, || assert_eq!(pool::current_threads(), 5));
-    assert_eq!(pool::current_threads(), 3);
-}

@@ -108,18 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn row_major_columnar_roundtrip_identity(ds in dataset()) {
-        // Columnar engine invariant: snapshotting to the legacy
-        // row-major layout and rebuilding is the identity, including
-        // missing cells (validity bitmaps) and weights.
-        let back = dm_data::convert::from_row_major(&dm_data::convert::to_row_major(&ds)).unwrap();
-        prop_assert_eq!(&ds, &back);
-        // And it composes with the textual ARFF round trip.
-        let reparsed = arff::parse_arff(&arff::write_arff(&back)).unwrap();
-        prop_assert!(datasets_equal(&ds, &reparsed));
-    }
-
-    #[test]
     fn csv_roundtrip_preserves_shape(ds in dataset()) {
         let text = csv::write_csv(&ds);
         let back = csv::parse_csv(&text).unwrap();
