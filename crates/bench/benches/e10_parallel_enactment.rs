@@ -6,9 +6,12 @@
 //! Each star worker cross-validates J48 with its own options (`-M 2`,
 //! `-M 3`, …), and the shape table runs each mode on a fresh toolkit,
 //! so every cell of the table is real cross-validations, never an
-//! evaluation-cache hit. The criterion cells reuse one toolkit: after
-//! their first iteration every call is a cache hit, so they time the
-//! enactment and the SOAP round trips rather than the mining.
+//! evaluation-cache hit. The criterion cells reuse one toolkit and one
+//! graph: after their first iteration every call is a cache hit, so they
+//! time the enactment and the SOAP round trips rather than the mining,
+//! and every claim's cost is known and small, so a parallel cell keeps
+//! its claims on the calling thread until the star's known costs add up
+//! past the executor's hand-off limit (`dm_workflow::durable`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;

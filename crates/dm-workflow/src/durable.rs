@@ -15,9 +15,29 @@
 //!   the engine's retry machinery, and each claim is acknowledged with
 //!   its outcome. The orchestrator's thread is one of them. When it
 //!   needs an outcome and no finished claim is waiting, it runs a queued
-//!   claim itself, so `workers` threads execute claims on `workers − 1`
-//!   scoped threads plus the caller's, and a one-worker run executes
-//!   every task on the calling thread.
+//!   claim itself, so `workers` threads execute claims on at most
+//!   `workers − 1` scoped threads plus the caller's, and a one-worker
+//!   run executes every task on the calling thread.
+//!
+//! **A claim leaves the calling thread only when its work pays for a
+//! thread.** Each task remembers how long its last execution took
+//! ([`TaskNode`](crate::graph::TaskNode); a memo hit or a replayed
+//! completion records nothing). A ready claim whose task has run before
+//! stays on the orchestrator's own queue while the known cost queued
+//! there, this claim included, stays under `HAND_OFF_AT` (200 µs, the
+//! compute pool's fan-out point, about five thread starts). A claim of
+//! unknown cost, or one that would push that queue past the limit, goes
+//! on the shared queue, and the `workers − 1` helper threads start only
+//! once the shared queue holds a claim while another claim is
+//! outstanding. The orchestrator runs its own queue first, then takes
+//! from the shared one. So a graph's first enactment dispatches every
+//! claim to the shared queue, and its ready tasks run concurrently;
+//! re-enacting the same [`TaskGraph`] keeps its cheap tasks on the
+//! calling thread, with no thread start, hand-off or cross-core traffic.
+//! A one-worker run keeps one queue, in dispatch order. Because of this
+//! rule a tool must not wait on a sibling task: siblings communicate
+//! only through cables, and a sibling that ran cheaply last time may
+//! now run after it, on the same thread.
 //!
 //! Graph logic and execution stay separate functions; they may share a
 //! thread.
@@ -58,12 +78,12 @@ use crate::engine::{ExecutionReport, Executor, ProgressEvent, TaskRun};
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
 use crate::journal::{RunEvent, RunJournal};
-use crossbeam::channel::Sender;
+use crossbeam::channel::{Receiver, Sender};
 use dm_wsrf::resilience::CrashScript;
 use dm_wsrf::trace::SpanKind;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,9 +126,12 @@ impl DurableConfig {
         }
     }
 
-    /// Builder: execute claims on `workers` threads (clamped to at least
-    /// 1), the orchestrator's thread included, so an enactment spawns
-    /// `workers − 1` (at most one thread per task).
+    /// Builder: execute claims on up to `workers` threads (clamped to at
+    /// least 1), the orchestrator's thread included, so an enactment
+    /// spawns at most `workers − 1` (and at most one thread per task).
+    /// They start only once a claim of unknown or large cost is queued
+    /// while another is outstanding (see the [module docs](self)); one
+    /// worker runs every claim on the calling thread, in dispatch order.
     pub fn with_workers(mut self, workers: usize) -> DurableConfig {
         self.workers = workers.max(1);
         self
@@ -148,6 +171,20 @@ impl DurableConfig {
         self.workers
     }
 }
+
+#[cfg(test)]
+thread_local! {
+    /// Helper threads started by enactments orchestrated on this thread,
+    /// for tests that must not count other tests' enactments.
+    static HELPERS_STARTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Known cost queued on the orchestrator's own queue, this claim
+/// included, at which a ready claim goes to the shared queue instead:
+/// the compute pool's fan-out point, about five thread starts (a scoped
+/// spawn+join costs 27–51 µs of CPU on a 2-core x86-64 VM). Claims
+/// below it finish sooner, and on less CPU, on the calling thread.
+const HAND_OFF_AT: Duration = Duration::from_micros(200);
 
 /// A dispatched claim: the job queue carries `(claim, task, inputs)`
 /// and the orchestrator only trusts outcomes whose claim is still
@@ -189,9 +226,9 @@ enum Status {
 /// A task's run record, its buffered events, and its completion tick.
 type Entry = (TaskId, TaskRun, Vec<ProgressEvent>, Duration);
 
-/// The orchestrator's state: produced tokens, current claims, and the
-/// journal writer, which counts this-process appends and enforces the
-/// append-count kill point.
+/// The orchestrator's state: produced tokens, current claims, its own
+/// queue, and the journal writer, which counts this-process appends and
+/// enforces the append-count kill point.
 struct Orchestrator<'a> {
     graph: &'a TaskGraph,
     bindings: &'a HashMap<(TaskId, usize), Token>,
@@ -201,6 +238,14 @@ struct Orchestrator<'a> {
     produced: HashMap<(TaskId, usize), Token>,
     claims: HashMap<TaskId, u64>,
     next_claim: u64,
+    /// Claims only this thread runs, in dispatch order, each with its
+    /// task's known cost; at width 1, every claim.
+    own: VecDeque<(Job, Duration)>,
+    /// The known cost queued on `own`.
+    own_cost: Duration,
+    /// `true` at width 1: no claim is handed off.
+    alone: bool,
+    /// The shared queue, which the helpers serve.
     jobs: Sender<Job>,
 }
 
@@ -221,27 +266,52 @@ impl Orchestrator<'_> {
         Ok(())
     }
 
-    /// Queue `task` and its inputs under a fresh claim, for whichever
-    /// worker takes it first.
+    /// Queue `task` and its inputs under a fresh claim: on this thread's
+    /// own queue while the known cost queued there stays under
+    /// [`HAND_OFF_AT`] (always at width 1), else on the shared queue for
+    /// whichever worker takes it first.
     fn dispatch(&mut self, task: TaskId) -> Result<()> {
         // Journal the dispatch first: a crash between this append and the
         // task's completion record is the mid-task kill point — on resume
         // the started-but-never-completed task is simply re-executed.
         let graph = self.graph;
-        let name = &graph.task(task)?.name;
+        let node = graph.task(task)?;
         self.append(|| RunEvent::TaskStarted {
             task,
-            name: name.clone(),
+            name: node.name.clone(),
         })?;
         let inputs = Executor::gather_inputs(graph, task, self.bindings, &self.produced);
         self.claims.insert(task, self.next_claim);
-        let _ = self.jobs.send(Job {
+        let job = Job {
             claim: self.next_claim,
             task,
             inputs,
-        });
+        };
         self.next_claim += 1;
+        if self.alone {
+            self.own.push_back((job, Duration::ZERO));
+        } else if let Some(cost) = node
+            .last_cost()
+            .filter(|&c| self.own_cost + c < HAND_OFF_AT)
+        {
+            self.own_cost += cost;
+            self.own.push_back((job, cost));
+        } else {
+            let _ = self.jobs.send(job);
+        }
         Ok(())
+    }
+
+    /// The next queued claim for this thread to run: from its own queue
+    /// first, then from the shared one.
+    fn next_job(&mut self, shared: &Receiver<Job>) -> Option<Job> {
+        match self.own.pop_front() {
+            Some((job, cost)) => {
+                self.own_cost -= cost;
+                Some(job)
+            }
+            None => shared.try_recv(),
+        }
     }
 }
 
@@ -321,9 +391,11 @@ impl Executor {
     }
 
     /// The frontier loop behind [`Executor::run`] (no `durable` config)
-    /// and [`Executor::run_durable`], executing claims on `workers`
-    /// threads (at most one per task): the calling thread and
-    /// `workers − 1` scoped ones.
+    /// and [`Executor::run_durable`], executing claims on up to `workers`
+    /// threads (at most one per task): the calling thread and at most
+    /// `workers − 1` scoped ones, started only once a claim is handed off
+    /// while another is outstanding. Claims whose known cost fits under
+    /// [`HAND_OFF_AT`] stay on the calling thread (see the module docs).
     pub(crate) fn enact(
         &self,
         graph: &TaskGraph,
@@ -356,6 +428,29 @@ impl Executor {
                 return Err(WorkflowError::JournalMismatch {
                     journal: journal_fp,
                     graph: fingerprint,
+                });
+            }
+        }
+        // A journal can match the fingerprint, or carry none, and still
+        // name a task the graph lacks or complete one with the wrong
+        // number of outputs: reject it before any record is trusted.
+        for &task in replay.completed.keys().chain(replay.failed.keys()) {
+            if task >= n {
+                return Err(WorkflowError::JournalInconsistent {
+                    task,
+                    reason: format!("the graph has {n} tasks"),
+                });
+            }
+        }
+        for (&task, replayed) in &replay.completed {
+            let declared = graph.tasks()[task].tool.output_ports().len();
+            if replayed.outputs.len() != declared {
+                return Err(WorkflowError::JournalInconsistent {
+                    task,
+                    reason: format!(
+                        "completed with {} outputs, its tool declares {declared}",
+                        replayed.outputs.len()
+                    ),
                 });
             }
         }
@@ -453,10 +548,11 @@ impl Executor {
             // A panicking tool fails its claim instead of killing the
             // worker: a dead worker never acks, and with others alive the
             // orchestrator would wait for that ack forever.
-            let (result, run) = panic::catch_unwind(AssertUnwindSafe(|| {
+            let executed = panic::catch_unwind(AssertUnwindSafe(|| {
                 self.execute_task(graph, job.task, &job.inputs, &budget, root, &emit)
-            }))
-            .unwrap_or_else(|payload| {
+            }));
+            let elapsed = started.elapsed();
+            let (result, run) = executed.unwrap_or_else(|payload| {
                 let (result, run) = panicked(graph, job.task, &*payload, started);
                 emit(ProgressEvent::Failed {
                     task: run.task.clone(),
@@ -464,6 +560,9 @@ impl Executor {
                 });
                 (result, run)
             });
+            if !run.cached {
+                graph.tasks()[job.task].note_cost(elapsed);
+            }
             if fail_fast && result.is_err() {
                 stop.store(true, Ordering::SeqCst);
             }
@@ -490,21 +589,30 @@ impl Executor {
         };
         let mut entries: Vec<Entry> = Vec::new();
         let (outcome, produced) = crossbeam::scope(|scope| {
-            // The orchestrator's thread is the first worker, so a serial
-            // run spawns no thread at all.
-            for _ in 1..workers {
-                let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
-                let (run_claim, stop) = (&run_claim, &stop);
-                scope.spawn(move |_| {
-                    while let Ok(job) = job_rx.recv() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
+            // The orchestrator's thread is the first worker. The others
+            // start once the shared queue holds a claim while another
+            // claim is outstanding, so a serial run spawns no thread at
+            // all, and neither does a run whose claims all stay here.
+            let mut done_tx = Some(done_tx);
+            let mut start_helpers = || {
+                let Some(done_tx) = done_tx.take() else {
+                    return;
+                };
+                for _ in 1..workers {
+                    let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+                    let (run_claim, stop) = (&run_claim, &stop);
+                    scope.spawn(move |_| {
+                        while let Ok(job) = job_rx.recv() {
+                            if stop.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            let _ = done_tx.send(run_claim(job));
                         }
-                        let _ = done_tx.send(run_claim(job));
-                    }
-                });
-            }
-            drop(done_tx);
+                    });
+                    #[cfg(test)]
+                    HELPERS_STARTED.with(|n| n.set(n.get() + 1));
+                }
+            };
 
             // ---- orchestrator ----------------------------------------
             let mut orch = Orchestrator {
@@ -516,6 +624,9 @@ impl Executor {
                 produced,
                 claims: HashMap::new(),
                 next_claim: 1,
+                own: VecDeque::new(),
+                own_cost: Duration::ZERO,
+                alone: workers == 1,
                 jobs: job_tx,
             };
             let mut run_loop = || -> Result<()> {
@@ -531,12 +642,15 @@ impl Executor {
                     }
                 }
                 while !orch.claims.is_empty() {
+                    if orch.claims.len() > 1 && !job_rx.is_empty() {
+                        start_helpers();
+                    }
                     // A finished claim first, so successors are released
                     // as early as possible; else run a queued claim on
                     // this thread; else wait for a pool thread's ack.
                     let done = if let Some(done) = done_rx.try_recv() {
                         done
-                    } else if let Some(job) = job_rx.try_recv() {
+                    } else if let Some(job) = orch.next_job(&job_rx) {
                         if stop.load(Ordering::SeqCst) {
                             continue;
                         }
@@ -861,19 +975,25 @@ mod tests {
         }
     }
 
+    /// `src → (a → c, b)` of [`RecordsThread`] tools: a fan-out that a
+    /// wider pool could run at once.
+    fn cheap_fan_out(ran_on: &Arc<Mutex<Vec<std::thread::ThreadId>>>) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        let a = g.add_named_task("a", Arc::new(RecordsThread(Arc::clone(ran_on))));
+        let b = g.add_named_task("b", Arc::new(RecordsThread(Arc::clone(ran_on))));
+        let c = g.add_named_task("c", Arc::new(RecordsThread(Arc::clone(ran_on))));
+        g.connect(src, 0, a, 0).unwrap();
+        g.connect(src, 0, b, 0).unwrap();
+        g.connect(a, 0, c, 0).unwrap();
+        g
+    }
+
     #[test]
     fn serial_enactment_runs_every_task_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let ran_on = Arc::new(Mutex::new(Vec::new()));
-        // src → (a → c, b): a fan-out that a wider pool could run at once.
-        let mut g = TaskGraph::new();
-        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
-        let a = g.add_named_task("a", Arc::new(RecordsThread(Arc::clone(&ran_on))));
-        let b = g.add_named_task("b", Arc::new(RecordsThread(Arc::clone(&ran_on))));
-        let c = g.add_named_task("c", Arc::new(RecordsThread(Arc::clone(&ran_on))));
-        g.connect(src, 0, a, 0).unwrap();
-        g.connect(src, 0, b, 0).unwrap();
-        g.connect(a, 0, c, 0).unwrap();
+        let g = cheap_fan_out(&ran_on);
 
         let delivered_on = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&delivered_on);
@@ -893,6 +1013,200 @@ mod tests {
             .run_durable(&g, &HashMap::new(), &config)
             .unwrap();
         assert_eq!(*ran_on.lock(), vec![caller; 3]);
+    }
+
+    /// Helper threads started so far by enactments orchestrated on this
+    /// thread.
+    fn helpers_started() -> usize {
+        HELPERS_STARTED.with(|n| n.get())
+    }
+
+    #[test]
+    fn re_enacted_cheap_graph_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let g = cheap_fan_out(&ran_on);
+        for durable in [false, true] {
+            let enact = || {
+                let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(4);
+                Executor::parallel().enact(&g, &HashMap::new(), durable.then_some(&config), 4)
+            };
+            // Warm the graph until its recorded costs together stay under
+            // the hand-off limit, so that a run the OS preempted does not
+            // leave a cheap tool looking expensive.
+            let mut warm = false;
+            for _ in 0..100 {
+                enact().unwrap();
+                let known: Option<Duration> = g.tasks().iter().map(|t| t.last_cost()).sum();
+                warm = known.is_some_and(|cost| cost < HAND_OFF_AT);
+                if warm {
+                    break;
+                }
+            }
+            assert!(warm, "durable {durable}: the cheap tools never ran cheaply");
+            ran_on.lock().clear();
+            let before = helpers_started();
+            enact().unwrap();
+            assert_eq!(*ran_on.lock(), vec![caller; 3], "durable {durable}");
+            assert_eq!(helpers_started(), before, "durable {durable}");
+        }
+    }
+
+    /// Records its thread, spins for `spin`, then waits until `parties`
+    /// executions have arrived, and fails after 10 s without them: with
+    /// two or more parties it succeeds only when its siblings run at the
+    /// same time, on other threads.
+    struct Rendezvous {
+        spin: Duration,
+        parties: usize,
+        arrived: Arc<std::sync::atomic::AtomicUsize>,
+        ran_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl crate::graph::Tool for Rendezvous {
+        fn name(&self) -> &str {
+            "Rendezvous"
+        }
+
+        fn input_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("in", "string")]
+        }
+
+        fn output_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("out", "string")]
+        }
+
+        fn execute(&self, inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
+            self.ran_on.lock().push(std::thread::current().id());
+            let start = Instant::now();
+            while start.elapsed() < self.spin {
+                std::hint::spin_loop();
+            }
+            // Arrivals count across enactments; wait for this round's.
+            let arrival = self.arrived.fetch_add(1, Ordering::SeqCst);
+            let round_complete = (arrival / self.parties + 1) * self.parties;
+            while self.arrived.load(Ordering::SeqCst) < round_complete {
+                if start.elapsed() > Duration::from_secs(10) {
+                    return Err("no sibling ran at the same time".into());
+                }
+                std::thread::yield_now();
+            }
+            Ok(vec![inputs[0].clone()])
+        }
+    }
+
+    /// `src` fanned out to two [`Rendezvous`] tools that spin for `spin`.
+    fn rendezvous_pair(
+        spin: Duration,
+        ran_on: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    ) -> TaskGraph {
+        let arrived = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        for name in ["left", "right"] {
+            let tool = Rendezvous {
+                spin,
+                parties: 2,
+                arrived: Arc::clone(&arrived),
+                ran_on: Arc::clone(ran_on),
+            };
+            let t = g.add_named_task(name, Arc::new(tool));
+            g.connect(src, 0, t, 0).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn first_enactment_runs_a_fan_out_on_helpers() {
+        // No cost is known yet, so both siblings go to the shared queue,
+        // the helpers start, and the siblings meet on two threads.
+        for durable in [false, true] {
+            let ran_on = Arc::new(Mutex::new(Vec::new()));
+            let g = rendezvous_pair(Duration::ZERO, &ran_on);
+            let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(4);
+            let before = helpers_started();
+            let report = Executor::parallel()
+                .enact(&g, &HashMap::new(), durable.then_some(&config), 4)
+                .unwrap();
+            assert!(
+                report.runs.iter().all(|r| r.error.is_none()),
+                "durable {durable}"
+            );
+            assert_eq!(helpers_started() - before, 2, "durable {durable}");
+            let threads = ran_on.lock();
+            assert_ne!(threads[0], threads[1], "durable {durable}");
+        }
+    }
+
+    #[test]
+    fn first_enactment_of_a_chain_starts_no_helper() {
+        // A chain never has two claims outstanding, so the claim on the
+        // shared queue is always this thread's to run.
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let mut g = TaskGraph::new();
+        let mut last = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        for name in ["a", "b", "c"] {
+            let t = g.add_named_task(name, Arc::new(RecordsThread(Arc::clone(&ran_on))));
+            g.connect(last, 0, t, 0).unwrap();
+            last = t;
+        }
+        let before = helpers_started();
+        Executor::parallel()
+            .enact(&g, &HashMap::new(), None, 4)
+            .unwrap();
+        assert_eq!(helpers_started(), before);
+        assert_eq!(*ran_on.lock(), vec![caller; 3]);
+    }
+
+    #[test]
+    fn tools_that_spin_past_the_hand_off_limit_run_on_helpers() {
+        // Warm, each sibling's known cost is past `HAND_OFF_AT`, so both
+        // go to the shared queue again and meet on two threads.
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let g = rendezvous_pair(HAND_OFF_AT + HAND_OFF_AT / 2, &ran_on);
+        for round in 1..=2 {
+            let before = helpers_started();
+            let report = Executor::parallel()
+                .enact(&g, &HashMap::new(), None, 4)
+                .unwrap();
+            assert!(report.runs.iter().all(|r| r.error.is_none()), "run {round}");
+            assert_eq!(helpers_started() - before, 2, "run {round}");
+            let threads = std::mem::take(&mut *ran_on.lock());
+            assert_ne!(threads[0], threads[1], "run {round}");
+        }
+        assert!(g.tasks()[1].last_cost().is_some_and(|c| c >= HAND_OFF_AT));
+    }
+
+    #[test]
+    fn a_star_of_cheap_tasks_past_the_limit_starts_the_helpers() {
+        // 40 leaves of at least 10 µs each: their known costs add up to
+        // twice `HAND_OFF_AT`, so the leaves past the limit are handed
+        // off, and the helpers start, on the warm run too.
+        let spin = Arc::new(Rendezvous {
+            spin: Duration::from_micros(10),
+            parties: 1,
+            arrived: Arc::default(),
+            ran_on: Arc::default(),
+        });
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        for i in 0..40 {
+            let leaf = g.add_named_task(format!("leaf-{i}"), Arc::clone(&spin) as _);
+            g.connect(src, 0, leaf, 0).unwrap();
+        }
+        for durable in [false, true] {
+            for round in 1..=2 {
+                let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(4);
+                let before = helpers_started();
+                let report = Executor::parallel()
+                    .enact(&g, &HashMap::new(), durable.then_some(&config), 4)
+                    .unwrap();
+                assert_eq!(report.runs.len(), 41);
+                let started = helpers_started() - before;
+                assert_eq!(started, 3, "durable {durable}, run {round}");
+            }
+        }
     }
 
     #[test]
@@ -1029,6 +1343,79 @@ mod tests {
             .run_durable(&other, &HashMap::new(), &DurableConfig::new(journal))
             .unwrap_err();
         assert!(matches!(err, WorkflowError::JournalMismatch { .. }));
+    }
+
+    /// A journal that starts `g`'s run, fingerprint and all, and then
+    /// holds `event`.
+    fn forged_journal(g: &TaskGraph, event: RunEvent) -> Arc<RunJournal> {
+        let journal = RunJournal::new();
+        journal.append(&RunEvent::RunStarted {
+            tasks: g.num_tasks(),
+            fingerprint: g.structure_fingerprint(),
+        });
+        journal.append(&event);
+        Arc::new(RunJournal::from_bytes(&journal.bytes()))
+    }
+
+    #[test]
+    fn journal_naming_an_unknown_task_is_an_error_not_a_panic() {
+        let mut g = TaskGraph::new();
+        g.add_named_task("src", Arc::new(ConstText("x".into())));
+        let completed = RunEvent::TaskCompleted {
+            task: 99,
+            name: "src".into(),
+            attempts: 1,
+            virtual_nanos: 0,
+            cached: false,
+            sheds: 0,
+            outputs: vec![Token::Text("x".into())],
+        };
+        let failed = RunEvent::TaskFailed {
+            task: 99,
+            name: "src".into(),
+            message: "gone".into(),
+        };
+        for event in [completed, failed] {
+            let config = DurableConfig::new(forged_journal(&g, event));
+            let err = Executor::parallel()
+                .run_durable(&g, &HashMap::new(), &config)
+                .unwrap_err();
+            assert!(
+                matches!(err, WorkflowError::JournalInconsistent { task: 99, .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn completion_without_its_outputs_is_an_error_not_a_panic() {
+        // `src` feeds `up`, so a completion of `src` with no outputs
+        // would leave `up` nothing to gather.
+        let mut g = TaskGraph::new();
+        let src = g.add_named_task("src", Arc::new(ConstText("x".into())));
+        let up = g.add_named_task("up", Arc::new(Upper));
+        g.connect(src, 0, up, 0).unwrap();
+        let event = RunEvent::TaskCompleted {
+            task: src,
+            name: "src".into(),
+            attempts: 1,
+            virtual_nanos: 0,
+            cached: false,
+            sheds: 0,
+            outputs: Vec::new(),
+        };
+        for workers in [1, 4] {
+            let config =
+                DurableConfig::new(forged_journal(&g, event.clone())).with_workers(workers);
+            let err = Executor::parallel()
+                .run_durable(&g, &HashMap::new(), &config)
+                .unwrap_err();
+            assert!(
+                matches!(&err, WorkflowError::JournalInconsistent { task, reason }
+                    if *task == src && reason.contains("0 outputs")),
+                "{workers} workers: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1179,87 +1566,114 @@ mod tests {
         };
 
         // Every entry point and width computes the same results, each
-        // task exactly once.
-        let g = Generated::new(seed, None);
+        // task exactly once per enactment: first on a fresh graph, where
+        // no claim's cost is known, then again on the same graph, where
+        // every task's is.
         let expected = Executor::serial()
-            .run(&g.graph, &bindings)
+            .run(&Generated::new(seed, None).graph, &bindings)
             .unwrap()
             .canonical_bytes();
-        assert_eq!(g.counts(), vec![1; n], "serial");
-        let g = Generated::new(seed, None);
-        let parallel = Executor::parallel().run(&g.graph, &bindings).unwrap();
-        assert_eq!(parallel.canonical_bytes(), expected, "parallel");
-        assert_eq!(g.counts(), vec![1; n], "parallel");
-        for workers in [1, 4] {
+        for entry in ["serial", "parallel", "1 worker", "4 workers"] {
             let g = Generated::new(seed, None);
-            let report = durable(&g, &Arc::new(RunJournal::new()), workers).unwrap();
-            assert_eq!(report.canonical_bytes(), expected, "{workers} workers");
-            assert_eq!(g.counts(), vec![1; n], "{workers} workers");
+            for round in 1..=2 {
+                let report = match entry {
+                    "serial" => Executor::serial().run(&g.graph, &bindings),
+                    "parallel" => Executor::parallel().run(&g.graph, &bindings),
+                    "1 worker" => durable(&g, &Arc::new(RunJournal::new()), 1),
+                    _ => durable(&g, &Arc::new(RunJournal::new()), 4),
+                }
+                .unwrap();
+                assert_eq!(report.canonical_bytes(), expected, "{entry}, run {round}");
+                assert_eq!(g.counts(), vec![round; n], "{entry}, run {round}");
+            }
         }
 
         // One always-failing task: `run` stops before its cone, the
-        // durable loop completes everything outside it.
+        // durable loop completes everything outside it, cold and warm.
         let failing = (next(&mut rng) % n as u64) as TaskId;
         let cone = Generated::new(seed, Some(failing)).cone(failing);
         for executor in [Executor::serial(), Executor::parallel()] {
             let g = Generated::new(seed, Some(failing));
-            let err = executor.run(&g.graph, &bindings).unwrap_err();
-            assert!(
-                matches!(&err, WorkflowError::TaskFailed { task, .. } if *task == format!("t{failing}")),
-                "{err}"
-            );
-            for (t, runs) in g.counts().into_iter().enumerate() {
-                if cone[t] && t != failing {
-                    assert_eq!(runs, 0, "descendant t{t} of t{failing} ran");
+            for round in 1..=2 {
+                let err = executor.run(&g.graph, &bindings).unwrap_err();
+                assert!(
+                    matches!(&err, WorkflowError::TaskFailed { task, .. } if *task == format!("t{failing}")),
+                    "run {round}: {err}"
+                );
+                for (t, runs) in g.counts().into_iter().enumerate() {
+                    if cone[t] && t != failing {
+                        assert_eq!(runs, 0, "run {round}: descendant t{t} of t{failing} ran");
+                    }
                 }
             }
         }
         let g = Generated::new(seed, Some(failing));
-        let report = durable(&g, &Arc::new(RunJournal::new()), width).unwrap();
-        for (t, runs) in g.counts().into_iter().enumerate() {
-            let recorded = report.runs.iter().find(|r| r.task == format!("t{t}"));
-            if t == failing {
-                assert!(recorded.is_some_and(|r| r.error.is_some()), "t{t} failed");
-            } else if cone[t] {
-                assert_eq!(runs, 0, "descendant t{t} of t{failing} ran");
-                assert!(recorded.is_none(), "descendant t{t} recorded");
-            } else {
-                assert_eq!(runs, 1, "t{t} outside the cone");
-                assert!(
-                    recorded.is_some_and(|r| r.error.is_none()),
-                    "t{t} completed"
-                );
+        for round in 1..=2 {
+            let report = durable(&g, &Arc::new(RunJournal::new()), width).unwrap();
+            for (t, runs) in g.counts().into_iter().enumerate() {
+                let recorded = report.runs.iter().find(|r| r.task == format!("t{t}"));
+                if t == failing {
+                    assert!(
+                        recorded.is_some_and(|r| r.error.is_some()),
+                        "run {round}: t{t} failed"
+                    );
+                } else if cone[t] {
+                    assert_eq!(runs, 0, "run {round}: descendant t{t} of t{failing} ran");
+                    assert!(recorded.is_none(), "run {round}: descendant t{t} recorded");
+                } else {
+                    assert_eq!(runs, round, "run {round}: t{t} outside the cone");
+                    assert!(
+                        recorded.is_some_and(|r| r.error.is_none()),
+                        "run {round}: t{t} completed"
+                    );
+                }
             }
         }
 
         // Killed after a seeded number of appends, then resumed from the
         // surviving bytes: the same results, and no journaled
-        // completion re-runs.
+        // completion re-runs. Cold, the kill and the resume each get a
+        // fresh graph, as across a process boundary; warm, one graph
+        // that has run once already takes both.
         let appends = 2 * n as u64 + 2;
         let kill_at = 1 + next(&mut rng) % appends;
-        let journal = Arc::new(RunJournal::new());
-        let g = Generated::new(seed, None);
-        let err = Executor::parallel()
-            .run_durable(
-                &g.graph,
-                &bindings,
-                &DurableConfig::new(Arc::clone(&journal))
-                    .with_workers(width)
-                    .with_kill_after_appends(kill_at),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, WorkflowError::Crashed { appended } if appended == kill_at),
-            "kill at {kill_at}: {err}"
-        );
-        let survived = Arc::new(RunJournal::from_bytes(&journal.bytes()));
-        let completed = survived.replay().completed;
-        let g = Generated::new(seed, None);
-        let resumed = durable(&g, &survived, width).unwrap();
-        assert_eq!(resumed.canonical_bytes(), expected, "kill at {kill_at}");
-        for (t, runs) in g.counts().into_iter().enumerate() {
-            let want = usize::from(!completed.contains_key(&t));
-            assert_eq!(runs, want, "t{t} after a kill at {kill_at}");
+        for warm in [false, true] {
+            let g = Generated::new(seed, None);
+            if warm {
+                durable(&g, &Arc::new(RunJournal::new()), width).unwrap();
+            }
+            let journal = Arc::new(RunJournal::new());
+            let err = Executor::parallel()
+                .run_durable(
+                    &g.graph,
+                    &bindings,
+                    &DurableConfig::new(Arc::clone(&journal))
+                        .with_workers(width)
+                        .with_kill_after_appends(kill_at),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, WorkflowError::Crashed { appended } if appended == kill_at),
+                "kill at {kill_at}, warm {warm}: {err}"
+            );
+            let survived = Arc::new(RunJournal::from_bytes(&journal.bytes()));
+            let completed = survived.replay().completed;
+            let g = if warm { g } else { Generated::new(seed, None) };
+            let before = g.counts();
+            let resumed = durable(&g, &survived, width).unwrap();
+            assert_eq!(
+                resumed.canonical_bytes(),
+                expected,
+                "kill at {kill_at}, warm {warm}"
+            );
+            for (t, (after, before)) in g.counts().into_iter().zip(before).enumerate() {
+                let want = usize::from(!completed.contains_key(&t));
+                assert_eq!(
+                    after - before,
+                    want,
+                    "t{t} after a kill at {kill_at}, warm {warm}"
+                );
+            }
         }
     }
 

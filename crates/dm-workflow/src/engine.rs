@@ -10,9 +10,13 @@
 //! [`crate::durable`]: an orchestrator queues ready tasks for a pool of
 //! workers, and the orchestrator's own thread is one of them.
 //! [`Executor::run`] uses it with no journal, one worker (the calling
-//! thread) in [`ExecutionMode::Serial`] and one per core in
+//! thread) in [`ExecutionMode::Serial`] and up to one per core in
 //! [`ExecutionMode::Parallel`]; [`Executor::run_durable`] adds the run
-//! journal.
+//! journal. A task whose last execution was cheap stays on the calling
+//! thread even in a wider run, and helper threads start only when a
+//! claim of unknown or large cost is queued while another is
+//! outstanding, so a tool must not wait on a sibling task: siblings
+//! communicate only through cables.
 
 use crate::error::Result;
 use crate::graph::{TaskGraph, TaskId, Token};
@@ -21,20 +25,24 @@ use dm_wsrf::resilience::{BackoffSchedule, ResiliencePolicy};
 use dm_wsrf::trace::{SpanContext, SpanKind, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The worker-pool width of [`Executor::run`]: how many threads execute
-/// tasks, the calling thread included.
+/// The worker-pool width of [`Executor::run`]: how many threads may
+/// execute tasks, the calling thread included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One worker, the calling thread: tasks run one at a time, in the
     /// order the frontier loop dispatches them, and no thread is
     /// spawned.
     Serial,
-    /// One worker per available core (at most one per task), the
-    /// calling thread and one spawned thread per further worker: ready
-    /// tasks run concurrently.
+    /// Up to one worker per available core (at most one per task): the
+    /// calling thread, and one spawned thread per further worker once a
+    /// claim of unknown cost, or of known cost past the hand-off limit,
+    /// is queued while another claim is outstanding. A graph's first
+    /// enactment runs its ready tasks concurrently; re-enacting it keeps
+    /// tasks that ran cheaply last time on the calling thread (see
+    /// [`crate::durable`]), so a tool must not wait on a sibling task.
     Parallel,
 }
 
@@ -394,9 +402,12 @@ impl Executor {
     ///
     /// Runs on the same frontier loop as [`Executor::run_durable`], with
     /// no journal and one worker ([`ExecutionMode::Serial`]: every task
-    /// runs on the calling thread) or one per available core
-    /// ([`ExecutionMode::Parallel`]: the calling thread and one spawned
-    /// thread per further worker). The first task
+    /// runs on the calling thread) or up to one per available core
+    /// ([`ExecutionMode::Parallel`]: the calling thread, plus one
+    /// spawned thread per further worker once a claim of unknown or
+    /// large cost waits while another is outstanding; a task whose last
+    /// execution was cheap stays on the calling thread). The core count
+    /// is read once per process. The first task
     /// failure stops the run: no successor is dispatched, claims not yet
     /// started are dropped, and the error is
     /// [`TaskFailed`](crate::error::WorkflowError::TaskFailed) naming
@@ -408,7 +419,7 @@ impl Executor {
     ) -> Result<ExecutionReport> {
         let workers = match self.mode {
             ExecutionMode::Serial => 1,
-            ExecutionMode::Parallel => std::thread::available_parallelism().map_or(4, |p| p.get()),
+            ExecutionMode::Parallel => parallel_width(),
         };
         self.enact(graph, bindings, None, workers)
     }
@@ -645,6 +656,15 @@ impl Executor {
         }
         Ok(())
     }
+}
+
+/// The width of a parallel run: the available cores, resolved once per
+/// process, as the compute pool resolves its own, because
+/// `available_parallelism` reads cgroup files on every call (19–34 µs of
+/// CPU on a 2-core x86-64 VM).
+fn parallel_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
 }
 
 /// Stable per-task seed perturbation so concurrent tasks don't share

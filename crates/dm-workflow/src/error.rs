@@ -64,6 +64,16 @@ pub enum WorkflowError {
         /// Fingerprint of the graph being enacted.
         graph: u128,
     },
+    /// A journal's records do not fit the workflow they are replayed
+    /// against, though no fingerprint rejected them: a record names a
+    /// task the graph does not have, or a completion carries another
+    /// number of outputs than the task's tool declares.
+    JournalInconsistent {
+        /// The task id the record names.
+        task: usize,
+        /// What does not fit.
+        reason: String,
+    },
     /// A tool name was not found in the toolbox.
     UnknownTool(String),
     /// The composition planner found no placeable replica for a step
@@ -113,6 +123,10 @@ impl fmt::Display for WorkflowError {
             WorkflowError::JournalMismatch { journal, graph } => write!(
                 f,
                 "journal belongs to a different workflow (journal fingerprint {journal:#034x}, graph {graph:#034x})"
+            ),
+            WorkflowError::JournalInconsistent { task, reason } => write!(
+                f,
+                "journal record for task {task} does not fit the workflow: {reason}"
             ),
             WorkflowError::UnknownTool(name) => write!(f, "no tool named {name:?}"),
             WorkflowError::NoCandidates { step, category } => write!(

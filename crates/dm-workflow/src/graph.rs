@@ -4,7 +4,9 @@
 //! input node … of the receiving task", §4).
 
 use crate::error::{Result, WorkflowError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Data flowing through cables. The engine reuses the SOAP value type
 /// so imported Web Service tools and local tools exchange tokens
@@ -88,13 +90,49 @@ pub trait Tool: Send + Sync {
 pub type TaskId = usize;
 
 /// A placed task: a tool instance with a display name.
-#[derive(Clone)]
 pub struct TaskNode {
     /// Display name (unique within the graph; defaults to the tool name
     /// plus a counter).
     pub name: String,
     /// The tool implementation.
     pub tool: Arc<dyn Tool>,
+    /// Wall time of the task's last execution in nanoseconds (0: never
+    /// executed). The frontier loop reads it to decide which thread a
+    /// claim goes to; it is no part of the graph's structure, and a
+    /// clone starts without it.
+    last_cost_nanos: AtomicU64,
+}
+
+impl Clone for TaskNode {
+    fn clone(&self) -> TaskNode {
+        TaskNode::new(self.name.clone(), Arc::clone(&self.tool))
+    }
+}
+
+impl TaskNode {
+    fn new(name: String, tool: Arc<dyn Tool>) -> TaskNode {
+        TaskNode {
+            name,
+            tool,
+            last_cost_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// How long the task's last execution took, or `None` before its
+    /// first (a memo hit or a journal replay executes nothing and
+    /// records nothing).
+    pub(crate) fn last_cost(&self) -> Option<Duration> {
+        match self.last_cost_nanos.load(Ordering::Relaxed) {
+            0 => None,
+            nanos => Some(Duration::from_nanos(nanos)),
+        }
+    }
+
+    /// Record that an execution of the task took `elapsed`.
+    pub(crate) fn note_cost(&self, elapsed: Duration) {
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.last_cost_nanos.store(nanos.max(1), Ordering::Relaxed);
+    }
 }
 
 /// A cable from an output node to an input node.
@@ -132,16 +170,13 @@ impl TaskGraph {
         } else {
             format!("{base}-{}", count + 1)
         };
-        self.tasks.push(TaskNode { name, tool });
+        self.tasks.push(TaskNode::new(name, tool));
         self.tasks.len() - 1
     }
 
     /// Place a tool with an explicit display name.
     pub fn add_named_task<N: Into<String>>(&mut self, name: N, tool: Arc<dyn Tool>) -> TaskId {
-        self.tasks.push(TaskNode {
-            name: name.into(),
-            tool,
-        });
+        self.tasks.push(TaskNode::new(name.into(), tool));
         self.tasks.len() - 1
     }
 
