@@ -13,6 +13,8 @@
 //! its claims on the calling thread until the star's known costs add up
 //! past the executor's hand-off limit (`dm_workflow::durable`).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;
 use dm_workflow::engine::Executor;

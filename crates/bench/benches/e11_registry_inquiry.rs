@@ -8,6 +8,8 @@
 //! bench or example builds holds 42 records (a 3-host toolkit at 14
 //! services per host).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;
 use dm_workflow::planner::Planner;

@@ -4,6 +4,8 @@
 //! wire-traffic tables it prints the median wall time of the content
 //! digest on the inputs the workloads hash.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::{banner, breast_cancer_arff, case_study_responses, median_nanos};
 use dm_services::dataset_cache::content_hash;

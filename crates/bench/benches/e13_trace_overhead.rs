@@ -4,6 +4,8 @@
 //! floor) plus in-memory span records, so the simulated-time overhead
 //! must stay under 5%.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::banner;
 use dm_workflow::engine::Executor;

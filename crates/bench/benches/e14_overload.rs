@@ -15,6 +15,8 @@
 //! do not slow down when earlier ones queue — exactly the regime where
 //! closed-loop benchmarks under-report tail latency.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::banner;
 use dm_wsrf::container::{CapacityConfig, ServiceFault};

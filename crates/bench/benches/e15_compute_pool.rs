@@ -31,6 +31,8 @@
 //!
 //! `FAEHIM_E15_SMOKE=1` shrinks the workloads for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, RandomForest, RandomTree};
 use dm_algorithms::eval::{cross_validate, cross_validate_parallel};

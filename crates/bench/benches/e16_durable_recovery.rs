@@ -25,6 +25,8 @@
 //!
 //! `FAEHIM_E16_SMOKE=1` checks only the mid-run crash point for CI.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::banner;
 use dm_workflow::durable::DurableConfig;

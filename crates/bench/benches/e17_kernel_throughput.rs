@@ -20,6 +20,8 @@
 //!
 //! `FAEHIM_E17_SMOKE=1` shrinks the workloads for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, IBk};
 use dm_algorithms::cluster::{Clusterer, KMeans};

@@ -17,6 +17,8 @@
 //!
 //! `FAEHIM_E18_SMOKE=1` shrinks the workload for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, HoeffdingTree};
 use dm_algorithms::pool;

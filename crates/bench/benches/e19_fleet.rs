@@ -21,6 +21,8 @@
 //!
 //! `FAEHIM_E19_SMOKE=1` shrinks the workload for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_bench::banner;

@@ -1,6 +1,8 @@
 //! E1 — Figure 3: regenerate the breast-cancer summary table and
 //! measure its computation, locally and through the Web Service.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::{banner, breast_cancer_arff};
 use dm_data::summary::DatasetSummary;

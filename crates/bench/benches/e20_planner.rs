@@ -32,6 +32,8 @@
 //!
 //! `FAEHIM_E20_SMOKE=1` shrinks the workload for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_algorithms::pool::{parallel_map, with_threads};

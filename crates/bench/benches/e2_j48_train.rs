@@ -2,6 +2,8 @@
 //! node-caps root, prints the tree, and measures training and graph
 //! rendering across dataset scales.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_bench::banner;

@@ -1,6 +1,8 @@
 //! E3 — the §5 case study: full four-service workflow enactment
 //! through the engine, serial and parallel, plus per-stage costs.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_bench::banner;
 use dm_workflow::engine::Executor;

@@ -13,6 +13,8 @@
 //!   small — included to show the penalty is lifecycle overhead, not
 //!   algorithm cost.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::{banner, j48_classify_args};
 use dm_services::j48_ws::J48Service;

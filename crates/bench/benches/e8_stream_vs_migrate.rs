@@ -4,6 +4,8 @@
 //! time-to-first-result and on early-exit consumers; migration pays the
 //! whole transfer up front.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;
 use dm_data::stream::{chunk_dataset, record_stream, RunningStats};

@@ -5,6 +5,8 @@
 //! recover most of that cost by refusing to keep paying for a flaky
 //! primary once it trips.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dm_bench::banner;
 use dm_workflow::graph::{Token, Tool};

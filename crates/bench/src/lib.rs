@@ -5,6 +5,8 @@
 //! paper-shaped rows/series before measuring, so `cargo bench` output
 //! doubles as the EXPERIMENTS.md evidence.
 
+#![forbid(unsafe_code)]
+
 pub mod row_major;
 
 use dm_services::classifier_ws::ClassifierService;

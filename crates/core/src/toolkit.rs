@@ -1001,4 +1001,50 @@ mod tests {
         let text = metrics.export_prometheus();
         assert!(text.contains("faehim_journal_bytes"), "{text}");
     }
+
+    /// With the data plane on, a durable run stores its large outputs in
+    /// the client attachment store. Reading the journal's stats, and so
+    /// scraping the metrics, must not look those outputs up: back-to-back
+    /// scrapes with no traffic between them read the same attachment
+    /// counters, and the store's counters stay as the run left them.
+    #[test]
+    fn journal_stats_and_scrapes_leave_the_attachment_store_as_it_was() {
+        let mut tk = Toolkit::new().unwrap();
+        tk.enable_data_plane();
+        let journal = tk.enable_durable_enactment(1);
+        let (graph, _, bindings) = crate::casestudy::build_case_study(&tk).unwrap();
+        let report = tk.run_durable(&graph, &bindings).unwrap();
+        assert!(report.runs.iter().all(|r| r.error.is_none()));
+        let store = tk.network().client_store().expect("the data plane is on");
+        assert!(!store.is_empty(), "the run stored no output");
+        let before = store.stats();
+        let records = journal.stats().records;
+        assert_eq!(journal.stats().records, records);
+        assert_eq!(store.stats(), before);
+
+        let hits = |metrics: &MetricsRegistry| {
+            metrics.counter_value(
+                "faehim_cache_events_total",
+                &[
+                    ("cache", "attachments"),
+                    ("event", "hits"),
+                    ("host", "client"),
+                ],
+            )
+        };
+        let first = tk.metrics_registry();
+        let second = tk.metrics_registry();
+        assert_eq!(hits(&first), hits(&second));
+        assert_eq!(hits(&first), before.hits);
+        assert_eq!(
+            first.gauge_value("faehim_journal_records", &[]),
+            Some(records as f64)
+        );
+        assert_eq!(
+            second.gauge_value("faehim_journal_records", &[]),
+            Some(records as f64)
+        );
+        assert_eq!(store.stats(), before);
+        assert_eq!(records, journal.events().len() as u64);
+    }
 }

@@ -8,6 +8,8 @@
 //! offsets for the larger fixture), each read with the default options,
 //! headerless, and with `;` as the separator.
 
+#![forbid(unsafe_code)]
+
 use dm_data::csv::{parse_csv_with, write_csv, CsvOptions};
 use dm_data::{Dataset, Result};
 

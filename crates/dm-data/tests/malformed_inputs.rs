@@ -6,6 +6,8 @@
 //! rows, non-finite numeric literals, bad sparse indices, and header
 //! declarations cut off mid-line.
 
+#![forbid(unsafe_code)]
+
 use dm_data::arff::parse_arff;
 use dm_data::csv::{parse_csv, parse_csv_with, CsvOptions};
 use dm_data::error::DataError;

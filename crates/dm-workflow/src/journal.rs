@@ -271,7 +271,7 @@ impl RunJournal {
     fn valid_prefix_len(&self, bytes: &[u8]) -> usize {
         let mut pos = 0usize;
         while pos < bytes.len() {
-            match self.decode_record(bytes, pos) {
+            match self.decode_record(bytes, pos, Stored::Check) {
                 Some((next, _)) => pos = next,
                 None => break,
             }
@@ -310,30 +310,34 @@ impl RunJournal {
     pub fn events(&self) -> Vec<RunEvent> {
         let buf = self.buf.lock().clone();
         let mut events = Vec::new();
+        self.decode_all(&buf, Stored::Fetch, |event| events.push(event));
+        events
+    }
+
+    /// Decode the records of `buf` in order, handing each event to
+    /// `each`, up to the first torn or corrupt record; a well-formed
+    /// record whose stored payload is gone is skipped. Sets both damage
+    /// gauges (`missing_payloads`, `torn_bytes`) to what this pass saw.
+    fn decode_all(&self, buf: &[u8], stored: Stored, mut each: impl FnMut(RunEvent)) {
         let mut pos = 0usize;
-        // Both damage gauges describe the current decode pass.
         self.missing_payloads.store(0, Ordering::Relaxed);
         while pos < buf.len() {
-            match self.decode_record(&buf, pos) {
-                Some((next, Some(event))) => {
-                    events.push(event);
-                    pos = next;
-                }
-                Some((next, None)) => {
-                    // Well-formed record whose stored payload is gone:
-                    // skip the event, keep decoding.
+            match self.decode_record(buf, pos, stored) {
+                Some((next, event)) => {
+                    if let Some(event) = event {
+                        each(event);
+                    }
                     pos = next;
                 }
                 None => {
                     // Torn or corrupt: drop everything from here on.
                     self.torn_bytes
                         .store((buf.len() - pos) as u64, Ordering::Relaxed);
-                    return events;
+                    return;
                 }
             }
         }
         self.torn_bytes.store(0, Ordering::Relaxed);
-        events
     }
 
     /// Replay the journal into aggregate run state: the completed-task
@@ -396,13 +400,20 @@ impl RunJournal {
     }
 
     /// Lifetime counters, for the metrics registry and for pinning
-    /// recovery behaviour in tests.
+    /// recovery behaviour in tests. `records` counts what [`Self::events`]
+    /// would return, in the same verifying, parsing pass over a copy of
+    /// the journal (appends wait only for the copy), but a stored output
+    /// is only checked for with [`AttachmentStore::contains`]: no payload
+    /// is materialised, and reading the stats leaves the store's hit
+    /// counts and eviction order as they were.
     pub fn stats(&self) -> JournalStats {
-        let records = self.events().len() as u64;
+        let buf = self.buf.lock().clone();
+        let mut records = 0;
+        self.decode_all(&buf, Stored::Check, |_| records += 1);
         JournalStats {
             appends: self.appends.load(Ordering::Relaxed),
             records,
-            bytes: self.buf.lock().len() as u64,
+            bytes: buf.len() as u64,
             replay_hits: self.replay_hits.load(Ordering::Relaxed),
             redeliveries: self.redeliveries.load(Ordering::Relaxed),
             torn_bytes: self.torn_bytes.load(Ordering::Relaxed)
@@ -528,7 +539,12 @@ impl RunJournal {
     /// Decode the record starting at `pos`. Returns `None` when the
     /// record is torn or corrupt; `Some((next_pos, None))` when it is
     /// intact but references a payload the store no longer holds.
-    fn decode_record(&self, buf: &[u8], pos: usize) -> Option<(usize, Option<RunEvent>)> {
+    fn decode_record(
+        &self,
+        buf: &[u8],
+        pos: usize,
+        stored: Stored,
+    ) -> Option<(usize, Option<RunEvent>)> {
         let header_end = buf[pos..].iter().position(|&b| b == b'\n')? + pos;
         let header = std::str::from_utf8(&buf[pos..header_end]).ok()?;
         let mut fields = header.split(' ');
@@ -550,7 +566,7 @@ impl RunJournal {
             return None;
         }
         let next = payload_end + 1;
-        match self.decode_event(payload) {
+        match self.decode_event(payload, stored) {
             Ok(event) => Some((next, Some(event))),
             Err(DecodeError::MissingPayload) => {
                 self.missing_payloads.fetch_add(1, Ordering::Relaxed);
@@ -562,7 +578,7 @@ impl RunJournal {
         }
     }
 
-    fn decode_event(&self, payload: &[u8]) -> Result<RunEvent, DecodeError> {
+    fn decode_event(&self, payload: &[u8], stored: Stored) -> Result<RunEvent, DecodeError> {
         let mut cur = Cursor::new(payload);
         let kind = cur.word()?;
         let event = match kind.as_str() {
@@ -590,7 +606,7 @@ impl RunJournal {
                 let count: usize = cur.word()?.parse().map_err(|_| DecodeError::Malformed)?;
                 let mut outputs = Vec::with_capacity(count.min(cur.remaining()));
                 for _ in 0..count {
-                    outputs.push(self.decode_token(&mut cur, 0)?);
+                    outputs.push(self.decode_token(&mut cur, 0, stored)?);
                 }
                 RunEvent::TaskCompleted {
                     task,
@@ -622,7 +638,12 @@ impl RunJournal {
     }
 
     /// Decode one token nested `depth` lists deep.
-    fn decode_token(&self, cur: &mut Cursor<'_>, depth: usize) -> Result<Token, DecodeError> {
+    fn decode_token(
+        &self,
+        cur: &mut Cursor<'_>,
+        depth: usize,
+        stored: Stored,
+    ) -> Result<Token, DecodeError> {
         let tag = cur.byte()?;
         Ok(match tag {
             b'n' => {
@@ -647,22 +668,22 @@ impl RunJournal {
                 let count: usize = cur.word()?.parse().map_err(|_| DecodeError::Malformed)?;
                 let mut items = Vec::with_capacity(count.min(cur.remaining()));
                 for _ in 0..count {
-                    items.push(self.decode_token(cur, depth + 1)?);
+                    items.push(self.decode_token(cur, depth + 1, stored)?);
                 }
                 Token::List(items)
             }
             b'r' | b's' => {
                 let (hash, len, kind) = cur.ref_triple()?;
-                if tag == b'r' {
-                    Token::DataRef { hash, len, kind }
-                } else {
+                let store = self.store.as_ref();
+                match (tag, stored) {
+                    (b'r', _) => Token::DataRef { hash, len, kind },
                     // Stored payload: materialise from the store.
-                    let payload = self
-                        .store
-                        .as_ref()
+                    (_, Stored::Fetch) => store
                         .and_then(|s| s.get(hash))
-                        .ok_or(DecodeError::MissingPayload)?;
-                    payload.to_value()
+                        .ok_or(DecodeError::MissingPayload)?
+                        .to_value(),
+                    (_, Stored::Check) if store.is_some_and(|s| s.contains(hash)) => Token::Null,
+                    (_, Stored::Check) => return Err(DecodeError::MissingPayload),
                 }
             }
             _ => return Err(DecodeError::Malformed),
@@ -714,6 +735,18 @@ fn kind_char(kind: RefKind) -> char {
 fn encode_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(format!("{}:", s.len()).as_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// What a decode pass does with a stored (`s`) output reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stored {
+    /// Materialise it through [`AttachmentStore::get`], which counts a
+    /// hit or miss and refreshes the payload's recency.
+    Fetch,
+    /// Only check that the store holds it ([`AttachmentStore::contains`]
+    /// counts nothing and touches no recency); the token reads as
+    /// [`Token::Null`].
+    Check,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -984,6 +1017,52 @@ mod tests {
         // With the store re-attached it materialises again.
         let revived = RunJournal::from_bytes(&journal.bytes()).attach_store(store, 64);
         assert_eq!(revived.replay().completed.len(), 1);
+    }
+
+    /// Reading the stats counts the records `events()` returns but only
+    /// checks that stored outputs are held: the store counts no lookup
+    /// and refreshes no recency, so its counters and its eviction order
+    /// are what they were before.
+    #[test]
+    fn stats_leave_the_store_counters_and_eviction_order_unchanged() {
+        let store = Arc::new(AttachmentStore::new(25_000));
+        let journal = RunJournal::with_store(Arc::clone(&store), 64);
+        let output = Token::Text("o".repeat(10_000));
+        journal.append(&RunEvent::TaskCompleted {
+            task: 0,
+            name: "produce".into(),
+            attempts: 1,
+            virtual_nanos: 0,
+            cached: false,
+            sheds: 0,
+            outputs: vec![output.clone()],
+        });
+        journal.append(&RunEvent::RunFinished {
+            tasks: 1,
+            virtual_nanos: 0,
+        });
+        let stored = content_ref(&output).expect("text has a content ref").hash;
+        // A payload stored after the output, so the output is the least
+        // recently used entry.
+        store.insert(1, Payload::Text("l".repeat(10_000).into()));
+        let before = store.stats();
+        for _ in 0..3 {
+            let stats = journal.stats();
+            assert_eq!(stats.records, 2);
+            assert_eq!(stats.missing_payloads, 0);
+            assert_eq!(stats.torn_bytes, 0);
+        }
+        assert_eq!(store.stats(), before);
+        // One more payload overflows the store: the output, still the
+        // least recently used, is the one evicted.
+        store.insert(2, Payload::Text("n".repeat(10_000).into()));
+        assert!(!store.contains(stored), "the stats refreshed the output");
+        assert!(store.contains(1) && store.contains(2));
+        // With the output gone, the completion no longer counts, as in
+        // `events()`, and the gauge says why.
+        let stats = journal.stats();
+        assert_eq!((stats.records, stats.missing_payloads), (1, 1));
+        assert_eq!(journal.events().len(), 1);
     }
 
     /// Frame `payload` as one record with a valid envelope and checksum.

@@ -9,9 +9,12 @@
 //! pre-sized buffer. Decoding reads it in one pass straight into
 //! values: names and attribute values stay slices of the input, a
 //! payload's text is copied once and unescaped only if it holds an
-//! `&`, and nesting is capped at 64 elements. The tree decoder it
-//! replaced survives as a test oracle; the reader returns what the
-//! oracle returns on every input, errors included.
+//! `&` (noted in the same chunked scan that finds the end of the text),
+//! and nesting is capped at 64 elements. The tree decoder it replaced
+//! survives as a test oracle, with an entity rule of its own applied a
+//! char at a time; the reader returns what the oracle returns on every
+//! input, errors included. The byte loops of both directions live in
+//! [`crate::xml`].
 
 use crate::error::{Result, WsError};
 use crate::trace::SpanContext;

@@ -9,7 +9,11 @@
 //! depends on keep their text or build values; every other element is
 //! checked and skipped. Names and attribute values stay slices of the
 //! input, and a text run is copied once, when a value takes it, and
-//! unescaped only if it holds an `&`.
+//! unescaped only if the cursor, in the pass that found the run's end,
+//! saw an `&` in it. Per element, the reader strips a name's prefix only
+//! where a role depends on the local name (never for an argument or a
+//! list item), matches attribute names as bytes, and matches a value's
+//! raw `xsi:type` without unescaping it first.
 //!
 //! A SOAP-level error (no body, an unknown `xsi:type`, a bad number, …)
 //! is held until the whole document has been read, so a later syntax
@@ -232,9 +236,9 @@ impl Reader {
             let depth = stack.len();
             let Some(top) = stack.last_mut() else { break };
             match cursor.content(top.name, depth)? {
-                Content::Text(run) => {
+                Content::Text { run, entities } => {
                     if top.role.keeps_text() {
-                        append(&mut top.text, run, true);
+                        append(&mut top.text, run, entities);
                     }
                 }
                 Content::CData(raw) => {
@@ -264,24 +268,27 @@ impl Reader {
     }
 
     /// The role of a child of a `parent` element opening with `tag`.
+    /// The name's local part is taken only where a role depends on it,
+    /// so a list item or an argument never looks for a prefix.
     fn role_of(&mut self, parent: Role, tag: &Tag<'_>) -> Role {
-        let local = local_name(tag.name);
+        let local = || local_name(tag.name);
         match parent {
-            Role::Root if !self.body && local == "Body" => {
+            Role::Operation | Role::Value(Kind::List) => self.value_role(tag),
+            Role::Root if !self.body && local() == "Body" => {
                 self.body = true;
                 Role::Body
             }
-            Role::Root if self.call && !self.header && local == "Header" => {
+            Role::Root if self.call && !self.header && local() == "Header" => {
                 self.header = true;
                 Role::Header
             }
-            Role::Header if !self.traced && local == "traceparent" => {
+            Role::Header if !self.traced && local() == "traceparent" => {
                 self.traced = true;
                 Role::TraceParent
             }
             Role::Body if self.call && !self.body_child => {
                 self.body_child = true;
-                self.operation = local.to_string();
+                self.operation = local().to_string();
                 self.service = tag
                     .xmlns
                     .map(unescaped)
@@ -293,7 +300,7 @@ impl Reader {
             }
             Role::Body if !self.call => {
                 let first = !std::mem::replace(&mut self.body_child, true);
-                if !self.fault && local == "Fault" {
+                if !self.fault && local() == "Fault" {
                     self.fault = true;
                     Role::Fault
                 } else if first {
@@ -302,30 +309,33 @@ impl Reader {
                     Role::Skip
                 }
             }
-            Role::Fault if !self.coded && local == "faultcode" => {
+            Role::Fault if !self.coded && local() == "faultcode" => {
                 self.coded = true;
                 Role::FaultCode
             }
-            Role::Fault if !self.messaged && local == "faultstring" => {
+            Role::Fault if !self.messaged && local() == "faultstring" => {
                 self.messaged = true;
                 Role::FaultString
             }
-            Role::Response if !self.returned && local == "return" => {
+            Role::Response if !self.returned && local() == "return" => {
                 self.returned = true;
                 self.value_role(tag)
             }
-            Role::Operation | Role::Value(Kind::List) => self.value_role(tag),
             _ => Role::Skip,
         }
     }
 
     /// The role of a value element, or `Skip` once a value has failed.
+    /// The raw `xsi:type` is matched as it stands: no type name holds an
+    /// `&`, and resolving entities cannot make one (an `&` either stays
+    /// or becomes a special byte), so only an unknown type is unescaped,
+    /// for its error message.
     fn value_role(&mut self, tag: &Tag<'_>) -> Role {
         if self.error.is_some() {
             return Role::Skip;
         }
-        let ty = tag.xsi_type.map_or(Cow::Borrowed("string"), unescaped);
-        match Kind::of(&ty) {
+        let raw = tag.xsi_type.unwrap_or("string");
+        match Kind::of(raw) {
             Some(kind) => {
                 if kind == Kind::List {
                     self.lists.push(Vec::new());
@@ -333,6 +343,7 @@ impl Reader {
                 Role::Value(kind)
             }
             None => {
+                let ty = unescaped(raw);
                 self.error = Some(WsError::Malformed(format!("unknown xsi:type {ty:?}")));
                 Role::Skip
             }
@@ -393,13 +404,14 @@ impl Reader {
 /// `xmlns…` attribute.
 fn start_tag<'a>(cursor: &mut Cursor<'a>) -> Result<Tag<'a>> {
     let (mut xsi_type, mut xmlns) = (None, None);
-    let (name, empty) = cursor.start_tag(|key, value| {
-        if key == "xsi:type" && xsi_type.is_none() {
-            xsi_type = Some(value);
+    let (name, empty) = cursor.start_tag(|key, value| match key.as_bytes() {
+        b"xsi:type" => {
+            xsi_type.get_or_insert(value);
         }
-        if key.starts_with("xmlns") && xmlns.is_none() {
-            xmlns = Some(value);
+        key if key.starts_with(b"xmlns") => {
+            xmlns.get_or_insert(value);
         }
+        _ => {}
     })?;
     Ok(Tag {
         name,
@@ -419,14 +431,14 @@ fn unescaped(raw: &str) -> Cow<'_, str> {
     }
 }
 
-/// Add one run of character data to `text`: a text run (`escaped`),
-/// whose entities resolve, or a CDATA section, kept as is. A lone run
-/// with no entity stays borrowed.
-fn append<'a>(text: &mut Cow<'a, str>, run: &'a str, escaped: bool) {
+/// Add one run of character data to `text`: a text run whose
+/// `entities` resolve (the cursor has found whether it holds an `&`), or
+/// a CDATA section (`entities` false), kept as is. A lone run with no
+/// entity stays borrowed.
+fn append<'a>(text: &mut Cow<'a, str>, run: &'a str, entities: bool) {
     if run.is_empty() {
         return;
     }
-    let entities = escaped && run.contains('&');
     if entities {
         unescape_into(run, text.to_mut());
     } else if text.is_empty() {

@@ -4,12 +4,14 @@
 //! shared `xml::Cursor` (given the same 64-level cap), then walk the
 //! tree. Kept only as the oracle for the differential and mutation
 //! tests below: the envelope reader and `xml::parse` must return what
-//! this returns on every input, errors included.
+//! this returns on every input, errors included. It resolves entities
+//! one char at a time ([`unescape_by_char`]), not with the chunked
+//! `xml::unescape` the reader uses, so the tests check that too.
 
 use crate::error::{Result, WsError};
 use crate::soap::{hex_decode, parse_data_ref, parse_double, SoapCall, SoapResponse, SoapValue};
 use crate::trace::SpanContext;
-use crate::xml::{unescape, XmlElement, MAX_DEPTH, TOO_DEEP};
+use crate::xml::{XmlElement, MAX_DEPTH, TOO_DEEP};
 
 /// Decode a request envelope through the element tree.
 pub fn call_from_envelope(xml: &str) -> Result<SoapCall> {
@@ -237,7 +239,7 @@ impl<'a> Parser<'a> {
                     }
                     let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
                     self.pos += 1;
-                    el.attributes.push((key, unescape(&raw)));
+                    el.attributes.push((key, unescape_by_char(&raw)));
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
@@ -292,12 +294,50 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                     }
                     let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-                    el.text.push_str(&unescape(&raw));
+                    el.text.push_str(&unescape_by_char(&raw));
                 }
                 None => return Err(self.err("unterminated element content")),
             }
         }
     }
+}
+
+/// The documented entity rule, one char at a time: an `&` starts an
+/// entity only if a `;` follows within six bytes; the five standard
+/// entities resolve, any other passes through whole, and an `&` with no
+/// such `;` is literal.
+pub fn unescape_by_char(s: &str) -> String {
+    let mut out = String::new();
+    let mut rest = s;
+    while let Some(c) = rest.chars().next() {
+        rest = &rest[c.len_utf8()..];
+        if c != '&' {
+            out.push(c);
+            continue;
+        }
+        let semicolon = rest
+            .char_indices()
+            .take_while(|&(at, _)| at < 6)
+            .find(|&(_, c)| c == ';');
+        let Some((end, _)) = semicolon else {
+            out.push('&');
+            continue;
+        };
+        match &rest[..end] {
+            "amp" => out.push('&'),
+            "lt" => out.push('<'),
+            "gt" => out.push('>'),
+            "quot" => out.push('"'),
+            "apos" => out.push('\''),
+            name => {
+                out.push('&');
+                out.push_str(name);
+                out.push(';');
+            }
+        }
+        rest = &rest[end + 1..];
+    }
+    out
 }
 
 fn find(bytes: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
@@ -688,6 +728,66 @@ mod tests {
         ];
         for xml in &battery {
             assert_decoders_agree(xml);
+        }
+    }
+
+    /// The chunked `xml::unescape` against the char-at-a-time rule, on
+    /// generated text and on entities placed across every offset of
+    /// the first three chunks, whole, cut short and at the end.
+    #[test]
+    fn unescape_matches_the_char_rule() {
+        let mut g = Gen(0x756e_6573_6361_7065);
+        for _ in 0..2_000 {
+            let s = text(&mut g);
+            assert_eq!(crate::xml::unescape(&s), unescape_by_char(&s), "{s:?}");
+            let escaped = crate::xml::escape(&s);
+            assert_eq!(crate::xml::unescape(&escaped), s, "{s:?}");
+        }
+        for entity in [
+            "&amp;", "&lt;", "&quot;", "&apos;", "&gt;", "&q;", "&amp", "&", "&&amp;",
+        ] {
+            for lead in 0..=96 {
+                let pad = "p".repeat(lead);
+                for s in [
+                    format!("{pad}{entity}"),
+                    format!("{pad}{entity};{pad}"),
+                    format!("{pad}{entity}{entity}x"),
+                ] {
+                    assert_eq!(crate::xml::unescape(&s), unescape_by_char(&s), "{s:?}");
+                }
+            }
+        }
+    }
+
+    /// A text run whose first `&` and closing `<` fall in the same
+    /// 32-byte chunk of the run or on either side of a chunk boundary,
+    /// at every offset up to the third chunk: the reader finds the run's
+    /// end and its entities in one pass, and must still agree with the
+    /// oracle and resolve exactly the run.
+    #[test]
+    fn text_runs_with_entities_across_chunk_boundaries() {
+        for entity in ["&amp;", "&lt;", "&", "&x;"] {
+            for amp in 0..=72 {
+                for end in amp + entity.len()..=amp + entity.len() + 40 {
+                    let run = format!(
+                        "{}{entity}{}",
+                        "a".repeat(amp),
+                        "b".repeat(end - amp - entity.len())
+                    );
+                    let xml = format!(
+                        "<soap:Envelope><soap:Body><op xmlns:ns=\"urn:S\">\
+                         <x xsi:type=\"string\">{run}</x><y>{run}<z/>{run}</y>\
+                         </op></soap:Body></soap:Envelope>"
+                    );
+                    assert_decoders_agree(&xml);
+                    let call = SoapCall::from_envelope(&xml).expect("a valid call");
+                    assert_eq!(
+                        call.get("x").and_then(SoapValue::as_text),
+                        Ok(unescape_by_char(&run).as_str()),
+                        "{run:?}"
+                    );
+                }
+            }
         }
     }
 

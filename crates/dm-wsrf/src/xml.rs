@@ -11,6 +11,17 @@
 //! tree with it; SOAP envelopes do not go through the tree at all:
 //! `crate::soap` reads them with the same cursor in one pass, straight
 //! into values, so both raise the same errors at the same offsets.
+//!
+//! Envelope cost is this text layer's cost, so each of its byte loops
+//! tests a byte once, 32 bytes at a time: escaping, the escaped length,
+//! the end of a run of character data (found together with whether the
+//! run holds an `&`) and entity resolution each skip a chunk holding
+//! none of the bytes they look for after one branch-free test, and look
+//! into any other chunk through its bit mask. Entities resolve by byte
+//! pattern, element and attribute names are read through a byte class
+//! table, and a closing tag that repeats its element's name is matched
+//! in one compare. Text shorter than a chunk is scanned eight bytes at a
+//! time instead, which costs a short name or value less than a chunk.
 
 use crate::error::{Result, WsError};
 
@@ -134,7 +145,10 @@ fn push_indent(out: &mut String, depth: usize) {
 
 /// Strip a namespace prefix: `soap:Body` → `Body`.
 pub fn local_name(name: &str) -> &str {
-    name.rsplit(':').next().unwrap_or(name)
+    match name.bytes().rposition(|b| b == b':') {
+        Some(colon) => &name[colon + 1..],
+        None => name,
+    }
 }
 
 /// Escape the five standard XML entities.
@@ -144,13 +158,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Escape into an existing buffer. Clean runs (the overwhelmingly
-/// common case for dataset payloads) are appended in one `push_str`
-/// each.
+/// Escape into an existing buffer: one `push_str` for the clean bytes
+/// before each special byte (none when there are none, as between the
+/// `"` and `>` that close an SVG element), one for its entity, and one
+/// for the clean tail, so clean runs (the overwhelmingly common case for
+/// dataset payloads) are appended in one `push_str` each, however many
+/// clean 32-byte chunks they span.
 pub fn escape_into(s: &str, out: &mut String) {
     let mut clean = 0;
     for_each_special(s.as_bytes(), |i, entity| {
-        out.push_str(&s[clean..i]);
+        if clean < i {
+            out.push_str(&s[clean..i]);
+        }
         out.push_str(entity);
         clean = i + 1;
     });
@@ -178,6 +197,84 @@ fn entity(b: u8) -> Option<&'static str> {
     })
 }
 
+/// Bytes per chunk of the text scans. A chunk holding none of the bytes
+/// a scan looks for is skipped after one branch-free test of all its
+/// bytes, which the compiler turns into a few vector compares.
+const CHUNK: usize = 32;
+
+/// 1 if `b` is one of the five special bytes, else 0 (no branch: the
+/// five compares are combined with `|`).
+fn special(b: u8) -> u8 {
+    u8::from(b == b'&')
+        | u8::from(b == b'<')
+        | u8::from(b == b'>')
+        | u8::from(b == b'"')
+        | u8::from(b == b'\'')
+}
+
+/// Whether `test` is 1 for any byte of `chunk`, tested branch-free.
+fn any(chunk: &[u8], test: impl Fn(u8) -> u8) -> bool {
+    let mut seen = 0;
+    for &b in chunk {
+        seen |= test(b);
+    }
+    seen != 0
+}
+
+/// A bit for each byte of a 32-byte `chunk` that `test` marks, in byte
+/// order from the least significant bit.
+fn mask(chunk: &[u8], test: impl Fn(u8) -> u8) -> u32 {
+    let chunk: &[u8; CHUNK] = chunk.try_into().expect("a whole chunk");
+    let mut bits = 0;
+    for (j, &b) in chunk.iter().enumerate() {
+        bits |= u32::from(test(b)) << j;
+    }
+    bits
+}
+
+/// Call `f(offset, byte)` for each byte of the whole 32-byte chunks of
+/// `bytes` that `test` marks, in order, and return where the tail (the
+/// last `bytes.len() % 32` bytes, left to the caller) starts. A chunk
+/// with no marked byte is skipped after one branch-free test; only a
+/// chunk that has one is looked into, through its bit mask. Kept out of
+/// line, so that its callers stay small on inputs shorter than a chunk.
+#[inline(never)]
+fn each_in_chunks(
+    bytes: &[u8],
+    test: impl Fn(u8) -> u8 + Copy,
+    mut f: impl FnMut(usize, u8),
+) -> usize {
+    let mut chunks = bytes.chunks_exact(CHUNK);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        if any(chunk, test) {
+            let mut bits = mask(chunk, test);
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                f(base + j, chunk[j]);
+                bits &= bits - 1;
+            }
+        }
+        base += CHUNK;
+    }
+    base
+}
+
+/// Call `f(offset, entity)` for each special byte of `bytes`, in order:
+/// whole 32-byte chunks through [`each_in_chunks`] (a clean chunk costs
+/// one branch-free test), then the tail, and all of an input shorter
+/// than a chunk, eight bytes at a time.
+fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
+    let tail = if bytes.len() < CHUNK {
+        0
+    } else {
+        each_in_chunks(bytes, special, |i, b| {
+            f(i, entity(b).expect("a special byte has an entity"));
+        })
+    };
+    each_special_in_words(tail, &bytes[tail..], f);
+}
+
 const ONES: u64 = 0x0101_0101_0101_0101;
 const HIGHS: u64 = 0x8080_8080_8080_8080;
 
@@ -193,11 +290,13 @@ fn candidates(word: u64) -> u64 {
     equal(b'&') | equal(b'<') | equal(b'>') | equal(b'"') | equal(b'\'')
 }
 
-/// Call `f(offset, entity)` for each special byte of `bytes`, in order.
-/// Every byte is tested as part of an eight-byte little-endian word,
-/// the last one zero-padded; only the candidate bytes of a word that
-/// has any are looked at, and the scan then resumes at the next word.
-fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
+/// [`for_each_special`] over `bytes`, which start at offset `base`,
+/// one eight-byte little-endian word at a time, the last one
+/// zero-padded: only the candidate bytes of a word that has any are
+/// looked at. Inputs shorter than a chunk come straight here, and it is
+/// inlined into its callers, so that a short string pays no call.
+#[inline(always)]
+fn each_special_in_words(base: usize, bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
     let mut visit = |base: usize, word: u64, mut mask: u64| {
         while mask != 0 {
             let j = mask.trailing_zeros() / 8;
@@ -208,7 +307,7 @@ fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
         }
     };
     let mut words = bytes.chunks_exact(8);
-    let mut base = 0;
+    let mut base = base;
     for span in &mut words {
         let word = u64::from_le_bytes(span.try_into().expect("chunks_exact yields 8 bytes"));
         let mask = candidates(word);
@@ -217,11 +316,25 @@ fn for_each_special(bytes: &[u8], mut f: impl FnMut(usize, &'static str)) {
         }
         base += 8;
     }
-    let tail = words
-        .remainder()
-        .iter()
-        .rev()
-        .fold(0, |word, &b| word << 8 | u64::from(b));
+    let rest = words.remainder();
+    let tail = match bytes.len().checked_sub(8) {
+        // The last eight bytes, shifted down past those already read:
+        // one load instead of a byte-by-byte fold.
+        Some(last) if !rest.is_empty() => {
+            let word = u64::from_le_bytes(bytes[last..].try_into().expect("eight bytes"));
+            word >> (8 * (8 - rest.len()))
+        }
+        Some(_) => return,
+        // A whole input of under eight bytes, such as a short label or
+        // number: one branch-free pass shows that it holds no special
+        // byte (in the benchmark's workloads, none of them does), and
+        // spares it the assembly of its word.
+        None if !any(rest, special) => return,
+        None => rest
+            .iter()
+            .rev()
+            .fold(0, |word, &b| word << 8 | u64::from(b)),
+    };
     visit(base, tail, candidates(tail));
 }
 
@@ -233,6 +346,19 @@ pub(crate) const MAX_DEPTH: usize = 64;
 
 /// The error message for input nested deeper than [`MAX_DEPTH`].
 pub(crate) const TOO_DEEP: &str = "elements nested deeper than 64 levels";
+
+/// The bytes a name may hold: ASCII letters and digits, `_`, `-`, `.`
+/// and `:`. One lookup per byte.
+static NAME_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
+        b += 1;
+    }
+    table
+};
 
 /// Parse a document into its root element.
 pub fn parse(input: &str) -> Result<XmlElement> {
@@ -257,7 +383,13 @@ fn element(cursor: &mut Cursor<'_>, depth: usize) -> Result<XmlElement> {
     }
     loop {
         match cursor.content(name, depth)? {
-            Content::Text(run) => unescape_into(run, &mut el.text),
+            Content::Text { run, entities } => {
+                if entities {
+                    unescape_into(run, &mut el.text);
+                } else {
+                    el.text.push_str(run);
+                }
+            }
             Content::CData(raw) => el.text.push_str(raw),
             Content::Child => el.children.push(element(cursor, depth + 1)?),
             Content::End => {
@@ -275,8 +407,10 @@ fn element(cursor: &mut Cursor<'_>, depth: usize) -> Result<XmlElement> {
 
 /// One step through an element's content (see [`Cursor::content`]).
 pub(crate) enum Content<'a> {
-    /// A run of character data, its entities not yet resolved.
-    Text(&'a str),
+    /// A run of character data, its entities not yet resolved, and
+    /// whether it holds an `&` (found in the pass that found its end):
+    /// a run without one reads as it stands.
+    Text { run: &'a str, entities: bool },
     /// The contents of a CDATA section, taken as they are.
     CData(&'a str),
     /// A child element's start tag is next.
@@ -354,10 +488,11 @@ impl<'a> Cursor<'a> {
 
     fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
-        let len = self.src.as_bytes()[start..]
+        let rest = &self.src.as_bytes()[start..];
+        let len = rest
             .iter()
-            .take_while(|&&c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':'))
-            .count();
+            .position(|&c| !NAME_BYTE[usize::from(c)])
+            .unwrap_or(rest.len());
         if len == 0 {
             return Err(self.err("expected a name"));
         }
@@ -408,7 +543,8 @@ impl<'a> Cursor<'a> {
                     }
                     self.pos += 1;
                     let start = self.pos;
-                    let Some(len) = self.src[start..].find(char::from(quote)) else {
+                    let value = &self.src.as_bytes()[start..];
+                    let Some(len) = value.iter().position(|&b| b == quote) else {
                         self.pos = self.src.len();
                         return Err(self.err("unterminated attribute value"));
                     };
@@ -426,17 +562,33 @@ impl<'a> Cursor<'a> {
     /// an error at its `<`.
     pub(crate) fn content(&mut self, open: &str, depth: usize) -> Result<Content<'a>> {
         loop {
-            if self.starts_with("</") {
-                self.pos += 2;
-                if self.name()? != open {
-                    return Err(self.err("mismatched closing tag"));
+            // Character data is the common case: one byte decides it,
+            // and the byte after a `<` decides the rest.
+            let rest = &self.src.as_bytes()[self.pos..];
+            match rest {
+                [] => return Err(self.err("unterminated element content")),
+                [b'<', b'/', tail @ ..] => {
+                    // `</open>` as written by every encoder reads in one
+                    // compare: the name cannot run on past the `>`.
+                    if tail.get(open.len()) == Some(&b'>') && tail.starts_with(open.as_bytes()) {
+                        self.pos += 2 + open.len() + 1;
+                        return Ok(Content::End);
+                    }
+                    self.pos += 2;
+                    if self.name()? != open {
+                        return Err(self.err("mismatched closing tag"));
+                    }
+                    self.skip_ws();
+                    if self.peek() != Some(b'>') {
+                        return Err(self.err("expected '>' in closing tag"));
+                    }
+                    self.pos += 1;
+                    return Ok(Content::End);
                 }
-                self.skip_ws();
-                if self.peek() != Some(b'>') {
-                    return Err(self.err("expected '>' in closing tag"));
-                }
-                self.pos += 1;
-                return Ok(Content::End);
+                [b'<', b'!', ..] => {}
+                [b'<', ..] if depth >= MAX_DEPTH => return Err(self.err(TOO_DEEP)),
+                [b'<', ..] => return Ok(Content::Child),
+                _ => return Ok(self.text()),
             }
             if self.starts_with("<!--") {
                 let end = self
@@ -453,18 +605,46 @@ impl<'a> Cursor<'a> {
                 self.pos = end + 3;
                 return Ok(Content::CData(&self.src[start..end]));
             }
-            return match self.peek() {
-                Some(b'<') if depth >= MAX_DEPTH => Err(self.err(TOO_DEEP)),
-                Some(b'<') => Ok(Content::Child),
-                Some(_) => {
-                    let start = self.pos;
-                    self.pos = self.src[start..]
-                        .find('<')
-                        .map_or(self.src.len(), |i| start + i);
-                    Ok(Content::Text(&self.src[start..self.pos]))
-                }
-                None => Err(self.err("unterminated element content")),
-            };
+            if depth >= MAX_DEPTH {
+                return Err(self.err(TOO_DEEP));
+            }
+            return Ok(Content::Child);
+        }
+    }
+
+    /// The run of character data at the cursor, up to the next `<` or
+    /// the end of the input, and whether it holds an `&`, in one pass:
+    /// each whole 32-byte chunk before the `<` is tested for both bytes
+    /// at once, branch-free, and only the chunk holding the `<` (or the
+    /// tail) is read byte by byte.
+    fn text(&mut self) -> Content<'a> {
+        let start = self.pos;
+        let rest = &self.src.as_bytes()[start..];
+        let mut amp = 0;
+        let mut len = 0;
+        for chunk in rest.chunks_exact(CHUNK) {
+            let (mut lt, mut seen) = (0, 0);
+            for &b in chunk {
+                lt |= u8::from(b == b'<');
+                seen |= u8::from(b == b'&');
+            }
+            if lt != 0 {
+                break;
+            }
+            amp |= seen;
+            len += CHUNK;
+        }
+        for &b in &rest[len..] {
+            if b == b'<' {
+                break;
+            }
+            amp |= u8::from(b == b'&');
+            len += 1;
+        }
+        self.pos += len;
+        Content::Text {
+            run: &self.src[start..self.pos],
+            entities: amp != 0,
         }
     }
 
@@ -487,32 +667,87 @@ pub fn unescape(s: &str) -> String {
 }
 
 /// [`unescape`] appending to `out`. An `&` starts an entity only if a
-/// `;` follows within six bytes; otherwise it is literal.
+/// `;` follows within six bytes; otherwise it is literal. The `&`s are
+/// found chunk by chunk (see [`each_in_chunks`]), each standard entity
+/// is recognised by its byte pattern, and the text between resolved
+/// entities is appended in one `push_str` per run; an unknown entity or
+/// a literal `&` stays in its run.
 pub(crate) fn unescape_into(s: &str, out: &mut String) {
-    let mut rest = s;
-    while let Some(i) = rest.find('&') {
-        out.push_str(&rest[..i]);
-        rest = &rest[i..];
-        let window = &rest.as_bytes()[..rest.len().min(7)];
-        match window.iter().position(|&b| b == b';') {
-            Some(end) => {
-                match &rest[..=end] {
-                    "&amp;" => out.push('&'),
-                    "&lt;" => out.push('<'),
-                    "&gt;" => out.push('>'),
-                    "&quot;" => out.push('"'),
-                    "&apos;" => out.push('\''),
-                    other => out.push_str(other),
-                }
-                rest = &rest[end + 1..];
+    // Resolving only shortens text: one reservation covers the output.
+    out.reserve(s.len());
+    let bytes = s.as_bytes();
+    // Bytes before `clean` are written; bytes before `next` belong to
+    // an entity already read, so an `&` among them starts nothing.
+    let (mut clean, mut next) = (0, 0);
+    let mut visit = |at: usize, _| {
+        if at < next {
+            return;
+        }
+        let (resolved, len) = entity_at(&bytes[at..]);
+        if let Some(b) = resolved {
+            if clean < at {
+                out.push_str(&s[clean..at]);
             }
-            None => {
-                out.push('&');
-                rest = &rest[1..];
-            }
+            out.push(char::from(b));
+            clean = at + len;
+        }
+        next = at + len;
+    };
+    let tail = each_in_chunks(bytes, |b| u8::from(b == b'&'), &mut visit);
+    for (at, &b) in bytes.iter().enumerate().skip(tail) {
+        if b == b'&' {
+            visit(at, b);
         }
     }
-    out.push_str(rest);
+    out.push_str(&s[clean..]);
+}
+
+/// The entity at the start of `rest`, which begins with `&`: the byte a
+/// standard entity stands for, and how many bytes the entity spans. An
+/// unknown entity (a `;` within six bytes of the `&`) spans up to its
+/// `;` and resolves to nothing, as does a literal `&` (no such `;`),
+/// which spans one byte.
+fn entity_at(rest: &[u8]) -> (Option<u8>, usize) {
+    // The first eight bytes as a little-endian word, zero-padded (no
+    // entity holds a zero byte).
+    let word = match rest.get(..8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
+        None => rest
+            .iter()
+            .rev()
+            .fold(0, |word, &b| word << 8 | u64::from(b)),
+    };
+    for &(pattern, len, b) in &ENTITY_PATTERNS {
+        let bits = 8 * len;
+        if word & (u64::MAX >> (64 - bits)) == pattern {
+            return (Some(b), len);
+        }
+    }
+    match rest.iter().take(7).position(|&b| b == b';') {
+        Some(end) => (None, end + 1),
+        None => (None, 1),
+    }
+}
+
+/// Each standard entity as a little-endian word of its bytes, with its
+/// length and the byte it stands for.
+const ENTITY_PATTERNS: [(u64, usize, u8); 5] = [
+    (pattern(b"&amp;"), 5, b'&'),
+    (pattern(b"&lt;"), 4, b'<'),
+    (pattern(b"&gt;"), 4, b'>'),
+    (pattern(b"&quot;"), 6, b'"'),
+    (pattern(b"&apos;"), 6, b'\''),
+];
+
+/// `bytes` (at most eight) as a little-endian word.
+const fn pattern(bytes: &[u8]) -> u64 {
+    let mut word = 0;
+    let mut i = bytes.len();
+    while i > 0 {
+        i -= 1;
+        word = word << 8 | bytes[i] as u64;
+    }
+    word
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! Run with `cargo run --example case_study`. Writes
 //! `target/case_study_tree.svg`.
 
+#![forbid(unsafe_code)]
+
 use faehim::casestudy::{build_case_study, run_case_study_on};
 use faehim::Toolkit;
 

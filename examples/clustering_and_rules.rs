@@ -6,6 +6,8 @@
 //! `target/cobweb_tree.svg`, `target/clusters.svg` and
 //! `target/plot3d.ppm`.
 
+#![forbid(unsafe_code)]
+
 use dm_data::corpus::{gaussian_blobs, market_baskets, BlobSpec};
 use dm_wsrf::soap::SoapValue;
 use faehim::Toolkit;

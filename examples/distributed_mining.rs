@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example distributed_mining`.
 
+#![forbid(unsafe_code)]
+
 use dm_data::stream::{chunk_dataset, RunningStats};
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskGraph, Token, Tool};

@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --example durable_enactment`.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::durable::DurableConfig;
 use dm_workflow::journal::{RunEvent, RunJournal};
 use faehim::casestudy::build_case_study;

@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --example federated_fleet`.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_data::corpus::nominal_classification;
 use dm_data::Dataset;

@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example figure2_components`.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::planner::Planner;
 use faehim::Toolkit;
 use std::time::Duration;

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --example figure3_dataset_summary`.
 
+#![forbid(unsafe_code)]
+
 use dm_data::corpus::breast_cancer;
 use dm_data::summary::DatasetSummary;
 

@@ -5,6 +5,8 @@
 //! Run with `cargo run --example figure4_decision_tree`. Writes
 //! `target/figure4_tree.svg` and `target/figure4_tree.dot`.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::classifiers::{Classifier, J48};
 
 fn main() {

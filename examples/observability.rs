@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example observability`.
 
+#![forbid(unsafe_code)]
+
 use faehim::casestudy::run_case_study_with;
 use faehim::Toolkit;
 

@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --example overload`.
 
+#![forbid(unsafe_code)]
+
 use dm_wsrf::container::CapacityConfig;
 use dm_wsrf::fleet::P2cRouter;
 use dm_wsrf::resilience::{BreakerConfig, ResiliencePolicy};

@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --example planned_composition`.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskId, Token};
 use dm_workflow::planner::{Goal, Planner};

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+#![forbid(unsafe_code)]
+
 use faehim::Toolkit;
 
 fn main() {

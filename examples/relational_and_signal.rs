@@ -12,6 +12,8 @@
 //!
 //! Run with `cargo run --example relational_and_signal`.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::classifiers::{Classifier, NaiveBayes};
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskGraph, Token};

@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example resilience`.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::graph::{TaskGraph, Token, Tool};
 use faehim::prelude::{BreakerConfig, ResiliencePolicy};
 use faehim::Toolkit;

@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --example streaming_ingest`.
 
+#![forbid(unsafe_code)]
+
 use dm_data::corpus::nominal_classification;
 use dm_data::stream::{chunk_dataset, StreamHeader};
 use dm_services::client::StreamClient;

@@ -2,6 +2,8 @@
 //! (`getClassifiers`-style enumeration), the "20 different approaches"
 //! to attribute selection, and cross-family sanity over shared data.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::registry;
 
 #[test]

@@ -1,6 +1,8 @@
 //! E3 — the §5 case study: four Web Services composed through the
 //! workflow engine, reproducing every artifact the paper reports.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::{ExecutionReport, Executor};
 use faehim::casestudy::{
     build_case_study, run_case_study, run_case_study_on, CaseStudyTasks, BREAST_CANCER_URL,

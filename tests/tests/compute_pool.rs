@@ -5,6 +5,8 @@
 //! count. These properties pin that contract across random seeds and
 //! pool sizes {1, 2, 8}.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::cluster::{Clusterer, KMeans};
 use dm_algorithms::options::Configurable;
 use dm_algorithms::pool;

@@ -4,6 +4,8 @@
 //! wire bytes and simulated network time of a cold run, with
 //! byte-identical outputs.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::memo::MemoCache;
 use faehim::casestudy::{run_case_study_on, run_case_study_with};

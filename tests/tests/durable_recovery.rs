@@ -3,6 +3,8 @@
 //! prove a fresh process resumes from the surviving log bytes to a
 //! byte-identical report, with zero re-execution of completed tasks.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::durable::DurableConfig;
 use dm_workflow::error::WorkflowError;
 use dm_workflow::journal::{RunEvent, RunJournal};

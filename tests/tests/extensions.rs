@@ -3,6 +3,8 @@
 //! management (§5.4), preprocessing, the signal-processing toolbox
 //! (§2), workflow iteration (§3.1), and incremental/streaming learning.
 
+#![forbid(unsafe_code)]
+
 use dm_wsrf::soap::SoapValue;
 use faehim::Toolkit;
 

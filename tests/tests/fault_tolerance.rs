@@ -4,6 +4,8 @@
 //! circuit breakers with half-open probes, and deadline-bounded
 //! retry/backoff schedules.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskGraph, Token, Tool};
 use dm_wsrf::prelude::{

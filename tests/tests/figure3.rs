@@ -2,6 +2,8 @@
 //! the published figure exactly, both computed locally and served by
 //! the DataConversion Web Service.
 
+#![forbid(unsafe_code)]
+
 use dm_data::corpus::breast_cancer;
 use dm_data::summary::DatasetSummary;
 

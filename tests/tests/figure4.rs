@@ -2,6 +2,8 @@
 //! data must put `node-caps` at the root, render textually and as SVG,
 //! and behave sensibly under option changes.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_algorithms::options::Configurable;
 

@@ -3,6 +3,8 @@
 //! (byte-identical across runs and pool widths), and the queue-depth/
 //! p99 autoscaler on the virtual clock.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::pool;
 use dm_wsrf::container::{CapacityConfig, ServiceFault, WebService};
 use dm_wsrf::fleet::{

@@ -5,7 +5,8 @@
 //! nested to the decoder's depth cap, `r` references, `s` references
 //! (text and bytes spilled to the attachment store), inline bytes and
 //! the scalars. Every mutant goes to `RunJournal::from_bytes`,
-//! `events()`, `replay()` and `run_durable` on the case-study graph.
+//! `events()`, `stats()` (whose record count must be the number of
+//! events), `replay()` and `run_durable` on the case-study graph.
 //! Each must come back as a typed error or a shorter replay, never a
 //! panic, and what it decodes must be bounded by its own byte count.
 //!
@@ -19,6 +20,8 @@
 //!
 //! `run_durable` sees only the verified prefix that `from_bytes` keeps,
 //! so mutants that keep the same prefix are enacted once.
+
+#![forbid(unsafe_code)]
 
 use dm_workflow::engine::ExecutionReport;
 use dm_workflow::error::WorkflowError;
@@ -245,6 +248,11 @@ impl Battery {
                 events.len() <= base_events,
                 "{what}: more events than the base"
             );
+            assert_eq!(
+                journal.stats().records,
+                events.len() as u64,
+                "{what}: stats count other records than events() returns"
+            );
             let held: usize = events.iter().map(footprint).sum();
             let bound = mutant.len() * (1 + std::mem::size_of::<Token>());
             assert!(
@@ -259,9 +267,12 @@ impl Battery {
         let store = Arc::clone(&self.store);
         let journal = RunJournal::from_bytes(mutant).attach_store(store, INLINE_LIMIT);
         guarded("decoding with the store", &mut || {
-            assert!(
-                journal.events().len() <= base_events,
-                "{what}: longer events"
+            let events = journal.events().len();
+            assert!(events <= base_events, "{what}: longer events");
+            assert_eq!(
+                journal.stats().records,
+                events as u64,
+                "{what}: stats count other records than events() returns"
             );
             assert!(
                 journal.replay().events <= base_events,

@@ -3,6 +3,8 @@
 //! cost measurably more than under the in-memory harness, and the
 //! lifecycle counters must reflect the mechanism.
 
+#![forbid(unsafe_code)]
+
 use dm_services::j48_ws::J48Service;
 use dm_wsrf::container::WebService;
 use dm_wsrf::lifecycle::LifecyclePolicy;

@@ -4,6 +4,8 @@
 //! handler), and the metrics registry exports per-service invocation
 //! latency quantiles in both Prometheus and JSON form.
 
+#![forbid(unsafe_code)]
+
 use dm_wsrf::trace::{Span, SpanKind, SpanStatus};
 use faehim::casestudy::run_case_study_with;
 use faehim::Toolkit;

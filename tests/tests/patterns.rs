@@ -2,6 +2,8 @@
 //! Service tools: star fan-out of classifier calls, grouped
 //! sub-workflows, and parallel-vs-serial equivalence.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskGraph, Token, Tool};
 use dm_workflow::group::GroupTool;

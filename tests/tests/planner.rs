@@ -3,6 +3,8 @@
 //! spreading, per-seed determinism, and byte-identical mining outputs
 //! regardless of where the planner places the steps.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskId, Token};
 use dm_workflow::planner::{Goal, GoalStep, Planner, PlannerConfig};

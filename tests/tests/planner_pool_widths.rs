@@ -4,6 +4,8 @@
 //! shared binary, tests running concurrently would run at those widths,
 //! not at the `FAEHIM_POOL_THREADS` width a CI run asks for.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskId, Token};
 use dm_workflow::planner::{Goal, Planner};

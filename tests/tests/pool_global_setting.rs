@@ -4,6 +4,8 @@
 //! at the width set here, not at the `FAEHIM_POOL_THREADS` width a CI
 //! run asks for.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::pool;
 
 #[test]

@@ -4,6 +4,8 @@
 //! shared binary, tests running concurrently would run at width 2, not
 //! at the `FAEHIM_POOL_THREADS` width a CI run asks for.
 
+#![forbid(unsafe_code)]
+
 use faehim::Toolkit;
 
 #[test]

@@ -2,6 +2,8 @@
 //! format round-trips, codec round-trips, envelope round-trips,
 //! summary/count invariants, and classifier distribution laws.
 
+#![forbid(unsafe_code)]
+
 use dm_algorithms::state::{StateReader, StateWriter};
 use dm_data::{arff, csv, Attribute, Dataset};
 use dm_wsrf::soap::{SoapCall, SoapValue};
@@ -81,7 +83,7 @@ fn datasets_equal(a: &Dataset, b: &Dataset) -> bool {
 }
 
 /// The five-entity escape, one char at a time: the reference the
-/// word-at-a-time scan in `dm_wsrf::xml::escape` must match.
+/// chunked scan in `dm_wsrf::xml::escape` must match.
 fn escape_by_char(s: &str) -> String {
     let mut out = String::new();
     for c in s.chars() {
@@ -96,6 +98,74 @@ fn escape_by_char(s: &str) -> String {
     }
     out
 }
+
+/// The documented entity rule, one char at a time: the reference the
+/// chunked, byte-pattern `dm_wsrf::xml::unescape` must match. An `&`
+/// starts an entity only if a `;` follows within six bytes; the five
+/// standard entities resolve, any other passes through whole, and an
+/// `&` with no such `;` is literal.
+fn unescape_by_char(s: &str) -> String {
+    let mut out = String::new();
+    let mut rest = s;
+    while let Some(c) = rest.chars().next() {
+        rest = &rest[c.len_utf8()..];
+        if c != '&' {
+            out.push(c);
+            continue;
+        }
+        let semicolon = rest
+            .char_indices()
+            .take_while(|&(at, _)| at < 6)
+            .find(|&(_, c)| c == ';');
+        let Some((end, _)) = semicolon else {
+            out.push('&');
+            continue;
+        };
+        match &rest[..end] {
+            "amp" => out.push('&'),
+            "lt" => out.push('<'),
+            "gt" => out.push('>'),
+            "quot" => out.push('"'),
+            "apos" => out.push('\''),
+            name => {
+                out.push('&');
+                out.push_str(name);
+                out.push(';');
+            }
+        }
+        rest = &rest[end + 1..];
+    }
+    out
+}
+
+/// Fragments of entity-dense text: every entity, entity look-alikes cut
+/// short or too long, lone `&` and `;`, and multi-byte characters.
+const ENTITY_FRAGMENTS: &[&str] = &[
+    "&amp;",
+    "&lt;",
+    "&gt;",
+    "&quot;",
+    "&apos;",
+    "&",
+    ";",
+    "&am",
+    "&amp",
+    "&lt",
+    "&x;",
+    "&toolong;",
+    "&#38;",
+    "&&;",
+    "a",
+    "xy",
+    " ",
+    "é",
+    "中",
+    "😀",
+    "<",
+    ">",
+    "\"",
+    "'",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -184,6 +254,19 @@ proptest! {
         let escaped = dm_wsrf::xml::escape(&s);
         prop_assert_eq!(dm_wsrf::xml::escaped_len(&s), escaped.len());
         prop_assert_eq!(&escaped, &escape_by_char(&s));
+        prop_assert_eq!(&unescape_by_char(&escaped), &s);
+        prop_assert_eq!(dm_wsrf::xml::unescape(&escaped), s);
+    }
+
+    #[test]
+    fn xml_unescape_follows_the_char_rule(
+        picks in proptest::collection::vec(0..ENTITY_FRAGMENTS.len(), 0..64)
+    ) {
+        let s: String = picks.iter().map(|&i| ENTITY_FRAGMENTS[i]).collect();
+        prop_assert_eq!(dm_wsrf::xml::unescape(&s), unescape_by_char(&s));
+        let escaped = dm_wsrf::xml::escape(&s);
+        prop_assert_eq!(&escaped, &escape_by_char(&s));
+        prop_assert_eq!(dm_wsrf::xml::escaped_len(&s), escaped.len());
         prop_assert_eq!(dm_wsrf::xml::unescape(&escaped), s);
     }
 
@@ -301,10 +384,12 @@ proptest! {
     }
 }
 
-/// The edges of the escape scan's 8-byte words: each special byte at
-/// every offset from 0 to 16 of strings of every length from 0 to 17,
-/// and multi-byte characters straddling a word boundary next to a
-/// special byte.
+/// The edges of the text scans' 32-byte chunks and 8-byte words: each
+/// special byte at every offset from 0 to 70 of strings of every length
+/// up to 70, multi-byte characters next to a special byte after every
+/// lead of 0 to 16 bytes and straddling offsets 32 and 64, and entities cut off at the end of a chunk and at
+/// the end of the input. Escaping must match [`escape_by_char`], and
+/// unescaping [`unescape_by_char`].
 #[test]
 fn xml_escaping_word_scan_edges() {
     let check = |s: &str| {
@@ -314,16 +399,18 @@ fn xml_escaping_word_scan_edges() {
         let mut appended = String::from("prefix");
         dm_wsrf::xml::escape_into(s, &mut appended);
         assert_eq!(appended, format!("prefix{escaped}"), "{s:?}");
+        assert_eq!(unescape_by_char(&escaped), s, "{s:?}");
         assert_eq!(dm_wsrf::xml::unescape(&escaped), s, "{s:?}");
+        assert_eq!(dm_wsrf::xml::unescape(s), unescape_by_char(s), "{s:?}");
     };
-    for len in 0..=17 {
+    for len in 0..=70 {
         check(&"a".repeat(len));
         for special in ['&', '<', '>', '"', '\''] {
-            for at in 0..len.min(17) {
+            for at in 0..len {
                 let mut s: Vec<char> = vec!['a'; len];
                 s[at] = special;
                 check(&s.iter().collect::<String>());
-                // Specials on both sides of the word boundary.
+                // Specials on both sides of a word or chunk boundary.
                 s[len - 1] = special;
                 check(&s.iter().collect::<String>());
             }
@@ -336,6 +423,44 @@ fn xml_escaping_word_scan_edges() {
                 check(&format!("{pad}{wide}{special}{wide}{pad}"));
                 check(&format!("{pad}{special}{wide}{wide}"));
                 check(&format!("{pad}{wide}{wide}{wide}{special}"));
+            }
+        }
+        for boundary in [32, 64] {
+            for lead in boundary - 4..=boundary {
+                for special in ["&", "<", "\"", "'", ">"] {
+                    let pad = "x".repeat(lead);
+                    check(&format!("{pad}{wide}{special}{wide}{pad}"));
+                    check(&format!("{pad}{special}{wide}{wide}"));
+                    check(&format!("{pad}{wide}{wide}{wide}{special}"));
+                }
+            }
+        }
+    }
+    // Entities, known and unknown, whole and cut short, starting at
+    // every offset around the first two chunk ends, mid-input and at
+    // the end of the input.
+    for entity in [
+        "&amp;",
+        "&lt;",
+        "&gt;",
+        "&quot;",
+        "&apos;",
+        "&x;",
+        "&amp",
+        "&quo",
+        "&",
+        "&toolong;",
+    ] {
+        for lead in 24..=66 {
+            let pad = "y".repeat(lead);
+            for s in [
+                format!("{pad}{entity}"),
+                format!("{pad}{entity}{pad}"),
+                format!("{pad}{entity}&lt;{entity}"),
+                format!("{pad}é{entity}"),
+            ] {
+                assert_eq!(dm_wsrf::xml::unescape(&s), unescape_by_char(&s), "{s:?}");
+                check(&s);
             }
         }
     }

@@ -4,6 +4,8 @@
 //! `RecordBatch::byte_len`, and the record-stream concurrency
 //! contracts (blocking producer, receiver-drop errors).
 
+#![forbid(unsafe_code)]
+
 use dm_data::corpus::{gaussian_blobs, nominal_classification, BlobSpec};
 use dm_data::stream::{chunk_dataset, record_stream, RecordBatch, StreamHeader};
 use dm_data::DataError;

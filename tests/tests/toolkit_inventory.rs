@@ -2,6 +2,8 @@
 //! contain the engine, the three local tool groups, the imported
 //! service tools, and the published registry.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::planner::Planner;
 use faehim::Toolkit;
 use std::time::Duration;

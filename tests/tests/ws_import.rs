@@ -2,6 +2,8 @@
 //! creates one workspace tool per operation, with ports mirroring the
 //! message parts, usable inside composed workflows.
 
+#![forbid(unsafe_code)]
+
 use dm_workflow::engine::Executor;
 use dm_workflow::graph::{TaskGraph, Token, Tool};
 use faehim::Toolkit;
