@@ -13,9 +13,12 @@
 //! * **modeled makespan** — each workload's tasks (one tree, one fold,
 //!   one row) are timed individually (the median of three runs of the
 //!   same deterministic task, so one preempted or cold run cannot sink
-//!   the makespan). The model then follows the pool's fan-out rule: the
-//!   tasks run in order on one worker until the rule would fan the
-//!   batch out, and the rest are list-scheduled onto W
+//!   the makespan). The three runs are taken round-robin, the first of
+//!   every task before the second of any, so a slow stretch of the host
+//!   slows all tasks alike rather than one task's every run, and leaves
+//!   the modelled ratios alone. The model then follows the pool's
+//!   fan-out rule: the tasks run in order on one worker until the rule
+//!   would fan the batch out, and the rest are list-scheduled onto W
 //!   earliest-available workers, the same greedy order the
 //!   work-stealing deques converge to. This is the speedup the pool
 //!   delivers once W cores exist, computed from *measured* per-task
@@ -103,10 +106,29 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// Median-of-3 wall-clock seconds for `f`.
-fn median_time<R>(mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..3).map(|_| time(&mut f).1).collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[1]
+fn median_time<R>(f: impl FnMut() -> R) -> f64 {
+    round_robin_medians(&mut [f])[0]
+}
+
+/// Median-of-3 wall-clock seconds of each of `tasks`, sampled
+/// round-robin: sample k of every task is taken before sample k + 1 of
+/// any. A slow stretch of the host then slows one sample of many tasks
+/// alike, which the medians drop, instead of every sample of one task,
+/// which would skew the modelled speed-ups.
+fn round_robin_medians<R>(tasks: &mut [impl FnMut() -> R]) -> Vec<f64> {
+    let mut samples = vec![[0.0f64; 3]; tasks.len()];
+    for k in 0..3 {
+        for (task, sample) in tasks.iter_mut().zip(&mut samples) {
+            sample[k] = time(task).1;
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut sample| {
+            sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sample[1]
+        })
+        .collect()
 }
 
 /// Median-of-3 wall-clock for `f` under an `n`-thread pool.
@@ -148,19 +170,20 @@ fn forest_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
         state ^= state << 17;
         state
     };
-    (0..num_trees())
+    let mut tasks: Vec<_> = (0..num_trees())
         .map(|i| {
             let rows: Vec<usize> = (0..n).map(|_| (next() % n as u64) as usize).collect();
             let sample = ds.select_rows(&rows);
-            median_time(|| {
+            move || {
                 let mut tree = RandomTree::new();
                 tree.set_option("-S", &(SEED + i as u64).to_string())
                     .unwrap();
                 tree.train(&sample).unwrap();
                 black_box(tree.encode_state().len())
-            })
+            }
         })
-        .collect()
+        .collect();
+    round_robin_medians(&mut tasks)
 }
 
 /// Per-task durations of the CV workload: train + evaluate one J48
@@ -168,18 +191,20 @@ fn forest_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
 fn cv_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
     let labels = ds.class_attribute().unwrap().labels().to_vec();
     let cv = dm_data::split::CrossValidation::stratified(ds, CV_FOLDS, SEED).unwrap();
-    (0..cv.k())
+    let mut tasks: Vec<_> = (0..cv.k())
         .map(|fold| {
             let (train, test) = cv.split(ds, fold);
-            median_time(|| {
+            let labels = &labels;
+            move || {
                 let mut c = make_classifier("J48").unwrap();
                 c.train(&train).unwrap();
                 let mut eval = dm_algorithms::eval::Evaluation::new(labels.clone());
                 eval.evaluate(c.as_ref(), &test).unwrap();
                 black_box(eval.accuracy())
-            })
+            }
         })
-        .collect()
+        .collect();
+    round_robin_medians(&mut tasks)
 }
 
 /// Per-task durations of the batch-scoring workload: one `predict`
@@ -188,9 +213,10 @@ fn cv_task_durations(ds: &dm_data::Dataset) -> Vec<f64> {
 /// do inside a pool worker).
 fn scoring_task_durations(forest: &RandomForest, batch: &dm_data::Dataset) -> Vec<f64> {
     pool::with_threads(1, || {
-        (0..batch.num_instances())
-            .map(|row| median_time(|| black_box(forest.predict(batch, row).unwrap())))
-            .collect()
+        let mut tasks: Vec<_> = (0..batch.num_instances())
+            .map(|row| move || black_box(forest.predict(batch, row).unwrap()))
+            .collect();
+        round_robin_medians(&mut tasks)
     })
 }
 

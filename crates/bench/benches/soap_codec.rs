@@ -9,7 +9,10 @@
 //!
 //! Every envelope must decode back to what it encoded (the bench panics
 //! otherwise). Then it prints a table of each envelope's size and its
-//! median encode and decode time per envelope and per byte.
+//! median encode and decode time per envelope and per byte, and the
+//! median time to compute the size of its arguments or return value
+//! without writing them (`serialized_size`, which the pass-by-reference
+//! accounting calls, and whose cost is the text scan's `escaped_len`).
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +35,20 @@ impl Shape {
         match self {
             Shape::Call(call) => call.to_envelope(),
             Shape::Response(response, operation) => response.to_envelope(operation),
+        }
+    }
+
+    /// The exact bytes of the arguments' or the return value's
+    /// elements, computed without writing them.
+    fn size(&self) -> usize {
+        match self {
+            Shape::Call(call) => call
+                .args
+                .iter()
+                .map(|(name, value)| value.serialized_size(name))
+                .sum(),
+            Shape::Response(SoapResponse::Value(value), _) => value.serialized_size("return"),
+            Shape::Response(SoapResponse::Fault { .. }, _) => 0,
         }
     }
 
@@ -135,22 +152,26 @@ fn main() {
     }
 
     println!(
-        "{:<22} {:>9} {:>11} {:>9} {:>11} {:>9}",
-        "envelope", "bytes", "encode", "ns/B", "decode", "ns/B"
+        "{:<22} {:>9} {:>11} {:>9} {:>11} {:>9} {:>11}",
+        "envelope", "bytes", "encode", "ns/B", "decode", "ns/B", "size"
     );
     for ((label, shape), xml) in shapes.iter().zip(&envelopes) {
         let encode = median_nanos(|| {
             black_box(black_box(shape).encode());
         });
         let decode = median_nanos(|| shape.decode(black_box(xml)));
+        let size = median_nanos(|| {
+            black_box(black_box(shape).size());
+        });
         let bytes = xml.len() as f64;
         println!(
-            "{label:<22} {:>9} {:>8.2} us {:>9.2} {:>8.2} us {:>9.2}",
+            "{label:<22} {:>9} {:>8.2} us {:>9.2} {:>8.2} us {:>9.2} {:>8.2} us",
             xml.len(),
             encode / 1e3,
             encode / bytes,
             decode / 1e3,
             decode / bytes,
+            size / 1e3,
         );
     }
 }

@@ -56,12 +56,16 @@
 //!   task blocks only its downstream cone while independent branches
 //!   continue. A worker that dies mid-claim never acks, and the
 //!   orchestrator redelivers the task under a fresh claim —
-//!   at-least-once execution, exactly-once recording. Events are always
-//!   buffered.
+//!   at-least-once execution, exactly-once recording. The orchestrator
+//!   journals the names and outputs it holds as borrowed records
+//!   (`RunJournal::write`), so journaling copies no token. Its
+//!   events are buffered, when the executor has a listener.
 //!
 //! Buffered events are delivered when the loop stops, task by task in
 //! (virtual completion tick, task id) order, so the sequence does not
-//! depend on how the OS scheduled the workers.
+//! depend on how the OS scheduled the workers. An executor without a
+//! listener buffers nothing (events would only be dropped at the end),
+//! and the report's runs follow the same order either way.
 //!
 //! Crash injection wires into the fault engine
 //! ([`dm_wsrf::resilience::CrashScript`]): scripted orchestrator
@@ -77,7 +81,7 @@
 use crate::engine::{ExecutionReport, Executor, ProgressEvent, TaskRun};
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
-use crate::journal::{RunEvent, RunJournal};
+use crate::journal::{Record, RunJournal};
 use crossbeam::channel::{Receiver, Sender};
 use dm_wsrf::resilience::CrashScript;
 use dm_wsrf::trace::SpanKind;
@@ -250,13 +254,14 @@ struct Orchestrator<'a> {
 }
 
 impl Orchestrator<'_> {
-    /// Journal the event `event` builds. Without a journal nothing is
-    /// built, so plain runs never copy outputs for it.
-    fn append(&mut self, event: impl FnOnce() -> RunEvent) -> Result<()> {
+    /// Journal the record `record` builds from what the caller holds.
+    /// Without a journal nothing is built, so plain runs compute no
+    /// fingerprint for it.
+    fn append<'r>(&mut self, record: impl FnOnce() -> Record<'r>) -> Result<()> {
         let Some(journal) = self.journal else {
             return Ok(());
         };
-        journal.append(&event());
+        journal.write(record());
         self.appended += 1;
         if self.kill_after == Some(self.appended) {
             return Err(WorkflowError::Crashed {
@@ -276,9 +281,9 @@ impl Orchestrator<'_> {
         // the started-but-never-completed task is simply re-executed.
         let graph = self.graph;
         let node = graph.task(task)?;
-        self.append(|| RunEvent::TaskStarted {
+        self.append(|| Record::TaskStarted {
             task,
-            name: node.name.clone(),
+            name: &node.name,
         })?;
         let inputs = Executor::gather_inputs(graph, task, self.bindings, &self.produced);
         self.claims.insert(task, self.next_claim);
@@ -404,12 +409,12 @@ impl Executor {
         workers: usize,
     ) -> Result<ExecutionReport> {
         // Validate that every input is fed.
-        for t in 0..graph.num_tasks() {
-            for (port, spec) in graph.unconnected_inputs(t)? {
-                if !bindings.contains_key(&(t, port)) {
+        for (t, node) in graph.tasks().iter().enumerate() {
+            for port in 0..node.inputs() {
+                if graph.feeder(t, port).is_none() && !bindings.contains_key(&(t, port)) {
                     return Err(WorkflowError::UnboundInput {
-                        task: graph.task(t)?.name.clone(),
-                        port: spec.name,
+                        task: node.name.clone(),
+                        port: node.tool.input_ports().swap_remove(port).name,
                     });
                 }
             }
@@ -418,7 +423,11 @@ impl Executor {
         let n = graph.num_tasks();
         let journal = durable.map(|c| c.journal.as_ref());
         let fail_fast = journal.is_none();
-        let buffered = journal.is_some();
+        // A durable run delivers its events when the loop stops, in
+        // (tick, task id) order. Nothing is buffered when there is no
+        // listener to deliver them to.
+        let ordered = journal.is_some();
+        let buffered = ordered && self.listener.is_some();
 
         // Replay: reconstruct the frontier from the journal.
         let replay = journal.map(RunJournal::replay).unwrap_or_default();
@@ -443,7 +452,7 @@ impl Executor {
             }
         }
         for (&task, replayed) in &replay.completed {
-            let declared = graph.tasks()[task].tool.output_ports().len();
+            let declared = graph.tasks()[task].outputs();
             if replayed.outputs.len() != declared {
                 return Err(WorkflowError::JournalInconsistent {
                     task,
@@ -631,7 +640,7 @@ impl Executor {
             };
             let mut run_loop = || -> Result<()> {
                 if replay.started.is_none() {
-                    orch.append(|| RunEvent::RunStarted {
+                    orch.append(|| Record::RunStarted {
                         tasks: n,
                         fingerprint: graph.structure_fingerprint(),
                     })?;
@@ -689,20 +698,20 @@ impl Executor {
                     match result {
                         Ok(outputs) => {
                             if run.sheds > 0 {
-                                orch.append(|| RunEvent::TaskShed {
+                                orch.append(|| Record::TaskShed {
                                     task,
-                                    name: run.task.clone(),
+                                    name: &run.task,
                                     sheds: run.sheds,
                                 })?;
                             }
-                            orch.append(|| RunEvent::TaskCompleted {
+                            orch.append(|| Record::TaskCompleted {
                                 task,
-                                name: run.task.clone(),
+                                name: &run.task,
                                 attempts: run.attempts,
                                 virtual_nanos: run.virtual_duration.as_nanos() as u64,
                                 cached: run.cached,
                                 sheds: run.sheds,
-                                outputs: outputs.clone(),
+                                outputs: &outputs,
                             })?;
                             for (port, token) in outputs.into_iter().enumerate() {
                                 orch.produced.insert((task, port), token);
@@ -719,10 +728,10 @@ impl Executor {
                             }
                         }
                         Err(message) => {
-                            orch.append(|| RunEvent::TaskFailed {
+                            orch.append(|| Record::TaskFailed {
                                 task,
-                                name: run.task.clone(),
-                                message: message.clone(),
+                                name: &run.task,
+                                message: &message,
                             })?;
                             let name = run.task.clone();
                             entries.push((task, run, events, tick));
@@ -738,7 +747,7 @@ impl Executor {
                     }
                 }
                 if !replay.finished {
-                    orch.append(|| RunEvent::RunFinished {
+                    orch.append(|| Record::RunFinished {
                         tasks: status
                             .iter()
                             .filter(|s| matches!(s, Status::Completed | Status::Failed))
@@ -797,7 +806,7 @@ impl Executor {
                 Duration::ZERO,
             ));
         }
-        if buffered {
+        if ordered {
             entries.sort_by_key(|e| (e.3, e.0));
         }
         let runs = entries
@@ -818,7 +827,7 @@ impl Executor {
             runs,
             ..ExecutionReport::default()
         };
-        self.collect_outputs(graph, &produced, &mut report)?;
+        Self::collect_outputs(graph, &produced, &mut report);
         report.elapsed = start.elapsed();
         report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
         report.retry_budget_remaining = budget.into_inner();
@@ -835,6 +844,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::graph::test_tools::*;
+    use crate::journal::RunEvent;
     use std::sync::Arc;
 
     fn diamond() -> TaskGraph {

@@ -494,7 +494,7 @@ impl Executor {
             sheds += node.tool.last_call_sheds();
             match result {
                 Ok(outputs) => {
-                    let expected = node.tool.output_ports().len();
+                    let expected = node.outputs();
                     if outputs.len() != expected {
                         let msg = format!(
                             "tool returned {} outputs, declared {expected}",
@@ -614,19 +614,10 @@ impl Executor {
         bindings: &HashMap<(TaskId, usize), Token>,
         produced: &HashMap<(TaskId, usize), Token>,
     ) -> Vec<Token> {
-        let num_inputs = graph
-            .task(task)
-            .expect("validated")
-            .tool
-            .input_ports()
-            .len();
+        let num_inputs = graph.task(task).expect("validated").inputs();
         (0..num_inputs)
             .map(|port| {
-                if let Some(cable) = graph
-                    .cables()
-                    .iter()
-                    .find(|c| c.to_task == task && c.to_port == port)
-                {
+                if let Some(cable) = graph.feeder(task, port) {
                     produced
                         .get(&(cable.from_task, cable.from_port))
                         .cloned()
@@ -641,20 +632,20 @@ impl Executor {
             .collect()
     }
 
+    /// Copy into `report` the produced tokens of every output port no
+    /// cable leaves: the workflow's results.
     pub(crate) fn collect_outputs(
-        &self,
         graph: &TaskGraph,
         produced: &HashMap<(TaskId, usize), Token>,
         report: &mut ExecutionReport,
-    ) -> Result<()> {
-        for t in 0..graph.num_tasks() {
-            for (port, _) in graph.unconnected_outputs(t)? {
+    ) {
+        for (t, node) in graph.tasks().iter().enumerate() {
+            for port in (0..node.outputs()).filter(|&p| !graph.feeds(t, p)) {
                 if let Some(token) = produced.get(&(t, port)) {
                     report.outputs.insert((t, port), token.clone());
                 }
             }
         }
-        Ok(())
     }
 }
 

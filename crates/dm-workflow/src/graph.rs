@@ -96,6 +96,10 @@ pub struct TaskNode {
     pub name: String,
     /// The tool implementation.
     pub tool: Arc<dyn Tool>,
+    /// The tool's input and output port counts, read once when the task
+    /// is placed (a placed task keeps its tool), so that the executor's
+    /// checks count ports without building the tool's port lists.
+    ports: (usize, usize),
     /// Wall time of the task's last execution in nanoseconds (0: never
     /// executed). The frontier loop reads it to decide which thread a
     /// claim goes to; it is no part of the graph's structure, and a
@@ -105,7 +109,12 @@ pub struct TaskNode {
 
 impl Clone for TaskNode {
     fn clone(&self) -> TaskNode {
-        TaskNode::new(self.name.clone(), Arc::clone(&self.tool))
+        TaskNode {
+            name: self.name.clone(),
+            tool: Arc::clone(&self.tool),
+            ports: self.ports,
+            last_cost_nanos: AtomicU64::new(0),
+        }
     }
 }
 
@@ -113,9 +122,20 @@ impl TaskNode {
     fn new(name: String, tool: Arc<dyn Tool>) -> TaskNode {
         TaskNode {
             name,
+            ports: (tool.input_ports().len(), tool.output_ports().len()),
             tool,
             last_cost_nanos: AtomicU64::new(0),
         }
+    }
+
+    /// Number of the tool's input ports.
+    pub(crate) fn inputs(&self) -> usize {
+        self.ports.0
+    }
+
+    /// Number of the tool's output ports.
+    pub(crate) fn outputs(&self) -> usize {
+        self.ports.1
     }
 
     /// How long the task's last execution took, or `None` before its
@@ -216,8 +236,8 @@ impl TaskGraph {
             let tool = t.tool.name();
             h.write(&(tool.len() as u64).to_le_bytes());
             h.write(tool.as_bytes());
-            h.write_u8(t.tool.input_ports().len() as u8);
-            h.write_u8(t.tool.output_ports().len() as u8);
+            h.write_u8(t.inputs() as u8);
+            h.write_u8(t.outputs() as u8);
         }
         for c in &self.cables {
             for v in [c.from_task, c.from_port, c.to_task, c.to_port] {
@@ -317,12 +337,7 @@ impl TaskGraph {
             .input_ports()
             .into_iter()
             .enumerate()
-            .filter(|(p, _)| {
-                !self
-                    .cables
-                    .iter()
-                    .any(|c| c.to_task == task && c.to_port == *p)
-            })
+            .filter(|&(p, _)| self.feeder(task, p).is_none())
             .collect())
     }
 
@@ -334,13 +349,22 @@ impl TaskGraph {
             .output_ports()
             .into_iter()
             .enumerate()
-            .filter(|(p, _)| {
-                !self
-                    .cables
-                    .iter()
-                    .any(|c| c.from_task == task && c.from_port == *p)
-            })
+            .filter(|&(p, _)| !self.feeds(task, p))
             .collect())
+    }
+
+    /// The cable into `task`'s input `port`, if one is connected.
+    pub(crate) fn feeder(&self, task: TaskId, port: usize) -> Option<&Cable> {
+        self.cables
+            .iter()
+            .find(|c| c.to_task == task && c.to_port == port)
+    }
+
+    /// `true` when a cable leaves `task`'s output `port`.
+    pub(crate) fn feeds(&self, task: TaskId, port: usize) -> bool {
+        self.cables
+            .iter()
+            .any(|c| c.from_task == task && c.from_port == port)
     }
 
     /// Task lookup by display name.

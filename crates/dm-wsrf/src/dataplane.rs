@@ -465,6 +465,19 @@ impl AttachmentStore {
         self.inner.lock().map.contains_key(&hash)
     }
 
+    /// Refresh `hash`'s recency, as inserting its payload again would,
+    /// and say whether the store holds it; counts nothing. A writer
+    /// that knows a payload's hash builds the payload to
+    /// [`Self::insert`] only when this is `false`.
+    pub fn touch(&self, hash: u128) -> bool {
+        let mut inner = self.inner.lock();
+        let held = inner.map.contains_key(&hash);
+        if held {
+            inner.touch(hash);
+        }
+        held
+    }
+
     /// Insert a payload, evicting LRU entries until the byte bound
     /// holds. Oversized payloads (larger than the whole store) are
     /// dropped rather than cached.

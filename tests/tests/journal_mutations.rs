@@ -6,7 +6,9 @@
 //! (text and bytes spilled to the attachment store), inline bytes and
 //! the scalars. Every mutant goes to `RunJournal::from_bytes`,
 //! `events()`, `stats()` (whose record count must be the number of
-//! events), `replay()` and `run_durable` on the case-study graph.
+//! events, whose byte count must be the verified prefix's, and whose
+//! torn count must be the bytes `from_bytes` cut off), `replay()` and
+//! `run_durable` on the case-study graph.
 //! Each must come back as a typed error or a shorter replay, never a
 //! panic, and what it decodes must be bounded by its own byte count.
 //!
@@ -40,6 +42,15 @@ const MAX_TOKEN_DEPTH: usize = 64;
 
 /// Outputs at or above this many bytes are spilled to the store.
 const INLINE_LIMIT: usize = 1024;
+
+/// Bytes of the case-study journal (3.528320 KiB).
+const PINNED_LEN: usize = 3613;
+
+/// `hash_bytes` digest of the case-study journal.
+const PINNED_DIGEST: &str = "6bc57d7fc4e0d13e5edc52f7bac6922c";
+
+/// Outputs the case-study journal stores: the dataset and the SVG.
+const PINNED_STORED: usize = 2;
 
 /// SplitMix64, seeding the byte flips.
 struct SplitMix(u64);
@@ -140,6 +151,36 @@ fn footprint(event: &RunEvent) -> usize {
     }
 }
 
+/// The case study, its store, and the journal of one durable enactment
+/// of it.
+struct Enacted {
+    toolkit: Toolkit,
+    graph: TaskGraph,
+    bindings: HashMap<(TaskId, usize), Token>,
+    store: Arc<AttachmentStore>,
+    journal: Arc<RunJournal>,
+}
+
+/// Enact the case study durably on one worker, so that the journal's
+/// virtual times are the same on every run.
+fn case_study_journal() -> Enacted {
+    let mut toolkit = Toolkit::new().unwrap();
+    let (graph, _, bindings) = build_case_study(&toolkit).unwrap();
+    toolkit.enable_durable_enactment(1);
+    let store = Arc::new(AttachmentStore::new(64 << 20));
+    let journal = Arc::new(RunJournal::with_store(Arc::clone(&store), INLINE_LIMIT));
+    toolkit.adopt_journal(Arc::clone(&journal));
+    let report = toolkit.run_durable(&graph, &bindings).unwrap();
+    assert!(report.runs.iter().all(|r| r.error.is_none()));
+    Enacted {
+        toolkit,
+        graph,
+        bindings,
+        store,
+        journal,
+    }
+}
+
 /// The case study, its store, and the base journal.
 struct Battery {
     toolkit: Toolkit,
@@ -154,17 +195,15 @@ struct Battery {
 
 impl Battery {
     fn new() -> Battery {
-        let mut toolkit = Toolkit::new().unwrap();
-        let (graph, _, bindings) = build_case_study(&toolkit).unwrap();
-        // One worker, so the journal's virtual times, and with them the
-        // mutants, are the same on every run; the mutants are enacted at
+        // The mutants are the same on every run, and are enacted at
         // width 2.
-        toolkit.enable_durable_enactment(1);
-        let store = Arc::new(AttachmentStore::new(64 << 20));
-        let journal = Arc::new(RunJournal::with_store(Arc::clone(&store), INLINE_LIMIT));
-        toolkit.adopt_journal(Arc::clone(&journal));
-        let report = toolkit.run_durable(&graph, &bindings).unwrap();
-        assert!(report.runs.iter().all(|r| r.error.is_none()));
+        let Enacted {
+            mut toolkit,
+            graph,
+            bindings,
+            store,
+            journal,
+        } = case_study_journal();
         toolkit.enable_durable_enactment(2);
 
         // Two more completions of sink tasks, covering every token kind.
@@ -248,11 +287,7 @@ impl Battery {
                 events.len() <= base_events,
                 "{what}: more events than the base"
             );
-            assert_eq!(
-                journal.stats().records,
-                events.len() as u64,
-                "{what}: stats count other records than events() returns"
-            );
+            check_stats(what, &journal, mutant, events.len());
             let held: usize = events.iter().map(footprint).sum();
             let bound = mutant.len() * (1 + std::mem::size_of::<Token>());
             assert!(
@@ -269,11 +304,7 @@ impl Battery {
         guarded("decoding with the store", &mut || {
             let events = journal.events().len();
             assert!(events <= base_events, "{what}: longer events");
-            assert_eq!(
-                journal.stats().records,
-                events as u64,
-                "{what}: stats count other records than events() returns"
-            );
+            check_stats(what, &journal, mutant, events);
             assert!(
                 journal.replay().events <= base_events,
                 "{what}: longer replay"
@@ -297,6 +328,35 @@ impl Battery {
             );
         }
     }
+}
+
+/// `journal`, rebuilt from `mutant`, counts the `events` its decoding
+/// pass returned, holds the verified prefix's bytes, and counts every
+/// byte `from_bytes` cut off as torn, and no more.
+fn check_stats(what: &str, journal: &RunJournal, mutant: &[u8], events: usize) {
+    let stats = journal.stats();
+    let kept = journal.bytes().len();
+    assert_eq!(
+        stats.records, events as u64,
+        "{what}: stats count other records than events() returns"
+    );
+    assert_eq!(stats.bytes, kept as u64, "{what}: stats count other bytes");
+    assert_eq!(
+        stats.torn_bytes,
+        (mutant.len() - kept) as u64,
+        "{what}: stats count other torn bytes than from_bytes cut off"
+    );
+}
+
+/// The journal of one durable case-study enactment is pinned byte for
+/// byte: its length and digest are those the `format!` encoder wrote.
+#[test]
+fn case_study_journal_bytes_are_pinned() {
+    let Enacted { store, journal, .. } = case_study_journal();
+    let bytes = journal.bytes();
+    let digest = format!("{:032x}", hash_bytes(&bytes));
+    assert_eq!((bytes.len(), digest.as_str()), (PINNED_LEN, PINNED_DIGEST));
+    assert_eq!(store.len(), PINNED_STORED);
 }
 
 #[test]
