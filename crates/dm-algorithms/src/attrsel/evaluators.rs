@@ -4,7 +4,10 @@
 
 use crate::classifiers::entropy;
 use crate::error::{AlgoError, Result};
-use dm_data::{Dataset, Value};
+use dm_data::{ColumnView, Dataset, Value};
+
+#[cfg(test)]
+mod reference;
 
 /// Scores all attributes of a dataset (class attribute gets 0).
 pub trait AttributeEvaluator: Send {
@@ -16,37 +19,8 @@ pub trait AttributeEvaluator: Send {
 
 const NUM_BINS: usize = 10;
 
-/// Discretised value of (row, attr): nominal index, or equal-width bin.
-fn bucket(data: &Dataset, row: usize, attr: usize, range: Option<(f64, f64)>) -> Option<usize> {
-    let v = data.value(row, attr);
-    if Value::is_missing(v) {
-        return None;
-    }
-    if data.attributes()[attr].is_nominal() {
-        return Some(Value::as_index(v));
-    }
-    let (min, max) = range?;
-    if max <= min {
-        return Some(0);
-    }
-    Some((((v - min) / (max - min) * NUM_BINS as f64) as usize).min(NUM_BINS - 1))
-}
-
-fn numeric_range(data: &Dataset, attr: usize) -> Option<(f64, f64)> {
-    if !data.attributes()[attr].is_numeric() {
-        return None;
-    }
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for r in 0..data.num_instances() {
-        let v = data.value(r, attr);
-        if !Value::is_missing(v) {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    (min <= max).then_some((min, max))
-}
+/// The score a table evaluator gives one attribute's contingency table.
+type Score = fn(&[Vec<f64>]) -> f64;
 
 fn arity(data: &Dataset, attr: usize) -> usize {
     if data.attributes()[attr].is_nominal() {
@@ -57,18 +31,42 @@ fn arity(data: &Dataset, attr: usize) -> usize {
 }
 
 /// Build the `attr × class` contingency table (weighted), skipping
-/// missing values on either side.
+/// missing values on either side. The class codes and the attribute's
+/// codes (or values, binned into [`NUM_BINS`] equal-width bins) are
+/// read straight off their columns, and each cell's weights are added
+/// in row order.
 fn contingency(data: &Dataset, attr: usize, ci: usize, k: usize) -> Vec<Vec<f64>> {
-    let range = numeric_range(data, attr);
     let mut table = vec![vec![0.0; k]; arity(data, attr)];
-    for r in 0..data.num_instances() {
-        let cv = data.value(r, ci);
-        if Value::is_missing(cv) {
-            continue;
+    let (classes, class_valid) = data
+        .column(ci)
+        .nominal()
+        .expect("class_setup checked the class is nominal");
+    let weights = data.weights();
+    match data.column(attr) {
+        ColumnView::Nominal { codes, valid } => {
+            for (r, &w) in weights.iter().enumerate() {
+                if class_valid.get(r) && valid.get(r) {
+                    table[codes.get(r)][classes.get(r)] += w;
+                }
+            }
         }
-        if let Some(b) = bucket(data, r, attr, range) {
-            table[b][Value::as_index(cv)] += data.weight(r);
+        ColumnView::Numeric { values, valid } => {
+            let Some((min, max)) = data.column(attr).numeric_range() else {
+                return table;
+            };
+            for (r, (&v, &w)) in values.iter().zip(weights).enumerate() {
+                if class_valid.get(r) && valid.get(r) {
+                    let bin = if max <= min {
+                        0
+                    } else {
+                        (((v - min) / (max - min) * NUM_BINS as f64) as usize).min(NUM_BINS - 1)
+                    };
+                    table[bin][classes.get(r)] += w;
+                }
+            }
         }
+        // Neither nominal nor binned: no cell counts.
+        ColumnView::Str { .. } => {}
     }
     table
 }
@@ -122,6 +120,9 @@ macro_rules! table_evaluator {
             pub fn new() -> $name {
                 $name
             }
+
+            /// The score of one attribute's contingency table.
+            const SCORE: Score = $score;
         }
 
         impl AttributeEvaluator for $name {
@@ -131,7 +132,7 @@ macro_rules! table_evaluator {
 
             fn evaluate_all(&self, data: &Dataset) -> Result<Vec<f64>> {
                 let (ci, k) = class_setup(data)?;
-                let score: fn(&[Vec<f64>]) -> f64 = $score;
+                let score = Self::SCORE;
                 Ok((0..data.num_attributes())
                     .map(|a| {
                         if a == ci || data.attributes()[a].is_string() {
@@ -315,7 +316,7 @@ impl AttributeEvaluator for VarianceRank {
                     }
                 } else {
                     // Range-normalised variance.
-                    let Some((min, max)) = numeric_range(data, a) else {
+                    let Some((min, max)) = data.column(a).numeric_range() else {
                         return 0.0;
                     };
                     if max <= min {
@@ -372,8 +373,9 @@ impl AttributeEvaluator for ReliefF {
             return Err(AlgoError::Data(dm_data::DataError::Empty));
         }
         let n_attrs = data.num_attributes();
-        let ranges: Vec<Option<(f64, f64)>> =
-            (0..n_attrs).map(|a| numeric_range(data, a)).collect();
+        let ranges: Vec<Option<(f64, f64)>> = (0..n_attrs)
+            .map(|a| data.column(a).numeric_range())
+            .collect();
 
         // Per-attribute difference in [0, 1].
         let diff = |a: usize, r1: usize, r2: usize| -> f64 {

@@ -15,9 +15,10 @@
 //! The data section is read in one pass. Each line's fields are split
 //! in place (a quoted field is unescaped into one reused buffer) and
 //! decoded through per-attribute decoders built once at `@data`: a
-//! hashed label→code index for nominal attributes, `parse_finite`
-//! for numeric ones, and a hashed interner for string values. Cells
-//! go straight into the [`Column`] buffers, so a cell costs no
+//! [`LabelTable`] for nominal attributes (keyed by length and end
+//! bytes, hashing only where those keys collide), `parse_finite` for
+//! numeric ones, and a hashed interner for string values. Cells go
+//! straight into the [`Column`] buffers, so a cell costs no
 //! allocation.
 //!
 //! [`parse_arff_header`] reads the header alone, through the same
@@ -43,7 +44,7 @@ pub fn parse_arff(text: &str) -> Result<Dataset> {
     let (relation, attributes, lines) = read_header(text)?;
     let mut reader = DataReader::new(&attributes);
     for (lineno, raw) in lines {
-        let line = strip_comment(raw).trim();
+        let line = trim(strip_comment(raw));
         if line.is_empty() {
             continue;
         }
@@ -143,8 +144,8 @@ fn has_directive(line: &str, directive: &str) -> bool {
 /// rows.
 struct DataReader<'a> {
     attributes: &'a [Attribute],
-    /// Label→code index per nominal attribute (`None` otherwise).
-    labels: Vec<Option<HashMap<&'a str, usize>>>,
+    /// Label→code table per nominal attribute (`None` otherwise).
+    labels: Vec<Option<LabelTable<'a>>>,
     columns: Vec<Column>,
     rows: usize,
     strings: Interner,
@@ -160,7 +161,7 @@ impl<'a> DataReader<'a> {
             attributes,
             labels: attributes
                 .iter()
-                .map(|a| a.is_nominal().then(|| label_index(a.labels())))
+                .map(|a| a.is_nominal().then(|| LabelTable::new(a.labels())))
                 .collect(),
             columns: attributes.iter().map(Column::for_attribute).collect(),
             rows: 0,
@@ -186,9 +187,9 @@ impl<'a> DataReader<'a> {
                 } else {
                     let attr = &self.attributes[count];
                     let decoded = match (&self.labels[count], attr.kind()) {
-                        (Some(index), _) => index
+                        (Some(table), _) => table
                             .get(field)
-                            .map(|&code| column.push_index(code))
+                            .map(|code| column.push_index(code))
                             .ok_or_else(|| DataError::Parse {
                                 line: lineno,
                                 message: format!(
@@ -259,8 +260,8 @@ impl<'a> DataReader<'a> {
                     Value::MISSING
                 } else {
                     match (&self.labels[idx], attr.kind()) {
-                        (Some(index), _) => {
-                            Value::from_index(*index.get(&*unquote(val)).ok_or_else(|| {
+                        (Some(table), _) => {
+                            Value::from_index(table.get(&unquote(val)).ok_or_else(|| {
                                 DataError::Parse {
                                     line: lineno,
                                     message: format!("label {val:?} not in domain"),
@@ -356,7 +357,134 @@ impl<'l> Fields<'l> {
         } else {
             self.pos = i + 1;
         }
-        Some(field.trim())
+        Some(trim(field))
+    }
+}
+
+/// `s.trim()`, skipping its char walk when both ends of `s` are
+/// visible ASCII: such a byte is a whole char, and never whitespace.
+#[inline]
+fn trim(s: &str) -> &str {
+    match s.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => s,
+        [only] if only.is_ascii_graphic() => s,
+        _ => s.trim(),
+    }
+}
+
+/// Domains of up to this many labels are searched by [`label_key`].
+const KEYED_LABELS: usize = 64;
+
+/// Odd multipliers tried, in order, to spread a domain's keys over
+/// distinct slots.
+const SPREADS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// A label, its first code, and its [`label_key`]; an empty slot's key
+/// is `u64::MAX`, which no `str` has (it would end in byte `0xFF`).
+#[derive(Clone, Copy)]
+struct Slot<'a> {
+    key: u64,
+    label: &'a str,
+    code: usize,
+}
+
+/// Label→code lookup of one nominal domain, built once at `@data`; a
+/// repeated label resolves to its first code.
+enum LabelTable<'a> {
+    /// Each distinct label in the slot its key spreads to, no two
+    /// sharing a key or a slot: a field can equal only the label in its
+    /// own slot, so a key compare and one byte compare decide.
+    Keyed {
+        slots: Vec<Slot<'a>>,
+        spread: u64,
+        shift: u32,
+    },
+    /// Domains larger than [`KEYED_LABELS`], or whose keys collide.
+    Hashed(HashMap<&'a str, usize>),
+}
+
+impl<'a> LabelTable<'a> {
+    fn new(domain: &'a [String]) -> LabelTable<'a> {
+        if domain.len() > KEYED_LABELS {
+            return LabelTable::Hashed(label_index(domain));
+        }
+        let mut distinct: Vec<Slot<'a>> = Vec::with_capacity(domain.len());
+        for (code, label) in domain.iter().enumerate() {
+            let key = label_key(label);
+            match distinct.iter().find(|s| s.key == key) {
+                None => distinct.push(Slot { key, label, code }),
+                Some(s) if s.label == label => {}
+                Some(_) => return LabelTable::Hashed(label_index(domain)),
+            }
+        }
+        // At least twice as many slots as labels (and two), up to eight
+        // times.
+        let bits = (2 * distinct.len())
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(1);
+        for bits in bits..=bits + 2 {
+            for spread in SPREADS {
+                let shift = 64 - bits;
+                let empty = Slot {
+                    key: u64::MAX,
+                    label: "",
+                    code: 0,
+                };
+                let mut slots = vec![empty; 1 << bits];
+                let placed = distinct.iter().all(|s| {
+                    let slot = &mut slots[(s.key.wrapping_mul(spread) >> shift) as usize];
+                    let free = slot.key == u64::MAX;
+                    *slot = *s;
+                    free
+                });
+                if placed {
+                    return LabelTable::Keyed {
+                        slots,
+                        spread,
+                        shift,
+                    };
+                }
+            }
+        }
+        LabelTable::Hashed(label_index(domain))
+    }
+
+    /// The code of `field`, `None` when it is not in the domain.
+    #[inline]
+    fn get(&self, field: &str) -> Option<usize> {
+        match self {
+            LabelTable::Keyed {
+                slots,
+                spread,
+                shift,
+            } => {
+                let key = label_key(field);
+                let slot = &slots[(key.wrapping_mul(*spread) >> shift) as usize];
+                // Up to two bytes, a label is its key.
+                let same = slot.key == key && (field.len() <= 2 || slot.label == field);
+                same.then_some(slot.code)
+            }
+            LabelTable::Hashed(index) => index.get(field).copied(),
+        }
+    }
+}
+
+/// A label's length and its first and last bytes, packed; 0 for the
+/// empty label.
+#[inline]
+fn label_key(label: &str) -> u64 {
+    let bytes = label.as_bytes();
+    match (bytes.first(), bytes.last()) {
+        (Some(&first), Some(&last)) => {
+            (bytes.len() as u64) << 16 | u64::from(first) << 8 | u64::from(last)
+        }
+        _ => 0,
     }
 }
 
@@ -705,6 +833,61 @@ mod tests {
                 assert!(message.contains("row has 3 values"), "{message}")
             }
             other => panic!("expected an arity error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn label_table_keys_small_domains_and_hashes_colliding_or_large_ones() {
+        let domain =
+            |labels: &[&str]| -> Vec<String> { labels.iter().map(|l| l.to_string()).collect() };
+        let keyed = |domain: &[String]| matches!(LabelTable::new(domain), LabelTable::Keyed { .. });
+        let small = domain(&["sunny", "rainy", "", "é", "a", "a", "中文x"]);
+        assert!(keyed(&small));
+        let table = LabelTable::new(&small);
+        for (field, code) in [
+            ("sunny", Some(0)),
+            ("rainy", Some(1)),
+            ("", Some(2)),
+            ("é", Some(3)),
+        ] {
+            assert_eq!(table.get(field), code, "{field:?}");
+        }
+        assert_eq!(table.get("a"), Some(4));
+        assert_eq!(table.get("中文x"), Some(6));
+        // `sonny` and `rainz` share keys with labels but are not in the domain.
+        assert_eq!(table.get("sonny"), None);
+        assert_eq!(table.get("rainz"), None);
+        assert_eq!(table.get("b"), None);
+        let colliding = domain(&["abc", "axc"]);
+        assert!(!keyed(&colliding));
+        assert_eq!(LabelTable::new(&colliding).get("axc"), Some(1));
+        let at_limit: Vec<String> = (0..KEYED_LABELS)
+            .map(|i| format!("{}{}", (b'A' + (i % 26) as u8) as char, i / 26))
+            .collect();
+        assert!(keyed(&at_limit));
+        let past: Vec<String> = (0..=KEYED_LABELS)
+            .map(|i| format!("{}{}", (b'A' + (i % 26) as u8) as char, i / 26))
+            .collect();
+        assert!(!keyed(&past));
+    }
+
+    #[test]
+    fn trim_matches_str_trim() {
+        for s in [
+            "",
+            "a",
+            " a",
+            "a ",
+            "\ta\t",
+            "ab",
+            "é",
+            " é ",
+            "\u{a0}x\u{a0}",
+            "x\u{3000}",
+            "?",
+            "a b",
+        ] {
+            assert_eq!(trim(s), s.trim(), "{s:?}");
         }
     }
 

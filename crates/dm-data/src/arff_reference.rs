@@ -566,8 +566,90 @@ mod tests {
         }
     }
 
+    /// Pieces of the labels in [`domains_arff`]: few, so labels often
+    /// share a length and end bytes, and `é`, `è` and `中` put a
+    /// multi-byte char's lead or trail byte at either end.
+    const PIECES: &[&str] = &["a", "b", "é", "è", "中", " ", ","];
+
+    /// Up to ten pieces, mostly three or fewer: the empty label, short
+    /// labels that often share a key, and labels past 8 bytes.
+    fn piece_label(g: &mut Gen) -> String {
+        let len = [0, 1, 2, 3, 3, 3, 4, 6, 10][g.below(9)];
+        (0..len).map(|_| g.pick(PIECES)).collect()
+    }
+
+    /// `label` with its inner `a`s and `b`s swapped: the same length
+    /// and end bytes, so the same key, and mostly another label.
+    fn near_miss(label: &str) -> String {
+        let chars: Vec<char> = label.chars().collect();
+        let last = chars.len().saturating_sub(1);
+        let swap = |(i, c): (usize, char)| match c {
+            'a' if i > 0 && i < last => 'b',
+            'b' if i > 0 && i < last => 'a',
+            c => c,
+        };
+        chars.into_iter().enumerate().map(swap).collect()
+    }
+
+    /// A document whose nominal domains defeat the reader's keyed label
+    /// table: labels that share a length and end bytes, repeated
+    /// labels, the empty label, long and multi-byte labels, and domains
+    /// of 1 to 300 labels (64 and 65 among them). Some documents hold
+    /// probe cells, fresh labels and near misses of domain labels that
+    /// share their key, and about a fifth of the rows are sparse with
+    /// quoted labels.
+    fn domains_arff(seed: u64) -> String {
+        let mut g = Gen(seed);
+        let mut lines = vec!["@relation domains".to_string()];
+        let mut domains: Vec<Vec<String>> = Vec::new();
+        for a in 0..1 + g.below(3) {
+            let size = [1, 2, 3, 5, 12, 63, 64, 65, 90, 300][g.below(10)];
+            let mut labels: Vec<String> = (0..size).map(|_| piece_label(&mut g)).collect();
+            if g.chance(30) {
+                let again = labels[g.below(size)].clone();
+                labels.push(again);
+            }
+            let decl: Vec<String> = labels.iter().map(|l| token(&mut g, l)).collect();
+            lines.push(format!("@attribute d{a} {{{}}}", decl.join(",")));
+            domains.push(labels);
+        }
+        lines.push("@data".into());
+        let probes = g.chance(25);
+        for _ in 0..g.below(20) {
+            let mut cells = Vec::new();
+            for domain in &domains {
+                let raw = if probes && g.chance(15) {
+                    piece_label(&mut g)
+                } else if probes && g.chance(15) {
+                    near_miss(&domain[g.below(domain.len())])
+                } else if g.chance(5) {
+                    "?".to_string()
+                } else {
+                    domain[g.below(domain.len())].clone()
+                };
+                cells.push(if raw == "?" { raw } else { token(&mut g, &raw) });
+            }
+            lines.push(if g.chance(20) {
+                let entries: Vec<String> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(a, cell)| format!("{a} {cell}"))
+                    .collect();
+                format!("{{{}}}", entries.join(", "))
+            } else {
+                cells.join(",")
+            });
+        }
+        lines.join("\n") + "\n"
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn reader_matches_reference_on_domains_that_defeat_the_label_table(seed in any::<u64>()) {
+            assert_readers_agree(&domains_arff(seed));
+        }
 
         #[test]
         fn reader_matches_reference_on_valid_arff(seed in any::<u64>()) {
@@ -641,6 +723,54 @@ mod tests {
             "@relation t\n@attribute s string\n@data\n'open\\'\n",
         ] {
             assert_readers_agree(text);
+        }
+    }
+
+    #[test]
+    fn reader_matches_reference_on_the_label_table_battery() {
+        let doc = |domain: &str, rows: &str| {
+            format!("@relation t\n@attribute a {{{domain}}}\n@attribute n numeric\n@data\n{rows}")
+        };
+        for (domain, rows) in [
+            // One key, three labels: hashed; `azc` shares the key and misses.
+            ("abc,axc,ayc", "axc,1\nayc,2\nabc,3\n"),
+            ("abc,axc,ayc", "azc,1\n"),
+            // Distinct keys: a field sharing a label's key must not match it.
+            ("abc,abd", "abd,1\nabc,2\n"),
+            ("abc,abd", "axc,1\n"),
+            // Repeated labels resolve to their first code.
+            ("a,b,a", "a,1\nb,2\n{0 a}\n"),
+            ("x,x", "x,1\n"),
+            // The empty label, quoted or as an empty field.
+            ("'',a", "'',1\n,2\na,3\n"),
+            ("a", ",1\n"),
+            // Past 8 bytes, with and without a shared key.
+            ("abcdefghij,abcdefghiJ", "abcdefghiJ,1\nabcdefghij,2\n"),
+            (
+                "abcdefghij,abcdefgxij",
+                "abcdefgxij,1\nabcdefghij,2\nabcdefgyij,3\n",
+            ),
+            // Multi-byte: `éa` and `èa` share length, lead byte and end.
+            ("éa,èa,中文", "èa,1\néa,2\n中文,3\n"),
+            ("éa,èa", "êa,1\n"),
+            // Quoted labels in sparse rows.
+            (
+                "'a b','c,d',e",
+                "{0 'a b', 1 2}\n{0 'c,d'}\n{1 3}\n{0 'a  b'}\n",
+            ),
+        ] {
+            assert_readers_agree(&doc(domain, rows));
+        }
+        // Two-byte labels with distinct keys: keyed up to 64, hashed past.
+        for size in [63usize, 64, 65, 300] {
+            let label = |i: usize| format!("{}{}", (b'A' + (i % 26) as u8) as char, i / 26);
+            let labels: Vec<String> = (0..size).map(label).collect();
+            let rows: String = (0..size)
+                .rev()
+                .map(|i| format!("{},{i}\n", label(i)))
+                .collect();
+            assert_readers_agree(&doc(&labels.join(","), &rows));
+            assert_readers_agree(&doc(&labels.join(","), &format!("{rows}A99,0\n")));
         }
     }
 

@@ -127,6 +127,16 @@ impl Codes {
         }
     }
 
+    /// `codes`, stored at [`Codes::for_arity`]'s width (each must be
+    /// below `arity`).
+    pub fn from_codes(arity: usize, codes: impl Iterator<Item = usize>) -> Codes {
+        match Codes::for_arity(arity) {
+            Codes::U8(_) => Codes::U8(codes.map(|c| c as u8).collect()),
+            Codes::U16(_) => Codes::U16(codes.map(|c| c as u16).collect()),
+            Codes::U32(_) => Codes::U32(codes.map(|c| c as u32).collect()),
+        }
+    }
+
     /// Number of stored codes.
     pub fn len(&self) -> usize {
         match self {
@@ -618,6 +628,28 @@ impl<'a> ColumnView<'a> {
             ColumnView::Numeric { values, valid } => Some((values, valid)),
             _ => None,
         }
+    }
+
+    /// Min/max of the present cells of a numeric column; `None` when
+    /// the column is not numeric or has no present cell.
+    pub fn numeric_range(&self) -> Option<(f64, f64)> {
+        let (values, valid) = self.numeric()?;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        if valid.all_valid() {
+            for &v in values {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        } else {
+            for (r, &v) in values.iter().enumerate() {
+                if valid.get(r) {
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+            }
+        }
+        (min <= max).then_some((min, max))
     }
 
     /// The code view and validity, when this is a nominal column.

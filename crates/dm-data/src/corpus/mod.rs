@@ -15,5 +15,5 @@ mod synthetic;
 mod weather;
 
 pub use breast_cancer::{breast_cancer, breast_cancer_arff};
-pub use synthetic::{gaussian_blobs, market_baskets, nominal_classification, BlobSpec};
+pub use synthetic::{gaussian_blobs, irregular, market_baskets, nominal_classification, BlobSpec};
 pub use weather::{weather_nominal, weather_numeric};

@@ -137,6 +137,94 @@ pub fn nominal_classification(
     ds
 }
 
+/// A seeded dataset holding the corners a column-wise kernel must
+/// treat as its row-wise predecessor did: 0 to 300 rows; numeric
+/// columns drawn from a grid that holds `-0.0` beside `0.0`, from a
+/// continuum, or constant; nominal domains of 1 to 300 labels; cells
+/// missing at up to 30 %; fractional and zero weights, some of whose
+/// sums round, so that the order of additions shows; and a class that
+/// is the last (nominal) attribute, another attribute, or unset. No
+/// string attributes. The differential tests of the dataset kernels
+/// run over it.
+pub fn irregular(seed: u64) -> Dataset {
+    const GRID: [f64; 7] = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0];
+    enum Cells {
+        Nominal(usize),
+        Grid,
+        Continuum,
+        Constant(f64),
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = [0, 1, 2, 7, 40, 150, 300][rng.random_range(0..7usize)];
+    let missing = [0.0, 0.05, 0.3][rng.random_range(0..3usize)];
+    let weighted = rng.random_bool(0.5);
+    let n_attrs = 1 + rng.random_range(0..6usize);
+    let mut attributes = Vec::new();
+    let mut cells = Vec::new();
+    for a in 0..n_attrs {
+        let kind = match rng.random_range(0..5usize) {
+            0 | 1 => Cells::Nominal([1, 2, 3, 7, 64, 65, 300][rng.random_range(0..7usize)]),
+            2 => Cells::Grid,
+            3 => Cells::Continuum,
+            _ => Cells::Constant(GRID[rng.random_range(0..GRID.len())]),
+        };
+        attributes.push(match kind {
+            Cells::Nominal(arity) => {
+                Attribute::nominal(format!("n{a}"), (0..arity).map(|l| format!("v{l}")))
+            }
+            _ => Attribute::numeric(format!("x{a}")),
+        });
+        cells.push(kind);
+    }
+    let k = 1 + rng.random_range(0..4usize);
+    attributes.push(Attribute::nominal("class", (0..k).map(|c| format!("c{c}"))));
+    let mut ds = Dataset::new(format!("irregular-{seed}"), attributes);
+    let class = match rng.random_range(0..5usize) {
+        0 => None,
+        1 => Some(rng.random_range(0..n_attrs)),
+        _ => Some(n_attrs),
+    };
+    ds.set_class_index(class).expect("class in range");
+    for _ in 0..rows {
+        let mut score = 0.0f64;
+        let mut row: Vec<f64> = cells
+            .iter()
+            .map(|kind| {
+                let v = match kind {
+                    Cells::Nominal(arity) => Value::from_index(rng.random_range(0..*arity)),
+                    Cells::Grid => GRID[rng.random_range(0..GRID.len())],
+                    Cells::Continuum => rng.random_range(-5.0..5.0),
+                    Cells::Constant(v) => *v,
+                };
+                score += v;
+                if rng.random_bool(missing) {
+                    Value::MISSING
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let label = if rng.random_bool(0.1) {
+            rng.random_range(0..k)
+        } else {
+            score.abs() as usize % k
+        };
+        row.push(if rng.random_bool(missing / 2.0) {
+            Value::MISSING
+        } else {
+            Value::from_index(label)
+        });
+        let weight = if weighted && rng.random_bool(0.3) {
+            [0.0, 0.1, 0.25, 1.0 / 3.0, 1.5, 2.75][rng.random_range(0..6usize)]
+        } else {
+            1.0
+        };
+        ds.push_row_weighted(row, weight)
+            .expect("row fits the header");
+    }
+    ds
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

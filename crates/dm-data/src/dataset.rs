@@ -176,6 +176,32 @@ impl Dataset {
         }
     }
 
+    /// A copy with each attribute for which `replace` gives a new
+    /// attribute and column swapped for them; every other column is
+    /// cloned, and the weights, class index and string table carry
+    /// over. A new column must hold one cell per row.
+    pub(crate) fn with_replaced_columns(
+        &self,
+        mut replace: impl FnMut(usize) -> Option<(Attribute, Column)>,
+    ) -> Dataset {
+        let (mut attributes, mut columns) = (Vec::new(), Vec::new());
+        for (a, (attr, column)) in self.attributes.iter().zip(&self.columns).enumerate() {
+            let (attr, column) = replace(a).unwrap_or_else(|| (attr.clone(), column.clone()));
+            debug_assert_eq!(column.len(), self.num_rows);
+            attributes.push(attr);
+            columns.push(column);
+        }
+        Dataset {
+            relation: self.relation.clone(),
+            attributes,
+            columns,
+            num_rows: self.num_rows,
+            weights: self.weights.clone(),
+            class_index: self.class_index,
+            strings: self.strings.clone(),
+        }
+    }
+
     /// The relation name (ARFF `@relation`).
     pub fn relation(&self) -> &str {
         &self.relation
@@ -382,6 +408,12 @@ impl Dataset {
     #[inline]
     pub fn weight(&self, row: usize) -> f64 {
         self.weights[row]
+    }
+
+    /// Every row's weight, in row order.
+    #[inline]
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     /// Set the weight of `row`.

@@ -6,11 +6,15 @@
 //! replayed on test data without leaking statistics.
 
 use crate::attribute::{Attribute, AttributeKind};
+use crate::column::{Codes, Column};
 use crate::dataset::{Dataset, Value};
 use crate::error::{DataError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+#[cfg(test)]
+mod reference;
 
 /// A fitted, replayable dataset transformation.
 pub trait Filter {
@@ -19,28 +23,41 @@ pub trait Filter {
     fn apply(&self, ds: &Dataset) -> Result<Dataset>;
 }
 
-/// Min/max of the present cells of numeric attribute `a`, read straight
-/// off the columnar buffer and its validity bitmap; `None` when the
-/// attribute is non-numeric or has no present values.
-fn numeric_range(ds: &Dataset, a: usize) -> Option<(f64, f64)> {
-    let col = ds.column(a);
-    let (values, valid) = col.numeric()?;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    if valid.all_valid() {
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    } else {
-        for (r, &v) in values.iter().enumerate() {
-            if valid.get(r) {
-                min = min.min(v);
-                max = max.max(v);
+/// The column-wise rebuild both discretisers share: a copy of `ds` in
+/// which each attribute `a` that `binned(a)` gives labels and a binning
+/// for becomes a nominal attribute over those labels. A present cell's
+/// code is the binning of its value, read straight off the numeric
+/// buffer; a missing cell stays missing. Every other column, the
+/// weights, the class index and the string table carry over.
+fn rebuild_binned<B: Fn(f64) -> usize>(
+    ds: &Dataset,
+    binned: impl Fn(usize) -> Option<(Vec<String>, B)>,
+) -> Dataset {
+    ds.with_replaced_columns(|a| {
+        let (labels, bin) = binned(a)?;
+        let col = ds.column(a);
+        let valid = col.validity();
+        let code = |r: usize, v: f64| if valid.get(r) { bin(v) } else { 0 };
+        let arity = labels.len();
+        let codes = match col.numeric() {
+            Some((values, _)) => {
+                Codes::from_codes(arity, values.iter().enumerate().map(|(r, &v)| code(r, v)))
             }
-        }
-    }
-    (min <= max).then_some((min, max))
+            // A header that disagrees with the fitted one: bin the
+            // encoded cells, as the filter always has.
+            None => Codes::from_codes(arity, (0..valid.len()).map(|r| code(r, col.get(r)))),
+        };
+        let attr = Attribute::nominal(ds.attributes()[a].name(), labels);
+        let valid = valid.clone();
+        Some((
+            attr,
+            Column::Nominal {
+                codes,
+                arity,
+                valid,
+            },
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -62,7 +79,7 @@ impl Normalize {
                 ranges.push(None);
                 continue;
             }
-            ranges.push(numeric_range(ds, a));
+            ranges.push(ds.column(a).numeric_range());
         }
         Normalize { ranges }
     }
@@ -267,18 +284,19 @@ impl Discretize {
                 cuts.push(None);
                 continue;
             }
-            cuts.push(numeric_range(ds, a));
+            cuts.push(ds.column(a).numeric_range());
         }
         Ok(Discretize { bins, cuts })
     }
 
-    fn bin_of(&self, a: usize, v: f64) -> usize {
-        let (min, max) = self.cuts[a].expect("checked by caller");
+    /// The equal-width bin of `v` in `[min, max]`, clamped to the last
+    /// bin.
+    fn bin_of(bins: usize, (min, max): (f64, f64), v: f64) -> usize {
         if max == min {
             return 0;
         }
-        let b = ((v - min) / (max - min) * self.bins as f64).floor() as usize;
-        b.min(self.bins - 1)
+        let b = ((v - min) / (max - min) * bins as f64).floor() as usize;
+        b.min(bins - 1)
     }
 }
 
@@ -290,37 +308,11 @@ impl Filter for Discretize {
                 expected: self.cuts.len(),
             });
         }
-        // Rebuild the header with binned attributes replaced by nominal.
-        let attributes: Vec<Attribute> = ds
-            .attributes()
-            .iter()
-            .enumerate()
-            .map(|(a, attr)| {
-                if self.cuts[a].is_some() {
-                    let labels: Vec<String> =
-                        (0..self.bins).map(|b| format!("bin{}", b + 1)).collect();
-                    Attribute::nominal(attr.name(), labels)
-                } else {
-                    attr.clone()
-                }
-            })
-            .collect();
-        let mut out = Dataset::new(ds.relation(), attributes);
-        out.set_class_index(ds.class_index())?;
-        for r in 0..ds.num_instances() {
-            let row: Vec<f64> = (0..ds.num_attributes())
-                .map(|a| {
-                    let v = ds.value(r, a);
-                    if Value::is_missing(v) || self.cuts[a].is_none() {
-                        v
-                    } else {
-                        Value::from_index(self.bin_of(a, v))
-                    }
-                })
-                .collect();
-            out.push_row_weighted(row, ds.weight(r))?;
-        }
-        Ok(out)
+        Ok(rebuild_binned(ds, |a| {
+            let range = self.cuts[a]?;
+            let labels = (0..self.bins).map(|b| format!("bin{}", b + 1)).collect();
+            Some((labels, move |v| Self::bin_of(self.bins, range, v)))
+        }))
     }
 }
 
@@ -371,6 +363,25 @@ impl SupervisedDiscretize {
     /// The learned cut points of attribute `a` (empty if none accepted).
     pub fn cut_points(&self, a: usize) -> &[f64] {
         self.cuts.get(a).and_then(|c| c.as_deref()).unwrap_or(&[])
+    }
+
+    /// The labels of the bins `cuts` bound: `'All'` when there is no
+    /// cut.
+    fn interval_labels(cuts: &[f64]) -> Vec<String> {
+        if cuts.is_empty() {
+            return vec!["'All'".to_string()];
+        }
+        (0..=cuts.len())
+            .map(|b| {
+                if b == 0 {
+                    format!("(-inf..{}]", cuts[0])
+                } else if b == cuts.len() {
+                    format!("({}..inf)", cuts[b - 1])
+                } else {
+                    format!("({}..{}]", cuts[b - 1], cuts[b])
+                }
+            })
+            .collect()
     }
 
     fn class_counts(pairs: &[(f64, usize)], k: usize) -> Vec<f64> {
@@ -458,50 +469,12 @@ impl Filter for SupervisedDiscretize {
                 expected: self.cuts.len(),
             });
         }
-        let attributes: Vec<Attribute> = ds
-            .attributes()
-            .iter()
-            .enumerate()
-            .map(|(a, attr)| match &self.cuts[a] {
-                None => attr.clone(),
-                Some(cuts) if cuts.is_empty() => {
-                    Attribute::nominal(attr.name(), ["'All'".to_string()])
-                }
-                Some(cuts) => {
-                    let labels: Vec<String> = (0..=cuts.len())
-                        .map(|b| {
-                            if b == 0 {
-                                format!("(-inf..{}]", cuts[0])
-                            } else if b == cuts.len() {
-                                format!("({}..inf)", cuts[b - 1])
-                            } else {
-                                format!("({}..{}]", cuts[b - 1], cuts[b])
-                            }
-                        })
-                        .collect();
-                    Attribute::nominal(attr.name(), labels)
-                }
-            })
-            .collect();
-        let mut out = Dataset::new(ds.relation(), attributes);
-        out.set_class_index(ds.class_index())?;
-        for r in 0..ds.num_instances() {
-            let row: Vec<f64> = (0..ds.num_attributes())
-                .map(|a| {
-                    let v = ds.value(r, a);
-                    match &self.cuts[a] {
-                        None => v,
-                        Some(_) if Value::is_missing(v) => v,
-                        Some(cuts) => {
-                            let bin = cuts.iter().take_while(|&&c| v > c).count();
-                            Value::from_index(bin)
-                        }
-                    }
-                })
-                .collect();
-            out.push_row_weighted(row, ds.weight(r))?;
-        }
-        Ok(out)
+        Ok(rebuild_binned(ds, |a| {
+            let cuts = self.cuts[a].as_deref()?;
+            Some((Self::interval_labels(cuts), move |v| {
+                cuts.iter().take_while(|&&c| v > c).count()
+            }))
+        }))
     }
 }
 
@@ -654,6 +627,43 @@ mod tests {
     fn discretize_rejects_single_bin() {
         let ds = toy();
         assert!(Discretize::fit(&ds, 1).is_err());
+    }
+
+    #[test]
+    fn discretizers_keep_string_attributes() {
+        let mut ds = Dataset::new(
+            "notes",
+            vec![
+                Attribute::string("note"),
+                Attribute::numeric("x"),
+                Attribute::nominal("c", ["p", "n"]),
+            ],
+        );
+        ds.set_class_index(Some(2)).unwrap();
+        for i in 0..8 {
+            let note = ds.intern_string(["low", "high", "o'neil"][i % 3]);
+            let note = if i == 5 { f64::NAN } else { note as f64 };
+            ds.push_row(vec![note, i as f64, f64::from(u8::from(i >= 4))])
+                .unwrap();
+        }
+        let equal_width = Discretize::fit(&ds, 2).unwrap().apply(&ds).unwrap();
+        let mdl = SupervisedDiscretize::fit(&ds).unwrap().apply(&ds).unwrap();
+        for out in [equal_width, mdl] {
+            assert_eq!(out.strings(), ds.strings());
+            assert_eq!(out.attribute(0).unwrap(), ds.attribute(0).unwrap());
+            for r in 0..ds.num_instances() {
+                assert_eq!(out.format_value(r, 0), ds.format_value(r, 0), "row {r}");
+            }
+            assert!(out.attribute(1).unwrap().is_nominal());
+            assert_eq!(
+                out.instance(0).label(1),
+                out.attribute(1)
+                    .unwrap()
+                    .labels()
+                    .first()
+                    .map(String::as_str)
+            );
+        }
     }
 
     #[test]

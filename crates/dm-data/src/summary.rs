@@ -8,6 +8,9 @@
 use crate::attribute::AttributeKind;
 use crate::dataset::Dataset;
 
+#[cfg(test)]
+mod reference;
+
 /// Summary row for a single attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeSummary {
@@ -65,6 +68,28 @@ fn pct(part: f64, whole: f64) -> u32 {
     }
 }
 
+/// The number of distinct values among `values`, and of values that
+/// occur once. Sorting groups equal values (`-0.0` with `0.0`) into
+/// runs, whatever order a run's members take.
+fn distinct_and_unique(values: &mut [f64]) -> (usize, usize) {
+    values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN present"));
+    let mut distinct = 0usize;
+    let mut unique = 0usize;
+    let mut i = 0;
+    while i < values.len() {
+        let mut j = i + 1;
+        while j < values.len() && values[j] == values[i] {
+            j += 1;
+        }
+        distinct += 1;
+        if j - i == 1 {
+            unique += 1;
+        }
+        i = j;
+    }
+    (distinct, unique)
+}
+
 impl DatasetSummary {
     /// Compute the summary of a dataset.
     pub fn of(ds: &Dataset) -> DatasetSummary {
@@ -78,44 +103,39 @@ impl DatasetSummary {
         for a in 0..ds.num_attributes() {
             let attr = ds.attribute(a).expect("index in range");
             // Missing counts come straight off the validity bitmap
-            // (popcount per word); the value scan only visits cells
+            // (popcount per word); the value scans only visit cells
             // the bitmap marks present, so no NaN probing is needed.
             let col = ds.column(a);
             let valid = col.validity();
             let missing = valid.count_missing();
-            let mut ints = 0usize;
-            let mut reals = 0usize;
-            let mut values: Vec<f64> = Vec::with_capacity(n - missing);
-            for r in 0..n {
-                if valid.get(r) {
-                    let v = col.get(r);
-                    values.push(v);
-                    if v == v.trunc() {
-                        ints += 1;
-                    } else {
-                        reals += 1;
-                    }
-                }
-            }
             total_missing += missing;
             let present = n - missing;
-
-            // Count distinct and unique values.
-            values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN present"));
-            let mut distinct = 0usize;
-            let mut unique = 0usize;
-            let mut i = 0;
-            while i < values.len() {
-                let mut j = i + 1;
-                while j < values.len() && values[j] == values[i] {
-                    j += 1;
+            let (ints, reals, distinct, unique) = match col.nominal() {
+                // Codes are integral and below the arity: count them.
+                Some((codes, valid)) => {
+                    let mut counts = vec![0u32; attr.num_labels()];
+                    for r in 0..n {
+                        if valid.get(r) {
+                            counts[codes.get(r)] += 1;
+                        }
+                    }
+                    let distinct = counts.iter().filter(|&&c| c > 0).count();
+                    let unique = counts.iter().filter(|&&c| c == 1).count();
+                    (present, 0, distinct, unique)
                 }
-                distinct += 1;
-                if j - i == 1 {
-                    unique += 1;
+                None => {
+                    let mut values: Vec<f64> = match col.numeric() {
+                        Some((cells, _)) if missing == 0 => cells.to_vec(),
+                        _ => (0..n)
+                            .filter(|&r| valid.get(r))
+                            .map(|r| col.get(r))
+                            .collect(),
+                    };
+                    let ints = values.iter().filter(|&&v| v == v.trunc()).count();
+                    let (distinct, unique) = distinct_and_unique(&mut values);
+                    (ints, values.len() - ints, distinct, unique)
                 }
-                i = j;
-            }
+            };
 
             let (type_name, nominal_pct, int_pct, real_pct) = match attr.kind() {
                 AttributeKind::Nominal(_) => {

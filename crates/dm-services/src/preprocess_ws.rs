@@ -374,6 +374,33 @@ mod tests {
     }
 
     #[test]
+    fn discretizers_keep_string_attributes() {
+        let text = "@relation notes\n@attribute note string\n@attribute x numeric\n\
+            @attribute c {a,b}\n@data\nlow,1,a\nhigh,2,a\n'o\\'neil',3,b\n?,4,b\nlow,5,b\n";
+        let s = PreprocessService::new();
+        for (op, class) in [
+            ("discretize", "c"),
+            ("discretizeSupervised", "c"),
+            ("discretize", ""),
+        ] {
+            let args = vec![
+                ("dataset".to_string(), SoapValue::Text(text.to_string())),
+                ("class".to_string(), SoapValue::Text(class.to_string())),
+            ];
+            let out = s
+                .invoke(op, &args)
+                .unwrap_or_else(|e| panic!("{op}: {e:?}"));
+            let ds = dm_data::arff::parse_arff(out.as_text().unwrap()).unwrap();
+            assert!(ds.attribute(0).unwrap().is_string(), "{op}");
+            let notes: Vec<String> = (0..ds.num_instances())
+                .map(|r| ds.format_value(r, 0))
+                .collect();
+            assert_eq!(notes, ["low", "high", "o'neil", "?", "low"], "{op}");
+            assert!(ds.attribute(1).unwrap().is_nominal(), "{op}");
+        }
+    }
+
+    #[test]
     fn bad_attribute_name_faults() {
         let s = PreprocessService::new();
         let err = s

@@ -261,7 +261,7 @@ impl Orchestrator<'_> {
         let Some(journal) = self.journal else {
             return Ok(());
         };
-        journal.write(record());
+        journal.write(record())?;
         self.appended += 1;
         if self.kill_after == Some(self.appended) {
             return Err(WorkflowError::Crashed {
@@ -1359,11 +1359,13 @@ mod tests {
     /// holds `event`.
     fn forged_journal(g: &TaskGraph, event: RunEvent) -> Arc<RunJournal> {
         let journal = RunJournal::new();
-        journal.append(&RunEvent::RunStarted {
-            tasks: g.num_tasks(),
-            fingerprint: g.structure_fingerprint(),
-        });
-        journal.append(&event);
+        journal
+            .append(&RunEvent::RunStarted {
+                tasks: g.num_tasks(),
+                fingerprint: g.structure_fingerprint(),
+            })
+            .unwrap();
+        journal.append(&event).unwrap();
         Arc::new(RunJournal::from_bytes(&journal.bytes()))
     }
 
@@ -1425,6 +1427,54 @@ mod tests {
                     if *task == src && reason.contains("0 outputs")),
                 "{workers} workers: {err}"
             );
+        }
+    }
+
+    /// Emits a list nested one deeper than the run journal's decoder
+    /// accepts.
+    struct DeepList;
+
+    impl crate::graph::Tool for DeepList {
+        fn name(&self) -> &str {
+            "DeepList"
+        }
+
+        fn input_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![]
+        }
+
+        fn output_ports(&self) -> Vec<crate::graph::PortSpec> {
+            vec![crate::graph::PortSpec::new("value", "list")]
+        }
+
+        fn execute(&self, _inputs: &[Token]) -> std::result::Result<Vec<Token>, String> {
+            let mut deep = Token::Null;
+            for _ in 0..=64 {
+                deep = Token::List(vec![deep]);
+            }
+            Ok(vec![deep])
+        }
+    }
+
+    #[test]
+    fn an_output_the_journal_refuses_ends_the_run_naming_the_task() {
+        for workers in [1, 4] {
+            let mut g = TaskGraph::new();
+            g.add_named_task("src", Arc::new(ConstText("x".into())));
+            g.add_named_task("deep", Arc::new(DeepList));
+            let journal = Arc::new(RunJournal::new());
+            let config = DurableConfig::new(Arc::clone(&journal)).with_workers(workers);
+            let err = Executor::parallel()
+                .run_durable(&g, &HashMap::new(), &config)
+                .unwrap_err();
+            assert!(
+                matches!(&err, WorkflowError::JournalRefused { task, .. } if task == "deep"),
+                "{workers} workers: {err}"
+            );
+            // Every record the journal holds decodes.
+            let stats = journal.stats();
+            assert_eq!(journal.events().len() as u64, stats.records);
+            assert_eq!((stats.records, stats.torn_bytes), (stats.appends, 0));
         }
     }
 

@@ -74,6 +74,15 @@ pub enum WorkflowError {
         /// What does not fit.
         reason: String,
     },
+    /// The run journal refused a task's completion: its record could
+    /// not be read back (an output nests lists deeper than the decoder
+    /// accepts), so journaling it would hide every later record.
+    JournalRefused {
+        /// Task name.
+        task: String,
+        /// Why the record was refused.
+        reason: String,
+    },
     /// A tool name was not found in the toolbox.
     UnknownTool(String),
     /// The composition planner found no placeable replica for a step
@@ -128,6 +137,9 @@ impl fmt::Display for WorkflowError {
                 f,
                 "journal record for task {task} does not fit the workflow: {reason}"
             ),
+            WorkflowError::JournalRefused { task, reason } => {
+                write!(f, "run journal refused the completion of {task:?}: {reason}")
+            }
             WorkflowError::UnknownTool(name) => write!(f, "no tool named {name:?}"),
             WorkflowError::NoCandidates { step, category } => write!(
                 f,

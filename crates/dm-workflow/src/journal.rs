@@ -50,6 +50,7 @@
 //! names, failure messages, and inline tokens may contain any byte
 //! sequence.
 
+use crate::error::WorkflowError;
 use crate::graph::{TaskId, Token};
 use dm_wsrf::dataplane::{content_ref, hash_bytes, AttachmentStore, Payload};
 use dm_wsrf::soap::RefKind;
@@ -72,7 +73,8 @@ pub const DEFAULT_INLINE_LIMIT: usize = 1024;
 
 /// Deepest list nesting the decoder accepts. A record nested deeper is
 /// rejected as malformed (and dropped like a torn tail) instead of
-/// recursing until the stack overflows.
+/// recursing until the stack overflows, so an append refuses to write
+/// one.
 const MAX_TOKEN_DEPTH: usize = 64;
 
 /// One event in the enactment's history.
@@ -327,43 +329,23 @@ struct Index {
     bytes: u64,
     /// Records indexed so far.
     records: u64,
-    /// The records whose decoding depends on the store, or that the
-    /// decoder rejects, in log order.
-    marks: Vec<Mark>,
-    /// Stored outputs' hashes: each mark's range.
+    /// Each record that stored outputs, in log order: the range of
+    /// [`Index::hashes`] holding their hashes, in payload order. The
+    /// decoder fetches them from the store and skips the record when
+    /// one is missing.
+    marks: Vec<Range<usize>>,
+    /// Stored outputs' hashes.
     hashes: Vec<u128>,
 }
 
-/// A record that stored outputs, or that the decoder rejects.
-struct Mark {
-    /// The record's position in the log: the records before it.
-    record: u64,
-    /// The record's byte offset.
-    offset: u64,
-    /// The hashes, in [`Index::hashes`], of the outputs the decoder
-    /// fetches from the store, in payload order; a missing one makes it
-    /// skip the record.
-    hashes: Range<usize>,
-    /// Once it holds those outputs, the decoder rejects the record, and
-    /// drops it and every later one like a torn tail: the record nests
-    /// lists deeper than [`MAX_TOKEN_DEPTH`].
-    rejected: bool,
-}
-
 impl Index {
-    /// Count the record at `offset`, which ends at `end`: it stored the
-    /// outputs hashed `stored` (those before the list the decoder
-    /// rejects, if `rejected`).
-    fn push(&mut self, offset: usize, stored: &[u128], rejected: bool, end: usize) {
-        if !stored.is_empty() || rejected {
+    /// Count a record, which ends at `end` and stored the outputs
+    /// hashed `stored`.
+    fn push(&mut self, stored: &[u128], end: usize) {
+        if !stored.is_empty() {
             let from = self.hashes.len();
             self.hashes.extend_from_slice(stored);
-            self.marks.push(Mark {
-                record: self.records,
-                offset: offset as u64,
-                hashes: from..self.hashes.len(),
-                rejected,
-            });
+            self.marks.push(from..self.hashes.len());
         }
         self.records += 1;
         self.bytes = end as u64;
@@ -429,7 +411,7 @@ impl RunJournal {
             stored.clear();
             match decode_record(bytes, pos, &mut Stored::Collect(&mut stored)) {
                 Some((next, _)) => {
-                    index.push(pos, &stored, false, next);
+                    index.push(&stored, next);
                     pos = next;
                 }
                 None => break,
@@ -455,14 +437,19 @@ impl RunJournal {
     }
 
     /// Append one event as a checksummed, version-enveloped record.
-    pub fn append(&self, event: &RunEvent) {
-        self.write(Record::from(event));
+    /// An event the decoder could not read back, a completion whose
+    /// outputs nest lists deeper than [`MAX_TOKEN_DEPTH`], is refused
+    /// with [`WorkflowError::JournalRefused`] and nothing is written
+    /// (a stored output before the deep list may already be in the
+    /// store, which holds content, not records).
+    pub fn append(&self, event: &RunEvent) -> crate::Result<()> {
+        self.write(Record::from(event))
     }
 
     /// Append `record` as [`Self::append`] appends the event it
     /// borrows from: encoded in place into the journal's own buffers,
     /// under its lock, and counted in the index.
-    pub(crate) fn write(&self, record: Record<'_>) {
+    pub(crate) fn write(&self, record: Record<'_>) -> crate::Result<()> {
         let mut log = self.log.lock();
         let Log {
             bytes,
@@ -478,8 +465,16 @@ impl RunJournal {
             rejected: false,
         };
         write_record(payload, record, &mut spill);
-        let rejected = spill.rejected;
-        let offset = bytes.len();
+        if spill.rejected {
+            let task = match record {
+                Record::TaskCompleted { name, .. } => name,
+                _ => unreachable!("only completions carry tokens"),
+            };
+            return Err(WorkflowError::JournalRefused {
+                task: task.to_string(),
+                reason: format!("an output nests lists deeper than {MAX_TOKEN_DEPTH}"),
+            });
+        }
         bytes.extend_from_slice(MAGIC.as_bytes());
         bytes.push(b' ');
         push_decimal(bytes, payload.len() as u64);
@@ -488,10 +483,9 @@ impl RunJournal {
         bytes.push(b'\n');
         bytes.extend_from_slice(payload);
         bytes.push(b'\n');
-        self.index
-            .lock()
-            .push(offset, stored, rejected, bytes.len());
+        self.index.lock().push(stored, bytes.len());
         self.appends.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The encoded journal. This is the durable artifact: everything a
@@ -588,23 +582,18 @@ impl RunJournal {
     pub fn stats(&self) -> JournalStats {
         let index = self.index.lock();
         let held = |hash| self.store.as_ref().is_some_and(|s| s.contains(hash));
-        let (mut records, mut missing, mut torn) = (index.records, 0, 0);
-        for mark in &index.marks {
-            if !index.hashes[mark.hashes.clone()].iter().all(|&h| held(h)) {
-                missing += 1;
-            } else if mark.rejected {
-                records = mark.record;
-                torn = index.bytes - mark.offset;
-                break;
-            }
-        }
+        let missing = index
+            .marks
+            .iter()
+            .filter(|&mark| !index.hashes[mark.clone()].iter().all(|&h| held(h)))
+            .count() as u64;
         JournalStats {
             appends: self.appends.load(Ordering::Relaxed),
-            records: records - missing,
+            records: index.records - missing,
             bytes: index.bytes,
             replay_hits: self.replay_hits.load(Ordering::Relaxed),
             redeliveries: self.redeliveries.load(Ordering::Relaxed),
-            torn_bytes: torn + self.torn_dropped,
+            torn_bytes: self.torn_dropped,
             missing_payloads: missing,
         }
     }
@@ -624,8 +613,7 @@ struct Spill<'a> {
     /// no store every token stays inline.
     store: Option<&'a AttachmentStore>,
     inline_limit: usize,
-    /// The stored outputs' hashes, in payload order, up to the first
-    /// list the decoder rejects.
+    /// The stored outputs' hashes, in payload order.
     stored: &'a mut Vec<u128>,
     /// The payload nests a list deeper than the decoder accepts.
     rejected: bool,
@@ -723,9 +711,7 @@ fn write_token(out: &mut Vec<u8>, token: &Token, depth: usize, spill: &mut Spill
                     store.insert(r.hash, payload);
                 }
             }
-            if !spill.rejected {
-                spill.stored.push(r.hash);
-            }
+            spill.stored.push(r.hash);
             out.push(b's');
             push_handle(out, r.hash, r.len, r.kind);
             return;
@@ -1366,7 +1352,7 @@ mod tests {
         let journal = RunJournal::new();
         let events = sample_events();
         for e in &events {
-            journal.append(e);
+            journal.append(e).unwrap();
         }
         assert_eq!(journal.events(), events);
         // A process boundary: only the bytes survive.
@@ -1382,7 +1368,7 @@ mod tests {
     fn torn_tail_is_dropped_not_trusted() {
         let journal = RunJournal::new();
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
         let full = journal.bytes();
         // Cut mid-way through the final record.
@@ -1400,7 +1386,7 @@ mod tests {
     fn corrupt_record_stops_decoding_conservatively() {
         let journal = RunJournal::new();
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
         let mut bytes = journal.bytes();
         // Flip a payload byte in the middle of the log: that record's
@@ -1420,7 +1406,7 @@ mod tests {
     fn replay_aggregates_run_state() {
         let journal = RunJournal::new();
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
         let replay = journal.replay();
         assert_eq!(replay.started, Some((3, 0xDEAD_BEEF)));
@@ -1450,7 +1436,7 @@ mod tests {
             sheds: 0,
             outputs: vec![Token::Text(big.clone()), Token::Text("small".into())],
         };
-        journal.append(&event);
+        journal.append(&event).unwrap();
         // The journal stays small: the 10 kB payload lives in the store.
         assert!(
             journal.bytes().len() < 300,
@@ -1481,19 +1467,23 @@ mod tests {
         let store = Arc::new(AttachmentStore::new(25_000));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
         let output = Token::Text("o".repeat(10_000));
-        journal.append(&RunEvent::TaskCompleted {
-            task: 0,
-            name: "produce".into(),
-            attempts: 1,
-            virtual_nanos: 0,
-            cached: false,
-            sheds: 0,
-            outputs: vec![output.clone()],
-        });
-        journal.append(&RunEvent::RunFinished {
-            tasks: 1,
-            virtual_nanos: 0,
-        });
+        journal
+            .append(&RunEvent::TaskCompleted {
+                task: 0,
+                name: "produce".into(),
+                attempts: 1,
+                virtual_nanos: 0,
+                cached: false,
+                sheds: 0,
+                outputs: vec![output.clone()],
+            })
+            .unwrap();
+        journal
+            .append(&RunEvent::RunFinished {
+                tasks: 1,
+                virtual_nanos: 0,
+            })
+            .unwrap();
         let stored = content_ref(&output).expect("text has a content ref").hash;
         // A payload stored after the output, so the output is the least
         // recently used entry.
@@ -1544,7 +1534,7 @@ mod tests {
             task: 1,
             name: "classify".into(),
         };
-        journal.append(&event);
+        journal.append(&event).unwrap();
         assert_eq!(journal.events(), vec![event.clone()]);
         assert_eq!(
             RunJournal::from_bytes(&journal.bytes()).events(),
@@ -1601,7 +1591,7 @@ mod tests {
             outputs: vec![token],
         };
         let journal = RunJournal::new();
-        journal.append(&event);
+        journal.append(&event).unwrap();
         assert_eq!(
             RunJournal::from_bytes(&journal.bytes()).events(),
             vec![event]
@@ -1612,7 +1602,7 @@ mod tests {
     fn truncate_to_simulates_torn_tails_at_any_offset() {
         let journal = RunJournal::new();
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
         let full_len = journal.bytes().len();
         let full_events = journal.events().len();
@@ -1768,7 +1758,7 @@ mod tests {
                 let (written, oracle) = (journal(&store), journal(&oracle_store));
                 let mut expected = Vec::new();
                 for e in &events {
-                    written.append(e);
+                    written.append(e).unwrap();
                     expected.extend_from_slice(&oracle.oracle_record(e));
                 }
                 proptest::prop_assert!(
@@ -1849,10 +1839,12 @@ mod tests {
         let store = Arc::new(AttachmentStore::new(1 << 20));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
         for task in 0..3 {
-            journal.append(&completion(task, format!("{task}").repeat(100)));
+            journal
+                .append(&completion(task, format!("{task}").repeat(100)))
+                .unwrap();
         }
         let appended = assert_stats_match_the_oracle(&journal, "appended");
         assert_eq!((appended.records, appended.missing_payloads), (9, 0));
@@ -1879,11 +1871,12 @@ mod tests {
         // Appends after recovery extend the verified prefix.
         let torn =
             RunJournal::from_bytes(&full[..full.len() - 5]).attach_store(Arc::clone(&store), 64);
-        torn.append(&completion(7, "7".repeat(100)));
+        torn.append(&completion(7, "7".repeat(100))).unwrap();
         torn.append(&RunEvent::RunFinished {
             tasks: 1,
             virtual_nanos: 5,
-        });
+        })
+        .unwrap();
         let stats = assert_stats_match_the_oracle(&torn, "appended after recovery");
         assert_eq!((stats.records, stats.appends), (10, 2));
         assert!(stats.torn_bytes > 0);
@@ -1895,7 +1888,9 @@ mod tests {
         let store = Arc::new(AttachmentStore::new(150));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
         for task in 0..4 {
-            journal.append(&completion(task, format!("{task}").repeat(100)));
+            journal
+                .append(&completion(task, format!("{task}").repeat(100)))
+                .unwrap();
             let stats = assert_stats_match_the_oracle(&journal, &format!("after spill {task}"));
             assert_eq!((stats.records, stats.missing_payloads), (1, task as u64));
         }
@@ -1907,19 +1902,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_a_record_nested_past_the_cap_as_torn() {
-        // An event whose lists nest one deeper than the decoder accepts
-        // is written as given, and the decoder drops it and everything
-        // after it, unless a stored output before the deep list is gone,
-        // which skips the record instead.
+    fn a_record_nested_past_the_cap_is_refused() {
+        // A completion whose lists nest one deeper than the decoder
+        // accepts would drop itself and every later record like a torn
+        // tail: the append refuses it, names the task, and writes
+        // nothing, so the records after it count.
         let store = Arc::new(AttachmentStore::new(1 << 20));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
-        journal.append(&sample_events()[0]);
+        journal.append(&sample_events()[0]).unwrap();
+        let before = (journal.bytes(), journal.stats());
         let mut deep = Token::Null;
         for _ in 0..=MAX_TOKEN_DEPTH {
             deep = Token::List(vec![deep]);
         }
-        journal.append(&RunEvent::TaskCompleted {
+        let refused = journal.append(&RunEvent::TaskCompleted {
             task: 0,
             name: "deep".into(),
             attempts: 1,
@@ -1932,20 +1928,16 @@ mod tests {
                 Token::Text("t".repeat(100)),
             ],
         });
-        journal.append(&sample_events()[1]);
-        let stats = assert_stats_match_the_oracle(&journal, "deep record");
-        assert_eq!((stats.records, stats.appends), (1, 3));
-        assert!(stats.torn_bytes > 0);
-        // With the stored outputs gone the record is skipped instead, and
-        // the records after it count again.
-        store.set_capacity(0);
-        store.set_capacity(1 << 20);
-        journal.append(&completion(1, "u".repeat(100)));
-        let stats = assert_stats_match_the_oracle(&journal, "stored outputs evicted");
-        assert_eq!(
-            (stats.records, stats.missing_payloads, stats.torn_bytes),
-            (3, 1, 0)
-        );
+        match refused {
+            Err(WorkflowError::JournalRefused { task, .. }) => assert_eq!(task, "deep"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!((journal.bytes(), journal.stats()), before);
+        journal.append(&sample_events()[1]).unwrap();
+        journal.append(&completion(1, "u".repeat(100))).unwrap();
+        let stats = assert_stats_match_the_oracle(&journal, "after the refusal");
+        assert_eq!((stats.records, stats.appends, stats.torn_bytes), (3, 3, 0));
+        assert_eq!(journal.events().len(), 3);
     }
 
     #[test]
@@ -1953,9 +1945,9 @@ mod tests {
         let store = Arc::new(AttachmentStore::new(1 << 20));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
         for e in sample_events() {
-            journal.append(&e);
+            journal.append(&e).unwrap();
         }
-        journal.append(&completion(0, "x".repeat(100)));
+        journal.append(&completion(0, "x".repeat(100))).unwrap();
         let before = journal.stats();
         // Garble every byte of the log: a pass that copied, checksummed
         // or parsed it would now find nothing.
@@ -1972,9 +1964,9 @@ mod tests {
     fn from_bytes_cuts_a_record_that_parses_only_up_to_a_stored_output() {
         let store = Arc::new(AttachmentStore::new(1 << 20));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
-        journal.append(&sample_events()[0]);
+        journal.append(&sample_events()[0]).unwrap();
         let prefix = journal.bytes();
-        journal.append(&completion(0, "x".repeat(100)));
+        journal.append(&completion(0, "x".repeat(100))).unwrap();
         // The completion, re-sealed with a third output that does not
         // parse after its stored one, then an intact record.
         let record = &journal.bytes()[prefix.len()..];
@@ -1986,7 +1978,7 @@ mod tests {
             (payload.replacen(" 2 t", " 3 t", 1) + " ?").as_bytes(),
         ));
         let intact = RunJournal::new();
-        intact.append(&sample_events()[1]);
+        intact.append(&sample_events()[1]).unwrap();
         forged.extend_from_slice(&intact.bytes());
         for attached in [false, true] {
             let mut revived = RunJournal::from_bytes(&forged);
@@ -1996,7 +1988,7 @@ mod tests {
             let stats = assert_stats_match_the_oracle(&revived, &format!("attached {attached}"));
             assert_eq!(stats.bytes, prefix.len() as u64, "attached {attached}");
             assert_eq!(stats.torn_bytes, (forged.len() - prefix.len()) as u64);
-            revived.append(&sample_events()[5]);
+            revived.append(&sample_events()[5]).unwrap();
             assert_eq!(revived.events().len(), 2, "attached {attached}");
         }
     }
@@ -2010,10 +2002,10 @@ mod tests {
         let store = Arc::new(AttachmentStore::new(250));
         let journal = RunJournal::with_store(Arc::clone(&store), 64);
         let first = completion(0, "a".repeat(100));
-        journal.append(&first);
+        journal.append(&first).unwrap();
         store.insert(1, Payload::Text("b".repeat(100).into()));
         let insertions = store.stats().insertions;
-        journal.append(&first);
+        journal.append(&first).unwrap();
         assert_eq!(
             store.stats().insertions,
             insertions,

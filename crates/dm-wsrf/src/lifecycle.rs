@@ -21,7 +21,8 @@ use crate::error::{Result, WsError};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
-use std::fs;
+use std::fs::{self, OpenOptions};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +38,8 @@ pub enum LifecyclePolicy {
 }
 
 /// A disk-backed store of serialised instance state (one file per key).
+/// Its directory is made by the first save, so a store that never
+/// saves leaves nothing on disk.
 #[derive(Debug)]
 pub struct InstanceStore {
     dir: PathBuf,
@@ -49,13 +52,11 @@ impl InstanceStore {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("faehim-instances-{}-{n}", std::process::id()));
-        fs::create_dir_all(&dir).map_err(|e| WsError::Store(e.to_string()))?;
         Ok(InstanceStore { dir })
     }
 
     /// Create a store in an explicit directory.
     pub fn at(dir: PathBuf) -> Result<InstanceStore> {
-        fs::create_dir_all(&dir).map_err(|e| WsError::Store(e.to_string()))?;
         Ok(InstanceStore { dir })
     }
 
@@ -74,10 +75,30 @@ impl InstanceStore {
         self.dir.join(format!("{safe}.state"))
     }
 
-    /// Persist state bytes for `key` (fsync'd write-then-rename is not
-    /// needed here — the paper's Axis store was a plain file too).
+    /// Persist state bytes for `key`, overwriting the file in place:
+    /// write, then cut it to length. Truncating to zero first costs a
+    /// flush on close on some file systems (ext4's `auto_da_alloc`).
+    /// Neither is crash-safe, and need not be: the paper's Axis store
+    /// was a plain file too, and the store never outlives its process.
     pub fn save(&self, key: &str, bytes: &[u8]) -> Result<()> {
-        fs::write(self.path(key), bytes).map_err(|e| WsError::Store(e.to_string()))
+        let path = self.path(key);
+        let open = || {
+            OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&path)
+        };
+        let mut file = match open() {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                fs::create_dir_all(&self.dir).and_then(|()| open())
+            }
+            opened => opened,
+        }
+        .map_err(store_error)?;
+        file.write_all(bytes)
+            .and_then(|()| file.set_len(bytes.len() as u64))
+            .map_err(store_error)
     }
 
     /// Load state bytes for `key`, or `None` if never saved.
@@ -85,7 +106,7 @@ impl InstanceStore {
         match fs::read(self.path(key)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(WsError::Store(e.to_string())),
+            Err(e) => Err(store_error(e)),
         }
     }
 
@@ -94,9 +115,13 @@ impl InstanceStore {
         match fs::remove_file(self.path(key)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(WsError::Store(e.to_string())),
+            Err(e) => Err(store_error(e)),
         }
     }
+}
+
+fn store_error(e: std::io::Error) -> WsError {
+    WsError::Store(e.to_string())
 }
 
 impl Drop for InstanceStore {
@@ -319,6 +344,30 @@ mod tests {
         store.remove("model").unwrap();
         assert_eq!(store.load("model").unwrap(), None);
         store.remove("model").unwrap(); // idempotent
+    }
+
+    #[test]
+    fn store_makes_its_directory_on_the_first_save_and_overwrites_in_place() {
+        let store = InstanceStore::temp().unwrap();
+        assert!(!store.dir.exists(), "no save, no directory");
+        assert_eq!(store.load("k").unwrap(), None);
+        store.remove("k").unwrap();
+        store.save("k", &[7; 300]).unwrap();
+        assert!(store.dir.is_dir());
+        // Shorter, then longer, state leaves no stale tail.
+        store.save("k", &[1, 2, 3]).unwrap();
+        assert_eq!(store.load("k").unwrap(), Some(vec![1, 2, 3]));
+        store.save("k", &[5; 10]).unwrap();
+        assert_eq!(store.load("k").unwrap(), Some(vec![5; 10]));
+        store.save("k", &[]).unwrap();
+        assert_eq!(store.load("k").unwrap(), Some(vec![]));
+        let dir = store.dir.clone();
+        drop(store);
+        assert!(!dir.exists(), "drop removes the directory");
+        let explicit = InstanceStore::at(dir.clone()).unwrap();
+        assert!(!dir.exists());
+        explicit.save("k", &[9]).unwrap();
+        assert_eq!(explicit.load("k").unwrap(), Some(vec![9]));
     }
 
     #[test]

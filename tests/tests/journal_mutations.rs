@@ -234,15 +234,17 @@ impl Battery {
             Token::List(Vec::new()),
         ]);
         for (task, token) in sinks.iter().zip([nested, every_kind]) {
-            journal.append(&RunEvent::TaskCompleted {
-                task: *task,
-                name: graph.tasks()[*task].name.clone(),
-                attempts: 1,
-                virtual_nanos: 12_345,
-                cached: false,
-                sheds: 0,
-                outputs: vec![token],
-            });
+            journal
+                .append(&RunEvent::TaskCompleted {
+                    task: *task,
+                    name: graph.tasks()[*task].name.clone(),
+                    attempts: 1,
+                    virtual_nanos: 12_345,
+                    cached: false,
+                    sheds: 0,
+                    outputs: vec![token],
+                })
+                .unwrap();
         }
         let base = journal.bytes();
         let text = String::from_utf8_lossy(&base);
