@@ -29,6 +29,7 @@ use crate::options::{descriptor_for, Configurable, OptionDescriptor, OptionKind}
 use crate::state::{StateReader, StateWriter, Stateful};
 use crate::tree::TreeModel;
 use dm_data::{Bitmap, CodesView, Dataset, Value};
+use std::fmt::Write;
 
 #[cfg(test)]
 mod reference;
@@ -204,92 +205,93 @@ impl J48 {
 
     fn node_distribution(&self, node: &Node, data: &Dataset, row: usize, out: &mut [f64], w: f64) {
         match &node.split {
-            None => {
-                let total = node.weight();
-                if total > 0.0 {
-                    for (c, &x) in node.counts.iter().enumerate() {
-                        out[c] += w * x / total;
-                    }
-                } else {
-                    let u = w / out.len() as f64;
-                    for o in out.iter_mut() {
-                        *o += u;
-                    }
+            None => leaf_distribution(&node.counts, out, w),
+            Some(split) => match branch_of(split, data, row) {
+                Some(b) if b < node.children.len() => {
+                    self.node_distribution(&node.children[b], data, row, out, w)
                 }
-            }
-            Some(split) => {
-                let (attr, branch) = match split {
-                    Split::Nominal { attr } => {
-                        let v = data.value(row, *attr);
-                        if Value::is_missing(v) {
-                            (*attr, None)
-                        } else {
-                            (*attr, Some(Value::as_index(v)))
-                        }
-                    }
-                    Split::Numeric { attr, threshold } => {
-                        let v = data.value(row, *attr);
-                        if Value::is_missing(v) {
-                            (*attr, None)
-                        } else {
-                            (*attr, Some(usize::from(v > *threshold)))
-                        }
-                    }
-                };
-                let _ = attr;
-                match branch {
-                    Some(b) if b < node.children.len() => {
-                        self.node_distribution(&node.children[b], data, row, out, w)
-                    }
-                    _ => {
-                        // Missing (or out-of-domain): fractional descent.
-                        for (b, child) in node.children.iter().enumerate() {
-                            let frac = node.branch_fracs[b];
-                            if frac > 0.0 {
-                                self.node_distribution(child, data, row, out, w * frac);
-                            }
+                _ => {
+                    // Missing (or out-of-domain): fractional descent.
+                    for (b, child) in node.children.iter().enumerate() {
+                        let frac = node.branch_fracs[b];
+                        if frac > 0.0 {
+                            self.node_distribution(child, data, row, out, w * frac);
                         }
                     }
                 }
-            }
+            },
         }
     }
 
     // -- rendering -----------------------------------------------------
 
-    fn edge_text(&self, node: &Node, b: usize) -> String {
+    fn write_edge(&self, node: &Node, b: usize, out: &mut String) {
         match node.split.as_ref().expect("internal node") {
-            Split::Nominal { attr } => format!("= {}", self.header.attr_labels[*attr][b]),
+            Split::Nominal { attr } => {
+                out.push_str("= ");
+                out.push_str(&self.header.attr_labels[*attr][b]);
+            }
             Split::Numeric { attr: _, threshold } => {
-                if b == 0 {
-                    format!("<= {threshold}")
-                } else {
-                    format!("> {threshold}")
-                }
+                let op = if b == 0 { "<=" } else { ">" };
+                let _ = write!(out, "{op} {threshold}");
             }
         }
     }
 
-    fn leaf_text(&self, node: &Node) -> String {
+    fn write_leaf(&self, node: &Node, out: &mut String) {
         let best = argmax(&node.counts).unwrap_or(0);
         let total = node.weight();
         let errors = total - node.counts[best];
-        let label = self
-            .header
-            .class_labels
-            .get(best)
-            .cloned()
-            .unwrap_or_else(|| format!("#{best}"));
-        if errors > 0.005 {
-            format!("{label} ({total:.1}/{errors:.1})")
-        } else {
-            format!("{label} ({total:.1})")
+        match self.header.class_labels.get(best) {
+            Some(label) => out.push_str(label),
+            None => {
+                let _ = write!(out, "#{best}");
+            }
         }
+        let _ = if errors > 0.005 {
+            write!(out, " ({total:.1}/{errors:.1})")
+        } else {
+            write!(out, " ({total:.1})")
+        };
+    }
+
+    fn edge_text(&self, node: &Node, b: usize) -> String {
+        let mut out = String::new();
+        self.write_edge(node, b, &mut out);
+        out
+    }
+
+    fn leaf_text(&self, node: &Node) -> String {
+        let mut out = String::new();
+        self.write_leaf(node, &mut out);
+        out
     }
 
     fn split_attr_name(&self, node: &Node) -> &str {
         match node.split.as_ref().expect("internal node") {
             Split::Nominal { attr } | Split::Numeric { attr, .. } => &self.header.attr_names[*attr],
+        }
+    }
+
+    /// Write the edges below internal `node` in WEKA's indented style,
+    /// the text [`TreeModel::to_text`] renders from [`J48::tree_model`].
+    fn write_subtree(&self, node: &Node, depth: usize, out: &mut String) {
+        let name = self.split_attr_name(node);
+        for (b, child) in node.children.iter().enumerate() {
+            for _ in 0..depth {
+                out.push_str("|   ");
+            }
+            out.push_str(name);
+            out.push(' ');
+            self.write_edge(node, b, out);
+            if child.is_leaf() {
+                out.push_str(": ");
+                self.write_leaf(child, out);
+                out.push('\n');
+            } else {
+                out.push('\n');
+                self.write_subtree(child, depth + 1, out);
+            }
         }
     }
 
@@ -327,7 +329,9 @@ impl J48 {
         }
     }
 
-    fn decode_node(r: &mut StateReader<'_>, depth: usize) -> Result<Node> {
+    /// Decode a node written by [`J48::encode_node`] for a model with
+    /// `num_classes` class labels.
+    fn decode_node(r: &mut StateReader<'_>, num_classes: usize, depth: usize) -> Result<Node> {
         if depth > 512 {
             return Err(AlgoError::BadState("tree nesting too deep".into()));
         }
@@ -343,13 +347,25 @@ impl J48 {
             tag => return Err(AlgoError::BadState(format!("bad split tag {tag}"))),
         };
         let counts = r.get_f64_vec()?;
+        if counts.len() != num_classes {
+            return Err(AlgoError::BadState(format!(
+                "a node holds {} class counts for {num_classes} classes",
+                counts.len()
+            )));
+        }
         let branch_fracs = r.get_f64_vec()?;
         let n = r.get_usize()?;
         if n > 1 << 20 {
             return Err(AlgoError::BadState(format!("absurd child count {n}")));
         }
+        if split.is_some() && branch_fracs.len() != n {
+            return Err(AlgoError::BadState(format!(
+                "a split holds {} branch fractions for {n} children",
+                branch_fracs.len()
+            )));
+        }
         let children = (0..n)
-            .map(|_| Self::decode_node(r, depth + 1))
+            .map(|_| Self::decode_node(r, num_classes, depth + 1))
             .collect::<Result<_>>()?;
         Ok(Node {
             split,
@@ -360,23 +376,131 @@ impl J48 {
     }
 }
 
+/// The branch row `row` takes at `split`: `None` when its value is
+/// missing. A nominal code past the node's children is returned as is
+/// (out of domain); callers treat it as missing.
+fn branch_of(split: &Split, data: &Dataset, row: usize) -> Option<usize> {
+    match split {
+        Split::Nominal { attr } => {
+            let v = data.value(row, *attr);
+            (!Value::is_missing(v)).then(|| Value::as_index(v))
+        }
+        Split::Numeric { attr, threshold } => {
+            let v = data.value(row, *attr);
+            (!Value::is_missing(v)).then(|| usize::from(v > *threshold))
+        }
+    }
+}
+
+/// Add a leaf's class shares, at weight `w`, to `out`: uniform when
+/// the leaf holds no weight.
+fn leaf_distribution(counts: &[f64], out: &mut [f64], w: f64) {
+    let total: f64 = counts.iter().sum();
+    if total > 0.0 {
+        for (c, &x) in counts.iter().enumerate() {
+            out[c] += w * x / total;
+        }
+    } else {
+        let u = w / out.len() as f64;
+        for o in out.iter_mut() {
+            *o += u;
+        }
+    }
+}
+
+/// The class `distribution` predicts for a weight-1 row that ends at a
+/// leaf holding `counts`: the first largest of the leaf's shares once
+/// normalised, by the arithmetic of [`leaf_distribution`] and
+/// `normalize` without their vector. This is not always `argmax` of the
+/// raw counts: two counts an ulp apart can divide to the same share,
+/// and then the first wins.
+fn leaf_class(counts: &[f64]) -> Option<usize> {
+    let total: f64 = counts.iter().sum();
+    if total > 0.0 {
+        let share = |x: f64| x / total;
+        let (mut sum, mut best, mut top) = (0.0, 0, share(counts[0]));
+        for (c, &x) in counts.iter().enumerate() {
+            let s = share(x);
+            sum += s;
+            if s > top {
+                best = c;
+                top = s;
+            }
+        }
+        if sum == 1.0 {
+            // Normalising divides by one: the shares are the distribution.
+            return Some(best);
+        }
+        if sum > 0.0 {
+            let (mut best, mut top) = (0, share(counts[0]) / sum);
+            for (c, &x) in counts.iter().enumerate().skip(1) {
+                let q = share(x) / sum;
+                if q > top {
+                    best = c;
+                    top = q;
+                }
+            }
+            return Some(best);
+        }
+    }
+    // Uniform shares: the first class.
+    (!counts.is_empty()).then_some(0)
+}
+
 /// Class code of an item whose class is missing.
 const NO_CLASS: u32 = u32::MAX;
 
-/// One tree growth: the training set, the scratch every node reuses,
-/// and the value ranks that order numeric candidates.
+/// Branch code of an item whose split value is missing.
+const NO_BRANCH: u32 = u32::MAX;
+
+/// The class of a value group whose items do not all share one.
+const MIXED: u32 = u32::MAX;
+
+/// One training item of an open node: a row, its class code
+/// (`NO_CLASS` where the class is missing) and its weight, fractional
+/// below a split on a value the row lacks.
+#[derive(Clone, Copy)]
+struct Item {
+    row: u32,
+    class: u32,
+    w: f64,
+}
+
+/// A run of equal values in a numeric candidate's sorted items.
+struct Group {
+    /// One past the group's last position in the sorted items.
+    end: usize,
+    /// The weight left of the cut after this group.
+    lw: f64,
+    /// The class every item of the group has, or `MIXED`.
+    class: u32,
+    /// Whether every item of the group weighs zero.
+    weightless: bool,
+}
+
+/// One tree growth: the training set, the item arena of the open
+/// nodes, the scratch every node reuses, and the value ranks that order
+/// numeric candidates.
+///
+/// **The item arena.** The open nodes' items live in one depth-first
+/// arena: a node's items are a segment `start..end`, and a child's
+/// segment is appended past its parent's and truncated away when the
+/// child is done. Before its children grow, a node reorders its own
+/// segment by branch (a stable counting sort, the missing-valued items
+/// last), so a child's segment is one copy of its branch's run followed
+/// by the parent's missing-valued items at the branch's share.
 ///
 /// **Growth invariant: the per-cell order of additions.** A node visits
 /// its items in one order: row order at the root, and at a child its
 /// parent's order for the items that took its branch, followed by the
-/// parent's missing-valued items in the parent's order. Every
-/// floating-point accumulator receives its additions in that order: a
-/// class count, a contingency cell, a branch weight, the missing bucket.
-/// A numeric candidate's prefix sums follow the stable sort by value,
-/// whose ties keep item order. `f64` sums depend on their order, so
-/// this is what keeps the tree, its thresholds and its encoded state
-/// bit-identical to recounting every attribute from scratch (the
-/// `reference` oracle in the tests).
+/// parent's missing-valued items in the parent's order (the arena
+/// segment's order). Every floating-point accumulator receives its
+/// additions in that order: a class count, a contingency cell, a branch
+/// weight, the missing bucket. A numeric candidate's prefix sums follow
+/// the stable sort by value, whose ties keep item order. `f64` sums
+/// depend on their order, so this is what keeps the tree, its
+/// thresholds and its encoded state bit-identical to recounting every
+/// attribute from scratch (the `reference` oracle in the tests).
 struct Grower<'a> {
     data: &'a Dataset,
     ci: usize,
@@ -385,9 +509,12 @@ struct Grower<'a> {
     /// Per numeric attribute, once a node has evaluated it: each
     /// present row's dense rank among the attribute's distinct values.
     ranks: Vec<Option<Vec<u32>>>,
-    /// The current node's class codes in item order (`NO_CLASS` where
-    /// the class is missing), gathered once for all its candidates.
-    classes: Vec<u32>,
+    /// The open nodes' items, root first (see the type's docs).
+    arena: Vec<Item>,
+    /// Nominal attributes an open node splits on. Below such a split
+    /// every present value is the branch's, so the attribute cannot
+    /// populate two branches and is not evaluated.
+    spent: Vec<bool>,
     /// The flat `arity × k` contingency table of a nominal candidate:
     /// row `b` holds branch `b`'s class weights.
     table: Vec<f64>,
@@ -402,6 +529,11 @@ struct Grower<'a> {
     keys: Vec<u64>,
     /// A numeric candidate's `(value, class, weight)` in sorted order.
     pairs: Vec<(f64, usize, f64)>,
+    /// A numeric candidate's runs of equal values.
+    groups: Vec<Group>,
+    /// A partition's branch code per item, and its reordered segment.
+    branches: Vec<u32>,
+    sorted: Vec<Item>,
 }
 
 impl<'a> Grower<'a> {
@@ -418,7 +550,8 @@ impl<'a> Grower<'a> {
             k,
             min_instances: j48.min_instances,
             ranks: vec![None; data.num_attributes()],
-            classes: Vec::new(),
+            arena: Vec::new(),
+            spent: vec![false; data.num_attributes()],
             table: vec![0.0; max_arity * k],
             branch_w: vec![0.0; max_arity + 1],
             present: vec![0.0; k],
@@ -426,27 +559,44 @@ impl<'a> Grower<'a> {
             right: vec![0.0; k],
             keys: Vec::new(),
             pairs: Vec::new(),
+            groups: Vec::new(),
+            branches: Vec::new(),
+            sorted: Vec::new(),
         }
     }
 
-    /// Gather the node's class codes once, for all its candidates, and
-    /// return its class counts.
-    fn gather(&mut self, items: &[(usize, f64)]) -> Vec<f64> {
-        let mut counts = vec![0.0; self.k];
+    /// Grow the tree over every row of the training set.
+    fn grow_root(&mut self) -> Node {
+        self.arena.clear();
+        self.push_items((0..self.data.num_instances()).map(|r| (r, self.data.weight(r))));
+        self.grow(0, 0)
+    }
+
+    /// Append `(row, weight)` items to the arena with their class codes.
+    fn push_items(&mut self, items: impl Iterator<Item = (usize, f64)>) {
         let ccol = self.data.column(self.ci);
-        self.classes.clear();
-        for &(r, w) in items {
-            let c = ccol.index_at(r);
-            if let Some(c) = c {
-                counts[c] += w;
+        self.arena.extend(items.map(|(r, w)| Item {
+            row: r as u32,
+            class: ccol.index_at(r).map_or(NO_CLASS, |c| c as u32),
+            w,
+        }));
+    }
+
+    /// The class counts of the items `start..end`, in item order.
+    fn class_counts(&self, start: usize, end: usize) -> Vec<f64> {
+        let mut counts = vec![0.0; self.k];
+        for it in &self.arena[start..end] {
+            if it.class != NO_CLASS {
+                counts[it.class as usize] += it.w;
             }
-            self.classes.push(c.map_or(NO_CLASS, |c| c as u32));
         }
         counts
     }
 
-    fn grow(&mut self, items: &[(usize, f64)], depth: usize) -> Node {
-        let counts = self.gather(items);
+    /// Grow the node whose items are the arena's tail from `start`.
+    fn grow(&mut self, start: usize, depth: usize) -> Node {
+        let end = self.arena.len();
+        let counts = self.class_counts(start, end);
         let total: f64 = counts.iter().sum();
         let max = counts.iter().cloned().fold(0.0, f64::max);
 
@@ -458,19 +608,19 @@ impl<'a> Grower<'a> {
         // Gather viable candidates; each divides by the node's total
         // weight, summed once here in item order.
         let mut total_w = 0.0;
-        for &(_, w) in items {
-            total_w += w;
+        for it in &self.arena[start..end] {
+            total_w += it.w;
         }
         let mut candidates: Vec<Candidate> = Vec::new();
         for a in 0..self.data.num_attributes() {
-            if a == self.ci {
+            if a == self.ci || self.spent[a] {
                 continue;
             }
             let attr = &self.data.attributes()[a];
             let cand = if attr.is_nominal() {
-                self.eval_nominal(items, a, total_w)
+                self.eval_nominal(start, end, a, total_w)
             } else if attr.is_numeric() {
-                self.eval_numeric(items, a, total_w)
+                self.eval_numeric(start, end, a, total_w)
             } else {
                 None
             };
@@ -487,21 +637,81 @@ impl<'a> Grower<'a> {
             .iter()
             .filter(|c| c.gain >= avg_gain - 1e-12)
             .max_by(|x, y| x.ratio.partial_cmp(&y.ratio).expect("finite ratios"));
-        let chosen = match chosen {
-            Some(c) => c,
+        let split = match chosen {
+            Some(c) => c.split.clone(),
             None => return Node::leaf(counts),
         };
 
-        // Partition through the split column's view.
-        let (branch_items, branch_fracs) = match &chosen.split {
+        let (runs, branch_fracs) = self.partition(start, end, &split);
+        let spent = match split {
+            Split::Nominal { attr } => Some(attr),
+            Split::Numeric { .. } => None,
+        };
+        if let Some(a) = spent {
+            self.spent[a] = true;
+        }
+        let missing = runs[runs.len() - 1].clone();
+        let mut children = Vec::with_capacity(branch_fracs.len());
+        for (run, &frac) in runs.iter().zip(&branch_fracs) {
+            // The child's segment: its branch's run, then the
+            // missing-valued items at the branch's share.
+            self.arena.extend_from_within(run.clone());
+            if frac > 0.0 {
+                for i in missing.clone() {
+                    let it = self.arena[i];
+                    self.arena.push(Item {
+                        w: it.w * frac,
+                        ..it
+                    });
+                }
+            }
+            children.push(if self.arena.len() == end {
+                // Empty branch: leaf predicting the parent majority.
+                Node::leaf(counts.clone())
+            } else {
+                self.grow(end, depth + 1)
+            });
+            self.arena.truncate(end);
+        }
+        if let Some(a) = spent {
+            self.spent[a] = false;
+        }
+
+        Node {
+            split: Some(split),
+            children,
+            branch_fracs,
+            counts,
+        }
+    }
+
+    /// Reorder the items `start..end` by the branch each takes at
+    /// `split`, keeping item order within a branch and putting the
+    /// missing-valued items last. Returns each branch's arena range,
+    /// then the missing-valued items' range, and the branch fractions:
+    /// each branch's share of the present weight, summed in item order
+    /// (uniform when no weight is present).
+    fn partition(
+        &mut self,
+        start: usize,
+        end: usize,
+        split: &Split,
+    ) -> (Vec<std::ops::Range<usize>>, Vec<f64>) {
+        let items = &self.arena[start..end];
+        self.branches.clear();
+        let num_branches = match split {
             Split::Nominal { attr } => {
-                let arity = self.data.attributes()[*attr].num_labels();
                 let (codes, valid) = self
                     .data
                     .column(*attr)
                     .nominal()
                     .expect("a nominal split was evaluated on a nominal column");
-                partition(items, arity, |r| valid.get(r).then(|| codes.get(r)))
+                match codes {
+                    CodesView::U8(codes) => branch_codes(codes, valid, items, &mut self.branches),
+                    CodesView::U16(codes) => branch_codes(codes, valid, items, &mut self.branches),
+                    CodesView::U32(codes) => branch_codes(codes, valid, items, &mut self.branches),
+                }
+                self.data.attributes()[*attr].num_labels()
             }
             Split::Numeric { attr, threshold } => {
                 let (values, valid) = self
@@ -509,37 +719,63 @@ impl<'a> Grower<'a> {
                     .column(*attr)
                     .numeric()
                     .expect("a numeric split was evaluated on a numeric column");
-                partition(items, 2, |r| {
-                    valid.get(r).then(|| usize::from(values[r] > *threshold))
-                })
+                self.branches.extend(items.iter().map(|it| {
+                    let r = it.row as usize;
+                    if valid.get(r) {
+                        u32::from(values[r] > *threshold)
+                    } else {
+                        NO_BRANCH
+                    }
+                }));
+                2
             }
         };
-
-        let children: Vec<Node> = branch_items
-            .iter()
-            .map(|bi| {
-                if bi.is_empty() {
-                    // Empty branch: leaf predicting the parent majority.
-                    Node::leaf(counts.clone())
-                } else {
-                    self.grow(bi, depth + 1)
-                }
-            })
-            .collect();
-
-        Node {
-            split: Some(chosen.split.clone()),
-            children,
-            branch_fracs,
-            counts,
+        let mut branch_weights = vec![0.0f64; num_branches];
+        // Item counts per branch, the missing-valued items last.
+        let mut sizes = vec![0usize; num_branches + 1];
+        for (it, &b) in items.iter().zip(&self.branches) {
+            if b == NO_BRANCH {
+                sizes[num_branches] += 1;
+            } else {
+                branch_weights[b as usize] += it.w;
+                sizes[b as usize] += 1;
+            }
         }
+        let present_w: f64 = branch_weights.iter().sum();
+        let branch_fracs: Vec<f64> = if present_w > 0.0 {
+            branch_weights.iter().map(|&w| w / present_w).collect()
+        } else {
+            vec![1.0 / num_branches as f64; num_branches]
+        };
+        let mut runs = Vec::with_capacity(num_branches + 1);
+        let mut at = start;
+        for &size in &sizes {
+            runs.push(at..at + size);
+            at += size;
+        }
+        // Stable counting sort of the segment by branch.
+        let mut next: Vec<usize> = runs.iter().map(|run| run.start - start).collect();
+        self.sorted.clear();
+        self.sorted.extend_from_slice(items);
+        for (it, &b) in items.iter().zip(&self.branches) {
+            let slot = &mut next[if b == NO_BRANCH {
+                num_branches
+            } else {
+                b as usize
+            }];
+            self.sorted[*slot] = *it;
+            *slot += 1;
+        }
+        self.arena[start..end].copy_from_slice(&self.sorted);
+        (runs, branch_fracs)
     }
 
     /// Evaluate a nominal split, counting it into the reused table.
     /// Returns `None` when not viable.
     fn eval_nominal(
         &mut self,
-        items: &[(usize, f64)],
+        start: usize,
+        end: usize,
         a: usize,
         total_w: f64,
     ) -> Option<Candidate> {
@@ -549,12 +785,13 @@ impl<'a> Grower<'a> {
             return None;
         }
         let (codes, valid) = self.data.column(a).nominal()?;
+        let items = &self.arena[start..end];
         let table = &mut self.table[..arity * k];
         table.fill(0.0);
         let missing_w = match codes {
-            CodesView::U8(codes) => tally(codes, valid, items, &self.classes, k, table),
-            CodesView::U16(codes) => tally(codes, valid, items, &self.classes, k, table),
-            CodesView::U32(codes) => tally(codes, valid, items, &self.classes, k, table),
+            CodesView::U8(codes) => tally(codes, valid, items, k, table),
+            CodesView::U16(codes) => tally(codes, valid, items, k, table),
+            CodesView::U32(codes) => tally(codes, valid, items, k, table),
         };
         let table = &self.table[..arity * k];
         let branch_w = &mut self.branch_w[..arity + 1];
@@ -609,22 +846,42 @@ impl<'a> Grower<'a> {
     }
 
     /// Evaluate the best numeric threshold for attribute `a`.
+    ///
+    /// Only cuts that can win are scored (Fayyad & Irani 1992). Between
+    /// two value groups that are pure in the same class, a cut lies
+    /// inside a same-class run: along the run, `lw·H(left) +
+    /// rw·H(right)` is concave in the class weight moved, so its
+    /// minimum, the best gain, is at one of the run's ends. The scan
+    /// therefore scores every cut where the class changes or a group is
+    /// mixed, and the first and the last admissible cut (`lw`, `rw` ≥
+    /// `-M`), which end a run that the admissible range cuts short. The
+    /// argument needs weights that are finite and not negative, and a
+    /// margin that rounding cannot cross ([`run_ends_suffice`]); a node
+    /// without both scores every cut.
+    ///
+    /// The scan keeps the first of equal gains. A cut reached from the
+    /// one before it only through weightless items has the same
+    /// statistics, bit for bit, so it takes the threshold of the first
+    /// cut of that weightless block: that cut may have been skipped.
     fn eval_numeric(
         &mut self,
-        items: &[(usize, f64)],
+        start: usize,
+        end: usize,
         a: usize,
         total_w: f64,
     ) -> Option<Candidate> {
         let (values, valid) = self.data.column(a).numeric()?;
         let ranks = self.ranks[a].get_or_insert_with(|| value_ranks(values, valid));
+        let items = &self.arena[start..end];
         self.keys.clear();
         let mut missing_w = 0.0;
-        for (i, (&(r, w), &c)) in items.iter().zip(&self.classes).enumerate() {
+        for (i, it) in items.iter().enumerate() {
+            let r = it.row as usize;
             if !valid.get(r) {
-                missing_w += w;
+                missing_w += it.w;
                 continue;
             }
-            if c == NO_CLASS {
+            if it.class == NO_CLASS {
                 continue;
             }
             self.keys.push(u64::from(ranks[r]) << 32 | i as u64);
@@ -637,54 +894,86 @@ impl<'a> Grower<'a> {
         self.keys.sort_unstable();
         self.pairs.clear();
         for &key in &self.keys {
-            let i = (key & u64::from(u32::MAX)) as usize;
-            let (r, w) = items[i];
-            self.pairs.push((values[r], self.classes[i] as usize, w));
+            let it = items[(key & u64::from(u32::MAX)) as usize];
+            self.pairs
+                .push((values[it.row as usize], it.class as usize, it.w));
         }
         let pairs = &self.pairs;
         let present_w: f64 = pairs.iter().map(|p| p.2).sum();
         let present_counts = &mut self.present;
         present_counts.fill(0.0);
-        for &(_, c, w) in pairs {
+        let groups = &mut self.groups;
+        groups.clear();
+        let mut lw = 0.0;
+        let (mut bounded, mut w_min) = (true, f64::INFINITY);
+        let (mut class, mut weightless, mut opens) = (MIXED, true, true);
+        for (i, &(v, c, w)) in pairs.iter().enumerate() {
             present_counts[c] += w;
+            lw += w;
+            bounded &= (0.0..f64::INFINITY).contains(&w);
+            if w > 0.0 {
+                w_min = w_min.min(w);
+            }
+            if opens {
+                class = c as u32;
+            } else if class != c as u32 {
+                class = MIXED;
+            }
+            weightless &= w == 0.0;
+            opens = pairs.get(i + 1).is_none_or(|next| next.0 != v);
+            if opens {
+                groups.push(Group {
+                    end: i + 1,
+                    lw,
+                    class,
+                    weightless,
+                });
+                weightless = true;
+            }
         }
         let info_present = entropy(present_counts);
-
-        let distinct = {
-            let mut d = 1;
-            for i in 1..pairs.len() {
-                if pairs[i].0 != pairs[i - 1].0 {
-                    d += 1;
-                }
-            }
-            d
-        };
+        let distinct = groups.len();
         if distinct < 2 {
             return None;
         }
+        let skip_runs = bounded && run_ends_suffice(present_counts, present_w, w_min, pairs.len());
 
         let left = &mut self.left;
         let right = &mut self.right;
         left.fill(0.0);
         right.copy_from_slice(present_counts);
+        let min = self.min_instances;
+        let admissible = |lw: f64| !(lw < min || present_w - lw < min);
         let mut best: Option<(f64, f64, f64, f64)> = None; // (gain_raw, threshold, lw, rw)
-        let mut lw = 0.0;
-        for i in 0..pairs.len() - 1 {
-            let (v, c, w) = pairs[i];
-            left[c] += w;
-            right[c] -= w;
-            lw += w;
-            if pairs[i + 1].0 == v {
+        let mut block_threshold = 0.0;
+        let mut first = true;
+        let mut from = 0;
+        for (g, group) in groups[..distinct - 1].iter().enumerate() {
+            for &(_, c, w) in &pairs[from..group.end] {
+                left[c] += w;
+                right[c] -= w;
+            }
+            from = group.end;
+            let threshold = (pairs[group.end - 1].0 + pairs[group.end].0) / 2.0;
+            if g == 0 || !group.weightless {
+                block_threshold = threshold;
+            }
+            let lw = group.lw;
+            if !admissible(lw) {
                 continue;
             }
+            let next = &groups[g + 1];
+            let inside_run = skip_runs && group.class != MIXED && group.class == next.class;
+            let last = g + 2 == distinct || !admissible(next.lw);
+            if inside_run && !first && !last {
+                continue;
+            }
+            first = false;
             let rw = present_w - lw;
-            if lw < self.min_instances || rw < self.min_instances {
-                continue;
-            }
             let info_split = (lw * entropy(left) + rw * entropy(right)) / present_w;
             let gain_raw = info_present - info_split;
             if best.is_none_or(|(g, ..)| gain_raw > g) {
-                best = Some((gain_raw, (v + pairs[i + 1].0) / 2.0, lw, rw));
+                best = Some((gain_raw, block_threshold, lw, rw));
             }
         }
         let (gain_raw, threshold, lw, rw) = best?;
@@ -708,6 +997,40 @@ impl<'a> Grower<'a> {
     }
 }
 
+/// Whether scoring the ends of same-class runs finds the cut that
+/// scoring every cut finds, in floating point, at a numeric candidate
+/// whose `n` present items weigh `present_w`, per class `present`, the
+/// lightest positive one `w_min` (every weight finite, none negative).
+///
+/// When at most one class has weight, every cut scores exactly the
+/// same. Otherwise let `σ` be the share of `present_w` outside the
+/// largest class and `ρ = w_min / present_w`. Along a run `info_split`
+/// is concave with curvature at least `σ / (present_w² ln 2)`, and a
+/// skipped cut lies at least `w_min` of moved weight from each of the
+/// run's scored ends, or has an end's statistics bit for bit (a
+/// weightless block). So its exact `info_split` exceeds the better
+/// end's by at least `σρ² / (2 ln 2)`. A computed gain is within
+/// `ε = 4(k + 1)·n·u·(54 + log2(1/ρ))` of the exact gain of its cut
+/// (`u = 2⁻⁵³`): the running sums' error, below `2n·u·present_w` per
+/// count, carried through the entropies. The rule holds wherever that
+/// gap exceeds `2ε` eight times over, so rounding cannot carry a
+/// skipped cut to, or past, the end it lies below. With unit weights
+/// that is every node of up to about 700 items, and larger ones whose
+/// classes are mixed; a weight tiny beside the others, or a large
+/// nearly pure node, scores every cut.
+fn run_ends_suffice(present: &[f64], present_w: f64, w_min: f64, n: usize) -> bool {
+    if present.iter().filter(|&&x| x > 0.0).count() <= 1 {
+        return true;
+    }
+    let largest = present.iter().copied().fold(0.0, f64::max);
+    let sigma = (present_w - largest) / present_w;
+    let rho = w_min / present_w;
+    let gap = sigma * rho * rho / (2.0 * std::f64::consts::LN_2);
+    let u = f64::EPSILON / 2.0;
+    let eps = 4.0 * (present.len() + 1) as f64 * n as f64 * u * (54.0 - rho.log2());
+    gap > 16.0 * eps
+}
+
 /// Add each item's weight to its `(code, class)` cell of the flat
 /// `arity × k` table, visiting items in order, and return the summed
 /// weight of the items whose code is missing. An item with a code but
@@ -715,21 +1038,38 @@ impl<'a> Grower<'a> {
 fn tally<C: Copy + Into<u32>>(
     codes: &[C],
     valid: &Bitmap,
-    items: &[(usize, f64)],
-    classes: &[u32],
+    items: &[Item],
     k: usize,
     table: &mut [f64],
 ) -> f64 {
     let mut missing_w = 0.0;
-    for (&(r, w), &c) in items.iter().zip(classes) {
+    for it in items {
+        let r = it.row as usize;
         if !valid.get(r) {
-            missing_w += w;
-        } else if c != NO_CLASS {
+            missing_w += it.w;
+        } else if it.class != NO_CLASS {
             let code: u32 = codes[r].into();
-            table[code as usize * k + c as usize] += w;
+            table[code as usize * k + it.class as usize] += it.w;
         }
     }
     missing_w
+}
+
+/// Append each item's nominal code to `out`, `NO_BRANCH` where missing.
+fn branch_codes<C: Copy + Into<u32>>(
+    codes: &[C],
+    valid: &Bitmap,
+    items: &[Item],
+    out: &mut Vec<u32>,
+) {
+    out.extend(items.iter().map(|it| {
+        let r = it.row as usize;
+        if valid.get(r) {
+            codes[r].into()
+        } else {
+            NO_BRANCH
+        }
+    }));
 }
 
 /// Each present row's dense rank among the column's distinct values;
@@ -753,46 +1093,6 @@ fn value_ranks(values: &[f64], valid: &Bitmap) -> Vec<u32> {
         ranks[r as usize] = rank;
     }
     ranks
-}
-
-/// Split `items` by `branch_of(row)` (`None` when the split value is
-/// missing) into one list per branch, in item order. Each missing-valued
-/// item then joins every branch with a positive share of the present
-/// weight, at that share of its weight. Returns the lists and the
-/// shares.
-fn partition(
-    items: &[(usize, f64)],
-    num_branches: usize,
-    branch_of: impl Fn(usize) -> Option<usize>,
-) -> (Vec<Vec<(usize, f64)>>, Vec<f64>) {
-    let mut branch_items: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_branches];
-    let mut branch_weights = vec![0.0f64; num_branches];
-    let mut missing_items: Vec<(usize, f64)> = Vec::new();
-    for &(r, w) in items {
-        match branch_of(r) {
-            None => missing_items.push((r, w)),
-            Some(b) => {
-                branch_items[b].push((r, w));
-                branch_weights[b] += w;
-            }
-        }
-    }
-    let present_w: f64 = branch_weights.iter().sum();
-    let branch_fracs: Vec<f64> = if present_w > 0.0 {
-        branch_weights.iter().map(|&w| w / present_w).collect()
-    } else {
-        vec![1.0 / num_branches as f64; num_branches]
-    };
-    // Fractional distribution of missing-valued instances.
-    for &(r, w) in &missing_items {
-        for (b, items_b) in branch_items.iter_mut().enumerate() {
-            let frac = branch_fracs[b];
-            if frac > 0.0 {
-                items_b.push((r, w * frac));
-            }
-        }
-    }
-    (branch_items, branch_fracs)
 }
 
 /// WEKA's `Stats.addErrs`: the number of *additional* errors predicted
@@ -902,10 +1202,7 @@ impl Classifier for J48 {
             class_labels: data.class_attribute()?.labels().to_vec(),
             class_index: ci,
         };
-        let items: Vec<(usize, f64)> = (0..data.num_instances())
-            .map(|r| (r, data.weight(r)))
-            .collect();
-        let mut root = Grower::new(self, data, ci, k).grow(&items, 0);
+        let mut root = Grower::new(self, data, ci, k).grow_root();
         if !self.unpruned {
             Self::prune(&mut root, self.confidence);
         }
@@ -921,24 +1218,48 @@ impl Classifier for J48 {
         Ok(out)
     }
 
+    /// Walk to the row's leaf and take its class from its counts,
+    /// without allocating; a row that meets a missing or out-of-domain
+    /// value on the way takes the fractional descent of
+    /// [`Classifier::distribution`]. Either way the result is `argmax`
+    /// of the distribution.
+    fn predict(&self, data: &Dataset, row: usize) -> Result<usize> {
+        let mut node = self.root.as_ref().ok_or(AlgoError::NotTrained)?;
+        while let Some(split) = &node.split {
+            match branch_of(split, data, row) {
+                Some(b) if b < node.children.len() => node = &node.children[b],
+                _ => return argmax(&self.distribution(data, row)?).ok_or(AlgoError::NotTrained),
+            }
+        }
+        leaf_class(&node.counts).ok_or(AlgoError::NotTrained)
+    }
+
+    /// WEKA's text, written in one pass: the same bytes as rendering
+    /// [`Classifier::tree_model`] with [`TreeModel::to_text`].
     fn describe(&self) -> String {
         let root = match &self.root {
             None => return "J48: not trained".to_string(),
             Some(r) => r,
         };
-        let mut out = String::from("J48 ");
-        out.push_str(if self.unpruned {
-            "unpruned tree\n"
+        let mut out = String::from(if self.unpruned {
+            "J48 unpruned tree\n"
         } else {
-            "pruned tree\n"
+            "J48 pruned tree\n"
         });
         out.push_str("------------------\n\n");
-        out.push_str(&self.tree_model().expect("trained").to_text());
-        out.push_str(&format!(
+        if root.is_leaf() {
+            out.push_str(": ");
+            self.write_leaf(root, &mut out);
+            out.push('\n');
+        } else {
+            self.write_subtree(root, 0, &mut out);
+        }
+        let _ = write!(
+            out,
             "\nNumber of Leaves  : \t{}\n\nSize of the tree : \t{}\n",
             root.num_leaves(),
             root.size()
-        ));
+        );
         out
     }
 
@@ -1066,7 +1387,7 @@ impl Stateful for J48 {
                 class_labels,
                 class_index,
             };
-            self.root = Some(Self::decode_node(&mut r, 0)?);
+            self.root = Some(Self::decode_node(&mut r, cn, 0)?);
         } else {
             self.root = None;
         }
@@ -1186,6 +1507,38 @@ mod tests {
         for r in 0..ds.num_instances() {
             assert_eq!(j.predict(&ds, r).unwrap(), j2.predict(&ds, r).unwrap());
         }
+    }
+
+    #[test]
+    fn decode_refuses_a_node_that_does_not_fit_the_header() {
+        let ds = dm_data::corpus::breast_cancer();
+        let mut j = J48::new();
+        j.train(&ds).unwrap();
+        // One class count too many: `distribution` would index past the
+        // class labels.
+        let mut extra_count = j.clone();
+        extra_count.root.as_mut().unwrap().counts.push(1.0);
+        // One branch fraction too few: a missing value's fractional
+        // descent would index past them.
+        let mut short_fracs = j.clone();
+        short_fracs.root.as_mut().unwrap().branch_fracs.pop();
+        for bad in [extra_count, short_fracs] {
+            let err = J48::new().decode_state(&bad.encode_state()).unwrap_err();
+            assert!(matches!(err, AlgoError::BadState(_)), "{err:?}");
+        }
+        J48::new().decode_state(&j.encode_state()).unwrap();
+    }
+
+    #[test]
+    fn run_ends_suffice_for_unit_weights_but_not_beside_a_tiny_weight() {
+        // 450 unit weights, one class nearly alone.
+        assert!(run_ends_suffice(&[448.0, 1.0, 1.0], 450.0, 1.0, 450));
+        // All the weight in one class: every cut scores the same.
+        assert!(run_ends_suffice(&[5.0, 0.0], 5.0, 1.0, 5));
+        // A weight that no sum beside weights of 1 registers.
+        assert!(!run_ends_suffice(&[3.0, 7.0], 10.0, 1e-30, 11));
+        // A nearly pure node of 100,000 unit weights.
+        assert!(!run_ends_suffice(&[99_998.0, 2.0], 100_000.0, 1.0, 100_000));
     }
 
     #[test]

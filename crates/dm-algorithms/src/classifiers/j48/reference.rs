@@ -324,7 +324,7 @@ mod tests {
 
     use super::super::Grower;
     use super::*;
-    use crate::classifiers::{check_trainable, Classifier};
+    use crate::classifiers::{argmax, check_trainable, Classifier};
     use crate::options::Configurable;
     use crate::state::Stateful;
     use dm_data::Attribute;
@@ -427,10 +427,9 @@ mod tests {
         ds
     }
 
-    /// The encoded model the oracle grows from `j48`'s options: the
-    /// same header as the trained `j48`, the reference tree, and the
-    /// same pruning.
-    fn oracle_state(j48: &J48, data: &Dataset) -> Vec<u8> {
+    /// `j48` with the tree the oracle grows from its options: the same
+    /// header, the reference tree, and the same pruning.
+    fn oracle_model(j48: &J48, data: &Dataset) -> J48 {
         let (ci, k) = check_trainable(data).unwrap();
         let items: Vec<(usize, f64)> = (0..data.num_instances())
             .map(|r| (r, data.weight(r)))
@@ -441,7 +440,85 @@ mod tests {
         }
         let mut reference = j48.clone();
         reference.root = Some(root);
-        reference.encode_state()
+        reference
+    }
+
+    /// The text `describe` gave before it was written in one pass: the
+    /// tree model rendered by `TreeModel::to_text`.
+    fn text_via_tree_model(j48: &J48) -> String {
+        let root = j48.root.as_ref().expect("trained");
+        let mut out = String::from("J48 ");
+        out.push_str(if j48.unpruned {
+            "unpruned tree\n"
+        } else {
+            "pruned tree\n"
+        });
+        out.push_str("------------------\n\n");
+        out.push_str(&j48.tree_model().expect("trained").to_text());
+        out.push_str(&format!(
+            "\nNumber of Leaves  : \t{}\n\nSize of the tree : \t{}\n",
+            root.num_leaves(),
+            root.size()
+        ));
+        out
+    }
+
+    /// `data` under a header whose nominal attributes (the class aside)
+    /// each hold one label more, with every third row's nominal cells
+    /// set to it: rows that meet an out-of-domain code at a split.
+    fn widened(data: &Dataset) -> Dataset {
+        let ci = data.class_index();
+        let wide = |a: usize| Some(a) != ci && data.attributes()[a].is_nominal();
+        let attrs = (0..data.num_attributes())
+            .map(|a| {
+                let attr = &data.attributes()[a];
+                if wide(a) {
+                    let labels = attr.labels().iter().cloned().chain(["unseen".to_string()]);
+                    Attribute::nominal(attr.name(), labels)
+                } else {
+                    attr.clone()
+                }
+            })
+            .collect();
+        let mut out = Dataset::new(data.relation(), attrs);
+        out.set_class_index(ci).unwrap();
+        for r in 0..data.num_instances() {
+            let mut row = data.row_values(r);
+            if r % 3 == 0 {
+                for (a, v) in row.iter_mut().enumerate() {
+                    if wide(a) {
+                        *v = data.attributes()[a].num_labels() as f64;
+                    }
+                }
+            }
+            out.push_row_weighted(row, data.weight(r)).unwrap();
+        }
+        out
+    }
+
+    /// Every row's prediction is `argmax` of its distribution, and a
+    /// decoded copy of the model predicts the same: on the training
+    /// rows (some meet a missing value on their path) and on the
+    /// [`widened`] rows.
+    fn assert_predictions_follow_distribution(j48: &J48, data: &Dataset, what: &str) {
+        let mut copy = J48::new();
+        copy.decode_state(&j48.encode_state()).unwrap();
+        let wide = widened(data);
+        for (rows, which) in [(data, "training"), (&wide, "widened")] {
+            for r in 0..rows.num_instances() {
+                let expected = argmax(&j48.distribution(rows, r).unwrap());
+                assert_eq!(
+                    j48.predict(rows, r).ok(),
+                    expected,
+                    "{what}, {which} row {r}: prediction"
+                );
+                assert_eq!(
+                    copy.predict(rows, r).ok(),
+                    expected,
+                    "{what}, {which} row {r}: decoded copy's prediction"
+                );
+            }
+        }
     }
 
     const OPTIONS: [&[(&str, &str)]; 5] = [
@@ -452,6 +529,9 @@ mod tests {
         &[("-C", "0.5"), ("-M", "3")],
     ];
 
+    /// Train at every setting of [`OPTIONS`] and compare with the
+    /// oracle: encoded state, text, tree model and every prediction.
+    /// Returns about how many internal nodes grew.
     fn assert_matches_oracle(data: &Dataset, what: &str) -> usize {
         let mut internal = 0;
         for options in OPTIONS {
@@ -460,10 +540,23 @@ mod tests {
                 j48.set_option(flag, value).unwrap();
             }
             j48.train(data).unwrap();
+            let what = format!("{what}, options {options:?}");
+            let reference = oracle_model(&j48, data);
             assert!(
-                j48.encode_state() == oracle_state(&j48, data),
-                "{what}, options {options:?}: tree differs from the reference"
+                j48.encode_state() == reference.encode_state(),
+                "{what}: tree differs from the reference"
             );
+            assert_eq!(
+                j48.describe(),
+                text_via_tree_model(&reference),
+                "{what}: text"
+            );
+            assert_eq!(
+                j48.tree_model(),
+                reference.tree_model(),
+                "{what}: tree model"
+            );
+            assert_predictions_follow_distribution(&j48, data, &what);
             internal += j48.tree_size().unwrap() / 2;
         }
         internal
@@ -517,7 +610,10 @@ mod tests {
                 for i in (1..items.len()).rev() {
                     items.swap(i, g.below(i + 1));
                 }
-                let counts = grower.gather(&items);
+                grower.arena.clear();
+                grower.push_items(items.iter().copied());
+                let end = grower.arena.len();
+                let counts = grower.class_counts(0, end);
                 let expected = Oracle::class_counts(&data, &items, ci, k);
                 assert_eq!(
                     counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -531,12 +627,12 @@ mod tests {
                 for a in (0..data.num_attributes()).filter(|&a| a != ci) {
                     let (ours, theirs) = if data.attributes()[a].is_nominal() {
                         (
-                            grower.eval_nominal(&items, a, total_w),
+                            grower.eval_nominal(0, end, a, total_w),
                             oracle.eval_nominal(&data, &items, a, ci, k),
                         )
                     } else {
                         (
-                            grower.eval_numeric(&items, a, total_w),
+                            grower.eval_numeric(0, end, a, total_w),
                             oracle.eval_numeric(&data, &items, a, ci, k),
                         )
                     };
@@ -566,6 +662,182 @@ mod tests {
             dm_data::corpus::nominal_classification(400, 6, 3, 2, 0.1, 11),
         ] {
             assert_matches_oracle(&data, data.relation());
+        }
+    }
+
+    #[test]
+    fn grower_matches_reference_on_irregular_datasets() {
+        let (mut trained, mut internal) = (0, 0);
+        for seed in 0..2_000u64 {
+            let data = dm_data::corpus::irregular(seed);
+            if check_trainable(&data).is_err() {
+                continue;
+            }
+            internal += assert_matches_oracle(&data, &format!("irregular({seed})"));
+            trained += 1;
+        }
+        assert!(trained > 800, "only {trained} trainable datasets");
+        assert!(internal > 20_000, "only {internal} internal nodes grown");
+    }
+
+    #[test]
+    fn weightless_blocks_keep_their_first_threshold_on_irregular_62_and_206() {
+        // At one node of each tree the best cut lies inside a same-class
+        // run, and the run's end is reached from it only through
+        // zero-weight items: the end has the same gain, and the oracle
+        // keeps the earlier cut's threshold.
+        for seed in [62, 206] {
+            assert_matches_oracle(
+                &dm_data::corpus::irregular(seed),
+                &format!("irregular({seed})"),
+            );
+        }
+    }
+
+    /// A numeric-only dataset aimed at the boundary-cut rule: few
+    /// distinct values (ties, with `-0.0` beside `0.0`), classes that
+    /// follow the first attribute in long runs, many zero weights, some
+    /// fractional ones, and missing cells.
+    fn weightless_ties(g: &mut Gen) -> Dataset {
+        let n_attrs = 1 + g.below(3);
+        let k = 2 + g.below(2);
+        let rows = 20 + g.below(280);
+        let levels = [3, 7, 12, 40][g.below(4)];
+        let missing = [0.0, 0.1][g.below(2)];
+        let mut attrs: Vec<Attribute> = (0..n_attrs)
+            .map(|a| Attribute::numeric(format!("x{a}")))
+            .collect();
+        attrs.push(Attribute::nominal("class", (0..k).map(|c| format!("c{c}"))));
+        let mut ds = Dataset::new("weightless-ties", attrs);
+        ds.set_class_index(Some(n_attrs)).unwrap();
+        for _ in 0..rows {
+            let mut row: Vec<f64> = (0..n_attrs)
+                .map(|_| {
+                    let level = g.below(levels);
+                    match level as f64 - (levels / 2) as f64 {
+                        0.0 if g.below(2) == 0 => -0.0,
+                        v => v / 2.0,
+                    }
+                })
+                .collect();
+            let class = if g.unit() < 0.05 {
+                g.below(k)
+            } else {
+                ((row[0] + levels as f64 / 4.0) * 2.0 * k as f64 / levels as f64) as usize % k
+            };
+            for v in &mut row {
+                if g.unit() < missing {
+                    *v = f64::NAN;
+                }
+            }
+            row.push(class as f64);
+            let weight = [0.0, 0.0, 0.0, 0.1, 1.0 / 3.0, 2.5, 1.0, 1.0, 1.0, 1.0][g.below(10)];
+            ds.push_row_weighted(row, weight).unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn grower_matches_reference_on_weightless_ties() {
+        let mut internal = 0;
+        for seed in 0..400u64 {
+            let data = weightless_ties(&mut Gen(5_000 + seed));
+            internal += assert_matches_oracle(&data, &format!("weightless ties, seed {seed}"));
+        }
+        assert!(internal > 3_000, "only {internal} internal nodes grown");
+    }
+
+    #[test]
+    fn grower_matches_reference_with_negative_weights() {
+        // The boundary-cut argument needs weights that are not negative;
+        // a node holding one scores every cut, as the oracle does.
+        for seed in 0..200u64 {
+            let mut data = weightless_ties(&mut Gen(9_000 + seed));
+            let mut g = Gen(seed);
+            for r in 0..data.num_instances() {
+                if g.below(12) == 0 {
+                    data.set_weight(r, -0.25);
+                }
+            }
+            assert_matches_oracle(&data, &format!("negative weights, seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn a_weight_too_small_to_move_the_sums_does_not_hide_a_tie() {
+        // The cut at 1.5 lies inside a run of class c. Adding 1e-30 to
+        // weights of 1 changes no sum, so the run's end at 2.5 scores
+        // the same gain, bit for bit; the oracle keeps the first.
+        let mut ds = Dataset::new(
+            "tiny-weight",
+            vec![
+                Attribute::numeric("x"),
+                Attribute::nominal("class", ["c", "d"]),
+            ],
+        );
+        ds.set_class_index(Some(1)).unwrap();
+        for (x, class, w, times) in [
+            (0.0, 1, 1.0, 3),
+            (1.0, 0, 1.0, 3),
+            (2.0, 0, 1e-30, 1),
+            (3.0, 1, 1.0, 4),
+        ] {
+            for _ in 0..times {
+                ds.push_row_weighted(vec![x, f64::from(class)], w).unwrap();
+            }
+        }
+        let mut j48 = J48::new();
+        j48.train(&ds).unwrap();
+        assert_eq!(
+            j48.root.as_ref().unwrap().split,
+            Some(Split::Numeric {
+                attr: 0,
+                threshold: 1.5
+            })
+        );
+        assert_matches_oracle(&ds, "tiny weight");
+    }
+
+    #[test]
+    fn a_leaf_predicts_its_normalised_distribution_not_its_raw_counts() {
+        // Class weights at a leaf whose distribution's argmax is the
+        // first class while the raw counts' is not. In the first two
+        // weights an ulp apart divide to the same share; in the second
+        // the shares sum to an ulp short of 1, and dividing by that sum
+        // ties the first share with the largest. The constant attribute
+        // offers no split, so the root is that leaf.
+        let a = 1.941_367_157_034_823_9_f64;
+        let ulp_apart = vec![a, f64::from_bits(a.to_bits() + 1), 1.846_932_332_327_874_3];
+        let b = 0.422_718_106_572_636_53_f64;
+        let short_sum = vec![0.422_718_106_572_636_5, 0.422_718_106_572_636_3, b, b];
+        for (what, weights) in [("ulp tie", ulp_apart), ("short sum", short_sum)] {
+            let classes = (0..weights.len()).map(|c| format!("c{c}"));
+            let mut ds = Dataset::new(
+                what,
+                vec![
+                    Attribute::numeric("x"),
+                    Attribute::nominal("class", classes),
+                ],
+            );
+            ds.set_class_index(Some(1)).unwrap();
+            for (c, &w) in weights.iter().enumerate() {
+                ds.push_row_weighted(vec![1.0, c as f64], w).unwrap();
+            }
+            let mut j48 = J48::new();
+            j48.train(&ds).unwrap();
+            assert_eq!(j48.tree_size(), Some(1), "{what}");
+            assert_ne!(
+                argmax(&j48.root.as_ref().unwrap().counts),
+                Some(0),
+                "{what}"
+            );
+            assert_eq!(
+                argmax(&j48.distribution(&ds, 0).unwrap()),
+                Some(0),
+                "{what}"
+            );
+            assert_eq!(j48.predict(&ds, 0).unwrap(), 0, "{what}");
+            assert_matches_oracle(&ds, what);
         }
     }
 }

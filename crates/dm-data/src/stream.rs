@@ -16,9 +16,10 @@
 //!
 //! Receive-side hardening: every batch is validated against the stream
 //! header before a single cell is applied — ragged buffers, mismatched
-//! column kinds, out-of-domain nominal codes and dangling string-table
-//! ids are rejected with a [`DataError`] instead of panicking or
-//! silently remapping values. The header carries the producer's string
+//! column kinds, out-of-domain nominal codes, dangling string-table
+//! ids, non-finite numeric cells and negative or non-finite weights are
+//! rejected with a [`DataError`] instead of panicking, silently
+//! remapping values or reaching a kernel that assumes finite numbers. The header carries the producer's string
 //! table and nominal domains precisely so interned ids replay losslessly
 //! on the consumer (the consumer never re-derives them from its own
 //! dictionary state).
@@ -382,7 +383,9 @@ impl RecordBatch {
     /// kinds must match the schema, every buffer must cover exactly
     /// `num_rows` (ragged batches are rejected with
     /// [`DataError::RaggedBatch`]), nominal codes must lie inside their
-    /// domains, and string ids inside the header's string table.
+    /// domains, string ids inside the header's string table, present
+    /// numeric cells must be finite and weights finite and not negative
+    /// (both a [`DataError::Parse`] naming the attribute or row).
     pub fn validate(&self, header: &StreamHeader) -> Result<()> {
         if self.columns.len() != header.num_attributes() {
             return Err(DataError::Arity {
@@ -465,8 +468,36 @@ impl RecordBatch {
                         }
                     }
                 }
-                Column::Numeric { .. } => {}
+                // The ARFF and CSV readers refuse non-finite numbers, and
+                // kernels assume none: a present cell must be finite.
+                Column::Numeric { values, valid } => {
+                    if let Some(i) =
+                        (0..self.num_rows).find(|&i| valid.get(i) && !values[i].is_finite())
+                    {
+                        return Err(DataError::Parse {
+                            line: 0,
+                            message: format!(
+                                "attribute {:?}, row {i}: {} is not a finite number",
+                                attr.name(),
+                                values[i]
+                            ),
+                        });
+                    }
+                }
             }
+        }
+        if let Some(i) = self
+            .weights
+            .iter()
+            .position(|w| !(0.0..f64::INFINITY).contains(w))
+        {
+            return Err(DataError::Parse {
+                line: 0,
+                message: format!(
+                    "row {i}: weight {} is not a finite, non-negative number",
+                    self.weights[i]
+                ),
+            });
         }
         Ok(())
     }
@@ -1246,6 +1277,50 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_cells_and_bad_weights_are_refused() {
+        let ds = notes();
+        let header = StreamHeader::of(&ds);
+        let good = RecordBatch::from_rows(&ds, 0..3);
+        good.validate(&header).unwrap();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut batch = good.clone();
+            let Column::Numeric { values, .. } = &mut batch.columns[0] else {
+                panic!("id is numeric")
+            };
+            values[1] = v;
+            // Through the wire, as a peer would send it.
+            let err = RecordBatch::from_bytes(&batch.to_bytes())
+                .unwrap()
+                .validate(&header)
+                .unwrap_err();
+            let message = err.to_string();
+            assert!(
+                message.contains("\"id\", row 1") && message.contains("finite"),
+                "{message}"
+            );
+        }
+        // A non-finite value in a missing cell is not a cell.
+        let mut batch = good.clone();
+        let Column::Numeric { values, .. } = &mut batch.columns[0] else {
+            panic!("id is numeric")
+        };
+        values[2] = f64::INFINITY;
+        batch.validate(&header).unwrap();
+        for w in [-1.0, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let mut batch = good.clone();
+            batch.weights[2] = w;
+            let err = RecordBatch::from_bytes(&batch.to_bytes())
+                .unwrap()
+                .validate(&header)
+                .unwrap_err();
+            assert!(err.to_string().contains("row 2: weight"), "{err}");
+        }
+        let mut batch = good;
+        batch.weights[2] = 0.0;
+        batch.validate(&header).unwrap();
+    }
+
+    #[test]
     fn mutated_stream_frames_are_errors_not_panics() {
         let mut small = notes();
         small.set_weight(1, 2.5);
@@ -1265,7 +1340,21 @@ mod tests {
                     &format!("{} FSB1 #{i}", ds.relation()),
                     &batch.to_bytes(),
                     seed + i as u64,
-                    &|b| RecordBatch::from_bytes(b).and_then(|got| got.validate(&header)),
+                    &|b| {
+                        let got = RecordBatch::from_bytes(b)?;
+                        got.validate(&header)?;
+                        // What validates is safe for the kernels: no
+                        // present numeric cell or weight is non-finite.
+                        for col in &got.columns {
+                            if let Column::Numeric { values, valid } = col {
+                                for (i, v) in values.iter().enumerate() {
+                                    assert!(!valid.get(i) || v.is_finite(), "row {i}: {v}");
+                                }
+                            }
+                        }
+                        assert!(got.weights.iter().all(|w| w.is_finite() && *w >= 0.0));
+                        Ok(())
+                    },
                 );
             }
         }

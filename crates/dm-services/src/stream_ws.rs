@@ -8,7 +8,8 @@
 //! (schema + dictionary state) and an online learner name, then pushes
 //! columnar [`RecordBatch`] chunks through `sendChunk`. Each chunk is
 //! validated against the header at receive time (ragged or
-//! out-of-domain chunks fault instead of panicking), folded into the
+//! out-of-domain chunks, non-finite numeric cells and negative or
+//! non-finite weights fault instead of reaching the model), folded into the
 //! long-lived model, and discarded — the service never materialises
 //! the whole dataset, so resident memory is bounded by one chunk
 //! (`streamStats` reports the high-water mark so tests can pin it).
@@ -296,8 +297,9 @@ impl DataStreamService {
             )));
         }
         let batch = RecordBatch::from_bytes(chunk_bytes).map_err(data_fault)?;
-        // Receive-time hardening: ragged buffers, kind mismatches, and
-        // out-of-domain codes fault here, before the model sees a cell.
+        // Receive-time hardening: ragged buffers, kind mismatches,
+        // out-of-domain codes, non-finite cells and weights that are
+        // negative or non-finite fault here, before the model sees a cell.
         batch.validate(&session.header).map_err(data_fault)?;
         let rows = batch.num_rows() as u64;
         let StreamSession { header, model, .. } = &mut *session;
@@ -509,6 +511,7 @@ impl WebService for DataStreamService {
 mod tests {
     use super::*;
     use dm_data::arff::write_arff;
+    use dm_data::column::Column;
     use dm_data::corpus::nominal_classification;
     use dm_data::stream::chunk_dataset as chunk;
 
@@ -644,6 +647,48 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.code, "Client");
+    }
+
+    #[test]
+    fn non_finite_cells_and_bad_weights_fault_before_the_model_sees_them() {
+        let ds = dm_data::corpus::weather_numeric();
+        let svc = DataStreamService::new();
+        let id = open(&svc, &ds, "RunningStats", 8);
+        let batches = chunk(&ds, 5).unwrap();
+        send(&svc, &id, 0, 0, &batches[0]).unwrap();
+        let stats = |svc: &DataStreamService| {
+            svc.invoke(
+                "streamStats",
+                &[("streamId".into(), SoapValue::Text(id.clone()))],
+            )
+            .unwrap()
+        };
+        let before = stats(&svc);
+        let temperature = ds.attribute_index("temperature").unwrap();
+        let mut bad = Vec::new();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut batch = batches[1].clone();
+            let Column::Numeric { values, .. } = &mut batch.columns[temperature] else {
+                panic!("temperature is numeric")
+            };
+            values[3] = v;
+            bad.push((batch, "\"temperature\", row 3"));
+        }
+        for w in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut batch = batches[1].clone();
+            batch.weights[2] = w;
+            bad.push((batch, "row 2: weight"));
+        }
+        // Sent at the accepted chunk's instant, so that no in-flight
+        // chunk drains between the reads of the stats.
+        for (batch, names) in &bad {
+            let err = send(&svc, &id, 1, 0, batch).unwrap_err();
+            assert_eq!(err.code, "Client", "{}", err.message);
+            assert!(err.message.contains(names), "{}", err.message);
+            assert_eq!(stats(&svc), before);
+        }
+        // The stream goes on: the clean chunk lands at the same seq.
+        send(&svc, &id, 1, 0, &batches[1]).unwrap();
     }
 
     #[test]
