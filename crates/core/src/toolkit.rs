@@ -11,13 +11,16 @@
 //! [`Toolkit::degraded_mode_report`] summarises what the deployment is
 //! routing around.
 
-use dm_services::client::{ClassifierClient, ClustererClient, ConvertClient, J48Client};
+use dm_algorithms::pool::PoolStats;
+use dm_services::client::{
+    ClassifierClient, ClientChannel, ClustererClient, ConvertClient, J48Client,
+};
 use dm_services::{deploy_faehim_suite, publish_suite};
 use dm_workflow::durable::DurableConfig;
 use dm_workflow::engine::{BackoffSink, ExecutionReport, Executor, RetryPolicy};
 use dm_workflow::error::WorkflowError;
 use dm_workflow::graph::{TaskGraph, TaskId, Token};
-use dm_workflow::journal::RunJournal;
+use dm_workflow::journal::{JournalStats, RunJournal};
 use dm_workflow::planner::{Goal, GoalStep, Plan, Planner, UsageRecommender};
 use dm_workflow::toolbox::Toolbox;
 use dm_workflow::wsimport::{import_from_host, WsTool};
@@ -25,7 +28,7 @@ use dm_wsrf::container::{CapacityConfig, ServiceContainer};
 use dm_wsrf::costmodel::CostModel;
 use dm_wsrf::dataplane::AttachmentStore;
 use dm_wsrf::fleet::GossipNode;
-use dm_wsrf::metrics::{MetricsRegistry, PoolSnapshot, RecoverySnapshot};
+use dm_wsrf::metrics::MetricsRegistry;
 use dm_wsrf::registry::ServiceEntry;
 use dm_wsrf::resilience::{BreakerBoard, BreakerConfig, ResiliencePolicy, ResilientCaller};
 use dm_wsrf::trace::Tracer;
@@ -282,41 +285,14 @@ impl Toolkit {
             .run_durable(graph, bindings, config)
     }
 
-    /// Set the shared compute pool's worker budget for subsequent
-    /// parallel training, batched scoring, and cross-validation
-    /// batches (see `dm_algorithms::pool`). Equivalent to launching
-    /// with `FAEHIM_POOL_THREADS=n`, but takes effect immediately.
-    /// Results are byte-identical at every thread count; this knob
-    /// only trades wall-clock time for cores.
-    pub fn set_compute_threads(&self, threads: usize) {
-        dm_algorithms::pool::set_global_threads(threads);
-    }
-
-    /// Snapshot of the shared compute pool's lifetime counters
-    /// (threads, tasks, batches, fan-outs, steals, per-worker busy time),
-    /// flattened to the primitive form the metrics registry ingests.
-    pub fn compute_pool_stats(&self) -> PoolSnapshot {
-        let stats = dm_algorithms::pool::stats();
-        PoolSnapshot {
-            threads: stats.threads,
-            tasks: stats.tasks,
-            batches: stats.batches,
-            fanouts: stats.fanouts,
-            steals: stats.steals,
-            workers: stats
-                .workers
-                .iter()
-                .map(|w| (w.tasks, w.busy.as_secs_f64()))
-                .collect(),
-        }
-    }
-
     /// Snapshot the deployment's counters into a fresh
     /// [`MetricsRegistry`]: per-service invocation counts, latency
     /// histograms and byte counters from the monitor log's record-time
     /// aggregates (O(series), however long the log is), wire-level
     /// envelope/byte/savings totals, the attachment stores, the
-    /// compute pool's task/steal/busy counters, and the
+    /// compute pool's task/steal/busy counters (from
+    /// `dm_algorithms::pool::stats`), the run journal's counters when
+    /// durable enactment is on ([`RunJournal::stats`]), and the
     /// classifier's model/evaluation caches. Fetching the classifier
     /// cache counters is itself a recorded service call, so it runs
     /// before the monitor snapshot and is accounted like any other
@@ -347,17 +323,9 @@ impl Toolkit {
         if let Some(store) = self.network.client_store() {
             metrics.ingest_cache("attachments", &[("host", "client")], &store.stats());
         }
-        metrics.ingest_pool(&self.compute_pool_stats());
+        write_pool(&metrics, &dm_algorithms::pool::stats());
         if let Some(config) = &self.durable {
-            let stats = config.journal().stats();
-            metrics.ingest_recovery(&RecoverySnapshot {
-                journal_appends: stats.appends,
-                journal_records: stats.records,
-                journal_bytes: stats.bytes,
-                replay_hits: stats.replay_hits,
-                redeliveries: stats.redeliveries,
-                torn_bytes_dropped: stats.torn_bytes,
-            });
+            write_journal(&metrics, &config.journal().stats());
         }
         metrics
     }
@@ -560,44 +528,38 @@ impl Toolkit {
         Ok(tools)
     }
 
+    /// The channel every typed client is made from: the primary host,
+    /// through the shared resilient caller when the layer is enabled.
+    fn channel(&self) -> ClientChannel {
+        let channel = ClientChannel::new(self.network(), self.primary_host());
+        match &self.resilience {
+            Some(caller) => channel.with_resilience(caller.clone()),
+            None => channel,
+        }
+    }
+
     /// Typed client for the general Classifier service on the primary
     /// host (resilient when the layer is enabled).
     pub fn classifier_client(&self) -> ClassifierClient {
-        let client = ClassifierClient::new(self.network(), self.primary_host());
-        match &self.resilience {
-            Some(caller) => client.with_resilience(caller.clone()),
-            None => client,
-        }
+        self.channel().into()
     }
 
     /// Typed client for the dedicated J48 service (resilient when the
     /// layer is enabled).
     pub fn j48_client(&self) -> J48Client {
-        let client = J48Client::new(self.network(), self.primary_host());
-        match &self.resilience {
-            Some(caller) => client.with_resilience(caller.clone()),
-            None => client,
-        }
+        self.channel().into()
     }
 
     /// Typed client for the clustering services (resilient when the
     /// layer is enabled).
     pub fn clusterer_client(&self) -> ClustererClient {
-        let client = ClustererClient::new(self.network(), self.primary_host());
-        match &self.resilience {
-            Some(caller) => client.with_resilience(caller.clone()),
-            None => client,
-        }
+        self.channel().into()
     }
 
     /// Typed client for the conversion / URL-reader services (resilient
     /// when the layer is enabled).
     pub fn convert_client(&self) -> ConvertClient {
-        let client = ConvertClient::new(self.network(), self.primary_host());
-        match &self.resilience {
-            Some(caller) => client.with_resilience(caller.clone()),
-            None => client,
-        }
+        self.channel().into()
     }
 
     /// The Figure-2 component inventory as text: the workflow engine
@@ -636,6 +598,41 @@ impl Toolkit {
         ));
         out
     }
+}
+
+/// Write the compute pool's `faehim_pool_*` series from its own stats:
+/// global task / batch / fan-out / steal counters, a thread-count gauge,
+/// and per-worker task counters and busy-time gauges labelled by worker
+/// slot.
+fn write_pool(metrics: &MetricsRegistry, stats: &PoolStats) {
+    metrics.set_gauge("faehim_pool_threads", &[], stats.threads as f64);
+    metrics.set_counter("faehim_pool_tasks_total", &[], stats.tasks);
+    metrics.set_counter("faehim_pool_batches_total", &[], stats.batches);
+    metrics.set_counter("faehim_pool_fanouts_total", &[], stats.fanouts);
+    metrics.set_counter("faehim_pool_steals_total", &[], stats.steals);
+    for (slot, worker) in stats.workers.iter().enumerate() {
+        let slot = slot.to_string();
+        let labels = [("worker", slot.as_str())];
+        metrics.set_counter("faehim_pool_worker_tasks_total", &labels, worker.tasks);
+        metrics.set_gauge(
+            "faehim_pool_worker_busy_seconds",
+            &labels,
+            worker.busy.as_secs_f64(),
+        );
+    }
+}
+
+/// Write the run journal's series from its own stats: append and size
+/// figures, replay hits (tasks restored from the log instead of
+/// re-executing), worker-death redeliveries, and torn-tail bytes dropped
+/// by checksum verification.
+fn write_journal(metrics: &MetricsRegistry, stats: &JournalStats) {
+    metrics.set_counter("faehim_journal_appends_total", &[], stats.appends);
+    metrics.set_gauge("faehim_journal_records", &[], stats.records as f64);
+    metrics.set_gauge("faehim_journal_bytes", &[], stats.bytes as f64);
+    metrics.set_counter("faehim_replay_hits_total", &[], stats.replay_hits);
+    metrics.set_counter("faehim_redeliveries_total", &[], stats.redeliveries);
+    metrics.set_counter("faehim_journal_torn_bytes_total", &[], stats.torn_bytes);
 }
 
 #[cfg(test)]
@@ -1046,5 +1043,199 @@ mod tests {
         );
         assert_eq!(store.stats(), before);
         assert_eq!(records, journal.events().len() as u64);
+    }
+
+    #[test]
+    fn pool_ingestion_pins_prometheus_names() {
+        use dm_algorithms::pool::WorkerStats;
+        let m = MetricsRegistry::new();
+        write_pool(
+            &m,
+            &PoolStats {
+                threads: 4,
+                tasks: 120,
+                batches: 3,
+                fanouts: 2,
+                steals: 17,
+                workers: vec![
+                    WorkerStats {
+                        tasks: 70,
+                        busy: Duration::from_millis(250),
+                    },
+                    WorkerStats {
+                        tasks: 50,
+                        busy: Duration::from_millis(125),
+                    },
+                ],
+            },
+        );
+        assert_eq!(m.gauge_value("faehim_pool_threads", &[]), Some(4.0));
+        assert_eq!(m.counter_value("faehim_pool_tasks_total", &[]), 120);
+        assert_eq!(m.counter_value("faehim_pool_batches_total", &[]), 3);
+        assert_eq!(m.counter_value("faehim_pool_fanouts_total", &[]), 2);
+        assert_eq!(m.counter_value("faehim_pool_steals_total", &[]), 17);
+        assert_eq!(
+            m.counter_value("faehim_pool_worker_tasks_total", &[("worker", "0")]),
+            70
+        );
+        assert_eq!(
+            m.gauge_value("faehim_pool_worker_busy_seconds", &[("worker", "1")]),
+            Some(0.125)
+        );
+        // The exposition text carries the exact series names dashboards
+        // scrape — pin them so renames are a deliberate act.
+        let text = m.export_prometheus();
+        for name in [
+            "faehim_pool_threads 4",
+            "faehim_pool_tasks_total 120",
+            "faehim_pool_batches_total 3",
+            "faehim_pool_fanouts_total 2",
+            "faehim_pool_steals_total 17",
+            "faehim_pool_worker_tasks_total{worker=\"0\"} 70",
+            "faehim_pool_worker_busy_seconds{worker=\"1\"} 0.125",
+        ] {
+            assert!(text.contains(name), "missing `{name}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn recovery_snapshot_ingests_into_registry() {
+        let m = MetricsRegistry::new();
+        write_journal(
+            &m,
+            &JournalStats {
+                appends: 22,
+                records: 21,
+                bytes: 4096,
+                replay_hits: 7,
+                redeliveries: 1,
+                torn_bytes: 13,
+                missing_payloads: 0,
+            },
+        );
+        assert_eq!(m.counter_value("faehim_journal_appends_total", &[]), 22);
+        assert_eq!(m.gauge_value("faehim_journal_records", &[]), Some(21.0));
+        assert_eq!(m.gauge_value("faehim_journal_bytes", &[]), Some(4096.0));
+        assert_eq!(m.counter_value("faehim_replay_hits_total", &[]), 7);
+        assert_eq!(m.counter_value("faehim_redeliveries_total", &[]), 1);
+        assert_eq!(m.counter_value("faehim_journal_torn_bytes_total", &[]), 13);
+        // Pin the exported series names dashboards scrape.
+        let text = m.export_prometheus();
+        for name in [
+            "faehim_journal_appends_total 22",
+            "faehim_replay_hits_total 7",
+            "faehim_redeliveries_total 1",
+            "faehim_journal_torn_bytes_total 13",
+        ] {
+            assert!(text.contains(name), "missing `{name}` in:\n{text}");
+        }
+    }
+
+    /// The label keys of one Prometheus sample line, in order (no label
+    /// value this scrape exports holds `",`).
+    fn label_keys(sample: &str) -> Vec<&str> {
+        match sample.split_once('{') {
+            None => Vec::new(),
+            Some((_, labels)) => labels
+                .split("\",")
+                .map(|pair| pair.split_once('=').expect("key=\"value\"").0)
+                .collect(),
+        }
+    }
+
+    /// Every metric family a scrape exports after a pool batch and a
+    /// durable case-study enactment with the data plane and admission
+    /// control on: its `# TYPE` line, and the label keys of its series
+    /// (`le` and `quantile`, which every histogram's exposition adds,
+    /// left out).
+    const FAMILIES: &[(&str, &[&[&str]])] = &[
+        (
+            "faehim_cache_events_total counter",
+            &[&["cache", "event", "host"], &["cache", "event", "service"]],
+        ),
+        (
+            "faehim_cache_size gauge",
+            &[&["cache", "host", "unit"], &["cache", "service", "unit"]],
+        ),
+        (
+            "faehim_invocation_bytes_total counter",
+            &[&["direction", "service"]],
+        ),
+        (
+            "faehim_invocation_duration_seconds histogram",
+            &[&["service"]],
+        ),
+        ("faehim_invocation_ref_hits_total counter", &[&["service"]]),
+        (
+            "faehim_invocations_total counter",
+            &[&["host", "outcome", "service"]],
+        ),
+        ("faehim_journal_appends_total counter", &[&[]]),
+        ("faehim_journal_bytes gauge", &[&[]]),
+        ("faehim_journal_records gauge", &[&[]]),
+        ("faehim_journal_torn_bytes_total counter", &[&[]]),
+        ("faehim_pool_batches_total counter", &[&[]]),
+        ("faehim_pool_fanouts_total counter", &[&[]]),
+        ("faehim_pool_steals_total counter", &[&[]]),
+        ("faehim_pool_tasks_total counter", &[&[]]),
+        ("faehim_pool_threads gauge", &[&[]]),
+        ("faehim_pool_worker_busy_seconds gauge", &[&["worker"]]),
+        ("faehim_pool_worker_tasks_total counter", &[&["worker"]]),
+        ("faehim_queue_depth gauge", &[&["host"]]),
+        ("faehim_queueing_delay_seconds histogram", &[&["host"]]),
+        ("faehim_redeliveries_total counter", &[&[]]),
+        ("faehim_replay_hits_total counter", &[&[]]),
+        ("faehim_requests_admitted_total counter", &[&["host"]]),
+        ("faehim_requests_queued_total counter", &[&["host"]]),
+        ("faehim_requests_shed_total counter", &[&["host"]]),
+        ("faehim_wire_bytes_saved_total counter", &[&[]]),
+        ("faehim_wire_bytes_total counter", &[&[]]),
+        ("faehim_wire_envelopes_total counter", &[&[]]),
+        ("faehim_wire_ref_substitutions_total counter", &[&[]]),
+    ];
+
+    #[test]
+    fn a_scrape_exports_the_pinned_metric_families() {
+        let mut tk = Toolkit::new().unwrap();
+        tk.enable_data_plane();
+        tk.enable_admission_control(CapacityConfig {
+            workers: 4,
+            queue_limit: Some(64),
+            service_time: Duration::from_millis(1),
+        });
+        tk.enable_durable_enactment(1);
+        assert_eq!(dm_algorithms::pool::parallel_map(3, |i| i * i), [0, 1, 4]);
+        let (graph, _, bindings) = crate::casestudy::build_case_study(&tk).unwrap();
+        let report = tk.run_durable(&graph, &bindings).unwrap();
+        assert!(report.runs.iter().all(|r| r.error.is_none()));
+
+        let text = tk.metrics_registry().export_prometheus();
+        let mut families: Vec<(String, std::collections::BTreeSet<Vec<&str>>)> = Vec::new();
+        for line in text.lines() {
+            match line.strip_prefix("# TYPE ") {
+                Some(decl) => families.push((decl.to_string(), Default::default())),
+                None => {
+                    let keys = label_keys(line)
+                        .into_iter()
+                        .filter(|&k| k != "le" && k != "quantile")
+                        .collect();
+                    families
+                        .last_mut()
+                        .expect("a # TYPE line first")
+                        .1
+                        .insert(keys);
+                }
+            }
+        }
+        families.sort();
+        let seen: Vec<(&str, Vec<&[&str]>)> = families
+            .iter()
+            .map(|(decl, keys)| (decl.as_str(), keys.iter().map(Vec::as_slice).collect()))
+            .collect();
+        let pinned: Vec<(&str, Vec<&[&str]>)> = FAMILIES
+            .iter()
+            .map(|&(decl, keys)| (decl, keys.to_vec()))
+            .collect();
+        assert_eq!(seen, pinned, "{text}");
     }
 }

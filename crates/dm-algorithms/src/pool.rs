@@ -133,9 +133,9 @@ fn global_threads() -> usize {
     GLOBAL_THREADS.load(Ordering::Relaxed)
 }
 
-/// Set the global pool thread budget (clamped to ≥ 1). Wired to
-/// `Toolkit::set_compute_threads`; `FAEHIM_POOL_THREADS` seeds the
-/// initial value before the first call.
+/// Set the global pool thread budget (clamped to ≥ 1), taking effect
+/// for every later batch; `FAEHIM_POOL_THREADS` seeds the initial value
+/// before the first call.
 pub fn set_global_threads(n: usize) {
     GLOBAL_THREADS.store(n.max(1), Ordering::Relaxed);
 }

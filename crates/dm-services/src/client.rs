@@ -1,8 +1,9 @@
 //! Typed client stubs: what Triana's generated per-operation tools do —
 //! marshal arguments into SOAP calls over the (simulated) network and
-//! unmarshal the results. Every client can optionally route through a
-//! [`ResilientCaller`] so its calls get deadlines, backoff retries, and
-//! circuit-breaker accounting.
+//! unmarshal the results. Every client is made from one
+//! [`ClientChannel`] (each implements `From<ClientChannel>`), which can
+//! route through a [`ResilientCaller`] so its calls get deadlines,
+//! backoff retries, and circuit-breaker accounting.
 
 use dm_wsrf::dataplane::CacheStats;
 use dm_wsrf::error::Result;
@@ -114,19 +115,16 @@ pub struct ClassifierClient {
     channel: ClientChannel,
 }
 
+impl From<ClientChannel> for ClassifierClient {
+    fn from(channel: ClientChannel) -> ClassifierClient {
+        ClassifierClient { channel }
+    }
+}
+
 impl ClassifierClient {
     /// Point the client at `host` on `network`.
     pub fn new(network: Arc<Network>, host: &str) -> ClassifierClient {
-        ClassifierClient {
-            channel: ClientChannel::new(network, host),
-        }
-    }
-
-    /// Route this client's calls through `caller` (deadlines, backoff
-    /// retries, circuit breakers).
-    pub fn with_resilience(mut self, caller: ResilientCaller) -> ClassifierClient {
-        self.channel = self.channel.with_resilience(caller);
-        self
+        ClientChannel::new(network, host).into()
     }
 
     /// `getClassifiers` — available classifier names.
@@ -284,19 +282,16 @@ pub struct J48Client {
     channel: ClientChannel,
 }
 
+impl From<ClientChannel> for J48Client {
+    fn from(channel: ClientChannel) -> J48Client {
+        J48Client { channel }
+    }
+}
+
 impl J48Client {
     /// Point the client at `host` on `network`.
     pub fn new(network: Arc<Network>, host: &str) -> J48Client {
-        J48Client {
-            channel: ClientChannel::new(network, host),
-        }
-    }
-
-    /// Route this client's calls through `caller` (deadlines, backoff
-    /// retries, circuit breakers).
-    pub fn with_resilience(mut self, caller: ResilientCaller) -> J48Client {
-        self.channel = self.channel.with_resilience(caller);
-        self
+        ClientChannel::new(network, host).into()
     }
 
     /// `classify` — returns the textual decision tree.
@@ -358,19 +353,16 @@ pub struct ClustererClient {
     channel: ClientChannel,
 }
 
+impl From<ClientChannel> for ClustererClient {
+    fn from(channel: ClientChannel) -> ClustererClient {
+        ClustererClient { channel }
+    }
+}
+
 impl ClustererClient {
     /// Point the client at `host` on `network`.
     pub fn new(network: Arc<Network>, host: &str) -> ClustererClient {
-        ClustererClient {
-            channel: ClientChannel::new(network, host),
-        }
-    }
-
-    /// Route this client's calls through `caller` (deadlines, backoff
-    /// retries, circuit breakers).
-    pub fn with_resilience(mut self, caller: ResilientCaller) -> ClustererClient {
-        self.channel = self.channel.with_resilience(caller);
-        self
+        ClientChannel::new(network, host).into()
     }
 
     /// General service: available clusterer names.
@@ -410,19 +402,16 @@ pub struct ConvertClient {
     channel: ClientChannel,
 }
 
+impl From<ClientChannel> for ConvertClient {
+    fn from(channel: ClientChannel) -> ConvertClient {
+        ConvertClient { channel }
+    }
+}
+
 impl ConvertClient {
     /// Point the client at `host` on `network`.
     pub fn new(network: Arc<Network>, host: &str) -> ConvertClient {
-        ConvertClient {
-            channel: ClientChannel::new(network, host),
-        }
-    }
-
-    /// Route this client's calls through `caller` (deadlines, backoff
-    /// retries, circuit breakers).
-    pub fn with_resilience(mut self, caller: ResilientCaller) -> ConvertClient {
-        self.channel = self.channel.with_resilience(caller);
-        self
+        ClientChannel::new(network, host).into()
     }
 
     /// `csvToArff`.
@@ -501,24 +490,19 @@ pub struct StreamStatsSnapshot {
 /// clock and retries — co-operative back-pressure without threads.
 #[derive(Clone)]
 pub struct StreamClient {
-    network: Arc<Network>,
     channel: ClientChannel,
+}
+
+impl From<ClientChannel> for StreamClient {
+    fn from(channel: ClientChannel) -> StreamClient {
+        StreamClient { channel }
+    }
 }
 
 impl StreamClient {
     /// Point the client at `host` on `network`.
     pub fn new(network: Arc<Network>, host: &str) -> StreamClient {
-        StreamClient {
-            channel: ClientChannel::new(Arc::clone(&network), host),
-            network,
-        }
-    }
-
-    /// Route this client's calls through `caller` (deadlines, backoff
-    /// retries, circuit breakers).
-    pub fn with_resilience(mut self, caller: ResilientCaller) -> StreamClient {
-        self.channel = self.channel.with_resilience(caller);
-        self
+        ClientChannel::new(network, host).into()
     }
 
     /// `openStream` — returns the stream id.
@@ -559,7 +543,7 @@ impl StreamClient {
         // slot frees, so a handful of sleeps always suffices.
         let mut last_err = None;
         for _ in 0..16 {
-            let at = self.network.now().as_nanos() as i64;
+            let at = self.channel.network.now().as_nanos() as i64;
             let result = self.channel.invoke(
                 "DataStream",
                 "sendChunk",
@@ -576,7 +560,8 @@ impl StreamClient {
                     if code == "Server" && message.contains("retry_after_nanos=") =>
                 {
                     let nanos = retry_hint_nanos(&message);
-                    self.network
+                    self.channel
+                        .network
                         .advance_virtual_time(std::time::Duration::from_nanos(nanos));
                     last_err = Some(dm_wsrf::error::WsError::Fault { code, message });
                 }

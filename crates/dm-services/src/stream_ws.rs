@@ -679,6 +679,18 @@ mod tests {
             batch.weights[2] = w;
             bad.push((batch, "row 2: weight"));
         }
+        // A nominal code outside the header's domain, and a column of the
+        // wrong kind, are the caller's errors too.
+        let outlook = ds.attribute_index("outlook").unwrap();
+        let mut batch = batches[1].clone();
+        let Column::Nominal { codes, .. } = &mut batch.columns[outlook] else {
+            panic!("outlook is nominal")
+        };
+        codes.set(3, 200);
+        bad.push((batch, "code 200 out of range for attribute \"outlook\""));
+        let mut batch = batches[1].clone();
+        batch.columns[outlook] = batch.columns[temperature].clone();
+        bad.push((batch, "attribute \"outlook\" is not nominal"));
         // Sent at the accepted chunk's instant, so that no in-flight
         // chunk drains between the reads of the stats.
         for (batch, names) in &bad {

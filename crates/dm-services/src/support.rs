@@ -33,7 +33,10 @@ pub fn data_fault(e: DataError) -> ServiceFault {
         | DataError::Arity { .. }
         | DataError::InvalidParameter(_)
         | DataError::NoClass
-        | DataError::Empty => ServiceFault::client(e.to_string()),
+        | DataError::Empty
+        | DataError::NominalRange { .. }
+        | DataError::KindMismatch { .. }
+        | DataError::RaggedBatch { .. } => ServiceFault::client(e.to_string()),
         _ => ServiceFault::server(e.to_string()),
     }
 }
@@ -132,6 +135,26 @@ mod tests {
     #[test]
     fn fault_codes() {
         assert_eq!(data_fault(DataError::Empty).code, "Client");
+        // Cells and buffers the caller sent that do not fit the schema.
+        for e in [
+            DataError::NominalRange {
+                attribute: "outlook".into(),
+                code: "200".into(),
+                arity: 3,
+            },
+            DataError::KindMismatch {
+                attribute: "outlook".into(),
+                expected: "nominal",
+            },
+            DataError::RaggedBatch {
+                column: "weights".into(),
+                len: 4,
+                expected: 5,
+            },
+        ] {
+            assert_eq!(data_fault(e).code, "Client");
+        }
+        assert_eq!(data_fault(DataError::StreamClosed).code, "Server");
         assert_eq!(algo_fault(AlgoError::NotTrained).code, "Server");
         assert_eq!(
             algo_fault(AlgoError::UnknownAlgorithm("X".into())).code,

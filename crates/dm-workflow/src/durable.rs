@@ -47,8 +47,9 @@
 //!
 //! * `run` has no journal. It stops at the first task failure: no
 //!   successor is dispatched and claims not yet started are dropped
-//!   unrun. Events are delivered live by the thread running the task,
-//!   which is what monitoring wants, in a scheduler-dependent order.
+//!   unrun. Its report lists the runs in the order the orchestrator
+//!   acknowledged them, which depends on how the OS scheduled the
+//!   workers.
 //! * `run_durable` journals every state transition to a [`RunJournal`]
 //!   before it takes effect, and the orchestrator is the journal's only
 //!   writer. It first replays the journal to rebuild the frontier:
@@ -59,13 +60,9 @@
 //!   at-least-once execution, exactly-once recording. The orchestrator
 //!   journals the names and outputs it holds as borrowed records
 //!   (`RunJournal::write`), so journaling copies no token. Its
-//!   events are buffered, when the executor has a listener.
-//!
-//! Buffered events are delivered when the loop stops, task by task in
-//! (virtual completion tick, task id) order, so the sequence does not
-//! depend on how the OS scheduled the workers. An executor without a
-//! listener buffers nothing (events would only be dropped at the end),
-//! and the report's runs follow the same order either way.
+//!   report lists the runs in (virtual completion tick, task id)
+//!   order, so the sequence does not depend on how the OS scheduled
+//!   the workers.
 //!
 //! Crash injection wires into the fault engine
 //! ([`dm_wsrf::resilience::CrashScript`]): scripted orchestrator
@@ -78,7 +75,7 @@
 //! [`canonical bytes`](ExecutionReport::canonical_bytes) are identical
 //! to an uninterrupted run's.
 
-use crate::engine::{ExecutionReport, Executor, ProgressEvent, TaskRun};
+use crate::engine::{ExecutionReport, Executor, TaskRun};
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
 use crate::journal::{Record, RunJournal};
@@ -205,7 +202,6 @@ enum Outcome {
     Finished {
         result: std::result::Result<Vec<Token>, String>,
         run: TaskRun,
-        events: Vec<ProgressEvent>,
         tick: Duration,
     },
     /// The worker died mid-claim (scripted): no ack, results discarded.
@@ -227,8 +223,8 @@ enum Status {
     Blocked,
 }
 
-/// A task's run record, its buffered events, and its completion tick.
-type Entry = (TaskId, TaskRun, Vec<ProgressEvent>, Duration);
+/// A task's run record and its completion tick.
+type Entry = (TaskId, TaskRun, Duration);
 
 /// The orchestrator's state: produced tokens, current claims, its own
 /// queue, and the journal writer, which counts this-process appends and
@@ -375,12 +371,9 @@ impl Executor {
     /// Unlike [`Executor::run`], task failure is not fatal to the
     /// enactment: the run continues on independent branches and the
     /// returned report carries per-task errors ([`TaskRun::error`]).
-    /// The report's event stream and run order are deterministic: each
-    /// task's events are buffered while workers race and delivered when
-    /// the loop stops, ordered by the task's completion instant on the
-    /// simulated clock (ties broken by task id), with `RunStarted` first
-    /// and `RunFinished` last; `ExecutionReport::runs` follows the same
-    /// order.
+    /// The report's run order is deterministic: `ExecutionReport::runs`
+    /// is ordered by each task's completion instant on the simulated
+    /// clock, ties broken by task id, however the workers raced.
     ///
     /// Returns [`WorkflowError::Crashed`] when a scripted crash kills
     /// the orchestrator (the journal keeps everything appended before
@@ -423,11 +416,6 @@ impl Executor {
         let n = graph.num_tasks();
         let journal = durable.map(|c| c.journal.as_ref());
         let fail_fast = journal.is_none();
-        // A durable run delivers its events when the loop stops, in
-        // (tick, task id) order. Nothing is buffered when there is no
-        // listener to deliver them to.
-        let ordered = journal.is_some();
-        let buffered = ordered && self.listener.is_some();
 
         // Replay: reconstruct the frontier from the journal.
         let replay = journal.map(RunJournal::replay).unwrap_or_default();
@@ -469,7 +457,6 @@ impl Executor {
 
         let start = Instant::now();
         let vstart = self.virtual_now();
-        self.emit(ProgressEvent::RunStarted { tasks: n });
         let mut root_span = self.tracer.as_ref().map(|t| {
             let name = if fail_fast {
                 "workflow"
@@ -545,30 +532,16 @@ impl Executor {
         // Execute one claim on the thread that calls this, a pool thread
         // or the orchestrator's, and return its outcome.
         let run_claim = |job: Job| -> Done {
-            let events = Mutex::new(Vec::new());
-            let emit = |e| {
-                if buffered {
-                    events.lock().push(e);
-                } else {
-                    self.emit(e);
-                }
-            };
             let started = Instant::now();
             // A panicking tool fails its claim instead of killing the
             // worker: a dead worker never acks, and with others alive the
             // orchestrator would wait for that ack forever.
             let executed = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.execute_task(graph, job.task, &job.inputs, &budget, root, &emit)
+                self.execute_task(graph, job.task, &job.inputs, &budget, root)
             }));
             let elapsed = started.elapsed();
-            let (result, run) = executed.unwrap_or_else(|payload| {
-                let (result, run) = panicked(graph, job.task, &*payload, started);
-                emit(ProgressEvent::Failed {
-                    task: run.task.clone(),
-                    message: run.error.clone().unwrap_or_default(),
-                });
-                (result, run)
-            });
+            let (result, run) =
+                executed.unwrap_or_else(|payload| panicked(graph, job.task, &*payload, started));
             if !run.cached {
                 graph.tasks()[job.task].note_cost(elapsed);
             }
@@ -583,12 +556,7 @@ impl Executor {
             let outcome = if died {
                 Outcome::Died
             } else {
-                Outcome::Finished {
-                    result,
-                    run,
-                    events: events.into_inner(),
-                    tick,
-                }
+                Outcome::Finished { result, run, tick }
             };
             Done {
                 claim: job.claim,
@@ -672,13 +640,7 @@ impl Executor {
                     if orch.claims.get(&done.task) != Some(&done.claim) {
                         continue; // stale claim: already redelivered
                     }
-                    let Outcome::Finished {
-                        result,
-                        run,
-                        events,
-                        tick,
-                    } = done.outcome
-                    else {
+                    let Outcome::Finished { result, run, tick } = done.outcome else {
                         // No ack: redeliver under a fresh claim.
                         if let Some(journal) = journal {
                             journal.note_redelivery();
@@ -717,7 +679,7 @@ impl Executor {
                                 orch.produced.insert((task, port), token);
                             }
                             status[task] = Status::Completed;
-                            entries.push((task, run, events, tick));
+                            entries.push((task, run, tick));
                             for c in graph.cables() {
                                 if c.from_task == task && status[c.to_task] == Status::Runnable {
                                     indegree[c.to_task] -= 1;
@@ -734,7 +696,7 @@ impl Executor {
                                 message: &message,
                             })?;
                             let name = run.task.clone();
-                            entries.push((task, run, events, tick));
+                            entries.push((task, run, tick));
                             if fail_fast {
                                 return Err(WorkflowError::TaskFailed {
                                     task: name,
@@ -769,7 +731,7 @@ impl Executor {
         .expect("workflow worker panicked");
 
         // Replayed runs (restored, zero re-execution) join the fresh
-        // ones; buffered runs and their events follow (tick, task id).
+        // ones; a durable report orders them by (tick, task id).
         for (&task, replayed) in &replay.completed {
             entries.push((
                 task,
@@ -784,7 +746,6 @@ impl Executor {
                     replayed: true,
                     error: None,
                 },
-                Vec::new(),
                 Duration::ZERO,
             ));
         }
@@ -802,20 +763,13 @@ impl Executor {
                     replayed: true,
                     error: Some(message.clone()),
                 },
-                Vec::new(),
                 Duration::ZERO,
             ));
         }
-        if ordered {
-            entries.sort_by_key(|e| (e.3, e.0));
+        if !fail_fast {
+            entries.sort_by_key(|e| (e.2, e.0));
         }
-        let runs = entries
-            .into_iter()
-            .map(|(_, run, events, _)| {
-                events.into_iter().for_each(|e| self.emit(e));
-                run
-            })
-            .collect();
+        let runs = entries.into_iter().map(|(_, run, _)| run).collect();
         if let Err(e) = outcome {
             if let Some(span) = root_span.as_mut() {
                 span.set_error(e.to_string());
@@ -831,11 +785,6 @@ impl Executor {
         report.elapsed = start.elapsed();
         report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
         report.retry_budget_remaining = budget.into_inner();
-        self.emit(ProgressEvent::RunFinished {
-            tasks: report.runs.len(),
-            elapsed: report.elapsed,
-            virtual_elapsed: report.virtual_elapsed,
-        });
         Ok(report)
     }
 }
@@ -1005,17 +954,8 @@ mod tests {
         let ran_on = Arc::new(Mutex::new(Vec::new()));
         let g = cheap_fan_out(&ran_on);
 
-        let delivered_on = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&delivered_on);
-        let listener: crate::engine::ProgressListener =
-            Arc::new(move |_| sink.lock().push(std::thread::current().id()));
-        Executor::serial()
-            .with_listener(listener)
-            .run(&g, &HashMap::new())
-            .unwrap();
+        Executor::serial().run(&g, &HashMap::new()).unwrap();
         assert_eq!(*ran_on.lock(), vec![caller; 3]);
-        // RunStarted, Started and Finished for each of 4 tasks, RunFinished.
-        assert_eq!(*delivered_on.lock(), vec![caller; 10]);
 
         ran_on.lock().clear();
         let config = DurableConfig::new(Arc::new(RunJournal::new())).with_workers(1);

@@ -232,11 +232,11 @@ impl<'a> From<&'a RunEvent> for Record<'a> {
     }
 }
 
-/// Counters describing a journal's life so far, in the flattened form
-/// the metrics registry ingests
-/// ([`dm_wsrf::metrics::MetricsRegistry::ingest_recovery`]). Reading
-/// them ([`RunJournal::stats`]) costs one store lookup per stored
-/// output, whatever the journal's length.
+/// Counters describing a journal's life so far, which the toolkit's
+/// metrics scrape exports as the `faehim_journal_*`,
+/// `faehim_replay_hits_total` and `faehim_redeliveries_total` series.
+/// Reading them ([`RunJournal::stats`]) costs one store lookup per
+/// stored output, whatever the journal's length.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Records appended through this handle.

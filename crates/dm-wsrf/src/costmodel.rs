@@ -185,11 +185,11 @@ mod tests {
     use crate::monitor::{InvocationEvent, Outcome};
     use crate::resilience::BreakerConfig;
 
-    fn event(host: &str, ms: u64, outcome: Outcome) -> InvocationEvent {
+    fn event(host: &str, ms: u64, outcome: Outcome) -> InvocationEvent<'_> {
         InvocationEvent {
-            host: host.into(),
-            service: "S".into(),
-            operation: "op".into(),
+            host,
+            service: "S",
+            operation: "op",
             duration: Duration::from_millis(ms),
             bytes_in: 10,
             bytes_out: 10,

@@ -13,16 +13,17 @@
 //!
 //! Every `ingest_*` call reads an absolute snapshot and *sets* the
 //! series it covers, so ingesting the same snapshot twice exports the
-//! same values as ingesting it once.
+//! same values as ingesting it once. Sources this crate does not depend
+//! on (the compute pool, the run journal) are written the same way, by
+//! the scraper, through [`MetricsRegistry::set_counter`] and
+//! [`MetricsRegistry::set_gauge`].
 
 use crate::container::LoadStats;
 use crate::dataplane::CacheStats;
-use crate::fleet::{ScaleAction, ScaleEvent};
 use crate::monitor::MonitorLog;
 use crate::transport::WireStats;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Sorted label key/value pairs identifying one series of a metric.
 pub type LabelSet = Vec<(String, String)>;
@@ -112,48 +113,6 @@ impl Histogram {
     }
 }
 
-/// A snapshot of the shared compute pool's counters, flattened to
-/// primitives so this crate needs no dependency on the algorithms
-/// crate. `workers` holds `(tasks_executed, busy_seconds)` per worker
-/// slot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PoolSnapshot {
-    /// Configured worker count (threads the pool may use per batch).
-    pub threads: usize,
-    /// Tasks executed across all batches since the last reset.
-    pub tasks: u64,
-    /// Parallel batches dispatched.
-    pub batches: u64,
-    /// Batches that started at least one helper thread.
-    pub fanouts: u64,
-    /// Tasks obtained by stealing from another worker's deque.
-    pub steals: u64,
-    /// Per-worker `(tasks, busy_seconds)` pairs, indexed by slot.
-    pub workers: Vec<(u64, f64)>,
-}
-
-/// A snapshot of a durable-enactment run journal's counters, flattened
-/// to primitives so this crate needs no dependency on the workflow
-/// crate (the journal lives in `dm-workflow::journal`; the toolkit
-/// bridges its stats into this form).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoverySnapshot {
-    /// Records appended to the journal by this process.
-    pub journal_appends: u64,
-    /// Well-formed records currently decodable from the journal.
-    pub journal_records: u64,
-    /// Encoded journal size in bytes.
-    pub journal_bytes: u64,
-    /// Completed tasks restored from the journal instead of
-    /// re-executing (the recovery win).
-    pub replay_hits: u64,
-    /// Claimed tasks redelivered after a worker died before acking.
-    pub redeliveries: u64,
-    /// Torn-tail bytes dropped by checksum/envelope verification during
-    /// replay (trailing bytes of a journal cut mid-record).
-    pub torn_bytes_dropped: u64,
-}
-
 #[derive(Debug)]
 enum Metric {
     Counter(BTreeMap<LabelSet, u64>),
@@ -195,7 +154,7 @@ impl MetricsRegistry {
     }
 
     /// Set a counter series to an absolute `value` read from a snapshot.
-    fn set_counter(&self, name: &str, labels: &[(&str, &str)], value: u64) {
+    pub fn set_counter(&self, name: &str, labels: &[(&str, &str)], value: u64) {
         let mut metrics = self.metrics.lock();
         let metric = metrics
             .entry(name.to_string())
@@ -384,64 +343,6 @@ impl MetricsRegistry {
         self.set_gauge("faehim_cache_size", &byte_labels, stats.bytes as f64);
     }
 
-    /// Ingest a [`PoolSnapshot`] of the shared compute pool: global
-    /// task / batch / fan-out / steal counters, a thread-count gauge, and
-    /// per-worker task counters and busy-time gauges labelled by
-    /// worker slot.
-    pub fn ingest_pool(&self, snap: &PoolSnapshot) {
-        self.set_gauge("faehim_pool_threads", &[], snap.threads as f64);
-        self.set_counter("faehim_pool_tasks_total", &[], snap.tasks);
-        self.set_counter("faehim_pool_batches_total", &[], snap.batches);
-        self.set_counter("faehim_pool_fanouts_total", &[], snap.fanouts);
-        self.set_counter("faehim_pool_steals_total", &[], snap.steals);
-        for (slot, (tasks, busy_seconds)) in snap.workers.iter().enumerate() {
-            let slot = slot.to_string();
-            let labels = [("worker", slot.as_str())];
-            self.set_counter("faehim_pool_worker_tasks_total", &labels, *tasks);
-            self.set_gauge("faehim_pool_worker_busy_seconds", &labels, *busy_seconds);
-        }
-    }
-
-    /// Ingest an [`Autoscaler`] decision log plus the fleet's current
-    /// replica count: one counter per decision kind
-    /// (`faehim_autoscale_up_total` / `_down_total` / `_hold_total`)
-    /// and a `faehim_fleet_replicas` gauge, so placement benchmarks can
-    /// correlate planner decisions with scaling events.
-    ///
-    /// [`Autoscaler`]: crate::fleet::Autoscaler
-    pub fn ingest_autoscaler(&self, history: &[ScaleEvent], current_replicas: usize) {
-        let (mut up, mut down, mut hold) = (0u64, 0u64, 0u64);
-        for event in history {
-            match event.action {
-                ScaleAction::Up => up += 1,
-                ScaleAction::Down => down += 1,
-                ScaleAction::Hold => hold += 1,
-            }
-        }
-        self.set_counter("faehim_autoscale_up_total", &[], up);
-        self.set_counter("faehim_autoscale_down_total", &[], down);
-        self.set_counter("faehim_autoscale_hold_total", &[], hold);
-        self.set_gauge("faehim_fleet_replicas", &[], current_replicas as f64);
-    }
-
-    /// Ingest a durable-enactment recovery snapshot
-    /// ([`RecoverySnapshot`]): journal append/size counters, replay
-    /// hits (tasks restored from the log instead of re-executing),
-    /// worker-death redeliveries, and torn-tail bytes dropped by
-    /// checksum verification.
-    pub fn ingest_recovery(&self, snap: &RecoverySnapshot) {
-        self.set_counter("faehim_journal_appends_total", &[], snap.journal_appends);
-        self.set_gauge("faehim_journal_records", &[], snap.journal_records as f64);
-        self.set_gauge("faehim_journal_bytes", &[], snap.journal_bytes as f64);
-        self.set_counter("faehim_replay_hits_total", &[], snap.replay_hits);
-        self.set_counter("faehim_redeliveries_total", &[], snap.redeliveries);
-        self.set_counter(
-            "faehim_journal_torn_bytes_total",
-            &[],
-            snap.torn_bytes_dropped,
-        );
-    }
-
     /// Prometheus text exposition: `# TYPE` lines, one sample line per
     /// series, and for histograms the `_bucket`/`_sum`/`_count` series
     /// plus summary-style p50/p95/p99 `quantile` samples.
@@ -536,16 +437,6 @@ impl MetricsRegistry {
         out.push('}');
         out
     }
-}
-
-/// Convenience: observe a [`Duration`] into a latency histogram.
-pub fn observe_duration(
-    registry: &MetricsRegistry,
-    name: &str,
-    labels: &[(&str, &str)],
-    duration: Duration,
-) {
-    registry.observe(name, labels, duration.as_secs_f64());
 }
 
 fn prom_labels(labels: &LabelSet, extra: &[(&str, &str)]) -> String {
@@ -646,7 +537,7 @@ pub(crate) mod oracle {
     use super::MetricsRegistry;
     use crate::monitor::{InvocationEvent, Outcome};
 
-    pub(crate) fn ingest_monitor(registry: &MetricsRegistry, events: &[InvocationEvent]) {
+    pub(crate) fn ingest_monitor(registry: &MetricsRegistry, events: &[InvocationEvent<'_>]) {
         for event in events {
             let outcome = match &event.outcome {
                 Outcome::Ok => "ok",
@@ -656,30 +547,30 @@ pub(crate) mod oracle {
             registry.inc_counter(
                 "faehim_invocations_total",
                 &[
-                    ("service", &event.service),
-                    ("host", &event.host),
+                    ("service", event.service),
+                    ("host", event.host),
                     ("outcome", outcome),
                 ],
                 1,
             );
             registry.observe(
                 "faehim_invocation_duration_seconds",
-                &[("service", &event.service)],
+                &[("service", event.service)],
                 event.duration.as_secs_f64(),
             );
             registry.inc_counter(
                 "faehim_invocation_bytes_total",
-                &[("service", &event.service), ("direction", "in")],
+                &[("service", event.service), ("direction", "in")],
                 event.bytes_in as u64,
             );
             registry.inc_counter(
                 "faehim_invocation_bytes_total",
-                &[("service", &event.service), ("direction", "out")],
+                &[("service", event.service), ("direction", "out")],
                 event.bytes_out as u64,
             );
             registry.inc_counter(
                 "faehim_invocation_ref_hits_total",
-                &[("service", &event.service)],
+                &[("service", event.service)],
                 event.ref_hits as u64,
             );
         }
@@ -690,6 +581,7 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
     use crate::monitor::{InvocationEvent, Outcome};
+    use std::time::Duration;
 
     #[test]
     fn counters_and_gauges_roundtrip() {
@@ -740,41 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn autoscaler_history_becomes_decision_counters() {
-        let events = |actions: &[ScaleAction]| -> Vec<ScaleEvent> {
-            actions
-                .iter()
-                .enumerate()
-                .map(|(i, &action)| ScaleEvent {
-                    at: Duration::from_millis(i as u64),
-                    action,
-                    replicas: 1 + i,
-                    queue_per_replica: 2.0,
-                    p99: Duration::from_millis(5),
-                })
-                .collect()
-        };
-        let m = MetricsRegistry::new();
-        m.ingest_autoscaler(
-            &events(&[
-                ScaleAction::Up,
-                ScaleAction::Hold,
-                ScaleAction::Up,
-                ScaleAction::Down,
-                ScaleAction::Hold,
-            ]),
-            3,
-        );
-        assert_eq!(m.counter_value("faehim_autoscale_up_total", &[]), 2);
-        assert_eq!(m.counter_value("faehim_autoscale_down_total", &[]), 1);
-        assert_eq!(m.counter_value("faehim_autoscale_hold_total", &[]), 2);
-        assert_eq!(m.gauge_value("faehim_fleet_replicas", &[]), Some(3.0));
-        let text = m.export_prometheus();
-        assert!(text.contains("faehim_autoscale_up_total"), "{text}");
-        assert!(text.contains("faehim_fleet_replicas"), "{text}");
-    }
-
-    #[test]
     fn monitor_ingestion_builds_per_service_series() {
         let log = MonitorLog::new();
         for (service, ms, outcome) in [
@@ -783,9 +640,9 @@ mod tests {
             ("Clusterer", 2, Outcome::Fault("Server".into())),
         ] {
             log.record(InvocationEvent {
-                host: "h".into(),
-                service: service.into(),
-                operation: "op".into(),
+                host: "h",
+                service,
+                operation: "op",
                 duration: Duration::from_millis(ms),
                 bytes_in: 100,
                 bytes_out: 10,
@@ -873,9 +730,9 @@ mod tests {
             ("b", Outcome::TransportError("reset".into())),
         ] {
             log.record(InvocationEvent {
-                host: host.into(),
-                service: "Classifier".into(),
-                operation: "classify".into(),
+                host,
+                service: "Classifier",
+                operation: "classify",
                 duration: Duration::from_millis(3),
                 bytes_in: 100,
                 bytes_out: 10,
@@ -894,13 +751,6 @@ mod tests {
             in_system: 3,
             queue_waits,
         };
-        let scaling = [ScaleEvent {
-            at: Duration::ZERO,
-            action: ScaleAction::Up,
-            replicas: 2,
-            queue_per_replica: 1.5,
-            p99: Duration::from_millis(5),
-        }];
         let ingest = |m: &MetricsRegistry| {
             m.ingest_monitor(&log);
             m.ingest_wire(&WireStats {
@@ -923,24 +773,9 @@ mod tests {
                     bytes: 2048,
                 },
             );
-            m.ingest_pool(&PoolSnapshot {
-                threads: 2,
-                tasks: 12,
-                batches: 3,
-                fanouts: 2,
-                steals: 1,
-                workers: vec![(7, 0.5), (5, 0.25)],
-            });
             m.ingest_load("a", &load);
-            m.ingest_recovery(&RecoverySnapshot {
-                journal_appends: 22,
-                journal_records: 21,
-                journal_bytes: 4096,
-                replay_hits: 7,
-                redeliveries: 1,
-                torn_bytes_dropped: 13,
-            });
-            m.ingest_autoscaler(&scaling, 2);
+            m.set_counter("faehim_pool_tasks_total", &[], 12);
+            m.set_gauge("faehim_pool_threads", &[], 2.0);
         };
         let once = MetricsRegistry::new();
         ingest(&once);
@@ -954,75 +789,6 @@ mod tests {
             once.counter_value("faehim_requests_admitted_total", &[("host", "a")]),
             5
         );
-    }
-
-    #[test]
-    fn pool_ingestion_pins_prometheus_names() {
-        let m = MetricsRegistry::new();
-        m.ingest_pool(&PoolSnapshot {
-            threads: 4,
-            tasks: 120,
-            batches: 3,
-            fanouts: 2,
-            steals: 17,
-            workers: vec![(70, 0.25), (50, 0.125)],
-        });
-        assert_eq!(m.gauge_value("faehim_pool_threads", &[]), Some(4.0));
-        assert_eq!(m.counter_value("faehim_pool_tasks_total", &[]), 120);
-        assert_eq!(m.counter_value("faehim_pool_batches_total", &[]), 3);
-        assert_eq!(m.counter_value("faehim_pool_fanouts_total", &[]), 2);
-        assert_eq!(m.counter_value("faehim_pool_steals_total", &[]), 17);
-        assert_eq!(
-            m.counter_value("faehim_pool_worker_tasks_total", &[("worker", "0")]),
-            70
-        );
-        assert_eq!(
-            m.gauge_value("faehim_pool_worker_busy_seconds", &[("worker", "1")]),
-            Some(0.125)
-        );
-        // The exposition text carries the exact series names dashboards
-        // scrape — pin them so renames are a deliberate act.
-        let text = m.export_prometheus();
-        for name in [
-            "faehim_pool_threads 4",
-            "faehim_pool_tasks_total 120",
-            "faehim_pool_batches_total 3",
-            "faehim_pool_fanouts_total 2",
-            "faehim_pool_steals_total 17",
-            "faehim_pool_worker_tasks_total{worker=\"0\"} 70",
-            "faehim_pool_worker_busy_seconds{worker=\"1\"} 0.125",
-        ] {
-            assert!(text.contains(name), "missing `{name}` in:\n{text}");
-        }
-    }
-
-    #[test]
-    fn recovery_snapshot_ingests_into_registry() {
-        let m = MetricsRegistry::new();
-        m.ingest_recovery(&RecoverySnapshot {
-            journal_appends: 22,
-            journal_records: 21,
-            journal_bytes: 4096,
-            replay_hits: 7,
-            redeliveries: 1,
-            torn_bytes_dropped: 13,
-        });
-        assert_eq!(m.counter_value("faehim_journal_appends_total", &[]), 22);
-        assert_eq!(m.gauge_value("faehim_journal_records", &[]), Some(21.0));
-        assert_eq!(m.gauge_value("faehim_journal_bytes", &[]), Some(4096.0));
-        assert_eq!(m.counter_value("faehim_replay_hits_total", &[]), 7);
-        assert_eq!(m.counter_value("faehim_redeliveries_total", &[]), 1);
-        assert_eq!(m.counter_value("faehim_journal_torn_bytes_total", &[]), 13);
-        // Pin the exported series names dashboards scrape.
-        let text = m.export_prometheus();
-        for name in [
-            "faehim_journal_appends_total 22",
-            "faehim_replay_hits_total 7",
-            "faehim_redeliveries_total 1",
-            "faehim_journal_torn_bytes_total 13",
-        ] {
-            assert!(text.contains(name), "missing `{name}` in:\n{text}");
-        }
     }
 
     #[test]
@@ -1062,12 +828,5 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn observe_duration_helper() {
-        let m = MetricsRegistry::new();
-        observe_duration(&m, "lat", &[], Duration::from_millis(3));
-        assert_eq!(m.histogram_quantile("lat", &[], 0.5), Some(0.005));
     }
 }

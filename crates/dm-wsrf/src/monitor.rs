@@ -13,9 +13,10 @@
 //!   and transport-error counts, byte and duration totals, the worst
 //!   duration, and a latency [`Histogram`];
 //! * its host's sliding window of the last [`HOST_WINDOW`] attempt
-//!   durations, kept sorted, which the nearest-rank quantiles read;
-//! * a ring of the last [`EVENT_RING`] raw events, which is all that
-//!   [`MonitorLog::snapshot`] returns.
+//!   durations, kept sorted, which the nearest-rank quantiles read.
+//!
+//! The event itself is not kept: it borrows the call's names, and a
+//! record copies them only when it opens a new series.
 //!
 //! Durations are virtual time, the simulated clock's delta across the
 //! call. Wall time is the tracer's business, not the log's.
@@ -30,9 +31,6 @@ use std::time::Duration;
 /// Attempts per host that the quantile window holds: p50/p95/p99 are
 /// exact nearest-rank over the host's last this-many durations.
 pub const HOST_WINDOW: usize = 4096;
-
-/// Raw events a log keeps for [`MonitorLog::snapshot`].
-pub const EVENT_RING: usize = 4096;
 
 /// Result of one invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,15 +52,15 @@ impl Outcome {
     }
 }
 
-/// One recorded invocation.
+/// One invocation, as [`MonitorLog::record`] aggregates it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InvocationEvent {
+pub struct InvocationEvent<'a> {
     /// Host the call was addressed to.
-    pub host: String,
+    pub host: &'a str,
     /// Service name.
-    pub service: String,
+    pub service: &'a str,
     /// Operation name.
-    pub operation: String,
+    pub operation: &'a str,
     /// How long the attempt took on the virtual clock: both links,
     /// queue wait and service time, as [`Network::invoke`] charged them.
     ///
@@ -281,7 +279,6 @@ struct HostTelemetry {
 struct Telemetry {
     /// Events recorded since creation or the last [`MonitorLog::clear`].
     recorded: usize,
-    ring: VecDeque<InvocationEvent>,
     hosts: BTreeMap<String, HostTelemetry>,
 }
 
@@ -307,10 +304,9 @@ fn slot<'a, V>(map: &'a mut BTreeMap<String, V>, key: &str, new: impl FnOnce() -
 }
 
 /// A thread-safe invocation log that aggregates on record: all-time
-/// per-`(host, service, operation)` series, a per-host quantile window
-/// of [`HOST_WINDOW`] durations, and a ring of the last [`EVENT_RING`]
-/// raw events. Its memory is bounded by the number of distinct series,
-/// however many events it records.
+/// per-`(host, service, operation)` series and a per-host quantile
+/// window of [`HOST_WINDOW`] durations. Its memory is bounded by the
+/// number of distinct series, however many events it records.
 #[derive(Debug, Default)]
 pub struct MonitorLog {
     telemetry: Mutex<Telemetry>,
@@ -322,41 +318,24 @@ impl MonitorLog {
         MonitorLog::default()
     }
 
-    /// Aggregate one event into its series and its host's window, and
-    /// keep it in the raw-event ring (evicting the oldest when full).
-    /// Allocates only when the event opens a new series, or while the
-    /// ring is still doubling up to [`EVENT_RING`]; a full log records
-    /// without allocating.
-    pub fn record(&self, event: InvocationEvent) {
+    /// Aggregate one event into its series and its host's window.
+    /// Allocates only when the event opens a new series (copying its
+    /// names) or a new host (sizing its window); otherwise it records in
+    /// place.
+    pub fn record(&self, event: InvocationEvent<'_>) {
         let mut guard = self.telemetry.lock();
-        let Telemetry {
-            recorded,
-            ring,
-            hosts,
-        } = &mut *guard;
+        let Telemetry { recorded, hosts } = &mut *guard;
         *recorded += 1;
-        let host = slot(hosts, &event.host, || HostTelemetry {
+        let host = slot(hosts, event.host, || HostTelemetry {
             window: Window::new(),
             series: BTreeMap::new(),
         });
         host.window.push(event.duration);
-        let ops = slot(&mut host.series, &event.service, BTreeMap::new);
-        slot(ops, &event.operation, Series::default).observe(&event);
-        if ring.len() == EVENT_RING {
-            ring.pop_front();
-        }
-        ring.push_back(event);
+        let ops = slot(&mut host.series, event.service, BTreeMap::new);
+        slot(ops, event.operation, Series::default).observe(&event);
     }
 
-    /// Copy of the last [`EVENT_RING`] events, oldest first. Older
-    /// events live on only in the aggregates, so
-    /// `snapshot().len() == len().min(EVENT_RING)`.
-    pub fn snapshot(&self) -> Vec<InvocationEvent> {
-        self.telemetry.lock().ring.iter().cloned().collect()
-    }
-
-    /// Number of events ever recorded (since the last [`clear`]),
-    /// including those the ring has dropped.
+    /// Number of events ever recorded (since the last [`clear`]).
     ///
     /// [`clear`]: MonitorLog::clear
     pub fn len(&self) -> usize {
@@ -471,7 +450,7 @@ impl MonitorLog {
 pub(crate) mod oracle {
     use super::*;
 
-    pub(crate) fn summary(events: &[InvocationEvent], service: Option<&str>) -> MonitorSummary {
+    pub(crate) fn summary(events: &[InvocationEvent<'_>], service: Option<&str>) -> MonitorSummary {
         let mut s = MonitorSummary::default();
         for e in events {
             if let Some(name) = service {
@@ -493,13 +472,13 @@ pub(crate) mod oracle {
     }
 
     pub(crate) fn summary_by_operation(
-        events: &[InvocationEvent],
+        events: &[InvocationEvent<'_>],
         service: Option<&str>,
     ) -> Vec<OperationSummary> {
         let mut ops: Vec<&str> = events
             .iter()
             .filter(|e| service.is_none_or(|s| e.service == s))
-            .map(|e| e.operation.as_str())
+            .map(|e| e.operation)
             .collect();
         ops.sort_unstable();
         ops.dedup();
@@ -535,8 +514,8 @@ pub(crate) mod oracle {
             .collect()
     }
 
-    pub(crate) fn summary_by_host(events: &[InvocationEvent]) -> Vec<HostSummary> {
-        let mut hosts: Vec<&str> = events.iter().map(|e| e.host.as_str()).collect();
+    pub(crate) fn summary_by_host(events: &[InvocationEvent<'_>]) -> Vec<HostSummary> {
+        let mut hosts: Vec<&str> = events.iter().map(|e| e.host).collect();
         hosts.sort_unstable();
         hosts.dedup();
 
@@ -586,11 +565,11 @@ mod tests {
     use crate::metrics::MetricsRegistry;
     use proptest::prelude::*;
 
-    fn event(service: &str, outcome: Outcome) -> InvocationEvent {
+    fn event(service: &str, outcome: Outcome) -> InvocationEvent<'_> {
         InvocationEvent {
-            host: "h".into(),
-            service: service.into(),
-            operation: "op".into(),
+            host: "h",
+            service,
+            operation: "op",
             duration: Duration::from_millis(5),
             bytes_in: 100,
             bytes_out: 50,
@@ -607,7 +586,8 @@ mod tests {
         log.record(event("A", Outcome::Ok));
         log.record(event("B", Outcome::Fault("Server".into())));
         assert_eq!(log.len(), 2);
-        assert_eq!(log.snapshot().len(), 2);
+        assert_eq!(log.summary(None).invocations, 2);
+        assert_eq!(log.summary(None).faults, 1);
     }
 
     #[test]
@@ -638,7 +618,7 @@ mod tests {
         let log = MonitorLog::new();
         let on = |host: &str, ms: u64, outcome: Outcome| {
             let mut e = event("A", outcome);
-            e.host = host.into();
+            e.host = host;
             e.duration = Duration::from_millis(ms);
             log.record(e);
         };
@@ -790,7 +770,7 @@ mod tests {
         log.clear();
         assert!(log.is_empty());
         assert!(log.summary_by_host().is_empty());
-        assert!(log.snapshot().is_empty());
+        assert_eq!(log.summary(None), MonitorSummary::default());
     }
 
     /// Durations drawn from a small set so that ties are common; they
@@ -799,7 +779,7 @@ mod tests {
 
     /// One generated event: host, service, operation, outcome, duration
     /// and traffic, each from a small domain.
-    fn events(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<InvocationEvent>> {
+    fn events(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<InvocationEvent<'static>>> {
         proptest::collection::vec(
             (
                 (0usize..3, 0usize..3, 0usize..3),
@@ -814,9 +794,9 @@ mod tests {
                 .into_iter()
                 .map(
                     |((h, s, o), outcome, d, (bytes_in, bytes_out, saved, refs))| InvocationEvent {
-                        host: ["host-a", "host-b", "host-c"][h].into(),
-                        service: ["Classifier", "Clusterer", "DataStream"][s].into(),
-                        operation: ["classify", "cluster", "sendChunk"][o].into(),
+                        host: ["host-a", "host-b", "host-c"][h],
+                        service: ["Classifier", "Clusterer", "DataStream"][s],
+                        operation: ["classify", "cluster", "sendChunk"][o],
                         duration: Duration::from_micros(DURATIONS_US[d]),
                         bytes_in,
                         bytes_out,
@@ -833,7 +813,7 @@ mod tests {
         })
     }
 
-    fn log_of(events: &[InvocationEvent]) -> MonitorLog {
+    fn log_of(events: &[InvocationEvent<'_>]) -> MonitorLog {
         let log = MonitorLog::new();
         for e in events {
             log.record(e.clone());
@@ -843,7 +823,7 @@ mod tests {
 
     /// The oracle's per-host view with quantiles taken over each host's
     /// last [`HOST_WINDOW`] events and everything else over all events.
-    fn windowed_oracle(events: &[InvocationEvent]) -> Vec<HostSummary> {
+    fn windowed_oracle(events: &[InvocationEvent<'_>]) -> Vec<HostSummary> {
         oracle::summary_by_host(events)
             .into_iter()
             .map(|mut all_time| {
@@ -890,7 +870,6 @@ mod tests {
         fn aggregates_equal_the_rescanning_oracle(events in events(0..400)) {
             let log = log_of(&events);
             prop_assert_eq!(log.len(), events.len());
-            prop_assert_eq!(log.snapshot(), events.clone());
             for service in [None, Some("Classifier"), Some("DataStream"), Some("absent")] {
                 prop_assert_eq!(log.summary(service), oracle::summary(&events, service));
                 prop_assert_eq!(
@@ -922,7 +901,7 @@ mod tests {
             let mut events = events;
             for (i, e) in events.iter_mut().enumerate() {
                 if i % 4 != 0 {
-                    e.host = "host-a".into();
+                    e.host = "host-a";
                 }
                 e.duration += Duration::from_millis((i / 256) as u64);
             }
@@ -935,7 +914,6 @@ mod tests {
                 log.summary_by_operation(None),
                 oracle::summary_by_operation(&events, None)
             );
-            prop_assert_eq!(log.snapshot(), events[events.len() - EVENT_RING..].to_vec());
 
             let aggregated = MetricsRegistry::new();
             aggregated.ingest_monitor(&log);
@@ -954,9 +932,9 @@ mod tests {
         let log = MonitorLog::new();
         for i in 0..RECORDS {
             log.record(InvocationEvent {
-                host: hosts[i % 3].into(),
-                service: services[i / 3 % 2].into(),
-                operation: ops[i / 7 % 3].into(),
+                host: hosts[i % 3],
+                service: services[i / 3 % 2],
+                operation: ops[i / 7 % 3],
                 duration: Duration::from_micros((i * 7_919 % 5_003) as u64),
                 bytes_in: 1,
                 bytes_out: 2,
@@ -969,8 +947,6 @@ mod tests {
         assert_eq!(log.summary(None).invocations, RECORDS);
         assert_eq!(log.summary(None).bytes_out, 2 * RECORDS);
         let t = log.telemetry.lock();
-        assert!(t.ring.len() <= EVENT_RING);
-        assert!(t.ring.capacity() < 2 * EVENT_RING);
         for h in t.hosts.values() {
             assert!(h.window.sorted.len() <= HOST_WINDOW);
             assert_eq!(h.window.sorted.len(), h.window.arrivals.len());
@@ -982,15 +958,11 @@ mod tests {
     #[test]
     fn new_allocates_nothing_and_a_full_log_records_in_place() {
         let log = MonitorLog::new();
-        assert_eq!(log.telemetry.lock().ring.capacity(), 0);
+        assert!(log.telemetry.lock().hosts.is_empty());
         let capacities = |log: &MonitorLog| {
             let t = log.telemetry.lock();
             let h = &t.hosts["h"];
-            (
-                t.ring.capacity(),
-                h.window.arrivals.capacity(),
-                h.window.sorted.capacity(),
-            )
+            (h.window.arrivals.capacity(), h.window.sorted.capacity())
         };
         let record = |i: usize| {
             let mut e = event("A", Outcome::Ok);
@@ -998,18 +970,13 @@ mod tests {
             log.record(e);
         };
         record(0);
-        // The window is sized when its host opens; the ring doubles up
-        // to its bound and then stays put.
-        let (_, arrivals, sorted) = capacities(&log);
-        for i in 1..EVENT_RING.max(HOST_WINDOW) {
+        // The window is sized when its host opens and then stays put,
+        // through filling and past it.
+        let opened = capacities(&log);
+        for i in 1..2 * HOST_WINDOW {
             record(i);
         }
-        let full = capacities(&log);
-        assert_eq!((full.1, full.2), (arrivals, sorted));
-        assert!(full.0 >= EVENT_RING && full.0 < 2 * EVENT_RING);
-        for i in 0..2 * EVENT_RING {
-            record(i);
-        }
-        assert_eq!(capacities(&log), full);
+        assert_eq!(capacities(&log), opened);
+        assert_eq!(log.len(), 2 * HOST_WINDOW);
     }
 }

@@ -26,7 +26,6 @@
 //! All time here is **virtual** (`Network::now`), never wall-clock.
 
 use crate::error::{Result, WsError};
-use crate::monitor::MonitorLog;
 use crate::soap::SoapValue;
 use crate::trace::{current, SpanKind};
 use crate::transport::Network;
@@ -344,21 +343,6 @@ impl BreakerBoard {
             .collect();
         hosts.sort();
         hosts
-    }
-
-    /// Replay a monitor log's raw-event ring (its last
-    /// [`EVENT_RING`](crate::monitor::EVENT_RING) attempts) into the
-    /// per-host windows, as if the breakers had watched those calls
-    /// happen.
-    pub fn observe_log(&self, log: &MonitorLog, now: Duration) {
-        for event in log.snapshot() {
-            let breaker = self.breaker(&event.host);
-            if event.outcome.is_failure() {
-                breaker.record_failure(now);
-            } else {
-                breaker.record_success(now);
-            }
-        }
     }
 }
 
@@ -1001,18 +985,6 @@ mod tests {
         assert!(script.poll_kill(Duration::from_millis(12)));
     }
 
-    #[test]
-    fn board_seeds_from_monitor_log() {
-        let net = echo_network();
-        net.set_host_down("host-a", true);
-        for _ in 0..6 {
-            let _ = net.invoke("host-a", "Echo", "echo", msg());
-        }
-        let board = BreakerBoard::default();
-        board.observe_log(net.monitor(), net.now());
-        assert_eq!(board.breaker("host-a").state(net.now()), BreakerState::Open);
-    }
-
     fn three_hosts() -> (Arc<Network>, Vec<String>) {
         let net = Arc::new(Network::new());
         let hosts: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
@@ -1022,19 +994,17 @@ mod tests {
         (net, hosts)
     }
 
+    /// An attempt closure calling `Echo.<operation>` on each host it is
+    /// handed, noting the host in `called`.
     fn echo_on<'n>(
         net: &'n Network,
         operation: &'n str,
+        called: &'n mut Vec<String>,
     ) -> impl FnMut(&str) -> Result<SoapValue> + 'n {
-        move |host| net.invoke(host, "Echo", operation, msg())
-    }
-
-    fn logged_hosts(net: &Network) -> Vec<String> {
-        net.monitor()
-            .snapshot()
-            .into_iter()
-            .map(|e| e.host)
-            .collect()
+        move |host| {
+            called.push(host.to_string());
+            net.invoke(host, "Echo", operation, msg())
+        }
     }
 
     #[test]
@@ -1042,32 +1012,43 @@ mod tests {
         let (net, hosts) = three_hosts();
         net.set_host_down("a", true);
         net.set_host_down("b", true);
-        match failover(&hosts, echo_on(&net, "echo"), WsError::is_retryable) {
+        let mut called = Vec::new();
+        match failover(
+            &hosts,
+            echo_on(&net, "echo", &mut called),
+            WsError::is_retryable,
+        ) {
             Failover::Served { index, value } => {
                 assert_eq!(index, 2);
                 assert_eq!(value, SoapValue::Text("hi".into()));
             }
             other => panic!("expected c to serve, got {other:?}"),
         }
-        assert_eq!(logged_hosts(&net), ["a", "b", "c"]);
+        assert_eq!(called, ["a", "b", "c"]);
     }
 
     #[test]
     fn failover_stops_at_an_error_the_predicate_rejects() {
         let (net, hosts) = three_hosts();
         // A SOAP fault is deterministic: no later host is called.
-        match failover(&hosts, echo_on(&net, "fail"), WsError::is_retryable) {
+        let mut called = Vec::new();
+        match failover(
+            &hosts,
+            echo_on(&net, "fail", &mut called),
+            WsError::is_retryable,
+        ) {
             Failover::Stopped(err) => assert!(matches!(err, WsError::Fault { .. }), "{err:?}"),
             other => panic!("expected a stop, got {other:?}"),
         }
         assert_eq!(net.monitor().len(), 1);
         // A transport error the predicate rejects stops the pass too.
         net.set_host_down("a", true);
-        match failover(&hosts, echo_on(&net, "echo"), |_| false) {
+        match failover(&hosts, echo_on(&net, "echo", &mut called), |_| false) {
             Failover::Stopped(err) => assert!(err.is_transport_level(), "{err:?}"),
             other => panic!("expected a stop, got {other:?}"),
         }
-        assert_eq!(logged_hosts(&net), ["a", "a"]);
+        assert_eq!(called, ["a", "a"]);
+        assert_eq!(net.monitor().len(), 2);
     }
 
     #[test]
@@ -1076,7 +1057,12 @@ mod tests {
         for host in &hosts {
             net.set_host_down(host, true);
         }
-        match failover(&hosts, echo_on(&net, "echo"), WsError::is_retryable) {
+        let mut called = Vec::new();
+        match failover(
+            &hosts,
+            echo_on(&net, "echo", &mut called),
+            WsError::is_retryable,
+        ) {
             Failover::Exhausted(tried) => {
                 let order: Vec<&str> = tried.iter().map(|(host, _)| *host).collect();
                 assert_eq!(order, ["a", "b", "c"]);
@@ -1087,7 +1073,7 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
-        assert_eq!(logged_hosts(&net), ["a", "b", "c"]);
+        assert_eq!(called, ["a", "b", "c"]);
     }
 
     #[test]

@@ -600,9 +600,9 @@ impl Network {
             Err(e) => Outcome::TransportError(e.to_string()),
         };
         self.monitor.record(InvocationEvent {
-            host: host.to_string(),
-            service: service.to_string(),
-            operation: operation.to_string(),
+            host,
+            service,
+            operation,
             duration: self.virtual_time() - started,
             bytes_in: wire.bytes_in,
             bytes_out: wire.bytes_out,
@@ -1171,17 +1171,11 @@ mod tests {
             vec![("message".into(), SoapValue::Null)],
         )
         .unwrap();
+        assert_eq!(net.monitor().summary(None).faults, 0);
         net.set_host_down("host-a", true);
         let _ = net.invoke("host-a", "Echo", "echo", vec![]);
         net.set_host_down("host-a", false);
 
-        let events = net.monitor().snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0].outcome, crate::monitor::Outcome::Ok));
-        assert!(matches!(
-            events[1].outcome,
-            crate::monitor::Outcome::TransportError(_)
-        ));
         let by_host = net.monitor().summary_by_host();
         assert_eq!(by_host.len(), 1);
         assert_eq!(by_host[0].invocations, 2);
@@ -1270,10 +1264,11 @@ mod tests {
         assert!(warm.bytes_saved > 90_000, "{warm:?}");
         assert!(warm_time < cold_time, "{warm_time:?} vs {cold_time:?}");
 
-        // The monitor saw the substitutions.
-        let event = net.monitor().snapshot().pop().unwrap();
-        assert_eq!(event.ref_hits, 2);
-        assert!(event.bytes_saved > 90_000);
+        // The monitor saw the substitutions (the cold call made none, so
+        // the totals are the warm call's).
+        let seen = net.monitor().summary(None);
+        assert_eq!(seen.ref_hits, 2);
+        assert!(seen.bytes_saved > 90_000);
     }
 
     #[test]
@@ -1447,13 +1442,14 @@ mod tests {
              (the old fixed-80 estimate was off by the real handle size)"
         );
         // The container-side resolution reports the same exact number
-        // for its leg.
-        let event = net.monitor().snapshot().pop().unwrap();
-        assert_eq!(event.ref_hits, 2);
+        // for its leg (the cold call substituted nothing, so the
+        // monitor's totals are the warm call's).
+        let seen = net.monitor().summary(None);
+        assert_eq!(seen.ref_hits, 2);
         // The per-value saving: inline content is 50 000 chars, the
         // handle's content is 32+1+5+1+4 = 43 chars, and the type name
         // differs by one char ("string" vs "dataRef") — per leg.
-        assert_eq!(event.bytes_saved, warm.bytes_saved as usize);
+        assert_eq!(seen.bytes_saved, warm.bytes_saved as usize);
     }
 
     #[test]
@@ -1585,6 +1581,7 @@ mod tests {
             }));
         let timed = |net: &Network| {
             let before = net.virtual_time();
+            let logged = net.monitor().summary(None).total_duration;
             net.invoke(
                 "host-a",
                 "Echo",
@@ -1593,7 +1590,7 @@ mod tests {
             )
             .unwrap();
             let delta = net.virtual_time() - before;
-            (delta, net.monitor().snapshot().pop().unwrap().duration)
+            (delta, net.monitor().summary(None).total_duration - logged)
         };
         let start = net.virtual_time();
         let (delta, recorded) = timed(&net);
@@ -1640,10 +1637,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // The monitor records the shed as a fault outcome for ranking.
-        let events = net.monitor().snapshot();
-        assert!(events.iter().any(
-            |e| matches!(&e.outcome, crate::monitor::Outcome::Fault(c) if c == SERVER_BUSY_CODE)
-        ));
+        let host = &net.monitor().summary_by_host()[0];
+        assert_eq!((host.invocations, host.faults), (2, 1));
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn plans_and_outputs_agree_across_pool_widths() {
     ]);
     let mut canonical: Vec<Vec<u8>> = Vec::new();
     for threads in [1usize, 4] {
-        tk.set_compute_threads(threads);
+        dm_algorithms::pool::set_global_threads(threads);
         let (plan_a, graph, tasks) = tk.plan_composition(&goal, &Planner::default()).unwrap();
         let (plan_b, _, _) = tk.plan_composition(&goal, &Planner::default()).unwrap();
         assert_eq!(

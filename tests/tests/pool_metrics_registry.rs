@@ -11,7 +11,7 @@ use faehim::Toolkit;
 #[test]
 fn compute_pool_metrics_flow_into_registry() {
     let tk = Toolkit::new().unwrap();
-    tk.set_compute_threads(2);
+    dm_algorithms::pool::set_global_threads(2);
     dm_algorithms::pool::reset_stats();
     // Drive one batch through the pool: the batched scoring
     // operation scores the 286 rows as one batch. That is little
@@ -24,7 +24,7 @@ fn compute_pool_metrics_flow_into_registry() {
         .unwrap();
     assert_eq!(preds.len(), 286);
 
-    let snap = tk.compute_pool_stats();
+    let snap = dm_algorithms::pool::stats();
     assert_eq!(snap.threads, 2);
     assert!(snap.tasks >= 286, "pool only saw {} tasks", snap.tasks);
     assert!(snap.batches >= 1);
