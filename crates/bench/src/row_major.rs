@@ -113,7 +113,7 @@ mod tests {
             parse_arff("@relation w\n@attribute x numeric\n@attribute c {a,b}\n@data\n1,a\n2,b\n")
                 .unwrap();
         ds.set_class_index(Some(1)).unwrap();
-        ds.set_weight(1, 2.5);
+        ds.set_weight(1, 2.5).unwrap();
         let back = from_row_major(&to_row_major(&ds)).unwrap();
         assert_eq!(ds, back);
         assert_eq!(back.class_index(), Some(1));

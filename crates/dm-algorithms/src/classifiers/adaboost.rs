@@ -66,7 +66,7 @@ impl Classifier for AdaBoostM1 {
         let n = data.num_instances();
         let mut working = data.clone();
         for r in 0..n {
-            working.set_weight(r, 1.0 / n as f64);
+            working.set_weight(r, 1.0 / n as f64)?;
         }
 
         for _round in 0..self.iterations {
@@ -107,11 +107,11 @@ impl Classifier for AdaBoostM1 {
             let mut total = 0.0;
             for r in 0..n {
                 let w = working.weight(r) * if wrong[r] { 1.0 } else { beta };
-                working.set_weight(r, w);
+                working.set_weight(r, w)?;
                 total += w;
             }
             for r in 0..n {
-                working.set_weight(r, working.weight(r) / total);
+                working.set_weight(r, working.weight(r) / total)?;
             }
         }
         if self.members.is_empty() {

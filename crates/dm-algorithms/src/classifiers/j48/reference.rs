@@ -420,7 +420,8 @@ mod tests {
         if g.below(2) == 0 {
             for r in 0..rows {
                 if g.below(3) == 0 {
-                    ds.set_weight(r, [0.0, 0.25, 0.5, 1.5, 2.75][g.below(5)]);
+                    ds.set_weight(r, [0.0, 0.25, 0.5, 1.5, 2.75][g.below(5)])
+                        .unwrap();
                 }
             }
         }
@@ -653,7 +654,7 @@ mod tests {
         let mut breast_cancer = dm_data::corpus::breast_cancer();
         assert_matches_oracle(&breast_cancer, "breast-cancer");
         for r in (0..breast_cancer.num_instances()).step_by(7) {
-            breast_cancer.set_weight(r, 0.375);
+            breast_cancer.set_weight(r, 0.375).unwrap();
         }
         assert_matches_oracle(&breast_cancer, "reweighted breast-cancer");
         for data in [
@@ -756,7 +757,7 @@ mod tests {
             let mut g = Gen(seed);
             for r in 0..data.num_instances() {
                 if g.below(12) == 0 {
-                    data.set_weight(r, -0.25);
+                    data.set_weight(r, -0.25).unwrap();
                 }
             }
             assert_matches_oracle(&data, &format!("negative weights, seed {seed}"));

@@ -24,6 +24,7 @@ use crate::dataset::{Dataset, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::LazyLock;
 
 /// Number of instances in the reconstructed dataset.
 pub const NUM_INSTANCES: usize = 286;
@@ -181,8 +182,17 @@ const SPECS: &[Spec] = &[
     },
 ];
 
-/// Build the reconstructed breast-cancer dataset (class attribute set
-/// to `Class`, deterministic across calls).
+/// The reconstructed dataset, generated on first use. Every host a
+/// toolkit provisions holds a copy (the URL reader's ARFF text, the
+/// relational service's table, the local dataset tool), so a process
+/// deals the rows once and hands out clones.
+static BREAST_CANCER: LazyLock<Dataset> = LazyLock::new(generate);
+
+/// [`BREAST_CANCER`] rendered as ARFF text, written on first use.
+static BREAST_CANCER_ARFF: LazyLock<String> = LazyLock::new(|| write_arff(&BREAST_CANCER));
+
+/// The reconstructed breast-cancer dataset (class attribute set to
+/// `Class`, identical on every call).
 ///
 /// ```
 /// let ds = dm_data::corpus::breast_cancer();
@@ -190,6 +200,11 @@ const SPECS: &[Spec] = &[
 /// assert_eq!(ds.class_counts().unwrap(), vec![201.0, 85.0]);
 /// ```
 pub fn breast_cancer() -> Dataset {
+    BREAST_CANCER.clone()
+}
+
+/// Deal the count tables to rows: what [`breast_cancer`] returns.
+fn generate() -> Dataset {
     let mut attributes: Vec<Attribute> = SPECS
         .iter()
         .map(|s| Attribute::nominal(s.name, s.domain.iter().copied()))
@@ -259,7 +274,7 @@ pub fn breast_cancer() -> Dataset {
 /// The reconstructed dataset rendered as ARFF text — what the paper's
 /// URL-reader Web Service would fetch from the UCI repository.
 pub fn breast_cancer_arff() -> String {
-    write_arff(&breast_cancer())
+    BREAST_CANCER_ARFF.clone()
 }
 
 #[cfg(test)]

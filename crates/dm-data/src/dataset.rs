@@ -123,6 +123,17 @@ pub struct Dataset {
     strings: Vec<String>,
 }
 
+/// Refuse a weight every sum over the rows would turn to NaN or ±∞.
+fn check_weight(row: usize, w: f64) -> Result<()> {
+    if w.is_finite() {
+        Ok(())
+    } else {
+        Err(DataError::InvalidParameter(format!(
+            "weight {w} of row {row} is not finite"
+        )))
+    }
+}
+
 impl PartialEq for Dataset {
     /// Structural equality with missing-value semantics: two missing
     /// cells compare equal (the columnar store keeps a deterministic
@@ -295,8 +306,10 @@ impl Dataset {
     }
 
     /// Append a row of encoded values with an explicit weight. Same
-    /// insert-time validation as [`Dataset::push_row`].
+    /// insert-time validation as [`Dataset::push_row`]; a NaN or
+    /// infinite weight is refused as [`Dataset::set_weight`] refuses it.
     pub fn push_row_weighted(&mut self, row: Vec<f64>, weight: f64) -> Result<()> {
+        check_weight(self.num_rows, weight)?;
         if row.len() != self.attributes.len() {
             return Err(DataError::Arity {
                 got: row.len(),
@@ -416,9 +429,13 @@ impl Dataset {
         &self.weights
     }
 
-    /// Set the weight of `row`.
-    pub fn set_weight(&mut self, row: usize, w: f64) {
+    /// Set the weight of `row`. A NaN or infinite weight is refused
+    /// with [`DataError::InvalidParameter`] and the weight is left as
+    /// it was; zero and negative weights are kept.
+    pub fn set_weight(&mut self, row: usize, w: f64) -> Result<()> {
+        check_weight(row, w)?;
         self.weights[row] = w;
+        Ok(())
     }
 
     /// Gather row `row` into a freshly allocated encoded-value vector
@@ -763,7 +780,7 @@ mod tests {
     #[test]
     fn select_rows_preserves_weights() {
         let mut ds = weather();
-        ds.set_weight(1, 2.5);
+        ds.set_weight(1, 2.5).unwrap();
         let sub = ds.select_rows(&[1, 2]);
         assert_eq!(sub.num_instances(), 2);
         assert_eq!(sub.weight(0), 2.5);
@@ -808,8 +825,36 @@ mod tests {
     #[test]
     fn total_weight_sums() {
         let mut ds = weather();
-        ds.set_weight(0, 0.5);
+        ds.set_weight(0, 0.5).unwrap();
         assert!((ds.total_weight() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_weights_are_refused_and_change_nothing() {
+        let mut ds = crate::corpus::breast_cancer();
+        let rows = ds.num_instances();
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = ds.set_weight(3, w).unwrap_err();
+            assert!(
+                matches!(&err, DataError::InvalidParameter(m) if m.contains("row 3")),
+                "{err}"
+            );
+            assert_eq!(ds.weight(3), 1.0);
+            let row = ds.row_values(0);
+            assert!(matches!(
+                ds.push_row_weighted(row, w),
+                Err(DataError::InvalidParameter(_))
+            ));
+            assert_eq!(ds.num_instances(), rows);
+        }
+        assert_eq!(ds, crate::corpus::breast_cancer());
+        // Zero and negative weights stay allowed: the tree learners'
+        // oracle tests grow on them.
+        ds.set_weight(3, -0.25).unwrap();
+        ds.set_weight(4, 0.0).unwrap();
+        ds.push_row_weighted(ds.row_values(0), -1.5).unwrap();
+        assert_eq!(ds.weight(3), -0.25);
+        assert_eq!(ds.weight(rows), -1.5);
     }
 
     #[test]

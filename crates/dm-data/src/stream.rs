@@ -1042,7 +1042,7 @@ mod tests {
         }
         // Weighted rows take the explicit-weights branch.
         let mut ds = toy(70);
-        ds.set_weight(3, 2.5);
+        ds.set_weight(3, 2.5).unwrap();
         let batch = RecordBatch::from_rows(&ds, 0..70);
         assert_eq!(batch.to_bytes().len(), batch.byte_len());
         assert_eq!(RecordBatch::from_bytes(&batch.to_bytes()).unwrap(), batch);
@@ -1323,7 +1323,7 @@ mod tests {
     #[test]
     fn mutated_stream_frames_are_errors_not_panics() {
         let mut small = notes();
-        small.set_weight(1, 2.5);
+        small.set_weight(1, 2.5).unwrap();
         let mut breast_cancer = parse_arff(&crate::corpus::breast_cancer_arff()).unwrap();
         breast_cancer.set_class_by_name("Class").unwrap();
         let mut decoded = 0;

@@ -20,6 +20,12 @@ use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
+
+/// The standard `transactions` table, generated once per process:
+/// every host's service registers a clone.
+static TRANSACTIONS: LazyLock<Dataset> =
+    LazyLock::new(|| dm_data::corpus::market_baskets(8, 300, &[(&[0, 1], 0.4)], 0.05, 21));
 
 /// One parsed condition term.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,10 +108,7 @@ impl DataAccessService {
     pub fn with_standard_resources() -> DataAccessService {
         let s = DataAccessService::new();
         s.register("breast_cancer", dm_data::corpus::breast_cancer());
-        s.register(
-            "transactions",
-            dm_data::corpus::market_baskets(8, 300, &[(&[0, 1], 0.4)], 0.05, 21),
-        );
+        s.register("transactions", TRANSACTIONS.clone());
         s
     }
 

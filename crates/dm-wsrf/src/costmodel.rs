@@ -185,7 +185,7 @@ mod tests {
     use crate::monitor::{InvocationEvent, Outcome};
     use crate::resilience::BreakerConfig;
 
-    fn event(host: &str, ms: u64, outcome: Outcome) -> InvocationEvent<'_> {
+    fn event<'a>(host: &'a str, ms: u64, outcome: Outcome<'a>) -> InvocationEvent<'a> {
         InvocationEvent {
             host,
             service: "S",
@@ -214,7 +214,7 @@ mod tests {
     fn monitor_and_loads_fold_in() {
         let log = MonitorLog::new();
         log.record(event("a", 4, Outcome::Ok));
-        log.record(event("a", 8, Outcome::Fault("Server".into())));
+        log.record(event("a", 8, Outcome::Fault("Server")));
         let mut m = CostModel::new();
         m.observe_monitor(&log);
         m.observe_loads(&[("a".to_string(), 3)].into());

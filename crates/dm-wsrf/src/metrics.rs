@@ -542,7 +542,7 @@ pub(crate) mod oracle {
             let outcome = match &event.outcome {
                 Outcome::Ok => "ok",
                 Outcome::Fault(_) => "fault",
-                Outcome::TransportError(_) => "transport-error",
+                Outcome::TransportError => "transport-error",
             };
             registry.inc_counter(
                 "faehim_invocations_total",
@@ -637,7 +637,7 @@ mod tests {
         for (service, ms, outcome) in [
             ("Classifier", 4, Outcome::Ok),
             ("Classifier", 6, Outcome::Ok),
-            ("Clusterer", 2, Outcome::Fault("Server".into())),
+            ("Clusterer", 2, Outcome::Fault("Server")),
         ] {
             log.record(InvocationEvent {
                 host: "h",
@@ -726,8 +726,8 @@ mod tests {
         let log = MonitorLog::new();
         for (host, outcome) in [
             ("a", Outcome::Ok),
-            ("a", Outcome::Fault("Server".into())),
-            ("b", Outcome::TransportError("reset".into())),
+            ("a", Outcome::Fault("Server")),
+            ("b", Outcome::TransportError),
         ] {
             log.record(InvocationEvent {
                 host,

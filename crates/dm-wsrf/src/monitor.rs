@@ -32,20 +32,21 @@ use std::time::Duration;
 /// exact nearest-rank over the host's last this-many durations.
 pub const HOST_WINDOW: usize = 4096;
 
-/// Result of one invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
+/// Result of one invocation. It borrows the fault code from the
+/// call's error, as [`InvocationEvent`] borrows its names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome<'a> {
     /// The operation returned a value.
     Ok,
     /// The operation returned a SOAP fault (carrying its code).
-    Fault(String),
+    Fault(&'a str),
     /// The call failed in transit (either leg) and never produced a
     /// usable response; the network's log sees it because it records
     /// at the transport, not at the service.
-    TransportError(String),
+    TransportError,
 }
 
-impl Outcome {
+impl Outcome<'_> {
     /// `true` for anything other than a successful return.
     pub fn is_failure(&self) -> bool {
         !matches!(self, Outcome::Ok)
@@ -78,7 +79,7 @@ pub struct InvocationEvent<'a> {
     /// Payloads that travelled as `DataRef` handles instead of inline.
     pub ref_hits: usize,
     /// Success or fault.
-    pub outcome: Outcome,
+    pub outcome: Outcome<'a>,
 }
 
 /// Aggregate statistics over every event ever recorded.
@@ -199,7 +200,7 @@ impl Series {
         match e.outcome {
             Outcome::Ok => self.ok += 1,
             Outcome::Fault(_) => self.faults += 1,
-            Outcome::TransportError(_) => self.transport_errors += 1,
+            Outcome::TransportError => self.transport_errors += 1,
         }
         self.bytes_in += e.bytes_in;
         self.bytes_out += e.bytes_out;
@@ -541,7 +542,7 @@ pub(crate) mod oracle {
                     match &e.outcome {
                         Outcome::Ok => {}
                         Outcome::Fault(_) => s.faults += 1,
-                        Outcome::TransportError(_) => s.transport_errors += 1,
+                        Outcome::TransportError => s.transport_errors += 1,
                     }
                     durations.push(e.duration);
                     s.max_duration = s.max_duration.max(e.duration);
@@ -565,7 +566,7 @@ mod tests {
     use crate::metrics::MetricsRegistry;
     use proptest::prelude::*;
 
-    fn event(service: &str, outcome: Outcome) -> InvocationEvent<'_> {
+    fn event<'a>(service: &'a str, outcome: Outcome<'a>) -> InvocationEvent<'a> {
         InvocationEvent {
             host: "h",
             service,
@@ -584,7 +585,7 @@ mod tests {
         let log = MonitorLog::new();
         assert!(log.is_empty());
         log.record(event("A", Outcome::Ok));
-        log.record(event("B", Outcome::Fault("Server".into())));
+        log.record(event("B", Outcome::Fault("Server")));
         assert_eq!(log.len(), 2);
         assert_eq!(log.summary(None).invocations, 2);
         assert_eq!(log.summary(None).faults, 1);
@@ -596,7 +597,7 @@ mod tests {
         for _ in 0..3 {
             log.record(event("A", Outcome::Ok));
         }
-        log.record(event("A", Outcome::Fault("Server".into())));
+        log.record(event("A", Outcome::Fault("Server")));
         let s = log.summary(None);
         assert_eq!(s.invocations, 4);
         assert_eq!(s.faults, 1);
@@ -624,8 +625,8 @@ mod tests {
         };
         on("b", 10, Outcome::Ok);
         on("a", 2, Outcome::Ok);
-        on("a", 4, Outcome::TransportError("reset".into()));
-        on("a", 6, Outcome::Fault("Server".into()));
+        on("a", 4, Outcome::TransportError);
+        on("a", 6, Outcome::Fault("Server"));
         on("a", 8, Outcome::Ok);
 
         let hosts = log.summary_by_host();
@@ -757,9 +758,9 @@ mod tests {
     #[test]
     fn transport_errors_count_as_failures_in_summary() {
         let log = MonitorLog::new();
-        log.record(event("A", Outcome::TransportError("lost".into())));
+        log.record(event("A", Outcome::TransportError));
         assert_eq!(log.summary(None).faults, 1);
-        assert!(Outcome::TransportError("x".into()).is_failure());
+        assert!(Outcome::TransportError.is_failure());
         assert!(!Outcome::Ok.is_failure());
     }
 
@@ -804,8 +805,8 @@ mod tests {
                         ref_hits: refs,
                         outcome: match outcome {
                             0 => Outcome::Ok,
-                            1 => Outcome::Fault("Server".into()),
-                            _ => Outcome::TransportError("reset".into()),
+                            1 => Outcome::Fault("Server"),
+                            _ => Outcome::TransportError,
                         },
                     },
                 )

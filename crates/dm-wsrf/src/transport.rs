@@ -596,8 +596,8 @@ impl Network {
         drop(in_flight);
         let outcome = match &result {
             Ok(_) => Outcome::Ok,
-            Err(WsError::Fault { code, .. }) => Outcome::Fault(code.clone()),
-            Err(e) => Outcome::TransportError(e.to_string()),
+            Err(WsError::Fault { code, .. }) => Outcome::Fault(code),
+            Err(_) => Outcome::TransportError,
         };
         self.monitor.record(InvocationEvent {
             host,
@@ -814,7 +814,7 @@ impl Network {
         let container = self.host(host)?;
         self.check_fault(host, Leg::Request)?;
         let wsdl = container.wsdl_of(service)?;
-        let len = wsdl.to_xml().len();
+        let len = wsdl.xml_len();
         self.wire.sent(len);
         self.charge(host, len);
         Ok(wsdl)
@@ -1180,16 +1180,29 @@ mod tests {
         assert_eq!(by_host.len(), 1);
         assert_eq!(by_host[0].invocations, 2);
         assert_eq!(by_host[0].transport_errors, 1);
+        assert_eq!(by_host[0].faults, 0);
         assert!((by_host[0].failure_rate - 0.5).abs() < 1e-12);
+
+        // A SOAP fault is a fault, not a transport error.
+        let err = net.invoke("host-a", "Echo", "bogus", vec![]).unwrap_err();
+        assert!(matches!(err, WsError::Fault { .. }), "{err:?}");
+        let by_host = net.monitor().summary_by_host();
+        assert_eq!(by_host[0].invocations, 3);
+        assert_eq!(by_host[0].transport_errors, 1);
+        assert_eq!(by_host[0].faults, 1);
     }
 
     #[test]
     fn wsdl_fetch_charges_transport() {
         let net = network_with_echo();
         net.reset_virtual_time();
+        let before = net.wire_stats();
         let wsdl = net.fetch_wsdl("host-a", "Echo").unwrap();
         assert_eq!(wsdl.service, "Echo");
         assert!(net.virtual_time() > Duration::ZERO);
+        let after = net.wire_stats();
+        assert_eq!(after.envelopes - before.envelopes, 1);
+        assert_eq!(after.bytes - before.bytes, wsdl.to_xml().len() as u64);
     }
 
     #[test]

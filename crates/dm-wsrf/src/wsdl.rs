@@ -7,9 +7,15 @@
 //! address, and a port type listing operations with named, typed input
 //! parts and one output part — with XML rendering and parsing so the
 //! import path exercises a real document.
+//!
+//! [`WsdlDocument::to_xml`] writes the pretty-printed text straight
+//! into one buffer of the exact size, and [`WsdlDocument::xml_len`]
+//! counts the same bytes without writing them, which is all a `?wsdl`
+//! fetch needs to charge the wire. Both run one writer over a sink, so
+//! they cannot disagree. Parsing still builds an element tree.
 
 use crate::error::{Result, WsError};
-use crate::xml::{parse, XmlElement};
+use crate::xml::{escape_into, escaped_len, parse};
 
 /// A message part: name and XSD-ish type (`string`, `long`, `double`,
 /// `boolean`, `base64Binary`, `list`).
@@ -100,65 +106,83 @@ impl WsdlDocument {
             })
     }
 
-    /// Render as a WSDL 1.1-flavoured XML document.
+    /// Render as a WSDL 1.1-flavoured XML document, two-space indented
+    /// with a trailing newline, into one buffer of the exact size.
     pub fn to_xml(&self) -> String {
-        let mut port_type =
-            XmlElement::new("wsdl:portType").attr("name", format!("{}PortType", self.service));
-        let mut messages: Vec<XmlElement> = Vec::new();
-        for op in &self.operations {
-            let in_msg = format!("{}Request", op.name);
-            let out_msg = format!("{}Response", op.name);
-            let mut input = XmlElement::new("wsdl:message").attr("name", in_msg.clone());
-            for p in &op.inputs {
-                input = input.child(
-                    XmlElement::new("wsdl:part")
-                        .attr("name", p.name.clone())
-                        .attr("type", format!("xsd:{}", p.type_name)),
-                );
-            }
-            messages.push(input);
-            messages.push(
-                XmlElement::new("wsdl:message")
-                    .attr("name", out_msg.clone())
-                    .child(
-                        XmlElement::new("wsdl:part")
-                            .attr("name", op.output.name.clone())
-                            .attr("type", format!("xsd:{}", op.output.type_name)),
-                    ),
-            );
-            let mut op_el = XmlElement::new("wsdl:operation").attr("name", op.name.clone());
-            if !op.documentation.is_empty() {
-                op_el = op_el.child(
-                    XmlElement::new("wsdl:documentation").with_text(op.documentation.clone()),
-                );
-            }
-            op_el = op_el
-                .child(XmlElement::new("wsdl:input").attr("message", in_msg))
-                .child(XmlElement::new("wsdl:output").attr("message", out_msg));
-            port_type = port_type.child(op_el);
-        }
+        let mut out = String::with_capacity(self.xml_len());
+        self.write(&mut out);
+        out
+    }
 
-        let mut doc = XmlElement::new("wsdl:definitions")
-            .attr("name", self.service.clone())
-            .attr("targetNamespace", format!("urn:{}", self.service))
-            .attr("xmlns:wsdl", "http://schemas.xmlsoap.org/wsdl/")
-            .attr("xmlns:xsd", "http://www.w3.org/2001/XMLSchema");
-        for m in messages {
-            doc = doc.child(m);
+    /// Length in bytes of [`WsdlDocument::to_xml`]'s output, counted
+    /// without writing it: what a `?wsdl` fetch puts on the wire.
+    pub fn xml_len(&self) -> usize {
+        let mut len = Len(0);
+        self.write(&mut len);
+        len.0
+    }
+
+    /// Write the document: every message (each operation's request,
+    /// then its response), the port type, then the service and its
+    /// port. An element with neither children nor text self-closes.
+    fn write(&self, out: &mut impl Sink) {
+        let service = self.service.as_str();
+        out.raw("<wsdl:definitions name=\"");
+        out.escaped(service);
+        out.raw("\" targetNamespace=\"urn:");
+        out.escaped(service);
+        out.raw(concat!(
+            "\" xmlns:wsdl=\"http://schemas.xmlsoap.org/wsdl/\"",
+            " xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\">"
+        ));
+        for op in &self.operations {
+            out.raw("\n  <wsdl:message name=\"");
+            out.escaped(&op.name);
+            if op.inputs.is_empty() {
+                out.raw("Request\"/>");
+            } else {
+                out.raw("Request\">");
+                for part in &op.inputs {
+                    write_part(out, part);
+                }
+                out.raw("\n  </wsdl:message>");
+            }
+            out.raw("\n  <wsdl:message name=\"");
+            out.escaped(&op.name);
+            out.raw("Response\">");
+            write_part(out, &op.output);
+            out.raw("\n  </wsdl:message>");
         }
-        doc = doc.child(port_type);
-        doc = doc.child(
-            XmlElement::new("wsdl:service")
-                .attr("name", self.service.clone())
-                .child(
-                    XmlElement::new("wsdl:port")
-                        .attr("name", format!("{}Port", self.service))
-                        .child(
-                            XmlElement::new("soap:address").attr("location", self.endpoint.clone()),
-                        ),
-                ),
-        );
-        doc.to_pretty_xml()
+        out.raw("\n  <wsdl:portType name=\"");
+        out.escaped(service);
+        if self.operations.is_empty() {
+            out.raw("PortType\"/>");
+        } else {
+            out.raw("PortType\">");
+            for op in &self.operations {
+                out.raw("\n    <wsdl:operation name=\"");
+                out.escaped(&op.name);
+                out.raw("\">");
+                if !op.documentation.is_empty() {
+                    out.raw("\n      <wsdl:documentation>");
+                    out.escaped(&op.documentation);
+                    out.raw("</wsdl:documentation>");
+                }
+                out.raw("\n      <wsdl:input message=\"");
+                out.escaped(&op.name);
+                out.raw("Request\"/>\n      <wsdl:output message=\"");
+                out.escaped(&op.name);
+                out.raw("Response\"/>\n    </wsdl:operation>");
+            }
+            out.raw("\n  </wsdl:portType>");
+        }
+        out.raw("\n  <wsdl:service name=\"");
+        out.escaped(service);
+        out.raw("\">\n    <wsdl:port name=\"");
+        out.escaped(service);
+        out.raw("Port\">\n      <soap:address location=\"");
+        out.escaped(&self.endpoint);
+        out.raw("\"/>\n    </wsdl:port>\n  </wsdl:service>\n</wsdl:definitions>\n");
     }
 
     /// Parse a document produced by [`WsdlDocument::to_xml`].
@@ -249,6 +273,47 @@ impl WsdlDocument {
     }
 }
 
+/// One `<wsdl:part>` of a message, at the depth messages nest it.
+fn write_part(out: &mut impl Sink, part: &Part) {
+    out.raw("\n    <wsdl:part name=\"");
+    out.escaped(&part.name);
+    out.raw("\" type=\"xsd:");
+    out.escaped(&part.type_name);
+    out.raw("\"/>");
+}
+
+/// Where [`WsdlDocument::write`] sends the document: a `String`, or a
+/// byte count.
+trait Sink {
+    /// Append `s` as it is.
+    fn raw(&mut self, s: &str);
+    /// Append `s` with the five XML special bytes escaped.
+    fn escaped(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn raw(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn escaped(&mut self, s: &str) {
+        escape_into(s, self);
+    }
+}
+
+/// Counts the bytes a `String` sink would hold.
+struct Len(usize);
+
+impl Sink for Len {
+    fn raw(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn escaped(&mut self, s: &str) {
+        self.0 += escaped_len(s);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +384,28 @@ mod tests {
     fn endpoint_preserved() {
         let back = WsdlDocument::from_xml(&classifier_wsdl().to_xml()).unwrap();
         assert_eq!(back.endpoint, "http://host-a:8080/axis/Classifier");
+    }
+
+    #[test]
+    fn special_bytes_roundtrip_and_the_length_is_exact() {
+        let doc = WsdlDocument::new("A<&>\"'", "http://h/?a=1&b=\"2\"")
+            .operation(
+                Operation::new(
+                    "op<1>",
+                    vec![Part::new("x&y", "str'ing")],
+                    Part::new("r", "l\"st"),
+                )
+                .doc("a < b && c > 'd' \"e\""),
+            )
+            .operation(Operation::new("bare", vec![], Part::new("out", "string")));
+        let xml = doc.to_xml();
+        assert_eq!(doc.xml_len(), xml.len());
+        assert_eq!(WsdlDocument::from_xml(&xml).unwrap(), doc);
+        let empty = WsdlDocument::new("Empty", "");
+        assert!(empty
+            .to_xml()
+            .contains("<wsdl:portType name=\"EmptyPortType\"/>"));
+        assert_eq!(empty.xml_len(), empty.to_xml().len());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! A minimal XML element tree with a writer and a non-validating
-//! parser — for WSDL documents and the workflow engine's taskgraph/DAX
-//! exports — plus the entity escaping every writer shares. Supports
+//! parser — for reading WSDL documents and for the workflow engine's
+//! taskgraph/DAX exports — plus the entity escaping every writer
+//! shares. WSDL documents, like envelopes, are written without a tree
+//! (`crate::wsdl`). Supports
 //! elements, attributes, character data with the five standard
 //! entities, comments, processing instructions (skipped), CDATA, and
 //! self-closing tags. No DTDs, no namespace resolution (prefixes travel

@@ -17,7 +17,11 @@ use std::sync::Arc;
 fn main() {
     let mut toolkit = Toolkit::new().expect("toolkit");
     toolkit.enable_data_plane();
-    let journal = toolkit.enable_durable_enactment(4);
+    // One worker runs the claims in a fixed order on the calling
+    // thread. A record carries its attempt's virtual duration, which
+    // concurrent calls on the shared clock would stretch, so every
+    // figure printed below is the same on every run.
+    let journal = toolkit.enable_durable_enactment(1);
     let store = toolkit.network().client_store().expect("client store");
     let (graph, _tasks, bindings) = build_case_study(&toolkit).expect("case study");
 
@@ -32,10 +36,10 @@ fn main() {
 
     println!("\n=== Kill the orchestrator mid-run ===");
     // A fresh journal for the doomed enactment; the kill point lands
-    // after the 13th append — several tasks completed, one in flight.
+    // after the 13th append — six tasks completed.
     let doomed = Arc::new(RunJournal::with_store(Arc::clone(&store), 1024));
     let config = DurableConfig::new(Arc::clone(&doomed))
-        .with_workers(4)
+        .with_workers(1)
         .with_kill_after_appends(13);
     let err = toolkit
         .resilient_executor(None)
