@@ -332,7 +332,7 @@ impl Toolkit {
 
     /// Freeze the deployment's live telemetry into a [`CostModel`]
     /// snapshot: per-host latency quantiles and failure rates from the
-    /// monitor log, outstanding requests from the network, shed rates
+    /// monitor log, in-system counts from the network, shed rates
     /// and in-system depth from each host's admission-control counters,
     /// and breaker state when the resilience layer is enabled. The
     /// snapshot is plain data — a planner run over it is reproducible.

@@ -1,6 +1,6 @@
 //! The core data model: [`Dataset`] (WEKA `Instances` equivalent),
-//! [`Instance`] row views, [`Value`] encoding helpers, and the
-//! zero-copy [`BlockView`] scan windows over the columnar store.
+//! [`Instance`] row views, [`Value`] encoding helpers, and
+//! [`block_ranges`], the row partition blocked scans use.
 
 use crate::attribute::{Attribute, AttributeKind};
 use crate::column::{Column, ColumnView};
@@ -464,11 +464,6 @@ impl Dataset {
         Instance { dataset: self, row }
     }
 
-    /// Iterate over all instances.
-    pub fn instances(&self) -> impl Iterator<Item = Instance<'_>> + '_ {
-        (0..self.num_instances()).map(move |row| Instance { dataset: self, row })
-    }
-
     /// Zero-copy borrow of column `attr`'s buffers — the accessor the
     /// vectorized kernels hoist out of their row loops.
     #[inline]
@@ -521,20 +516,6 @@ impl Dataset {
         }
         out.num_rows = rows.len();
         out
-    }
-
-    /// Split the row index space into up to `blocks` near-equal
-    /// contiguous [`BlockView`] windows (no copying). Block boundaries
-    /// depend only on `(num_instances, blocks)`, so partitioned scans
-    /// that merge per-block results in block order are deterministic.
-    pub fn block_views(&self, blocks: usize) -> Vec<BlockView<'_>> {
-        block_ranges(self.num_instances(), blocks)
-            .into_iter()
-            .map(|range| BlockView {
-                dataset: self,
-                range,
-            })
-            .collect()
     }
 
     /// Class distribution (weighted counts per label). Errors if the
@@ -610,54 +591,6 @@ pub fn block_ranges(n: usize, blocks: usize) -> Vec<std::ops::Range<usize>> {
         start += len;
     }
     ranges
-}
-
-/// A zero-copy view of a contiguous run of dataset rows — the unit of
-/// work the compute pool partitions scans over. Columns are borrowed
-/// straight from the dataset (no row gather); row indices are in the
-/// coordinates of the underlying [`Dataset`].
-#[derive(Clone)]
-pub struct BlockView<'a> {
-    dataset: &'a Dataset,
-    range: std::ops::Range<usize>,
-}
-
-impl<'a> BlockView<'a> {
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &'a Dataset {
-        self.dataset
-    }
-
-    /// The absolute row range this block covers.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.range.clone()
-    }
-
-    /// First absolute row index in the block.
-    pub fn start(&self) -> usize {
-        self.range.start
-    }
-
-    /// Number of rows in the block.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// `true` when the block covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-
-    /// Zero-copy borrow of column `attr` (absolute row coordinates).
-    #[inline]
-    pub fn column(&self, attr: usize) -> ColumnView<'a> {
-        self.dataset.column(attr)
-    }
-
-    /// Iterate the block's absolute row indices.
-    pub fn rows(&self) -> std::ops::Range<usize> {
-        self.range.clone()
-    }
 }
 
 /// Format a numeric value the way ARFF writers conventionally do: no
@@ -926,34 +859,6 @@ mod tests {
             }
         }
         assert!(block_ranges(5, 0).is_empty());
-    }
-
-    #[test]
-    fn block_views_window_rows_without_copying() {
-        let ds = weather();
-        let blocks = ds.block_views(2);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].range(), 0..2);
-        assert_eq!(blocks[1].range(), 2..3);
-        assert_eq!(blocks[0].start(), 0);
-        assert_eq!(blocks[1].len(), 1);
-        assert!(!blocks[0].is_empty());
-        let rows: Vec<usize> = blocks.iter().flat_map(|b| b.rows()).collect();
-        assert_eq!(rows, vec![0, 1, 2]);
-        // Column borrows agree with cellwise access, missing included.
-        let temp = blocks[1].column(1);
-        assert!(temp.is_missing(2));
-        let outlook = blocks[0].column(0);
-        assert_eq!(outlook.index_at(1), Some(1));
-        assert!(std::ptr::eq(blocks[0].dataset(), &ds));
-    }
-
-    #[test]
-    fn block_views_more_blocks_than_rows() {
-        let ds = weather();
-        let blocks = ds.block_views(10);
-        assert_eq!(blocks.len(), 3);
-        assert!(blocks.iter().all(|b| b.len() == 1));
     }
 
     #[test]

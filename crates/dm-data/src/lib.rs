@@ -22,7 +22,7 @@
 //! rather than raw comparison) — so parsers and filters see WEKA's
 //! encoding, while the mining kernels in `dm-algorithms` scan the
 //! cache-friendly column buffers directly through zero-copy
-//! [`ColumnView`]/[`BlockView`] borrows.
+//! [`ColumnView`] borrows.
 //!
 //! ## Quick example
 //!
@@ -56,7 +56,7 @@ pub mod summary;
 
 pub use attribute::{Attribute, AttributeKind};
 pub use column::{Bitmap, Codes, CodesView, Column, ColumnView};
-pub use dataset::{block_ranges, BlockView, Dataset, Instance, Value};
+pub use dataset::{block_ranges, Dataset, Instance, Value};
 pub use error::{DataError, Result};
 pub use stream::{chunk_dataset, record_stream, RecordBatch, StreamHeader};
 

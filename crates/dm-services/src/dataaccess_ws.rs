@@ -20,12 +20,14 @@ use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 /// The standard `transactions` table, generated once per process:
-/// every host's service registers a clone.
-static TRANSACTIONS: LazyLock<Dataset> =
-    LazyLock::new(|| dm_data::corpus::market_baskets(8, 300, &[(&[0, 1], 0.4)], 0.05, 21));
+/// every host's service shares it.
+static TRANSACTIONS: LazyLock<Arc<Dataset>> = LazyLock::new(|| {
+    let table = dm_data::corpus::market_baskets(8, 300, &[(&[0, 1], 0.4)], 0.05, 21);
+    Arc::new(table)
+});
 
 /// One parsed condition term.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,10 +93,11 @@ fn matches(ds: &Dataset, row: usize, terms: &[Term]) -> bool {
     })
 }
 
-/// The OGSA-DAI-style relational data service.
+/// The OGSA-DAI-style relational data service. Each resource is held
+/// once and read in place by every call.
 #[derive(Debug, Default)]
 pub struct DataAccessService {
-    resources: RwLock<BTreeMap<String, Dataset>>,
+    resources: RwLock<BTreeMap<String, Arc<Dataset>>>,
 }
 
 impl DataAccessService {
@@ -108,16 +111,16 @@ impl DataAccessService {
     pub fn with_standard_resources() -> DataAccessService {
         let s = DataAccessService::new();
         s.register("breast_cancer", dm_data::corpus::breast_cancer());
-        s.register("transactions", TRANSACTIONS.clone());
+        s.register("transactions", Arc::clone(&TRANSACTIONS));
         s
     }
 
-    /// Register (or replace) a resource.
-    pub fn register<N: Into<String>>(&self, name: N, table: Dataset) {
-        self.resources.write().insert(name.into(), table);
+    /// Register (or replace) a resource: an owned table or a shared one.
+    pub fn register<N: Into<String>>(&self, name: N, table: impl Into<Arc<Dataset>>) {
+        self.resources.write().insert(name.into(), table.into());
     }
 
-    fn resource(&self, name: &str) -> Result<Dataset, ServiceFault> {
+    fn resource(&self, name: &str) -> Result<Arc<Dataset>, ServiceFault> {
         self.resources
             .read()
             .get(name)
@@ -250,6 +253,19 @@ mod tests {
 
     fn service() -> DataAccessService {
         DataAccessService::with_standard_resources()
+    }
+
+    #[test]
+    fn lookups_share_the_registered_table() {
+        let s = service();
+        let first = s.resource("breast_cancer").unwrap();
+        let second = s.resource("breast_cancer").unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(first.num_instances(), 286);
+        // Every host's service shares the one standard `transactions`.
+        let host_a = s.resource("transactions").unwrap();
+        let host_b = service().resource("transactions").unwrap();
+        assert!(Arc::ptr_eq(&host_a, &host_b));
     }
 
     #[test]

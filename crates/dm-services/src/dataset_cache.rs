@@ -57,7 +57,7 @@ impl DatasetCache {
         text: &str,
         hash: u128,
     ) -> Result<Arc<Dataset>, ServiceFault> {
-        if let Some(ds) = self.datasets.get(&hash) {
+        if let Some(ds) = self.datasets.get(hash) {
             return Ok(ds);
         }
         let ds = Arc::new(dm_data::arff::parse_arff(text).map_err(data_fault)?);

@@ -129,7 +129,7 @@ impl ModelCache {
 
     /// Fetch a trained model (counts a hit or miss).
     pub fn get_model(&self, key: u128) -> Option<SharedModel> {
-        self.models.get(&key)
+        self.models.get(key)
     }
 
     /// Store a freshly trained model.
@@ -139,7 +139,7 @@ impl ModelCache {
 
     /// Fetch a cached cross-validation summary.
     pub fn get_eval(&self, key: u128) -> Option<Arc<str>> {
-        self.evals.get(&key)
+        self.evals.get(key)
     }
 
     /// Store a cross-validation summary.

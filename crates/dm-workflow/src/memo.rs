@@ -64,7 +64,7 @@ impl MemoCache {
 
     /// Look up cached outputs (counts a hit or miss).
     pub fn get(&self, key: u128) -> Option<Vec<Token>> {
-        self.entries.get(&key)
+        self.entries.get(key)
     }
 
     /// Store the outputs of a successful pure-task execution.

@@ -7,9 +7,9 @@
 //! selection needs already exists as a live signal somewhere in this
 //! crate: per-host latency quantiles in [`MonitorLog`], queue depth and
 //! shed counters in [`LoadStats`], breaker state in [`BreakerBoard`],
-//! outstanding-request counts in `Network::load_snapshot`, and the
-//! data-plane inline threshold that decides when a payload travels as a
-//! `DataRef` handle instead of inline bytes.
+//! per-host in-system request counts in `Network::load_snapshot`, and
+//! the data-plane inline threshold that decides when a payload travels
+//! as a `DataRef` handle instead of inline bytes.
 //!
 //! [`CostModel`] freezes those signals into one plain-data snapshot so
 //! a planner run is a pure function of `(goal, candidates, snapshot,
@@ -33,8 +33,9 @@ pub const DATA_REF_WIRE_BYTES: usize = 96;
 /// with the model's defaults, not excluded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostCost {
-    /// Outstanding requests (max of wall-clock outstanding and the
-    /// capacity model's in-system count), from `Network::load_snapshot`.
+    /// Outstanding requests: the capacity model's in-system count
+    /// (queued + serving) at the snapshot's virtual instant, from
+    /// `Network::load_snapshot` or the host's [`LoadStats`].
     pub outstanding: u64,
     /// Median per-attempt duration from the monitor log.
     pub p50: Option<Duration>,
@@ -100,7 +101,7 @@ impl CostModel {
         self.hosts.entry(host.to_string()).or_default()
     }
 
-    /// Fold an outstanding-request snapshot (e.g.
+    /// Fold a per-host in-system count snapshot (e.g.
     /// `Network::load_snapshot`) into the model.
     pub fn observe_loads(&mut self, loads: &HashMap<String, u64>) {
         for (host, &load) in loads {

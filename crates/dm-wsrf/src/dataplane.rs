@@ -8,7 +8,7 @@
 //! [`crate::soap::SoapValue::DataRef`] handles once the receiving side
 //! already holds the bytes in its [`AttachmentStore`].
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * content hashing ([`payload_hash`], [`content_ref`],
 //!   [`fingerprint`]) on [`Hasher128`], a word-at-a-time 128-bit
@@ -16,17 +16,21 @@
 //!   platforms. It is the workspace's one digest: attachment identity,
 //!   dataset-cache and model-cache keys, memoisation keys, and journal
 //!   checksums all go through it;
-//! * [`AttachmentStore`] — a size-bounded, thread-safe LRU of payloads
-//!   keyed by content hash, with hit/miss/eviction counters. One store
+//! * [`LruMap`] — the one thread-safe LRU, with hit/miss/eviction
+//!   counters, bounded by the total weight of its entries. The weight
+//!   is fixed by the map's type: each entry weighs 1 in the dataset,
+//!   model, evaluation and memoisation caches of the upper layers, and
+//!   a payload weighs its length in an [`AttachmentStore`], the
+//!   byte-bounded map of payloads keyed by content hash. One store
 //!   sits in every service container (the host side) and one in the
-//!   network (the client/engine side);
-//! * [`LruMap`] — the generic entry-bounded LRU underneath the
-//!   trained-model and memoisation caches in the upper layers.
+//!   network (the client/engine side).
 
 use crate::soap::{RefKind, SoapValue};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -351,235 +355,157 @@ impl Counters {
     }
 }
 
-struct StoreInner {
-    /// hash → (payload, recency sequence number).
-    map: HashMap<u128, (Payload, u64)>,
-    /// recency sequence → hash; the first entry is the LRU victim.
-    order: BTreeMap<u64, u128>,
-    clock: u64,
-    bytes: usize,
-    capacity: usize,
+/// What an [`LruMap`]'s capacity counts. The weigher is part of the
+/// map's type, so one map never mixes units.
+pub trait Weigh<V> {
+    /// The least capacity a map is given.
+    const MIN_CAPACITY: usize;
+    /// Whether the weight held is reported as [`CacheStats::bytes`].
+    const IN_BYTES: bool;
+    /// One entry's share of the capacity.
+    fn weigh(value: &V) -> usize;
 }
 
-impl StoreInner {
-    fn touch(&mut self, hash: u128) {
-        if let Some((_, seq)) = self.map.get_mut(&hash) {
-            self.order.remove(seq);
-            self.clock += 1;
-            *seq = self.clock;
-            self.order.insert(self.clock, hash);
-        }
-    }
+/// Every entry weighs 1: the capacity is an entry count, at least 1,
+/// and [`CacheStats::bytes`] reads 0. The dataset, model, evaluation
+/// and memoisation caches count entries.
+#[derive(Debug)]
+pub struct Entries;
 
-    fn evict_lru(&mut self) -> bool {
-        let Some((&seq, &hash)) = self.order.iter().next() else {
-            return false;
-        };
-        self.order.remove(&seq);
-        if let Some((payload, _)) = self.map.remove(&hash) {
-            self.bytes -= payload.len();
-        }
-        true
+impl<V> Weigh<V> for Entries {
+    const MIN_CAPACITY: usize = 1;
+    const IN_BYTES: bool = false;
+
+    fn weigh(_: &V) -> usize {
+        1
     }
 }
 
-/// A size-bounded LRU attachment store keyed by content hash.
+/// A payload weighs its length: the capacity is a byte budget.
+#[derive(Debug)]
+pub struct PayloadBytes;
+
+impl Weigh<Payload> for PayloadBytes {
+    const MIN_CAPACITY: usize = 0;
+    const IN_BYTES: bool = true;
+
+    fn weigh(payload: &Payload) -> usize {
+        payload.len()
+    }
+}
+
+/// A byte-bounded LRU attachment store keyed by content hash.
 ///
 /// Every host container owns one (the server side of pass-by-reference)
-/// and the network owns one for the client/engine side. `get` counts a
-/// hit or miss and refreshes recency; `insert` evicts least-recently
-/// used payloads until the byte bound holds. A payload larger than the
-/// whole store is not cached at all — callers simply keep shipping it
-/// inline.
-pub struct AttachmentStore {
-    inner: Mutex<StoreInner>,
-    counters: Counters,
-}
-
-impl std::fmt::Debug for AttachmentStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("AttachmentStore")
-            .field("entries", &stats.entries)
-            .field("bytes", &stats.bytes)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
-    }
-}
-
-impl AttachmentStore {
-    /// Create a store bounded to `capacity_bytes` of payload.
-    pub fn new(capacity_bytes: usize) -> AttachmentStore {
-        AttachmentStore {
-            inner: Mutex::new(StoreInner {
-                map: HashMap::new(),
-                order: BTreeMap::new(),
-                clock: 0,
-                bytes: 0,
-                capacity: capacity_bytes,
-            }),
-            counters: Counters::default(),
-        }
-    }
-
-    /// The byte bound.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
-    /// Rebound the store, evicting LRU payloads if it now overflows.
-    pub fn set_capacity(&self, capacity_bytes: usize) {
-        let mut inner = self.inner.lock();
-        inner.capacity = capacity_bytes;
-        let mut evicted = 0;
-        while inner.bytes > inner.capacity && inner.evict_lru() {
-            evicted += 1;
-        }
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Fetch a payload by hash, counting a hit or miss and refreshing
-    /// recency on hit.
-    pub fn get(&self, hash: u128) -> Option<Payload> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(&hash) {
-            Some((payload, _)) => {
-                let payload = payload.clone();
-                inner.touch(hash);
-                self.counters.hit();
-                Some(payload)
-            }
-            None => {
-                self.counters.miss();
-                None
-            }
-        }
-    }
-
-    /// Presence check without touching recency or counters (test and
-    /// diagnostic use).
-    pub fn contains(&self, hash: u128) -> bool {
-        self.inner.lock().map.contains_key(&hash)
-    }
-
-    /// Refresh `hash`'s recency, as inserting its payload again would,
-    /// and say whether the store holds it; counts nothing. A writer
-    /// that knows a payload's hash builds the payload to
-    /// [`Self::insert`] only when this is `false`.
-    pub fn touch(&self, hash: u128) -> bool {
-        let mut inner = self.inner.lock();
-        let held = inner.map.contains_key(&hash);
-        if held {
-            inner.touch(hash);
-        }
-        held
-    }
-
-    /// Insert a payload, evicting LRU entries until the byte bound
-    /// holds. Oversized payloads (larger than the whole store) are
-    /// dropped rather than cached.
-    pub fn insert(&self, hash: u128, payload: Payload) {
-        let mut inner = self.inner.lock();
-        if payload.len() > inner.capacity {
-            return;
-        }
-        if inner.map.contains_key(&hash) {
-            inner.touch(hash);
-            return;
-        }
-        inner.bytes += payload.len();
-        inner.clock += 1;
-        let seq = inner.clock;
-        inner.map.insert(hash, (payload, seq));
-        inner.order.insert(seq, hash);
-        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = 0;
-        while inner.bytes > inner.capacity && inner.evict_lru() {
-            evicted += 1;
-        }
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Number of payloads held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// `true` when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
-    }
-
-    /// Payload bytes currently held.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
-    }
-
-    /// Counter snapshot (`lookups == hits + misses`).
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        self.counters.snapshot(inner.map.len(), inner.bytes)
-    }
-
-    /// Drop every payload (counters are preserved).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
-    }
-}
+/// and the network owns one for the client/engine side. A payload
+/// larger than the whole store is not cached at all — callers simply
+/// keep shipping it inline.
+pub type AttachmentStore = LruMap<u128, Payload, PayloadBytes>;
 
 struct LruInner<K, V> {
+    /// key → (value, recency sequence number).
     map: HashMap<K, (V, u64)>,
+    /// recency sequence → key; the first entry is the LRU victim.
     order: BTreeMap<u64, K>,
     clock: u64,
+    /// Total weight held.
+    weight: usize,
     capacity: usize,
 }
 
-/// A generic entry-bounded LRU map with the same counter discipline as
-/// [`AttachmentStore`]. The trained-model cache (`dm-services`) and the
-/// workflow memoisation cache (`dm-workflow`) are both built on this.
-pub struct LruMap<K, V> {
-    inner: Mutex<LruInner<K, V>>,
-    counters: Counters,
+impl<K: Eq + Hash, V> LruInner<K, V> {
+    /// Make `key` the most recently used entry, if it is held.
+    fn touch(&mut self, key: &K) -> Option<&V> {
+        let (value, seq) = self.map.get_mut(key)?;
+        let key = self
+            .order
+            .remove(seq)
+            .expect("a held key has a recency slot");
+        self.clock += 1;
+        *seq = self.clock;
+        self.order.insert(self.clock, key);
+        Some(value)
+    }
+
+    /// Evict least-recently used entries until the weight held fits
+    /// the capacity; returns how many went.
+    fn shrink<W: Weigh<V>>(&mut self) -> u64 {
+        let mut evicted = 0;
+        while self.weight > self.capacity {
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some((value, _)) = self.map.remove(&victim) {
+                self.weight -= W::weigh(&value);
+            }
+            evicted += 1;
+        }
+        evicted
+    }
+
+    fn bytes<W: Weigh<V>>(&self) -> usize {
+        if W::IN_BYTES {
+            self.weight
+        } else {
+            0
+        }
+    }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
-    /// Create a map bounded to `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> LruMap<K, V> {
+/// A thread-safe LRU map with hit/miss/insertion/eviction counters,
+/// bounded by the total weight of its entries. `W` fixes what the
+/// capacity counts: entries ([`Entries`], the default) or payload bytes
+/// ([`PayloadBytes`], the [`AttachmentStore`]). `get` counts a hit or
+/// miss and refreshes recency; `insert` evicts least-recently used
+/// entries until the weight held fits the capacity, and refuses an
+/// entry heavier than the whole capacity. The trained-model, dataset
+/// and memoisation caches of the upper layers and every attachment
+/// store are built on this; their keys are content hashes.
+pub struct LruMap<K, V, W = Entries> {
+    inner: Mutex<LruInner<K, V>>,
+    counters: Counters,
+    weigher: PhantomData<W>,
+}
+
+impl<K: Eq + Hash + Copy, V: Clone, W: Weigh<V>> LruMap<K, V, W> {
+    /// Create a map bounded to `capacity` (at least the weigher's
+    /// minimum: one entry for an entry-bounded map).
+    pub fn new(capacity: usize) -> LruMap<K, V, W> {
         LruMap {
             inner: Mutex::new(LruInner {
                 map: HashMap::new(),
                 order: BTreeMap::new(),
                 clock: 0,
-                capacity: capacity.max(1),
+                weight: 0,
+                capacity: capacity.max(W::MIN_CAPACITY),
             }),
             counters: Counters::default(),
+            weigher: PhantomData,
         }
     }
 
-    /// Fetch, counting a hit or miss and refreshing recency on hit.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// The capacity bound.
+    pub fn capacity(&self) -> usize {
+        self.inner.lock().capacity
+    }
+
+    /// Rebound the map, evicting LRU entries if it now overflows.
+    pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some((value, _)) => {
-                let value = value.clone();
-                let seq = inner.map.get(key).map(|(_, s)| *s).unwrap_or_default();
-                inner.order.remove(&seq);
-                inner.clock += 1;
-                let clock = inner.clock;
-                if let Some((_, s)) = inner.map.get_mut(key) {
-                    *s = clock;
-                }
-                inner.order.insert(clock, key.clone());
+        inner.capacity = capacity.max(W::MIN_CAPACITY);
+        let evicted = inner.shrink::<W>();
+        self.counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Fetch, counting a hit or miss and refreshing recency on hit.
+    pub fn get(&self, key: K) -> Option<V> {
+        let mut inner = self.inner.lock();
+        match inner.touch(&key) {
+            Some(value) => {
                 self.counters.hit();
-                Some(value)
+                Some(value.clone())
             }
             None => {
                 self.counters.miss();
@@ -589,31 +515,51 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
     }
 
     /// Presence check without counters or recency effects.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.lock().map.contains_key(key)
+    pub fn contains(&self, key: K) -> bool {
+        self.inner.lock().map.contains_key(&key)
     }
 
-    /// Insert (replacing any previous value), evicting the LRU entry
-    /// when the entry bound is exceeded.
+    /// Refresh `key`'s recency, as inserting its value again would, and
+    /// say whether the map holds it; counts nothing. A writer that
+    /// knows a payload's hash builds the payload to [`Self::insert`]
+    /// only when this is `false`.
+    pub fn touch(&self, key: K) -> bool {
+        self.inner.lock().touch(&key).is_some()
+    }
+
+    /// Insert (replacing any previous value) as the most recently used
+    /// entry, evicting LRU entries until the weight held fits the
+    /// capacity. An entry heavier than the whole capacity is dropped
+    /// rather than cached, and evicts nothing.
     pub fn insert(&self, key: K, value: V) {
-        let mut inner = self.inner.lock();
+        let weight = W::weigh(&value);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if weight > inner.capacity {
+            return;
+        }
         inner.clock += 1;
-        let seq = inner.clock;
-        if let Some((_, old_seq)) = inner.map.insert(key.clone(), (value, seq)) {
-            inner.order.remove(&old_seq);
-        } else {
-            self.counters.insertions.fetch_add(1, Ordering::Relaxed);
+        inner.weight += weight;
+        match inner.map.entry(key) {
+            Entry::Occupied(mut held) => {
+                let (old, seq) = held.insert((value, inner.clock));
+                inner.weight -= W::weigh(&old);
+                let key = inner
+                    .order
+                    .remove(&seq)
+                    .expect("a held key has a recency slot");
+                inner.order.insert(inner.clock, key);
+            }
+            Entry::Vacant(slot) => {
+                inner.order.insert(inner.clock, *slot.key());
+                slot.insert((value, inner.clock));
+                self.counters.insertions.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        inner.order.insert(seq, key);
-        while inner.map.len() > inner.capacity {
-            let Some((&victim_seq, victim)) = inner.order.iter().next() else {
-                break;
-            };
-            let victim = victim.clone();
-            inner.order.remove(&victim_seq);
-            inner.map.remove(&victim);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let evicted = inner.shrink::<W>();
+        self.counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Number of entries held.
@@ -621,14 +567,20 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
         self.inner.lock().map.len()
     }
 
-    /// `true` when nothing is cached.
+    /// `true` when nothing is held.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().map.is_empty()
     }
 
+    /// Payload bytes held (0 for an entry-bounded map).
+    pub fn bytes(&self) -> usize {
+        self.inner.lock().bytes::<W>()
+    }
+
     /// Counter snapshot (`lookups == hits + misses`).
     pub fn stats(&self) -> CacheStats {
-        self.counters.snapshot(self.inner.lock().map.len(), 0)
+        let inner = self.inner.lock();
+        self.counters.snapshot(inner.map.len(), inner.bytes::<W>())
     }
 
     /// Drop every entry (counters are preserved).
@@ -636,10 +588,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
         let mut inner = self.inner.lock();
         inner.map.clear();
         inner.order.clear();
+        inner.weight = 0;
     }
 }
 
-impl<K, V> std::fmt::Debug for LruMap<K, V> {
+impl<K, V, W> std::fmt::Debug for LruMap<K, V, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LruMap")
             .field("entries", &self.inner.lock().map.len())
@@ -919,11 +872,11 @@ mod tests {
         let cache: LruMap<u32, String> = LruMap::new(2);
         cache.insert(1, "one".into());
         cache.insert(2, "two".into());
-        assert_eq!(cache.get(&1).as_deref(), Some("one"));
+        assert_eq!(cache.get(1).as_deref(), Some("one"));
         cache.insert(3, "three".into());
-        assert!(!cache.contains(&2), "LRU entry evicted");
-        assert!(cache.contains(&1) && cache.contains(&3));
-        assert!(cache.get(&2).is_none());
+        assert!(!cache.contains(2), "LRU entry evicted");
+        assert!(cache.contains(1) && cache.contains(3));
+        assert!(cache.get(2).is_none());
         let stats = cache.stats();
         assert_eq!(stats.lookups, stats.hits + stats.misses);
         assert_eq!(stats.evictions, 1);
@@ -936,7 +889,7 @@ mod tests {
         cache.insert(1, 10);
         cache.insert(1, 11);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&1), Some(11));
+        assert_eq!(cache.get(1), Some(11));
         assert_eq!(cache.stats().insertions, 1);
     }
 
@@ -959,5 +912,236 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.len(), 400);
+    }
+
+    /// splitmix64: the model test's seeded operation stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// What an [`LruMap`] must do, kept naively: its entries in a
+    /// `Vec`, least recently used first, and the counters it should
+    /// report.
+    struct Model<V> {
+        entries: Vec<(u128, V)>,
+        capacity: usize,
+        /// The least capacity the map takes.
+        floor: usize,
+        weigh: fn(&V) -> usize,
+        /// Whether `CacheStats::bytes` reports the weight held.
+        in_bytes: bool,
+        counted: CacheStats,
+    }
+
+    impl<V: Clone> Model<V> {
+        fn new(capacity: usize, floor: usize, weigh: fn(&V) -> usize, in_bytes: bool) -> Self {
+            Model {
+                entries: Vec::new(),
+                capacity: capacity.max(floor),
+                floor,
+                weigh,
+                in_bytes,
+                counted: CacheStats::default(),
+            }
+        }
+
+        fn position(&self, key: u128) -> Option<usize> {
+            self.entries.iter().position(|(k, _)| *k == key)
+        }
+
+        fn refresh(&mut self, at: usize) {
+            let entry = self.entries.remove(at);
+            self.entries.push(entry);
+        }
+
+        fn weight(&self) -> usize {
+            self.entries.iter().map(|(_, v)| (self.weigh)(v)).sum()
+        }
+
+        /// Evict from the least recent end until the weight fits;
+        /// returns the evicted keys in eviction order.
+        fn shrink(&mut self) -> Vec<u128> {
+            let mut evicted = Vec::new();
+            while self.weight() > self.capacity {
+                evicted.push(self.entries.remove(0).0);
+            }
+            self.counted.evictions += evicted.len() as u64;
+            evicted
+        }
+
+        fn get(&mut self, key: u128) -> Option<V> {
+            self.counted.lookups += 1;
+            let Some(at) = self.position(key) else {
+                self.counted.misses += 1;
+                return None;
+            };
+            self.counted.hits += 1;
+            self.refresh(at);
+            self.entries.last().map(|(_, v)| v.clone())
+        }
+
+        fn insert(&mut self, key: u128, value: V) -> Vec<u128> {
+            if (self.weigh)(&value) > self.capacity {
+                return Vec::new();
+            }
+            match self.position(key) {
+                Some(at) => {
+                    self.entries.remove(at);
+                }
+                None => self.counted.insertions += 1,
+            }
+            self.entries.push((key, value));
+            self.shrink()
+        }
+
+        fn touch(&mut self, key: u128) -> bool {
+            let held = self.position(key);
+            if let Some(at) = held {
+                self.refresh(at);
+            }
+            held.is_some()
+        }
+
+        fn set_capacity(&mut self, capacity: usize) -> Vec<u128> {
+            self.capacity = capacity.max(self.floor);
+            self.shrink()
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                entries: self.entries.len(),
+                bytes: if self.in_bytes { self.weight() } else { 0 },
+                ..self.counted
+            }
+        }
+    }
+
+    /// The map's entries, least recently used first, values rendered.
+    fn by_recency<V: std::fmt::Debug, W>(map: &LruMap<u128, V, W>) -> Vec<(u128, String)> {
+        let inner = map.inner.lock();
+        inner
+            .order
+            .values()
+            .map(|k| (*k, format!("{:?}", inner.map[k].0)))
+            .collect()
+    }
+
+    /// Run seeded operations on `map` and `model` side by side. After
+    /// every step the results, the contents in recency order, the keys
+    /// evicted and every `CacheStats` field must agree. Keys come from
+    /// a universe of six, and `value` and `capacities` decide how often
+    /// an entry outweighs the whole map.
+    fn follow_the_model<V, W>(
+        seed: u64,
+        map: LruMap<u128, V, W>,
+        mut model: Model<V>,
+        value: impl Fn(&mut Rng) -> V,
+        capacities: u64,
+    ) where
+        V: Clone + std::fmt::Debug,
+        W: Weigh<V>,
+    {
+        let shown = |v: V| format!("{v:?}");
+        let mut rng = Rng(seed);
+        for step in 0..300 {
+            let key = u128::from(rng.below(6));
+            let before = by_recency(&map);
+            let (op, evicted) = match rng.below(20) {
+                0..=5 => {
+                    let got = map.get(key).map(shown);
+                    assert_eq!(
+                        got,
+                        model.get(key).map(shown),
+                        "seed {seed} step {step} get"
+                    );
+                    ("get", Vec::new())
+                }
+                6..=12 => {
+                    let v = value(&mut rng);
+                    map.insert(key, v.clone());
+                    ("insert", model.insert(key, v))
+                }
+                13..=14 => {
+                    let held = model.touch(key);
+                    assert_eq!(map.touch(key), held, "seed {seed} step {step} touch");
+                    ("touch", Vec::new())
+                }
+                15..=16 => {
+                    let held = model.position(key).is_some();
+                    assert_eq!(map.contains(key), held, "seed {seed} step {step} contains");
+                    ("contains", Vec::new())
+                }
+                17..=18 => {
+                    let capacity = rng.below(capacities) as usize;
+                    map.set_capacity(capacity);
+                    ("set_capacity", model.set_capacity(capacity))
+                }
+                _ => {
+                    map.clear();
+                    model.entries.clear();
+                    ("clear", Vec::new())
+                }
+            };
+            let after = by_recency(&map);
+            let wanted: Vec<(u128, String)> = model
+                .entries
+                .iter()
+                .map(|(k, v)| (*k, format!("{v:?}")))
+                .collect();
+            assert_eq!(after, wanted, "seed {seed} step {step} {op}: contents");
+            if op != "clear" {
+                let gone: Vec<u128> = before
+                    .iter()
+                    .map(|(k, _)| *k)
+                    .filter(|k| after.iter().all(|(held, _)| held != k))
+                    .collect();
+                assert_eq!(gone, evicted, "seed {seed} step {step} {op}: evicted");
+            }
+            assert_eq!(
+                map.capacity(),
+                model.capacity,
+                "seed {seed} step {step} {op}"
+            );
+            assert_eq!(map.stats(), model.stats(), "seed {seed} step {step} {op}");
+        }
+    }
+
+    #[test]
+    fn weighted_lru_matches_the_reference_model() {
+        for seed in 0..64 {
+            // Byte-weighted: payload lengths reach past the capacity,
+            // so some payloads outweigh the whole store.
+            for capacity in [0, 1, 40] {
+                let span = capacity as u64 * 3 / 2 + 3;
+                follow_the_model(
+                    seed,
+                    AttachmentStore::new(capacity),
+                    Model::new(capacity, 0, Payload::len, true),
+                    |rng| {
+                        let fill = char::from(b'a' + rng.below(4) as u8);
+                        Payload::Text(fill.to_string().repeat(rng.below(span) as usize).into())
+                    },
+                    capacity as u64 * 2 + 2,
+                );
+            }
+            // Entry-bounded: capacity 0 takes one entry.
+            for capacity in [0, 1, 3] {
+                follow_the_model(
+                    seed,
+                    LruMap::<u128, u64>::new(capacity),
+                    Model::new(capacity, 1, |_| 1, false),
+                    |rng| rng.below(1000),
+                    capacity as u64 * 2 + 2,
+                );
+            }
+        }
     }
 }

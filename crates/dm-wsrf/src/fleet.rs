@@ -430,7 +430,10 @@ fn effective_loads(candidates: &[String], loads: &HashMap<String, u64>) -> Vec<(
 /// candidates from a seeded deterministic sequence and routes to the
 /// less loaded of the pair (ties broken by another seeded bit), which
 /// is within a constant of least-loaded routing while sampling only
-/// two queue depths — the classic "power of two choices" result.
+/// two queue depths — the classic "power of two choices" result. A
+/// host's load is its in-system count at the snapshot's virtual
+/// instant ([`Network::load_snapshot`]), so a choice depends on the
+/// virtual clock and the draw counter alone.
 ///
 /// The draw counter makes consecutive calls from one driver thread a
 /// reproducible sequence; concurrent callers still get valid draws,

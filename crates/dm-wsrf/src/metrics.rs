@@ -688,7 +688,6 @@ mod tests {
             bytes: 1000,
             bytes_saved: 300,
             ref_substitutions: 2,
-            serialisations: 4,
         });
         assert_eq!(m.counter_value("faehim_wire_bytes_total", &[]), 1000);
         assert_eq!(m.counter_value("faehim_wire_bytes_saved_total", &[]), 300);
@@ -758,7 +757,6 @@ mod tests {
                 bytes: 1000,
                 bytes_saved: 300,
                 ref_substitutions: 2,
-                serialisations: 4,
             });
             m.ingest_cache(
                 "model",

@@ -105,8 +105,6 @@ pub struct WireStats {
     pub bytes_saved: u64,
     /// Payloads that travelled as handles instead of inline.
     pub ref_substitutions: u64,
-    /// Envelope serialisations performed (one per encoded message).
-    pub serialisations: u64,
 }
 
 #[derive(Debug, Default)]
@@ -115,7 +113,6 @@ struct WireCounters {
     bytes: AtomicU64,
     bytes_saved: AtomicU64,
     ref_substitutions: AtomicU64,
-    serialisations: AtomicU64,
 }
 
 impl WireCounters {
@@ -125,7 +122,6 @@ impl WireCounters {
             bytes: self.bytes.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             ref_substitutions: self.ref_substitutions.load(Ordering::Relaxed),
-            serialisations: self.serialisations.load(Ordering::Relaxed),
         }
     }
 
@@ -134,13 +130,11 @@ impl WireCounters {
         self.bytes.store(0, Ordering::Relaxed);
         self.bytes_saved.store(0, Ordering::Relaxed);
         self.ref_substitutions.store(0, Ordering::Relaxed);
-        self.serialisations.store(0, Ordering::Relaxed);
     }
 
     fn sent(&self, bytes: usize) {
         self.envelopes.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.serialisations.fetch_add(1, Ordering::Relaxed);
     }
 
     fn substituted(&self, saved: usize) {
@@ -163,28 +157,6 @@ struct LegAccounting {
     bytes_out: usize,
     bytes_saved: usize,
     ref_hits: usize,
-}
-
-/// One call's share of a host's outstanding count: raised on entry and
-/// lowered on drop, so a call that unwinds cannot leave the host loaded.
-struct InFlight<'a> {
-    outstanding: &'a Mutex<HashMap<String, u64>>,
-    host: &'a str,
-}
-
-impl<'a> InFlight<'a> {
-    fn enter(outstanding: &'a Mutex<HashMap<String, u64>>, host: &'a str) -> InFlight<'a> {
-        *outstanding.lock().entry(host.to_string()).or_insert(0) += 1;
-        InFlight { outstanding, host }
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        if let Some(count) = self.outstanding.lock().get_mut(self.host) {
-            *count = count.saturating_sub(1);
-        }
-    }
 }
 
 /// Scripted faults for one host. All windows are on the virtual clock.
@@ -265,7 +237,6 @@ pub struct Network {
     dataplane: RwLock<Option<DataPlaneState>>,
     wire: WireCounters,
     tracer: RwLock<Option<Arc<Tracer>>>,
-    outstanding: Mutex<HashMap<String, u64>>,
 }
 
 impl Network {
@@ -288,7 +259,6 @@ impl Network {
             dataplane: RwLock::new(None),
             wire: WireCounters::default(),
             tracer: RwLock::new(None),
-            outstanding: Mutex::new(HashMap::new()),
         }
     }
 
@@ -439,28 +409,16 @@ impl Network {
             .store(to.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Calls currently inside [`invoke`](Self::invoke) against `host` —
-    /// the wall-clock outstanding counter threaded through the
-    /// transport for load-aware ranking.
-    pub fn outstanding(&self, host: &str) -> u64 {
-        self.outstanding.lock().get(host).copied().unwrap_or(0)
-    }
-
-    /// Per-host load estimate for P2C routing and the cost model: the
-    /// larger of the wall-clock outstanding counter and the requests in
-    /// the host's capacity system at the current virtual instant
-    /// (queued + serving; 0 without a capacity model).
+    /// Per-host load for P2C routing and the cost model: the requests
+    /// in each host's capacity system at the current virtual instant
+    /// (queued + serving; 0 without a capacity model), so it is a
+    /// function of the virtual clock alone.
     pub fn load_snapshot(&self) -> HashMap<String, u64> {
         let now = self.virtual_time();
-        let outstanding = self.outstanding.lock().clone();
         self.hosts
             .read()
             .iter()
-            .map(|(name, container)| {
-                let wall = outstanding.get(name).copied().unwrap_or(0);
-                let queued = container.in_system(now) as u64;
-                (name.clone(), wall.max(queued))
-            })
+            .map(|(name, container)| (name.clone(), container.in_system(now) as u64))
             .collect()
     }
 
@@ -590,10 +548,8 @@ impl Network {
         args: Vec<(String, SoapValue)>,
     ) -> Result<SoapValue> {
         let started = self.virtual_time();
-        let in_flight = InFlight::enter(&self.outstanding, host);
         let mut wire = LegAccounting::default();
         let result = self.invoke_wire(host, service, operation, args, &mut wire);
-        drop(in_flight);
         let outcome = match &result {
             Ok(_) => Outcome::Ok,
             Err(WsError::Fault { code, .. }) => Outcome::Fault(code),
@@ -883,7 +839,6 @@ mod tests {
             other => panic!("expected a Server fault, got {other:?}"),
         }
         assert_eq!(net.monitor().len(), 1);
-        assert_eq!(net.outstanding("host-a"), 0);
         // The host keeps serving.
         let echoed = net.invoke(
             "host-a",
@@ -892,18 +847,6 @@ mod tests {
             vec![("message".into(), SoapValue::Null)],
         );
         assert_eq!(echoed.unwrap(), SoapValue::Null);
-    }
-
-    #[test]
-    fn in_flight_count_is_released_by_an_unwinding_call() {
-        let outstanding = Mutex::new(HashMap::new());
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _call = InFlight::enter(&outstanding, "host-a");
-            assert_eq!(outstanding.lock()["host-a"], 1);
-            panic!("mid-call");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(outstanding.lock()["host-a"], 0);
     }
 
     #[test]
@@ -1682,7 +1625,6 @@ mod tests {
     fn outstanding_and_load_snapshot_track_in_flight_work() {
         use crate::container::CapacityConfig;
         let net = network_with_echo();
-        assert_eq!(net.outstanding("host-a"), 0);
         net.host("host-a")
             .unwrap()
             .set_capacity(Some(CapacityConfig {
@@ -1690,6 +1632,7 @@ mod tests {
                 queue_limit: None,
                 service_time: Duration::from_secs(60),
             }));
+        assert_eq!(net.load_snapshot().get("host-a"), Some(&0));
         net.invoke(
             "host-a",
             "Echo",
@@ -1697,12 +1640,10 @@ mod tests {
             vec![("message".into(), SoapValue::Null)],
         )
         .unwrap();
-        // The wall-clock counter returns to zero after the call. The
-        // invoke also advanced the virtual clock past the simulated
+        // The invoke advanced the virtual clock past the simulated
         // minute of service, so rewind to mid-service: the capacity
         // model still holds the request in system there, and the
         // snapshot reports that figure.
-        assert_eq!(net.outstanding("host-a"), 0);
         net.set_virtual_time(Duration::from_secs(30));
         let loads = net.load_snapshot();
         assert_eq!(loads.get("host-a"), Some(&1));

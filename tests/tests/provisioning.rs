@@ -244,6 +244,6 @@ fn a_three_host_toolkit_is_provisioned_as_before() {
             network.wire_stats().bytes,
             format!("{:032x}", hash_bytes(text.as_bytes()))
         ),
-        (75, 35_395, "78d8e12b07e538d392810d3588cdbcdb".to_string())
+        (75, 35_395, "6765865f7f13e9b8f7e8694be7e113d3".to_string())
     );
 }

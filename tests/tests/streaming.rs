@@ -342,5 +342,4 @@ fn hostile_stream_header_returns_a_client_fault() {
         other => panic!("expected a Client fault, got {other:?}"),
     }
     assert_eq!(net.monitor().len(), 1);
-    assert_eq!(net.outstanding("miner"), 0);
 }
