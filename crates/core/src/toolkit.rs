@@ -292,20 +292,21 @@ impl Toolkit {
     /// envelope/byte/savings totals, the attachment stores, the
     /// compute pool's task/steal/busy counters (from
     /// `dm_algorithms::pool::stats`), the run journal's counters when
-    /// durable enactment is on ([`RunJournal::stats`]), and the
-    /// classifier's model/evaluation caches. Fetching the classifier
-    /// cache counters is itself a recorded service call, so it runs
-    /// before the monitor snapshot and is accounted like any other
-    /// invocation.
+    /// durable enactment is on ([`RunJournal::stats`]), and the primary
+    /// host's Classifier model/evaluation caches. Every figure is read
+    /// in process: the classifier's cache counters come through its
+    /// container ([`ServiceContainer::cache_stats`]), not a
+    /// `getCacheStats` call, so a scrape charges no virtual time or
+    /// wire bytes, records no invocation, and is never shed by a
+    /// saturated host.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let metrics = MetricsRegistry::new();
-        let classifier_caches = self.classifier_client().get_cache_stats().ok();
         metrics.ingest_monitor(self.network.monitor());
         metrics.ingest_wire(&self.network.wire_stats());
-        if let Some((model, eval)) = classifier_caches {
-            let labels = [("service", "Classifier")];
-            metrics.ingest_cache("model", &labels, &model);
-            metrics.ingest_cache("eval", &labels, &eval);
+        if let Ok(container) = self.network.host(self.primary_host()) {
+            for (cache, stats) in container.cache_stats("Classifier") {
+                metrics.ingest_cache(cache, &[("service", "Classifier")], &stats);
+            }
         }
         let now = self.network.now();
         for host in &self.hosts {
@@ -910,8 +911,7 @@ mod tests {
         let err = tk.classifier_client().get_classifiers().unwrap_err();
         assert!(err.is_server_busy(), "{err}");
 
-        // Jump far past the busy window so the snapshot's own service
-        // call (cache-stats fetch) is admitted, not shed.
+        // Jump past the busy window: the snapshot sees an idle host.
         tk.network()
             .set_virtual_time(std::time::Duration::from_secs(10));
         let metrics = tk.metrics_registry();
@@ -920,7 +920,10 @@ mod tests {
             metrics.counter_value("faehim_requests_shed_total", &labels),
             1
         );
-        assert!(metrics.counter_value("faehim_requests_admitted_total", &labels) >= 2);
+        assert_eq!(
+            metrics.counter_value("faehim_requests_admitted_total", &labels),
+            1
+        );
         assert_eq!(
             metrics.gauge_value("faehim_queue_depth", &labels),
             Some(0.0)

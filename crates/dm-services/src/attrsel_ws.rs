@@ -2,7 +2,7 @@
 //! service of §5.3: "The attribute selection process can also be
 //! automated through the use of a genetic search service."
 
-use crate::dataset_cache::DatasetCache;
+use crate::dataset_cache::{with_class, DatasetCache};
 use crate::support::{algo_fault, text_arg};
 use dm_algorithms::attrsel::{approaches, run_approach};
 use dm_wsrf::container::{ServiceFault, WebService};
@@ -71,20 +71,23 @@ impl WebService for AttributeSelectionService {
         let select = |approach: &str| -> Result<SoapValue, ServiceFault> {
             let arff = text_arg(args, "dataset")?;
             let attribute = text_arg(args, "attribute")?;
-            let ds = self.datasets.decode_with_class(arff, attribute)?;
-            let picked = run_approach(approach, &ds, 7).map_err(algo_fault)?;
-            Ok(SoapValue::List(
-                picked
-                    .iter()
-                    .map(|&a| {
-                        SoapValue::Text(
-                            ds.attribute(a)
-                                .map(|at| at.name().to_string())
-                                .unwrap_or_else(|_| format!("#{a}")),
-                        )
-                    })
-                    .collect(),
-            ))
+            let fields = ["AttributeSelection", operation, approach, attribute];
+            self.datasets.answer(arff, &fields, |ds| {
+                let ds = with_class(ds, attribute)?;
+                let picked = run_approach(approach, &ds, 7).map_err(algo_fault)?;
+                Ok(SoapValue::List(
+                    picked
+                        .iter()
+                        .map(|&a| {
+                            SoapValue::Text(
+                                ds.attribute(a)
+                                    .map(|at| at.name().to_string())
+                                    .unwrap_or_else(|_| format!("#{a}")),
+                            )
+                        })
+                        .collect(),
+                ))
+            })
         };
         match operation {
             "getApproaches" => Ok(SoapValue::List(

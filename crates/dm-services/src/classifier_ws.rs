@@ -268,12 +268,23 @@ impl WebService for ClassifierService {
                 self.cache.insert_eval(key, Arc::from(summary.as_str()));
                 Ok(SoapValue::Text(summary))
             }
-            "getCacheStats" => Ok(SoapValue::List(vec![
-                stats_row(&self.cache.model_stats()),
-                stats_row(&self.cache.eval_stats()),
-            ])),
+            "getCacheStats" => Ok(SoapValue::List(
+                self.cache_stats()
+                    .iter()
+                    .map(|(_, stats)| stats_row(stats))
+                    .collect(),
+            )),
             other => Err(ServiceFault::client(format!("no operation {other:?}"))),
         })
+    }
+
+    /// The model and evaluation caches' counters, in `getCacheStats`
+    /// row order.
+    fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
+        vec![
+            ("model", self.cache.model_stats()),
+            ("eval", self.cache.eval_stats()),
+        ]
     }
 }
 

@@ -13,6 +13,19 @@ use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
 use std::sync::Arc;
 
+fn build_clusterer(
+    name: &str,
+    options: &str,
+    ds: &Dataset,
+) -> Result<Box<dyn dm_algorithms::cluster::Clusterer>, ServiceFault> {
+    let mut clusterer = make_clusterer(name).map_err(algo_fault)?;
+    for (flag, value) in parse_options_string(options) {
+        clusterer.set_option(&flag, &value).map_err(algo_fault)?;
+    }
+    clusterer.build(ds).map_err(algo_fault)?;
+    Ok(clusterer)
+}
+
 fn run_clusterer(
     datasets: &DatasetCache,
     name: &str,
@@ -20,12 +33,22 @@ fn run_clusterer(
     arff: &str,
 ) -> Result<(Box<dyn dm_algorithms::cluster::Clusterer>, Arc<Dataset>), ServiceFault> {
     let ds = datasets.decode(arff)?;
-    let mut clusterer = make_clusterer(name).map_err(algo_fault)?;
-    for (flag, value) in parse_options_string(options) {
-        clusterer.set_option(&flag, &value).map_err(algo_fault)?;
-    }
-    clusterer.build(&ds).map_err(algo_fault)?;
-    Ok((clusterer, ds))
+    Ok((build_clusterer(name, options, &ds)?, ds))
+}
+
+/// The `cluster` report of the named clusterer on `arff`, kept by the
+/// host's answer store under `service`.
+fn cluster(
+    datasets: &DatasetCache,
+    service: &str,
+    name: &str,
+    options: &str,
+    arff: &str,
+) -> Result<SoapValue, ServiceFault> {
+    datasets.answer(arff, &[service, "cluster", name, options], |ds| {
+        let clusterer = build_clusterer(name, options, &ds)?;
+        Ok(SoapValue::Text(cluster_report(clusterer.as_ref(), &ds)?))
+    })
 }
 
 fn cluster_report(
@@ -112,8 +135,7 @@ impl WebService for CobwebService {
             match operation {
                 "cluster" => {
                     let arff = text_arg(args, "dataset")?;
-                    let (clusterer, ds) = run_clusterer(&self.datasets, "Cobweb", options, arff)?;
-                    Ok(SoapValue::Text(cluster_report(clusterer.as_ref(), &ds)?))
+                    cluster(&self.datasets, "Cobweb", "Cobweb", options, arff)
                 }
                 "getCobwebGraph" => {
                     let arff = text_arg(args, "dataset")?;
@@ -225,8 +247,7 @@ impl WebService for ClustererService {
                 let arff = text_arg(args, "dataset")?;
                 let name = text_arg(args, "clusterer")?;
                 let options = opt_text_arg(args, "options")?.unwrap_or("");
-                let (clusterer, ds) = run_clusterer(&self.datasets, name, options, arff)?;
-                Ok(SoapValue::Text(cluster_report(clusterer.as_ref(), &ds)?))
+                cluster(&self.datasets, "Clusterer", name, options, arff)
             }
             "assignments" => {
                 let arff = text_arg(args, "dataset")?;

@@ -11,6 +11,7 @@ use crate::dataset_cache::DatasetCache;
 use crate::support::{data_fault, text_arg};
 use dm_data::convert::{convert, DataFormat};
 use dm_data::summary::DatasetSummary;
+use dm_data::Dataset;
 use dm_wsrf::container::{ServiceFault, WebService};
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
@@ -94,8 +95,17 @@ impl WebService for DataConversionService {
                 Ok(SoapValue::Text(dm_data::csv::write_csv(&ds)))
             }
             "summary" => {
-                let ds = self.datasets.decode_sniffed(text_arg(args, "dataset")?)?;
-                Ok(SoapValue::Text(DatasetSummary::of(&ds).to_table_string()))
+                let text = text_arg(args, "dataset")?;
+                let table = |ds: Arc<Dataset>| {
+                    Ok(SoapValue::Text(DatasetSummary::of(&ds).to_table_string()))
+                };
+                match DataFormat::sniff(text) {
+                    DataFormat::Arff => {
+                        self.datasets
+                            .answer(text, &["DataConversion", "summary"], table)
+                    }
+                    DataFormat::Csv => table(self.datasets.decode_sniffed(text)?),
+                }
             }
             "attributes" => {
                 let ds = self.datasets.decode_sniffed(text_arg(args, "dataset")?)?;

@@ -1,4 +1,5 @@
-//! The per-host cache of decoded datasets.
+//! The per-host cache of decoded datasets and of the answers derived
+//! from them.
 //!
 //! Every dataset-bearing operation takes its dataset as ARFF text, and
 //! a composition passes one dataset through several services (the case
@@ -8,17 +9,34 @@
 //! datasets by the content hash of the text, so a host decodes each
 //! distinct dataset once while it stays cached. Parse errors are never
 //! cached.
+//!
+//! The same cache keeps what is derived from a dataset: the answers of
+//! `Clusterer.cluster`, `Cobweb.cluster`, `AttributeSelection.select`
+//! and `geneticSearch`, `Preprocess.normalize` and `discretize`, and
+//! `DataConversion.summary` on ARFF input ([`DatasetCache::answer`]).
+//! An answer is keyed by the dataset's content hash, then the service,
+//! the operation and every argument it depends on after defaults and
+//! clamps, each field length-prefixed as in
+//! [`model_key`](crate::model_cache::model_key). It weighs the bytes it
+//! holds, under one private per-host budget of 512 KiB. An answer is
+//! kept only when its call found the dataset already decoded, so a
+//! dataset seen once leaves no answer behind and its second use does;
+//! a fault is never kept.
 
+use crate::model_cache::write_field;
 use crate::support::data_fault;
 use dm_data::convert::DataFormat;
 use dm_data::Dataset;
 use dm_wsrf::container::ServiceFault;
-use dm_wsrf::dataplane::{payload_hash, LruMap};
-use dm_wsrf::soap::RefKind;
+use dm_wsrf::dataplane::{payload_hash, Hasher128, LruMap, Weigh};
+use dm_wsrf::soap::{RefKind, SoapValue};
 use std::sync::Arc;
 
 /// Decoded datasets retained per cache.
 pub(crate) const DATASET_CAPACITY: usize = 32;
+
+/// Bytes of derived answers retained per cache.
+const ANSWER_BUDGET: usize = 512 * 1024;
 
 /// Content hash of a dataset text: the cache key here, and the dataset
 /// field of [`crate::model_cache::model_key`]. It is the text's
@@ -27,19 +45,58 @@ pub fn content_hash(text: &str) -> u128 {
     payload_hash(RefKind::Text, text.as_bytes())
 }
 
-/// An entry-bounded LRU of decoded datasets keyed by [`content_hash`].
-/// Clones share one map: `deploy_faehim_suite` hands the same cache to
-/// every service on a host, while a service built on its own keeps a
-/// private one.
+/// Key of a derived answer: the dataset's [`content_hash`], then each
+/// of `fields` length-prefixed, so that no two field lists share a key
+/// by moving bytes between fields.
+fn answer_key(dataset: u128, fields: &[&str]) -> u128 {
+    let mut h = Hasher128::new();
+    h.write(&dataset.to_le_bytes());
+    for field in fields {
+        write_field(&mut h, field);
+    }
+    h.finish()
+}
+
+/// A derived answer weighs the bytes it holds: its own slot, and the
+/// text, bytes or items it owns.
+#[derive(Debug)]
+struct AnswerBytes;
+
+impl Weigh<Arc<SoapValue>> for AnswerBytes {
+    const MIN_CAPACITY: usize = 0;
+    const IN_BYTES: bool = true;
+
+    fn weigh(answer: &Arc<SoapValue>) -> usize {
+        held_bytes(answer)
+    }
+}
+
+fn held_bytes(value: &SoapValue) -> usize {
+    std::mem::size_of::<SoapValue>()
+        + match value {
+            SoapValue::Text(s) => s.len(),
+            SoapValue::Bytes(b) => b.len(),
+            SoapValue::List(items) => items.iter().map(held_bytes).sum(),
+            _ => 0,
+        }
+}
+
+/// An entry-bounded LRU of decoded datasets keyed by [`content_hash`],
+/// and a byte-bounded LRU of the answers derived from them. Clones
+/// share both maps: `deploy_faehim_suite` hands the same cache to every
+/// service on a host, while a service built on its own keeps a private
+/// one.
 #[derive(Debug, Clone)]
 pub(crate) struct DatasetCache {
     datasets: Arc<LruMap<u128, Arc<Dataset>>>,
+    answers: Arc<LruMap<u128, Arc<SoapValue>, AnswerBytes>>,
 }
 
 impl Default for DatasetCache {
     fn default() -> DatasetCache {
         DatasetCache {
             datasets: Arc::new(LruMap::new(DATASET_CAPACITY)),
+            answers: Arc::new(LruMap::new(ANSWER_BUDGET)),
         }
     }
 }
@@ -57,12 +114,43 @@ impl DatasetCache {
         text: &str,
         hash: u128,
     ) -> Result<Arc<Dataset>, ServiceFault> {
+        self.lookup(text, hash).map(|(ds, _)| ds)
+    }
+
+    /// The decoded dataset, and whether the cache already held it.
+    fn lookup(&self, text: &str, hash: u128) -> Result<(Arc<Dataset>, bool), ServiceFault> {
         if let Some(ds) = self.datasets.get(hash) {
-            return Ok(ds);
+            return Ok((ds, true));
         }
         let ds = Arc::new(dm_data::arff::parse_arff(text).map_err(data_fault)?);
         self.datasets.insert(hash, Arc::clone(&ds));
-        Ok(ds)
+        Ok((ds, false))
+    }
+
+    /// The answer `derive` gives for the dataset the ARFF `text`
+    /// encodes, where `fields` name the service, the operation and every
+    /// argument the answer depends on, after defaults and clamps. A kept
+    /// answer is returned without decoding. On a miss the text is
+    /// hashed once and decoded through the cache, and the answer is
+    /// kept only when that decode found the dataset already held and
+    /// `derive` succeeded.
+    pub(crate) fn answer(
+        &self,
+        text: &str,
+        fields: &[&str],
+        derive: impl FnOnce(Arc<Dataset>) -> Result<SoapValue, ServiceFault>,
+    ) -> Result<SoapValue, ServiceFault> {
+        let hash = content_hash(text);
+        let key = answer_key(hash, fields);
+        if let Some(kept) = self.answers.get(key) {
+            return Ok(SoapValue::clone(&kept));
+        }
+        let (ds, held) = self.lookup(text, hash)?;
+        let answer = derive(ds)?;
+        if held {
+            self.answers.insert(key, Arc::new(answer.clone()));
+        }
+        Ok(answer)
     }
 
     /// A copy of the decoded dataset with its class set by attribute
@@ -94,6 +182,9 @@ pub(crate) fn with_class(ds: Arc<Dataset>, class: &str) -> Result<Dataset, Servi
     ds.set_class_by_name(class).map_err(data_fault)?;
     Ok(ds)
 }
+
+#[cfg(test)]
+mod answer_store;
 
 #[cfg(test)]
 mod tests {

@@ -24,9 +24,16 @@ use std::time::Duration;
 /// Deploy every FAEHIM Web Service into `container`. Returns the list
 /// of deployed service names. Every service that decodes a dataset
 /// argument shares one decoded-dataset cache, so the host decodes each
-/// distinct dataset once.
+/// distinct dataset once and keeps the answers derived from it.
 pub fn deploy_faehim_suite(container: &ServiceContainer) -> Result<Vec<String>> {
-    let datasets = DatasetCache::default();
+    deploy_sharing(container, DatasetCache::default())
+}
+
+/// [`deploy_faehim_suite`] with `datasets` as the host's shared cache.
+pub(crate) fn deploy_sharing(
+    container: &ServiceContainer,
+    datasets: DatasetCache,
+) -> Result<Vec<String>> {
     container.deploy(Arc::new(ClassifierService::with_datasets(datasets.clone())));
     container.deploy(Arc::new(J48Service::with_datasets(
         datasets.clone(),

@@ -70,7 +70,9 @@ pub const DEFAULT_MODEL_CAPACITY: usize = 32;
 /// Default number of cross-validation summaries retained.
 pub const DEFAULT_EVAL_CAPACITY: usize = 64;
 
-fn write_field(h: &mut Hasher128, field: &str) {
+/// Write `field` into `h` length-prefixed, so that moving bytes
+/// between adjacent fields changes the hash.
+pub(crate) fn write_field(h: &mut Hasher128, field: &str) {
     h.write(&(field.len() as u64).to_le_bytes());
     h.write(field.as_bytes());
 }

@@ -31,18 +31,15 @@ impl PreprocessService {
     pub(crate) fn with_datasets(datasets: DatasetCache) -> PreprocessService {
         PreprocessService { datasets }
     }
+}
 
-    /// Decode `arff`, with its class set when `class` names one.
-    fn decode_with_class(
-        &self,
-        arff: &str,
-        class: Option<&str>,
-    ) -> Result<Arc<Dataset>, ServiceFault> {
-        let ds = self.datasets.decode(arff)?;
-        match class.filter(|name| !name.is_empty()) {
-            Some(name) => Ok(Arc::new(with_class(ds, name)?)),
-            None => Ok(ds),
-        }
+/// `ds` with its class set when `class` names one (an empty name sets
+/// none).
+fn set_class(ds: Arc<Dataset>, class: &str) -> Result<Arc<Dataset>, ServiceFault> {
+    if class.is_empty() {
+        Ok(ds)
+    } else {
+        Ok(Arc::new(with_class(ds, class)?))
     }
 }
 
@@ -133,10 +130,11 @@ impl WebService for PreprocessService {
     ) -> Result<SoapValue, ServiceFault> {
         let arff = text_arg(args, "dataset")?;
         match operation {
-            "normalize" => {
-                let ds = self.datasets.decode(arff)?;
-                Ok(emit(&Normalize::fit(&ds).apply(&ds).map_err(data_fault)?))
-            }
+            "normalize" => self
+                .datasets
+                .answer(arff, &["Preprocess", "normalize"], |ds| {
+                    Ok(emit(&Normalize::fit(&ds).apply(&ds).map_err(data_fault)?))
+                }),
             "standardize" => {
                 let ds = self.datasets.decode(arff)?;
                 Ok(emit(&Standardize::fit(&ds).apply(&ds).map_err(data_fault)?))
@@ -148,20 +146,23 @@ impl WebService for PreprocessService {
                 ))
             }
             "discretize" => {
-                let class = opt_text_arg(args, "class")?;
-                let ds = self.decode_with_class(arff, class)?;
+                let class = opt_text_arg(args, "class")?.unwrap_or("");
                 let bins = args
                     .iter()
                     .find(|(n, _)| n == "bins")
                     .and_then(|(_, v)| v.as_int().ok())
                     .unwrap_or(10)
                     .clamp(2, 1000) as usize;
-                let filter = Discretize::fit(&ds, bins).map_err(data_fault)?;
-                Ok(emit(&filter.apply(&ds).map_err(data_fault)?))
+                let fields = ["Preprocess", "discretize", &bins.to_string(), class];
+                self.datasets.answer(arff, &fields, |ds| {
+                    let ds = set_class(ds, class)?;
+                    let filter = Discretize::fit(&ds, bins).map_err(data_fault)?;
+                    Ok(emit(&filter.apply(&ds).map_err(data_fault)?))
+                })
             }
             "discretizeSupervised" => {
                 let class = text_arg(args, "class")?;
-                let ds = self.decode_with_class(arff, Some(class))?;
+                let ds = set_class(self.datasets.decode(arff)?, class)?;
                 let filter = SupervisedDiscretize::fit(&ds).map_err(data_fault)?;
                 Ok(emit(&filter.apply(&ds).map_err(data_fault)?))
             }

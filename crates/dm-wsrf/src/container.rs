@@ -4,7 +4,7 @@
 //! [`MonitorLog`](crate::monitor::MonitorLog) records every attempt, on
 //! the virtual clock, where the call crosses the transport.
 
-use crate::dataplane::AttachmentStore;
+use crate::dataplane::{AttachmentStore, CacheStats};
 use crate::error::{Result, WsError};
 use crate::metrics::Histogram;
 use crate::soap::{SoapCall, SoapResponse, SoapValue};
@@ -65,6 +65,14 @@ pub trait WebService: Send + Sync {
         operation: &str,
         args: &[(String, SoapValue)],
     ) -> std::result::Result<SoapValue, ServiceFault>;
+
+    /// The counters of the caches the service keeps, by cache name,
+    /// read in process: no call is made, so reading them charges no
+    /// virtual time or wire bytes and records no invocation. None by
+    /// default.
+    fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
+        Vec::new()
+    }
 }
 
 /// Default per-host attachment store bound: 64 MiB, comfortably more
@@ -330,6 +338,14 @@ impl ServiceContainer {
         let mut wsdl = service.wsdl();
         wsdl.endpoint = format!("http://{}:8080/axis/{}", self.host, name);
         Ok(wsdl)
+    }
+
+    /// The cache counters the deployed service `name` reports
+    /// ([`WebService::cache_stats`]), read in process; empty when no
+    /// such service is deployed.
+    pub fn cache_stats(&self, name: &str) -> Vec<(&'static str, CacheStats)> {
+        let service = self.services.read().get(name).cloned();
+        service.map(|s| s.cache_stats()).unwrap_or_default()
     }
 
     /// Resolve any `DataRef` arguments against this host's attachment

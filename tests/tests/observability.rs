@@ -6,9 +6,15 @@
 
 #![forbid(unsafe_code)]
 
+use dm_data::corpus::breast_cancer_arff;
+use dm_wsrf::container::CapacityConfig;
+use dm_wsrf::dataplane::CacheStats;
+use dm_wsrf::metrics::MetricsRegistry;
 use dm_wsrf::trace::{Span, SpanKind, SpanStatus};
+use dm_wsrf::transport::WireStats;
 use faehim::casestudy::run_case_study_with;
 use faehim::Toolkit;
+use std::time::Duration;
 
 fn find_child<'a>(spans: &'a [Span], parent: &Span, kind: SpanKind) -> &'a Span {
     spans
@@ -129,7 +135,8 @@ fn exporters_carry_per_service_latency_quantiles() {
         );
     }
     assert!(prom.contains("faehim_wire_envelopes_total"), "{prom}");
-    // The model/eval caches surface via the getCacheStats round-trip.
+    // The Classifier's model/eval caches are read in process, through
+    // its container.
     assert!(prom.contains("cache=\"model\""), "{prom}");
 
     let json = metrics.export_json();
@@ -140,6 +147,89 @@ fn exporters_carry_per_service_latency_quantiles() {
     for key in ["\"p50\"", "\"p95\"", "\"p99\""] {
         assert!(json.contains(key), "missing {key}:\n{json}");
     }
+}
+
+/// What a scrape could charge or record: the virtual clock, the wire
+/// totals and the invocation log's length.
+fn footprint(toolkit: &Toolkit) -> (Duration, WireStats, usize) {
+    let net = toolkit.network();
+    (net.virtual_time(), net.wire_stats(), net.monitor().len())
+}
+
+/// The model and eval series a scrape exported hold `model` and `eval`.
+fn assert_cache_series(metrics: &MetricsRegistry, model: &CacheStats, eval: &CacheStats) {
+    for (cache, stats) in [("model", model), ("eval", eval)] {
+        for (event, value) in [
+            ("lookups", stats.lookups),
+            ("hits", stats.hits),
+            ("misses", stats.misses),
+            ("insertions", stats.insertions),
+            ("evictions", stats.evictions),
+        ] {
+            let labels = [
+                ("service", "Classifier"),
+                ("cache", cache),
+                ("event", event),
+            ];
+            assert_eq!(
+                metrics.counter_value("faehim_cache_events_total", &labels),
+                value,
+                "{cache} {event}"
+            );
+        }
+        let labels = [
+            ("service", "Classifier"),
+            ("cache", cache),
+            ("unit", "entries"),
+        ];
+        assert_eq!(
+            metrics.gauge_value("faehim_cache_size", &labels),
+            Some(stats.entries as f64),
+            "{cache} entries"
+        );
+    }
+}
+
+#[test]
+fn a_scrape_reads_the_classifier_caches_in_process_and_survives_a_saturated_host() {
+    let toolkit = Toolkit::new().unwrap();
+    let classifier = toolkit.classifier_client();
+    let arff = breast_cancer_arff();
+    for _ in 0..2 {
+        classifier
+            .classify_instance(&arff, "J48", "", "Class")
+            .unwrap();
+    }
+    classifier
+        .cross_validate(&arff, "NaiveBayes", "", "Class", 3)
+        .unwrap();
+    let (model, eval) = classifier.get_cache_stats().unwrap();
+    assert_eq!((model.lookups, model.hits, eval.lookups), (2, 1, 1));
+
+    let before = footprint(&toolkit);
+    let metrics = toolkit.metrics_registry();
+    assert_eq!(footprint(&toolkit), before, "the scrape made a call");
+    assert_cache_series(&metrics, &model, &eval);
+
+    // One worker, no queue: a call during the first one's service time
+    // is shed, and so would any call the scrape made.
+    toolkit.enable_admission_control(CapacityConfig {
+        workers: 1,
+        queue_limit: Some(0),
+        service_time: Duration::from_secs(1),
+    });
+    classifier.get_classifiers().unwrap();
+    toolkit.network().set_virtual_time(Duration::ZERO);
+    assert!(classifier.get_classifiers().unwrap_err().is_server_busy());
+    let before = footprint(&toolkit);
+    let metrics = toolkit.metrics_registry();
+    assert_eq!(footprint(&toolkit), before, "the scrape made a call");
+    assert_cache_series(&metrics, &model, &eval);
+    let host = [("host", toolkit.primary_host())];
+    assert_eq!(
+        metrics.counter_value("faehim_requests_shed_total", &host),
+        1
+    );
 }
 
 #[test]
