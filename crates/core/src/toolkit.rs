@@ -293,19 +293,21 @@ impl Toolkit {
     /// compute pool's task/steal/busy counters (from
     /// `dm_algorithms::pool::stats`), the run journal's counters when
     /// durable enactment is on ([`RunJournal::stats`]), and the primary
-    /// host's Classifier model/evaluation caches. Every figure is read
-    /// in process: the classifier's cache counters come through its
-    /// container ([`ServiceContainer::cache_stats`]), not a
-    /// `getCacheStats` call, so a scrape charges no virtual time or
-    /// wire bytes, records no invocation, and is never shed by a
+    /// host's Classifier model/evaluation caches and J48 kept trees.
+    /// Every figure is read in process: the services' cache counters
+    /// come through their container ([`ServiceContainer::cache_stats`]),
+    /// not a `getCacheStats` call, so a scrape charges no virtual time
+    /// or wire bytes, records no invocation, and is never shed by a
     /// saturated host.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let metrics = MetricsRegistry::new();
         metrics.ingest_monitor(self.network.monitor());
         metrics.ingest_wire(&self.network.wire_stats());
         if let Ok(container) = self.network.host(self.primary_host()) {
-            for (cache, stats) in container.cache_stats("Classifier") {
-                metrics.ingest_cache(cache, &[("service", "Classifier")], &stats);
+            for service in ["Classifier", "J48"] {
+                for (cache, stats) in container.cache_stats(service) {
+                    metrics.ingest_cache(cache, &[("service", service)], &stats);
+                }
             }
         }
         let now = self.network.now();

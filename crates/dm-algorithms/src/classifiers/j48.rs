@@ -147,6 +147,16 @@ impl J48 {
         J48::default()
     }
 
+    /// An untrained J48 with this one's options (`-C`, `-M`, `-U`).
+    pub fn untrained(&self) -> J48 {
+        J48 {
+            confidence: self.confidence,
+            min_instances: self.min_instances,
+            unpruned: self.unpruned,
+            ..J48::default()
+        }
+    }
+
     /// The split attribute at the root, if the tree has an internal root
     /// (used by the Figure-4 reproduction test).
     pub fn root_attribute(&self) -> Option<&str> {

@@ -12,21 +12,44 @@
 //! exactly the behaviour the paper observed as "a significant
 //! performance penalty" — while `InMemoryHarness` reproduces the
 //! paper's fix.
+//!
+//! The service grows each tree once. It keeps the trees it has grown,
+//! with their text and SVG, in a private LRU of
+//! [`DEFAULT_MODEL_CAPACITY`] entries, keyed by
+//! [`model_key`]`("J48", options, attribute, dataset)` where `options`
+//! are the instance's options once the call's are applied (they stick
+//! across calls, so the call's own string is not the key). A repeated
+//! `classify` or `classifyGraph` neither parses nor trains: the
+//! managed instance becomes a clone of the kept tree and the call
+//! returns its kept text or SVG. The lifecycle is unchanged: hit or
+//! miss, a call under `SerializePerCall` still restores the instance
+//! and persists it, so E4's counters and `predict` see what training
+//! would have left.
+//!
+//! A call applies its options and trains on a copy of the instance's
+//! options, and the instance takes the copy only when the call
+//! succeeds: a bad option or a failed training leaves it as it was,
+//! and keeps nothing.
 
-use crate::dataset_cache::DatasetCache;
-use crate::support::{algo_fault, opt_text_arg, text_arg, tree_to_svg};
+use crate::dataset_cache::{content_hash, with_class, DatasetCache};
+use crate::model_cache::{model_key, CachedModel, DEFAULT_MODEL_CAPACITY};
+use crate::support::{algo_fault, data_fault, opt_text_arg, text_arg};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_algorithms::options::{parse_options_string, Configurable};
 use dm_algorithms::state::Stateful;
 use dm_wsrf::container::{ServiceFault, WebService};
+use dm_wsrf::dataplane::{CacheStats, LruMap};
 use dm_wsrf::lifecycle::{LifecycleManager, LifecyclePolicy};
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::wsdl::{Operation, Part, WsdlDocument};
+use std::sync::Arc;
 
 /// The J48 Web Service.
 pub struct J48Service {
     lifecycle: LifecycleManager,
     datasets: DatasetCache,
+    /// The trees grown so far, with their text and SVG.
+    trees: LruMap<u128, Arc<CachedModel<J48>>>,
 }
 
 impl J48Service {
@@ -48,6 +71,7 @@ impl J48Service {
         Ok(J48Service {
             lifecycle: LifecycleManager::new(policy)?,
             datasets,
+            trees: LruMap::new(DEFAULT_MODEL_CAPACITY),
         })
     }
 
@@ -79,15 +103,43 @@ impl J48Service {
             .map_err(|e| ServiceFault::server(e.to_string()))?
     }
 
-    fn train_args(
+    /// `classify` and `classifyGraph`: the tree the call's dataset,
+    /// class attribute and options give, kept or grown now, rendered by
+    /// `answer`. The dataset is looked up before the lifecycle runs, so
+    /// one that does not decode or lacks the attribute faults without
+    /// touching the instance, as it always has; the key needs the
+    /// instance's options, so the tree is looked up inside.
+    fn grow(
         &self,
         args: &[(String, SoapValue)],
-    ) -> Result<(dm_data::Dataset, Vec<(String, String)>), ServiceFault> {
+        answer: impl FnOnce(&CachedModel<J48>) -> Result<String, ServiceFault>,
+    ) -> Result<SoapValue, ServiceFault> {
         let arff = text_arg(args, "dataset")?;
         let attribute = text_arg(args, "attribute")?;
         let options = opt_text_arg(args, "options")?.unwrap_or("");
-        let ds = self.datasets.decode_with_class(arff, attribute)?;
-        Ok((ds, parse_options_string(options)))
+        let hash = content_hash(arff);
+        let ds = self.datasets.decode_hashed(arff, hash)?;
+        ds.attribute_index(attribute).map_err(data_fault)?;
+        self.with_model(|model| {
+            let mut next = model.untrained();
+            for (flag, value) in parse_options_string(options) {
+                next.set_option(&flag, &value).map_err(algo_fault)?;
+            }
+            let key = model_key("J48", &next.options_string(), attribute, hash);
+            let tree = match self.trees.get(key) {
+                Some(tree) => tree,
+                None => {
+                    next.train(&with_class(ds, attribute)?)
+                        .map_err(algo_fault)?;
+                    let tree = Arc::new(CachedModel::new(Box::new(next)));
+                    self.trees.insert(key, Arc::clone(&tree));
+                    tree
+                }
+            };
+            let text = answer(&tree)?;
+            *model = tree.model().clone();
+            Ok(SoapValue::Text(text))
+        })
     }
 }
 
@@ -153,35 +205,18 @@ impl WebService for J48Service {
         args: &[(String, SoapValue)],
     ) -> Result<SoapValue, ServiceFault> {
         match operation {
-            "classify" => {
-                let (ds, options) = self.train_args(args)?;
-                self.with_model(|model| {
-                    for (flag, value) in &options {
-                        model.set_option(flag, value).map_err(algo_fault)?;
-                    }
-                    model.train(&ds).map_err(algo_fault)?;
-                    Ok(SoapValue::Text(model.describe()))
-                })
-            }
-            "classifyGraph" => {
-                let (ds, options) = self.train_args(args)?;
-                self.with_model(|model| {
-                    for (flag, value) in &options {
-                        model.set_option(flag, value).map_err(algo_fault)?;
-                    }
-                    model.train(&ds).map_err(algo_fault)?;
-                    let tree = model
-                        .tree_model()
-                        .ok_or_else(|| ServiceFault::server("training produced no tree"))?;
-                    Ok(SoapValue::Text(tree_to_svg(&tree)))
-                })
-            }
+            "classify" => self.grow(args, |tree| Ok(tree.text().to_string())),
+            "classifyGraph" => self.grow(args, |tree| {
+                tree.svg()
+                    .map(str::to_string)
+                    .ok_or_else(|| ServiceFault::server("training produced no tree"))
+            }),
             "predict" => {
                 let arff = text_arg(args, "dataset")?;
                 let attribute = text_arg(args, "attribute")?;
                 let ds = self.datasets.decode_with_class(arff, attribute)?;
                 self.with_model(|model| {
-                    let class_attr = ds.class_attribute().map_err(crate::support::data_fault)?;
+                    let class_attr = ds.class_attribute().map_err(data_fault)?;
                     let labels: Vec<String> = class_attr.labels().to_vec();
                     let mut out = Vec::with_capacity(ds.num_instances());
                     for r in 0..ds.num_instances() {
@@ -218,7 +253,15 @@ impl WebService for J48Service {
             other => Err(ServiceFault::client(format!("no operation {other:?}"))),
         }
     }
+
+    /// The kept trees' counters.
+    fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
+        vec![("model", self.trees.stats())]
+    }
 }
+
+#[cfg(test)]
+mod kept_trees;
 
 #[cfg(test)]
 mod tests {

@@ -25,16 +25,17 @@ use dm_wsrf::dataplane::{CacheStats, Hasher128, LruMap};
 use std::sync::{Arc, OnceLock};
 
 /// A trained classifier with its rendered responses, each computed at
-/// most once.
-pub struct CachedModel {
-    model: Box<dyn Classifier>,
+/// most once. The Classifier service keeps any registered model
+/// (`dyn Classifier`, the default); the J48 service keeps `J48` trees.
+pub struct CachedModel<M: ?Sized = dyn Classifier> {
+    model: Box<M>,
     text: OnceLock<String>,
     svg: OnceLock<Option<String>>,
 }
 
-impl CachedModel {
+impl<M: Classifier + ?Sized> CachedModel<M> {
     /// Wrap a trained model; nothing is rendered yet.
-    pub fn new(model: Box<dyn Classifier>) -> CachedModel {
+    pub fn new(model: Box<M>) -> CachedModel<M> {
         CachedModel {
             model,
             text: OnceLock::new(),
@@ -43,8 +44,8 @@ impl CachedModel {
     }
 
     /// The trained model, for scoring.
-    pub fn model(&self) -> &dyn Classifier {
-        &*self.model
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
     /// The model's `describe()` text, rendered on the first call.

@@ -55,18 +55,24 @@ fn harness_never_serialises() {
 fn harness_is_faster_for_repeated_invocation() {
     // The paper: "repeated invocations of a particular Web Service
     // often resulted in a significant performance penalty … the harness
-    // [gave an] improvement in performance". Training dominates both
-    // paths, so compare the non-training overhead via many invocations
-    // and assert the harness is not slower (the full quantitative sweep
-    // is bench e4_lifecycle).
+    // [gave an] improvement in performance". The service keeps the tree
+    // the first call grows, so the repeated calls time the lifecycle
+    // around a kept tree: assert the harness is not slower (the full
+    // quantitative sweep, training included, is bench e4_lifecycle).
+    // Those calls are short beside the training the other tests in
+    // this binary run at the same time, so each policy keeps its best
+    // of five interleaved rounds.
     let n = 8;
     let per_call = J48Service::new().unwrap();
     let harness = J48Service::with_policy(LifecyclePolicy::InMemoryHarness).unwrap();
     // Warm up both (first call trains from scratch either way).
     run_n(&per_call, 1);
     run_n(&harness, 1);
-    let t_per_call = run_n(&per_call, n);
-    let t_harness = run_n(&harness, n);
+    let (mut t_per_call, mut t_harness) = (std::time::Duration::MAX, std::time::Duration::MAX);
+    for _ in 0..5 {
+        t_per_call = t_per_call.min(run_n(&per_call, n));
+        t_harness = t_harness.min(run_n(&harness, n));
+    }
     assert!(
         t_harness <= t_per_call * 2,
         "harness {t_harness:?} unexpectedly slower than per-call {t_per_call:?}"

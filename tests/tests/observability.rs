@@ -156,9 +156,13 @@ fn footprint(toolkit: &Toolkit) -> (Duration, WireStats, usize) {
     (net.virtual_time(), net.wire_stats(), net.monitor().len())
 }
 
-/// The model and eval series a scrape exported hold `model` and `eval`.
-fn assert_cache_series(metrics: &MetricsRegistry, model: &CacheStats, eval: &CacheStats) {
-    for (cache, stats) in [("model", model), ("eval", eval)] {
+/// The cache series a scrape exported for `service` hold `caches`.
+fn assert_cache_series(
+    metrics: &MetricsRegistry,
+    service: &str,
+    caches: &[(&'static str, CacheStats)],
+) {
+    for (cache, stats) in caches {
         for (event, value) in [
             ("lookups", stats.lookups),
             ("hits", stats.hits),
@@ -166,26 +170,18 @@ fn assert_cache_series(metrics: &MetricsRegistry, model: &CacheStats, eval: &Cac
             ("insertions", stats.insertions),
             ("evictions", stats.evictions),
         ] {
-            let labels = [
-                ("service", "Classifier"),
-                ("cache", cache),
-                ("event", event),
-            ];
+            let labels = [("service", service), ("cache", cache), ("event", event)];
             assert_eq!(
                 metrics.counter_value("faehim_cache_events_total", &labels),
                 value,
-                "{cache} {event}"
+                "{service} {cache} {event}"
             );
         }
-        let labels = [
-            ("service", "Classifier"),
-            ("cache", cache),
-            ("unit", "entries"),
-        ];
+        let labels = [("service", service), ("cache", cache), ("unit", "entries")];
         assert_eq!(
             metrics.gauge_value("faehim_cache_size", &labels),
             Some(stats.entries as f64),
-            "{cache} entries"
+            "{service} {cache} entries"
         );
     }
 }
@@ -209,7 +205,7 @@ fn a_scrape_reads_the_classifier_caches_in_process_and_survives_a_saturated_host
     let before = footprint(&toolkit);
     let metrics = toolkit.metrics_registry();
     assert_eq!(footprint(&toolkit), before, "the scrape made a call");
-    assert_cache_series(&metrics, &model, &eval);
+    assert_cache_series(&metrics, "Classifier", &[("model", model), ("eval", eval)]);
 
     // One worker, no queue: a call during the first one's service time
     // is shed, and so would any call the scrape made.
@@ -224,11 +220,38 @@ fn a_scrape_reads_the_classifier_caches_in_process_and_survives_a_saturated_host
     let before = footprint(&toolkit);
     let metrics = toolkit.metrics_registry();
     assert_eq!(footprint(&toolkit), before, "the scrape made a call");
-    assert_cache_series(&metrics, &model, &eval);
+    assert_cache_series(&metrics, "Classifier", &[("model", model), ("eval", eval)]);
     let host = [("host", toolkit.primary_host())];
     assert_eq!(
         metrics.counter_value("faehim_requests_shed_total", &host),
         1
+    );
+}
+
+#[test]
+fn a_scrape_exports_the_j48_kept_trees_in_process() {
+    let toolkit = Toolkit::new().unwrap();
+    let j48 = toolkit.j48_client();
+    let arff = breast_cancer_arff();
+    for _ in 0..2 {
+        j48.classify(&arff, "Class", "").unwrap();
+    }
+    j48.classify_graph(&arff, "Class", "").unwrap();
+    j48.classify(&arff, "Class", "-M 5").unwrap();
+    let container = toolkit.network().host(toolkit.primary_host()).unwrap();
+    let kept = container.cache_stats("J48");
+    let model = kept[0].1;
+    assert_eq!(kept.len(), 1);
+    assert_eq!((model.lookups, model.hits, model.entries), (4, 2, 2));
+
+    let before = footprint(&toolkit);
+    let metrics = toolkit.metrics_registry();
+    assert_eq!(footprint(&toolkit), before, "the scrape made a call");
+    assert_cache_series(&metrics, "J48", &kept);
+    assert_eq!(
+        container.cache_stats("J48"),
+        kept,
+        "the scrape moved the counters"
     );
 }
 
